@@ -25,12 +25,8 @@ from .errors import (
 from .exactalg import (
     Mat2,
     Poly,
-    Rational,
     as_rational,
-    mat2_det,
-    mat2_mul,
     mobius_apply,
-    poly_eval,
     poly_gcd,
     poly_is_square,
 )
@@ -67,16 +63,17 @@ from .orthopoly import (
     second_kind_polys,
 )
 from .quadratic import (
+    Prepared,
     QuadraticRelation,
     ReverseObstructionReport,
     VerificationReport,
     discriminant_is_square,
     periodic_quadratic,
+    prepare,
     pullback_quadratic,
     reverse_asymptotics,
     second_solution_value,
     verify_main_identity,
-    verify_reverse_obstruction,
     verify_splits,
 )
 
@@ -100,8 +97,8 @@ __all__ = [
     "PalindromeSplit",
     "ParseError",
     "Poly",
+    "Prepared",
     "QuadraticRelation",
-    "Rational",
     "RecoveredPair",
     "ReverseObstructionReport",
     "VerificationReport",
@@ -120,15 +117,13 @@ __all__ = [
     "first_kind_polys",
     "laurent_of_quadratic",
     "load_sequence",
-    "mat2_det",
-    "mat2_mul",
     "mobius_apply",
     "normalize_kp",
     "pair",
     "periodic_quadratic",
-    "poly_eval",
     "poly_gcd",
     "poly_is_square",
+    "prepare",
     "pullback_quadratic",
     "recover_coefficients",
     "reverse_asymptotics",
@@ -139,6 +134,5 @@ __all__ = [
     "strip",
     "strip_identity_check",
     "verify_main_identity",
-    "verify_reverse_obstruction",
     "verify_splits",
 ]

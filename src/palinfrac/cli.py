@@ -18,12 +18,14 @@ strings so the JSON round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import random
 import sys
 
 from .errors import (
+    BranchAmbiguity,
     DegenerateRelation,
     DivisionByZero,
     IndexOutOfRange,
@@ -45,10 +47,10 @@ from .mfun import eval_m, eval_periodic_m, eval_truncated, laurent_of_quadratic,
 from .quadratic import (
     numeric_identity_check,
     periodic_quadratic,
+    prepare,
     second_solution_value,
     verify_main_identity,
     verify_splits,
-    _relation_for_sequence,
 )
 
 EXIT_OK = 0
@@ -90,9 +92,12 @@ def _parse_points(text: str) -> list[complex]:
         if len(parts) != 2:
             raise ParseError(f"bad point {chunk!r}: expected re,im")
         try:
-            points.append(complex(float(parts[0]), float(parts[1])))
+            point = complex(float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise ParseError(f"bad point {chunk!r}: {exc}") from exc
+        if not cmath.isfinite(point):
+            raise ParseError(f"bad point {chunk!r}: coordinates must be finite")
+        points.append(point)
     if not points:
         raise ParseError("no evaluation points given")
     return points
@@ -155,16 +160,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = _base_report("verify", digest)
     verdicts = []
     lines = [f"period p = {p}, preperiodic length k = {normalized.k}"]
+    prep = prepare(normalized)
     if args.all:
-        results = verify_splits(normalized)
+        results = verify_splits(prep)
     else:
-        results = {args.ell: verify_main_identity(normalized, args.ell)}
+        results = {args.ell: verify_main_identity(prep, args.ell)}
     z0 = complex(0.37, 1.31)
+    m0 = eval_m(prep, z0)
     all_hold = True
     for ell in requested:
         result = results[ell]
-        check = numeric_identity_check(normalized, ell, z0, args.tolerance)
-        numeric = float(check["residual"])
+        check = numeric_identity_check(prep, result.product, m0, z0, args.tolerance)
+        numeric = check["residual"]
         verdicts.append(
             {
                 "ell": ell,
@@ -178,7 +185,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
         )
         all_hold = all_hold and result.holds
-        if result.holds:
+        numeric_text = "unavailable" if numeric is None else f"{numeric:.3e}"
+        if result.holds and numeric is not None:
             budget_note = ", within fp budget" if check["ok"] else ", EXCEEDS fp budget"
         else:
             budget_note = ""
@@ -186,7 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"ell = {ell}: {'HOLDS' if result.holds else 'fails'} "
             f"(deg residual_P = {result.residual_P.degree}, "
             f"deg residual_Q = {result.residual_Q.degree}, "
-            f"numeric residual at {_format_complex(z0)} = {numeric:.3e}{budget_note})"
+            f"numeric residual at {_format_complex(z0)} = {numeric_text}{budget_note})"
         )
     status = EXIT_OK if all_hold else EXIT_FAIL
     report.update(
@@ -220,8 +228,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     splits = [s.ell for s in find_palindrome_splits(normalized.periodic)]
     ell = splits[0] if splits else None
-    relation, _ = _relation_for_sequence(normalized)
-    ak2 = float(normalized.preperiodic[-1].a ** 2)
+    prep = prepare(normalized)
+    product = prep.product(ell) if ell is not None else None
 
     report = _base_report("eval", digest)
     rows = []
@@ -230,13 +238,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"identity checked at ell = {ell if ell is not None else 'none (no splits)'}"
     ]
     for z in points:
-        m_full = eval_m(normalized, z)
-        m_tail = eval_periodic_m(normalized.periodic, z)
-        second = second_solution_value(relation, m_full, z)
+        m_full = eval_m(prep, z)
+        m_tail = eval_periodic_m(prep.tail, z)
+        second = second_solution_value(prep.relation, m_full, z)
         truncation_gap = abs(m_full - eval_truncated(normalized, z, args.depth))
         if ell is not None:
-            check = numeric_identity_check(normalized, ell, z, args.tolerance)
-            residual = float(check["residual"])
+            check = numeric_identity_check(prep, product, m_full, z, args.tolerance)
+            residual = check["residual"]
             residual_ok = check["ok"]
         else:
             residual = None
@@ -256,6 +264,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if residual is not None:
             note = " (within fp budget)" if residual_ok else " (EXCEEDS fp budget)"
             residual_text = f", identity residual = {residual:.3e}{note}"
+        elif ell is not None:
+            residual_text = ", identity residual unavailable"
         else:
             residual_text = ""
         lines.append(
@@ -380,7 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DivisionByZero, NumericInstability, NotAnMFunction) as exc:
+    except (
+        BranchAmbiguity, DivisionByZero, NumericInstability, NotAnMFunction, OverflowError
+    ) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

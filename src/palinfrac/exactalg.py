@@ -1,7 +1,7 @@
 """Exact rational polynomials, 2x2 polynomial matrices, and Moebius maps.
 
 Scalars are `fractions.Fraction`, which already guarantees lowest terms and
-a positive denominator, so it serves directly as the Rational type.  A
+a positive denominator, so it serves directly as the rational type.  A
 polynomial is a dense tuple of Fractions in ascending degree with no trailing
 zeros; the zero polynomial is the empty tuple.  Degrees stay small here
 (bounded by the coefficient block lengths), so the dense representation is
@@ -25,7 +25,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZero
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
@@ -281,14 +280,6 @@ class Mat2:
         return (self.a11, self.a12, self.a21, self.a22)
 
 
-def mat2_mul(a: Mat2, b: Mat2) -> Mat2:
-    return a @ b
-
-
-def mat2_det(a: Mat2) -> Poly:
-    return a.det()
-
-
 def mobius_apply(transform: Mat2, w, z):
     """Apply the linear-fractional map of `transform`, evaluated at z, to w.
 
@@ -302,8 +293,3 @@ def mobius_apply(transform: Mat2, w, z):
     if den == 0:
         raise DivisionByZero("Moebius denominator vanished at evaluation point")
     return num / den
-
-
-def poly_eval(poly: Poly, z):
-    """Evaluate a polynomial at a complex-like point (Horner)."""
-    return poly(z)

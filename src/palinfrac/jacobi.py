@@ -19,12 +19,19 @@ blocks of both strings nonempty (1 <= ell <= p-2).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import IndexOutOfRange, ParseError
+from .errors import IndexOutOfRange, NotNormalized, ParseError
 from .exactalg import RationalLike, as_rational
+
+# Longest entry, in characters, and largest decimal exponent that
+# load_sequence accepts.  Fraction would expand "1e999999999" into an
+# integer with a billion digits before any later check could see it.
+MAX_ENTRY_DIGITS = 256
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
 @dataclass(frozen=True)
@@ -113,12 +120,13 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
     exact arithmetic needs exact inputs.
 
     Raises:
-        ParseError: malformed JSON, malformed rationals, nonpositive a
-            entries, or an empty periodic part.
+        ParseError: malformed JSON, malformed rationals, entries longer than
+            MAX_ENTRY_DIGITS characters or with a decimal exponent above it,
+            nonpositive a entries, or an empty periodic part.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past the interpreter's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -141,9 +149,18 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
                     raise ParseError(
                         f'"{name}"[{i}]: entries must be rational strings or integers, got {entry!r}'
                     )
+                literal = str(entry)
+                exponent = _EXPONENT.search(literal)
+                if len(literal) > MAX_ENTRY_DIGITS or (
+                    exponent and abs(int(exponent[1])) > MAX_ENTRY_DIGITS
+                ):
+                    raise ParseError(
+                        f'"{name}"[{i}]: entry has more than {MAX_ENTRY_DIGITS} '
+                        "characters or a larger exponent"
+                    )
                 try:
                     values.append(as_rational(entry))
-                except (ValueError, ZeroDivisionError) as exc:
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f'"{name}"[{i}]: bad rational {entry!r}') from exc
             out.append(JacobiPair(values[0], values[1]))
         return tuple(out)
@@ -173,6 +190,15 @@ def normalize_kp(seq: JacobiSequence) -> JacobiSequence:
     if seq.is_kp_normalized():
         return seq
     return JacobiSequence(seq.preperiodic + seq.periodic, seq.periodic)
+
+
+def require_kp_normalized(seq: JacobiSequence) -> None:
+    """Raise NotNormalized unless `seq` is in the verifier's canonical form."""
+    if not seq.is_kp_normalized():
+        raise NotNormalized(
+            "sequence must have a nonempty preperiodic block ending with the last "
+            "periodic pair; apply normalize_kp first"
+        )
 
 
 def double_period(seq: JacobiSequence) -> JacobiSequence:

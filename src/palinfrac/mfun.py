@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import (
     BranchAmbiguity,
@@ -40,7 +39,7 @@ from .errors import (
 from .exactalg import Poly, mobius_apply
 from .jacobi import JacobiPair, JacobiSequence, strip
 from .orthopoly import conj_transfer
-from .quadratic import QuadraticRelation, periodic_quadratic
+from .quadratic import Prepared, QuadraticRelation, prepare
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +50,11 @@ _IM_CUTOFF = 1e-13
 _CONTINUITY_STEP = 1e-6
 
 
-def eval_periodic_m(periodic: Sequence[JacobiPair], z, _nudged: bool = False):
+def eval_periodic_m(tail: QuadraticRelation, z, _nudged: bool = False):
     """The purely periodic function at z (Im z > 0): upper-half-plane root.
 
-    Solves the fixed-point quadratic at z and returns the root with positive
+    `tail` is the period's fixed-point relation (`periodic_quadratic`, or
+    `Prepared.tail`).  Solves it at z and returns the root with positive
     imaginary part.  If both roots are numerically real, the point is
     re-evaluated slightly higher in the half plane and the root is selected
     by continuity.
@@ -63,10 +63,9 @@ def eval_periodic_m(periodic: Sequence[JacobiPair], z, _nudged: bool = False):
         BranchAmbiguity: both roots claim the upper half plane, or the
             continuity fallback cannot separate them.
     """
-    relation = periodic_quadratic(periodic)
-    av = relation.alpha(z)
-    bv = relation.beta(z)
-    gv = relation.gamma(z)
+    av = tail.alpha(z)
+    bv = tail.beta(z)
+    gv = tail.gamma(z)
     if av == 0:
         if bv == 0:
             raise DivisionByZero("quadratic degenerates at evaluation point")
@@ -86,18 +85,18 @@ def eval_periodic_m(periodic: Sequence[JacobiPair], z, _nudged: bool = False):
     if _nudged:
         raise BranchAmbiguity(f"branch selection failed to converge at z={z}")
     # Both roots numerically real: nudge upward and select by continuity.
-    reference = eval_periodic_m(periodic, z + 1j * _CONTINUITY_STEP, _nudged=True)
+    reference = eval_periodic_m(tail, z + 1j * _CONTINUITY_STEP, _nudged=True)
     return r1 if abs(r1 - reference) <= abs(r2 - reference) else r2
 
 
-def eval_m(seq: JacobiSequence, z):
+def eval_m(prep: Prepared, z):
     """The eventually periodic function at z (Im z > 0).
 
-    Evaluates the periodic tail by `eval_periodic_m`, then folds the
-    preperiodic pairs around it: value -> 1/(b - z - a^2 * value).
+    Evaluates the periodic tail by `eval_periodic_m` on `prep.tail`, then
+    folds the preperiodic pairs around it: value -> 1/(b - z - a^2 * value).
     """
-    value = eval_periodic_m(seq.periodic, z)
-    for q in reversed(seq.preperiodic):
+    value = eval_periodic_m(prep.tail, z)
+    for q in reversed(prep.seq.preperiodic):
         den = q.b - z - q.a * q.a * value
         if den == 0:
             raise DivisionByZero(f"continued fraction level vanished at z={z}")
@@ -125,8 +124,8 @@ def strip_identity_check(seq: JacobiSequence, count: int, z) -> float:
     if count < 1:
         raise InsufficientOrder(f"strip count must be at least 1, got {count}")
     removed = seq.pairs(count)
-    direct = eval_m(strip(seq, count), z)
-    image = mobius_apply(conj_transfer(removed, count), eval_m(seq, z), z)
+    direct = eval_m(prepare(strip(seq, count)), z)
+    image = mobius_apply(conj_transfer(removed, count), eval_m(prepare(seq), z), z)
     return abs(direct - image)
 
 

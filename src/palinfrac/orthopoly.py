@@ -1,86 +1,78 @@
-"""Orthogonal polynomials of both kinds and conjugated transfer matrices.
+"""Conjugated transfer matrices and the orthogonal polynomials they carry.
 
-The first-kind polynomials p_n are generated by the three-term recurrence
+Everything here is one recurrence.  The conjugated transfer matrix over the
+first n pairs of a stream is T_n = S(a_n, b_n) * T_{n-1}, with T_0 the
+identity and the one-step matrix
+
+    S(a, b) = [[ (z - b)/a, 1/a ],
+               [ -a,        0   ]],
+
+so that T_n = [[p_n, q_n], [-a_n*p_{n-1}, -a_n*q_{n-1}]] holds the first-
+and second-kind polynomials of the three-term recurrence
 
     z*p_n = a_{n+1}*p_{n+1} + b_{n+1}*p_n + a_n*p_{n-1},    p_0 = 1, p_{-1} = 0,
 
-so p_{n+1} = ((z - b_{n+1})*p_n - a_n*p_{n-1}) / a_{n+1}.  The second-kind
-polynomial q_n is (1/a_1) times the first-kind polynomial of degree n-1
-built on the once-shifted coefficient list, with q_0 = 0.  Both are computed
-by the recurrence directly; exact rational arithmetic makes this free of
-cancellation.
+with q_0 = 0 and q_1 = 1/a_1.  Exact rational arithmetic makes it free of
+cancellation.  The Moebius action of T_n removes the first n pairs of a
+stream: if s has a coefficient stream starting with those pairs, the
+stripped function s_n equals f_T(s).  Its determinant is identically 1.
 
-The conjugated transfer matrix over the first n pairs is
-
-    [[ p_n,          q_n        ],
-     [ -a_n*p_{n-1}, -a_n*q_{n-1} ]]
-
-whose Moebius action removes the first n pairs of a stream: if a function s
-has a coefficient stream starting with those pairs, the stripped function
-s_n equals f_T(s).  Its determinant is identically 1.
-
-The three block matrices used by the verifier are assembled here: one over
-the preperiodic pairs, one over the leading ell+1 periodic pairs, and one
-over the index-reversed preperiodic pairs.
+The verifier's three blocks are prefixes of the same recurrence: over the
+preperiodic pairs, over the leading ell+1 periodic pairs, and over the
+index-reversed preperiodic pairs.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
-from .errors import IndexOutOfRange, InsufficientCoefficients, NotNormalized
+from .errors import IndexOutOfRange, InsufficientCoefficients
 from .exactalg import Mat2, Poly
-from .jacobi import JacobiPair, JacobiSequence, reversed_periodic
+from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized, reversed_periodic
+
+
+def transfer_step(t: Mat2, q: JacobiPair) -> Mat2:
+    """S(q.a, q.b) * t, one step of the recurrence.
+
+    Applied row by row: the new first row is ((z - b)*row1 + row2)/a and the
+    new second row is -a*row1, which takes two polynomial products where a
+    general 2x2 product would take eight.
+    """
+    shift = Poly.from_coeffs([-q.b, 1])
+    inv_a = 1 / q.a
+    return Mat2(
+        (shift * t.a11 + t.a21).scale(inv_a),
+        (shift * t.a12 + t.a22).scale(inv_a),
+        t.a11.scale(-q.a),
+        t.a12.scale(-q.a),
+    )
+
+
+def transfer_prefixes(coeffs: Sequence[JacobiPair], n: int) -> list[Mat2]:
+    """T_0 = identity, T_1, ..., T_n over the first pairs of `coeffs`."""
+    if n < 0:
+        raise IndexOutOfRange(f"polynomial count must be nonnegative, got {n}")
+    if len(coeffs) < n:
+        raise InsufficientCoefficients(f"need {n} pairs, have {len(coeffs)}")
+    return list(accumulate(coeffs[:n], transfer_step, initial=Mat2.identity()))
 
 
 def first_kind_polys(coeffs: Sequence[JacobiPair], n: int) -> list[Poly]:
     """The polynomials p_0 ... p_n for the given coefficient pairs."""
-    if n < 0:
-        raise IndexOutOfRange(f"polynomial count must be nonnegative, got {n}")
-    if len(coeffs) < n:
-        raise InsufficientCoefficients(f"need {n} pairs, have {len(coeffs)}")
-    z = Poly.x()
-    ps = [Poly.const(1)]
-    prev = Poly.zero()
-    for j in range(n):
-        term = (z - Poly.const(coeffs[j].b)) * ps[-1]
-        if j >= 1:
-            term = term - ps[-2].scale(coeffs[j - 1].a)
-        ps.append(term.scale(1 / coeffs[j].a))
-    return ps
+    return [t.a11 for t in transfer_prefixes(coeffs, n)]
 
 
 def second_kind_polys(coeffs: Sequence[JacobiPair], n: int) -> list[Poly]:
-    """The polynomials q_0 ... q_n: shifted first-kind polynomials over a_1."""
-    if n < 0:
-        raise IndexOutOfRange(f"polynomial count must be nonnegative, got {n}")
-    if len(coeffs) < n:
-        raise InsufficientCoefficients(f"need {n} pairs, have {len(coeffs)}")
-    if n == 0:
-        return [Poly.zero()]
-    shifted = first_kind_polys(coeffs[1:], n - 1)
-    inv_a1 = 1 / coeffs[0].a
-    return [Poly.zero()] + [p.scale(inv_a1) for p in shifted]
+    """The polynomials q_0 ... q_n for the given coefficient pairs."""
+    return [t.a12 for t in transfer_prefixes(coeffs, n)]
 
 
 def conj_transfer(coeffs: Sequence[JacobiPair], n: int) -> Mat2:
     """The conjugated transfer matrix over the first n pairs (n >= 1)."""
     if n < 1:
         raise IndexOutOfRange(f"transfer matrix needs n >= 1, got {n}")
-    if len(coeffs) < n:
-        raise InsufficientCoefficients(f"need {n} pairs, have {len(coeffs)}")
-    ps = first_kind_polys(coeffs, n)
-    qs = second_kind_polys(coeffs, n)
-    a_n = coeffs[n - 1].a
-    return Mat2(ps[n], qs[n], ps[n - 1].scale(-a_n), qs[n - 1].scale(-a_n))
-
-
-def _require_normalized(seq: JacobiSequence) -> None:
-    if not seq.is_kp_normalized():
-        raise NotNormalized(
-            "sequence must have a nonempty preperiodic block ending with the last "
-            "periodic pair; apply normalize_kp first"
-        )
+    return transfer_prefixes(coeffs, n)[-1]
 
 
 def build_T1(seq: JacobiSequence) -> Mat2:
@@ -89,7 +81,7 @@ def build_T1(seq: JacobiSequence) -> Mat2:
     Its Moebius action maps the full function to the purely periodic tail
     function.
     """
-    _require_normalized(seq)
+    require_kp_normalized(seq)
     return conj_transfer(seq.preperiodic, seq.k)
 
 
@@ -103,7 +95,7 @@ def build_T2(periodic: Sequence[JacobiPair], ell: int) -> Mat2:
         raise IndexOutOfRange(
             f"need 0 <= ell <= p-1 = {len(periodic) - 1}, got ell={ell}"
         )
-    return conj_transfer(periodic[: ell + 1], ell + 1)
+    return conj_transfer(periodic, ell + 1)
 
 
 def build_T3(seq: JacobiSequence) -> Mat2:
@@ -113,6 +105,5 @@ def build_T3(seq: JacobiSequence) -> Mat2:
     (alpha_{k-j}, beta_{k-j+1}) with alpha_0 read as alpha_k, which is
     exactly one period of the reversed stream of the preperiodic block.
     """
-    _require_normalized(seq)
-    reversed_pairs = reversed_periodic(seq.preperiodic)
-    return conj_transfer(reversed_pairs, seq.k)
+    require_kp_normalized(seq)
+    return conj_transfer(reversed_periodic(seq.preperiodic), seq.k)

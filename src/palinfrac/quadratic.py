@@ -29,14 +29,16 @@ the zero polynomial.  The verdict therefore needs no numerical tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, islice
 from typing import Sequence
 
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange, NumericInstability
-from .exactalg import Mat2, Poly, poly_gcd, poly_is_square, rational_content
-from .jacobi import JacobiPair, JacobiSequence, normalize_kp
-from .orthopoly import build_T1, build_T2, build_T3, conj_transfer
+from .exactalg import Mat2, Poly, mobius_apply, poly_gcd, poly_is_square, rational_content
+from .jacobi import JacobiPair, JacobiSequence, normalize_kp, require_kp_normalized, reversed_periodic
+from .orthopoly import conj_transfer, transfer_prefixes, transfer_step
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,16 @@ class QuadraticRelation:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the exact identity check at one candidate first length."""
+    """Outcome of the exact identity check at one candidate first length.
+
+    `product` is T3*T2(ell)*T1, the matrix the verdict was decided on.
+    """
 
     ell: int
     residual_P: Poly
     residual_Q: Poly
     holds: bool
-    diagnostics: dict = field(default_factory=dict)
+    product: Mat2
 
 
 def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
@@ -149,11 +154,41 @@ def second_solution_value(relation: QuadraticRelation, m_val, z):
     return relation.gamma(z) / denom
 
 
-def _relation_for_sequence(seq: JacobiSequence) -> tuple[QuadraticRelation, Mat2]:
-    """The canonical quadratic for the full function M, plus the preperiodic matrix."""
-    t1 = build_T1(seq)
+@dataclass(frozen=True)
+class Prepared:
+    """What the identity and the evaluators need of one sequence, built once.
+
+    `tail` is the periodic_quadratic of the period, `t1` the transfer matrix
+    over the preperiodic block, `relation` the canonical relation for M (tail
+    pulled back through t1), `t3` the transfer matrix over the index-reversed
+    preperiodic block, and `ak2` the squared a-entry of the pair before the
+    tail (with no preperiodic block: t1 = t3 = identity, last periodic pair).
+    """
+
+    seq: JacobiSequence
+    tail: QuadraticRelation
+    t1: Mat2
+    relation: QuadraticRelation
+    t3: Mat2
+    ak2: Fraction
+
+    def product(self, ell: int) -> Mat2:
+        """T3*T2(ell)*T1, with T2(ell) over the first ell+1 periodic pairs."""
+        return self.t3 @ reduce(transfer_step, self.seq.periodic[: ell + 1], self.t1)
+
+
+def prepare(seq: JacobiSequence) -> Prepared:
+    """Build the relations and block matrices of `seq` once.
+
+    The representation is used as given: nothing is normalized here.  The
+    verifier checks normalization itself, and the reverse probe relies on
+    representations that are not normalized.
+    """
     tail = periodic_quadratic(seq.periodic)
-    return pullback_quadratic(tail, t1), t1
+    t1 = transfer_prefixes(seq.preperiodic, seq.k)[-1]
+    t3 = transfer_prefixes(reversed_periodic(seq.preperiodic), seq.k)[-1]
+    ak = (seq.preperiodic or seq.periodic)[-1].a
+    return Prepared(seq, tail, t1, pullback_quadratic(tail, t1), t3, ak * ak)
 
 
 def _guard_relation(relation: QuadraticRelation) -> None:
@@ -167,37 +202,16 @@ def _guard_relation(relation: QuadraticRelation) -> None:
         )
 
 
-def _residual_pair(
-    relation: QuadraticRelation, product: Mat2, ak: Fraction
-) -> tuple[Poly, Poly]:
+def _report(prep: Prepared, ell: int, product: Mat2) -> VerificationReport:
     a_mat, b_mat, c_mat, d_mat = product.entries()
-    ak2 = ak * ak
-    al, be, ga = relation.alpha, relation.beta, relation.gamma
-    residual_p = al * d_mat - be * c_mat - (ga * a_mat).scale(ak2)
-    residual_q = ga * (c_mat + b_mat.scale(ak2))
-    return residual_p, residual_q
-
-
-_SAMPLE_POINT = complex(0.37, 1.31)
-
-
-def _report(relation: QuadraticRelation, product: Mat2, ak: Fraction, ell: int) -> VerificationReport:
-    residual_p, residual_q = _residual_pair(relation, product, ak)
+    al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
+    residual_p = al * d_mat - be * c_mat - (ga * a_mat).scale(prep.ak2)
+    residual_q = ga * (c_mat + b_mat.scale(prep.ak2))
     holds = residual_p.is_zero() and residual_q.is_zero()
-    diagnostics = {
-        "alpha_degree": relation.alpha.degree,
-        "beta_degree": relation.beta.degree,
-        "gamma_degree": relation.gamma.degree,
-        "residual_P_degree": residual_p.degree,
-        "residual_Q_degree": residual_q.degree,
-        "sample_point": _SAMPLE_POINT,
-        "residual_P_sample": abs(residual_p(_SAMPLE_POINT)),
-        "residual_Q_sample": abs(residual_q(_SAMPLE_POINT)),
-    }
-    return VerificationReport(ell, residual_p, residual_q, holds, diagnostics)
+    return VerificationReport(ell, residual_p, residual_q, holds, product)
 
 
-def verify_main_identity(seq: JacobiSequence, ell: int) -> VerificationReport:
+def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
     """Decide the second-solution identity at the candidate first length ell.
 
     The sequence must be normalized (nonempty preperiodic block ending with
@@ -211,42 +225,39 @@ def verify_main_identity(seq: JacobiSequence, ell: int) -> VerificationReport:
         DegenerateRelation: the relation for M collapsed or its discriminant
             is a polynomial square; no verdict is possible.
     """
-    p = seq.p
+    p = prep.seq.p
     if not 1 <= ell <= p - 2:
         raise IndexOutOfRange(f"need 1 <= ell <= p-2 = {p - 2}, got ell={ell}")
-    relation, t1 = _relation_for_sequence(seq)
-    _guard_relation(relation)
-    t3 = build_T3(seq)
-    ak = seq.preperiodic[-1].a
-    product = t3 @ build_T2(seq.periodic, ell) @ t1
-    return _report(relation, product, ak, ell)
+    require_kp_normalized(prep.seq)
+    _guard_relation(prep.relation)
+    return _report(prep, ell, prep.product(ell))
 
 
-def verify_splits(seq: JacobiSequence) -> dict[int, VerificationReport]:
-    """Run verify_main_identity for every ell in 1 .. p-2, sharing setup work.
+def verify_splits(prep: Prepared) -> dict[int, VerificationReport]:
+    """The verify_main_identity reports for every ell in 1 .. p-2.
 
-    The preperiodic matrices and the relation for M do not depend on ell, so
-    batch verification computes them once.  Returns reports keyed by ell in
-    ascending order.
+    T2(ell)*T1 is extended by one step of the transfer recurrence per ell
+    rather than rebuilt.  Returns reports keyed by ell in ascending order.
     """
-    relation, t1 = _relation_for_sequence(seq)
-    _guard_relation(relation)
-    t3 = build_T3(seq)
-    ak = seq.preperiodic[-1].a
-    out: dict[int, VerificationReport] = {}
-    for ell in range(1, seq.p - 1):
-        product = t3 @ build_T2(seq.periodic, ell) @ t1
-        out[ell] = _report(relation, product, ak, ell)
-    return out
+    require_kp_normalized(prep.seq)
+    _guard_relation(prep.relation)
+    periodic = prep.seq.periodic
+    # element j is T2(j-1)*T1, the product over the first j periodic pairs
+    steps = accumulate(periodic[: len(periodic) - 1], transfer_step, initial=prep.t1)
+    return {
+        ell: _report(prep, ell, prep.t3 @ t21)
+        for ell, t21 in enumerate(islice(steps, 2, None), start=1)
+    }
 
 
 @dataclass(frozen=True)
 class ReverseObstructionReport:
     """Asymptotic test of whether 1/(ak^2 * Mtilde) behaves like an m-function.
 
-    `decay_constant` is the fitted limit of i*y*Mtilde(i*y) for large y; for
-    an obstructed representation with one preperiodic pair (alpha_1, beta_1)
-    over a one-pair period it approaches -1/(1 - alpha_1^2/a_p^2).
+    `decay_constant` is i*y*Mtilde(i*y) at the largest probe height, the
+    last sample rather than a fitted limit; for an obstructed representation
+    with one preperiodic pair (alpha_1, beta_1) over a one-pair period it
+    approaches -1/(1 - alpha_1^2/a_p^2) as the height grows.
     """
 
     is_m_like: bool
@@ -283,12 +294,11 @@ def reverse_asymptotics(
 
     if seq.k == 0:
         seq = normalize_kp(seq)
-    t_pre = conj_transfer(seq.preperiodic, seq.k)
-    relation = pullback_quadratic(periodic_quadratic(seq.periodic), t_pre)
+    prep = prepare(seq)
+    relation = prep.relation
     if relation.alpha.is_zero() or relation.gamma.is_zero():
         raise DegenerateRelation("relation for M degenerated")
-    ak = seq.preperiodic[-1].a
-    ak2 = float(ak * ak)
+    ak2 = float(prep.ak2)
 
     ys = sorted(float(y) for y in heights)
     g_values = []
@@ -296,7 +306,7 @@ def reverse_asymptotics(
     try:
         for y in ys:
             z = complex(0.0, y)
-            m_val = mfun.eval_m(seq, z)
+            m_val = mfun.eval_m(prep, z)
             second = second_solution_value(relation, m_val, z)
             w = 1.0 / (ak2 * second)
             g_values.append(1j * y * w + 1.0)
@@ -314,53 +324,32 @@ def reverse_asymptotics(
     return ReverseObstructionReport(is_m_like, decay, fit_deviation, tail_magnitude)
 
 
-def verify_reverse_obstruction(seq: JacobiSequence) -> bool:
-    """True iff 1/(ak^2 * Mtilde) passes the m-function asymptotic test.
-
-    This is the checkable necessary condition for the reversed identity; it
-    passes for purely periodic representations and fails when a genuine
-    preperiodic block distorts the decay at infinity.
-    """
-    return reverse_asymptotics(seq).is_m_like
-
-
-def numeric_identity_residual(seq: JacobiSequence, ell: int, z) -> float:
-    """|1/(ak^2 * Mtilde(z)) - f_{T3 T2 T1}(M(z))| at one point.
-
-    A floating-point cross-check of the exact verdict; the exact residual
-    polynomials remain the source of truth.  In double precision the
-    residual is limited by the conditioning of the Moebius map (its
-    derivative grows like the squared transfer-matrix norm); pass an
-    extended-precision point (e.g. mpmath.mpc) for sharper checks.
-    """
-    return numeric_identity_check(seq, ell, z)["residual"]
-
-
-def numeric_identity_check(seq: JacobiSequence, ell: int, z, tolerance: float = 1e-8) -> dict:
+def numeric_identity_check(
+    prep: Prepared, product: Mat2, m_val, z, tolerance: float = 1e-8
+) -> dict:
     """Pointwise cross-check of the identity with a conditioning budget.
 
-    Returns a dict with the forward residual, the Moebius derivative
-    magnitude 1/|C(z)M + D(z)|^2 (the error amplification of the right
-    side), and `ok`: residual within `tolerance` or within the
-    double-precision budget that the conditioning allows.
+    Compares 1/(ak^2 * Mtilde(z)) with f_product(M(z)) for the T3*T2(ell)*T1
+    `product` the exact verdict was decided on and `m_val` = M(z), so no
+    exact arithmetic is done here; the residual polynomials stay the source
+    of truth.  Returns a dict with the forward residual, the Moebius
+    derivative magnitude 1/|C(z)M + D(z)|^2 (the error amplification of the
+    right side), and `ok`: residual within `tolerance` or within the
+    double-precision budget that the conditioning allows.  Pass an
+    extended-precision point (e.g. mpmath.mpc) for sharper checks.  If a
+    denominator vanishes or a value overflows, the residual is None and `ok`
+    is False.
     """
-    from . import mfun  # local import: mfun builds on this module
-    from .exactalg import mobius_apply
-
-    relation, t1 = _relation_for_sequence(seq)
-    ak = seq.preperiodic[-1].a
-    product = build_T3(seq) @ build_T2(seq.periodic, ell) @ t1
-    m_val = mfun.eval_m(seq, z)
-    second = second_solution_value(relation, m_val, z)
-    lhs = 1 / (Fraction(ak * ak) * second)
-    rhs = mobius_apply(product, m_val, z)
-    residual = abs(lhs - rhs)
-    den = product.a21(z) * m_val + product.a22(z)
-    condition = float(1 / abs(den) ** 2) if den != 0 else float("inf")
+    try:
+        second = second_solution_value(prep.relation, m_val, z)
+        residual = abs(1 / (prep.ak2 * second) - mobius_apply(product, m_val, z))
+        condition = float(1 / abs(product.a21(z) * m_val + product.a22(z)) ** 2)
+    except (ZeroDivisionError, OverflowError):
+        residual, condition = None, float("inf")
     budget = max(tolerance, 1e-13 * (1.0 + condition))
     return {
         "residual": residual,
         "moebius_condition": condition,
         "tolerance": tolerance,
-        "ok": bool(residual <= budget),
+        "ok": residual is not None and bool(residual <= budget),
     }

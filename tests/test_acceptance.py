@@ -16,7 +16,6 @@ import pytest
 from palinfrac import (
     InsufficientOrder,
     JacobiSequence,
-    conj_transfer,
     eval_m,
     eval_periodic_m,
     eval_truncated,
@@ -24,6 +23,7 @@ from palinfrac import (
     normalize_kp,
     pair,
     periodic_quadratic,
+    prepare,
     recover_coefficients,
     reverse_asymptotics,
     reversed_periodic,
@@ -33,6 +33,7 @@ from palinfrac import (
 )
 from palinfrac.cli import main as cli_main
 from palinfrac.exactalg import Poly
+from palinfrac.orthopoly import transfer_prefixes
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -71,7 +72,7 @@ def test_criterion_1_detector_equivalence():
         else:
             periodic = random_periodic(rng, p, max_mag=9)
         seq = normalize_kp(purely_periodic(periodic))
-        holds = [ell for ell, report in verify_splits(seq).items() if report.holds]
+        holds = [ell for ell, report in verify_splits(prepare(seq)).items() if report.holds]
         assert holds == brute_splits(periodic), f"mismatch on trial {trial}: {periodic}"
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s, budget is 60s"
@@ -85,7 +86,7 @@ def test_criterion_2_constructive_positives():
         ell = rng.randint(1, p - 2)
         periodic = doubly_palindromic_period(rng, p, ell)
         seq = normalize_kp(purely_periodic(periodic))
-        report = verify_main_identity(seq, ell)
+        report = verify_main_identity(prepare(seq), ell)
         assert report.holds
         assert report.residual_P.is_zero()
         assert report.residual_Q.is_zero()
@@ -109,7 +110,7 @@ def test_criterion_3_constructive_negatives():
         if ell in brute_splits(periodic):
             continue  # perturbation happened to preserve the split
         seq = normalize_kp(purely_periodic(periodic))
-        report = verify_main_identity(seq, ell)
+        report = verify_main_identity(prepare(seq), ell)
         assert not report.holds
         assert not report.residual_P.is_zero() or not report.residual_Q.is_zero()
         produced += 1
@@ -136,15 +137,16 @@ def test_criterion_5_determinant_invariant():
     one = Poly.const(1)
     for _ in range(50):
         coeffs = random_periodic(rng, 50, max_mag=9)
-        for n in range(1, 51):
-            assert conj_transfer(coeffs, n).det() == one
+        # transfer_prefixes(coeffs, 50)[n] is conj_transfer(coeffs, n)
+        for t in transfer_prefixes(coeffs, 50)[1:]:
+            assert t.det() == one
 
 
 @criterion(6, "constant-stream evaluation matches the closed form to 1e-12")
 def test_criterion_6_chebyshev_oracle():
     import cmath
 
-    seq = purely_periodic([pair(1, 0)])
+    prep = prepare(purely_periodic([pair(1, 0)]))
     for i in range(5):
         for j in range(5):
             z = complex(-2.0 + i * 1.0, 0.5 + j * 0.875)
@@ -152,7 +154,7 @@ def test_criterion_6_chebyshev_oracle():
             closed = (-z + root) / 2
             if closed.imag <= 0:
                 closed = (-z - root) / 2
-            assert abs(eval_m(seq, z) - closed) < 1e-12
+            assert abs(eval_m(prep, z) - closed) < 1e-12
 
 
 @criterion(7, "eval_m agrees with depth-2000 truncation to 1e-8")
@@ -163,9 +165,10 @@ def test_criterion_7_truncation_consistency():
             tuple(random_periodic(rng, rng.randint(0, 3), max_mag=10)),
             tuple(random_periodic(rng, rng.randint(1, 6), max_mag=10)),
         )
+        prep = prepare(seq)
         for _ in range(20):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2.5))
-            assert abs(eval_m(seq, z) - eval_truncated(seq, z, 2000)) < 1e-8
+            assert abs(eval_m(prep, z) - eval_truncated(seq, z, 2000)) < 1e-8
 
 
 @criterion(8, "strip identities: Moebius route, and stripped-vs-reversed gap")
@@ -189,9 +192,9 @@ def test_criterion_8_stripping_identities():
             periodic = doubly_palindromic_period(rng, p, ell, max_mag=4)
             z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2))
             stripped = eval_m(
-                JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1])), z
+                prepare(JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1]))), z
             )
-            m_minus = eval_periodic_m(reversed_periodic(periodic), z)
+            m_minus = eval_periodic_m(periodic_quadratic(reversed_periodic(periodic)), z)
             assert abs(stripped - m_minus) < 1e-9
     # generic non-split ell: visibly different functions
     rng2 = random.Random(20260814)
@@ -206,9 +209,9 @@ def test_criterion_8_stripping_identities():
         ell = rng2.choice(candidates)
         z = complex(rng2.uniform(-1, 1), rng2.uniform(0.5, 1.2))
         stripped = eval_m(
-            JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1])), z
+            prepare(JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1]))), z
         )
-        m_minus = eval_periodic_m(reversed_periodic(periodic), z)
+        m_minus = eval_periodic_m(periodic_quadratic(reversed_periodic(periodic)), z)
         assert abs(stripped - m_minus) > 1e-3
         rejected += 1
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 from palinfrac.cli import main
 from conftest import brute_splits, doubly_palindromic_period, random_periodic
@@ -129,6 +130,8 @@ def test_eval_rejects_lower_half_plane(tmp_path, capsys):
     path = write_input(tmp_path, [pair(1, 0)])
     assert main(["eval", "--input", path, "--points", "0,0"]) == 2
     assert main(["eval", "--input", path, "--points", "1,-2"]) == 2
+    assert main(["eval", "--input", path, "--points=nan,1"]) == 2
+    assert main(["eval", "--input", path, "--points=0,inf"]) == 2
 
 
 def test_eval_seeded_points_reproducible(tmp_path, capsys):
@@ -209,3 +212,71 @@ def test_text_output_mentions_verdict(tmp_path, capsys):
 
 def test_missing_input_file_exit_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "nope.json")]) == 2
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def strict_json(text):
+    """Parse a report, refusing NaN and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_eval_survives_a_vanishing_moebius_denominator(capsys):
+    # the identity holds at ell = 1, but at this point the double-precision
+    # Moebius denominator of the cross-check is exactly 0
+    path = str(DATA / "eval_moebius_pole.json")
+    code = main(
+        ["eval", "--input", path, "--points=-0.8979579079625268,2.820635731159206", "--json"]
+    )
+    report = strict_json(capsys.readouterr().out)
+    assert code == 0 and report["exit_status"] == 0
+    assert report["ell"] == 1
+    row = report["points"][0]
+    assert row["identity_residual"] is None
+    assert row["within_tolerance"] is False
+
+
+def test_verify_survives_a_vanishing_moebius_denominator(capsys):
+    # the cross-check's denominator vanishes at ell = 11; the exact verdicts
+    # alone decide the report and the exit code
+    path = str(DATA / "verify_moebius_pole.json")
+    code = main(["verify", "--input", path, "--all", "--json"])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 1 and report["exit_status"] == 1
+    assert report["holds_set"] == []
+    assert [v["ell"] for v in report["verdicts"]] == list(range(1, 12))
+    assert report["verdicts"][10]["numeric_residual"] is None
+
+
+def test_eval_at_an_extreme_point_is_a_computation_failure(tmp_path, capsys):
+    from palinfrac import pair
+
+    # branch selection fails on one stream, the root overflows on the other
+    for path in (str(DATA / "eval_moebius_pole.json"), write_input(tmp_path, [pair(1, 0)])):
+        assert main(["eval", "--input", path, "--points=0,1e300"]) == 1
+        assert "computation failed" in capsys.readouterr().err
+
+
+def test_relation_is_built_once_per_request(tmp_path, capsys, monkeypatch):
+    import palinfrac.quadratic as quadratic
+
+    calls = []
+    original = quadratic.pullback_quadratic
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quadratic, "pullback_quadratic", counting)
+    path = write_input(tmp_path, paper_example_periodic())
+    for argv, expected in (
+        (["verify", "--input", path, "--all", "--json"], 1),
+        (["eval", "--input", path, "--points", "0.3,1.5;-1,0.5;0,2", "--json"], 0),
+    ):
+        calls.clear()
+        assert main(argv) == expected
+        assert len(calls) == 1, argv

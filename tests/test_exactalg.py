@@ -9,8 +9,6 @@ from palinfrac import (
     DivisionByZero,
     Mat2,
     Poly,
-    mat2_det,
-    mat2_mul,
     mobius_apply,
     poly_gcd,
     poly_is_square,
@@ -59,22 +57,22 @@ def test_matrix_identity_products():
     eye = Mat2.identity()
     for _ in range(10):
         m = rand_mat(rng)
-        assert mat2_mul(eye, m) == m
-        assert mat2_mul(m, eye) == m
+        assert eye @ m == m
+        assert m @ eye == m
 
 
 def test_det_is_multiplicative():
     rng = random.Random(103)
     for _ in range(20):
         a, b = rand_mat(rng), rand_mat(rng)
-        assert mat2_det(a @ b) == mat2_det(a) * mat2_det(b)
+        assert (a @ b).det() == a.det() * b.det()
 
 
 def test_det_identity_and_single_step():
-    assert mat2_det(Mat2.identity()) == Poly.const(1)
+    assert Mat2.identity().det() == Poly.const(1)
     # one-step matrix for (a_1, b_1) = (1, 0)
     step = Mat2(Poly.x(), Poly.const(1), Poly.const(-1), Poly.zero())
-    assert mat2_det(step) == Poly.const(1)
+    assert step.det() == Poly.const(1)
 
 
 def test_mobius_identity_and_inversion():

@@ -69,6 +69,14 @@ def test_load_rejects_malformed_documents():
         load_sequence('{"periodic": [[1.5,"0"]]}')
     with pytest.raises(ParseError):
         load_sequence('{"periodic": [["1","0"]], "extra": 1}')
+    with pytest.raises(ParseError):
+        load_sequence('{"periodic": [[null, 0]]}')
+    with pytest.raises(ParseError):
+        load_sequence('{"periodic": [[["1"], 0]]}')
+    # json.loads raises a bare ValueError for an integer longer than the
+    # interpreter's int-string limit
+    with pytest.raises(ParseError):
+        load_sequence('{"periodic": [[' + "9" * 5000 + ", 0]]}")
 
 
 def test_load_accepts_integers_and_dump_roundtrips():
@@ -252,3 +260,16 @@ def test_palindrome_split_bounds():
     with pytest.raises(IndexOutOfRange):
         PalindromeSplit(p=4, ell=0)
     PalindromeSplit(p=4, ell=2)
+
+
+def test_load_caps_entry_length_and_exponent(monkeypatch):
+    import palinfrac.jacobi as jacobi
+
+    with pytest.raises(ParseError):
+        load_sequence('{"periodic": [["1e400", 0]]}')
+    monkeypatch.setattr(jacobi, "MAX_ENTRY_DIGITS", 4)
+    seq = load_sequence('{"periodic": [["1e4", "-1/3"], [1234, "1E-4"]]}')
+    assert seq.periodic == (pair(10000, Fraction(-1, 3)), pair(1234, Fraction(1, 10000)))
+    for entry in ('"1e5"', '"1E-5"', '"1e+1_0"', '"12345"', "12345", '"1/2345"'):
+        with pytest.raises(ParseError):
+            load_sequence('{"periodic": [[1, %s]]}' % entry)

@@ -22,13 +22,13 @@ from palinfrac import (
     normalize_kp,
     pair,
     periodic_quadratic,
+    prepare,
     recover_coefficients,
     reversed_periodic,
     second_solution_value,
     sequence,
     strip_identity_check,
 )
-from palinfrac.quadratic import _relation_for_sequence
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -48,7 +48,7 @@ def chebyshev_closed_form(z: complex) -> complex:
 
 
 def test_periodic_m_closed_form_point():
-    value = eval_periodic_m(CHEBYSHEV, 2j)
+    value = eval_periodic_m(periodic_quadratic(CHEBYSHEV), 2j)
     assert abs(value - 1j * (2**0.5 - 1)) < 1e-12
 
 
@@ -57,21 +57,21 @@ def test_periodic_m_is_herglotz():
     for _ in range(50):
         periodic = random_periodic(rng, rng.randint(1, 5), max_mag=6)
         z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
-        assert eval_periodic_m(periodic, z).imag > 0
+        assert eval_periodic_m(periodic_quadratic(periodic), z).imag > 0
 
 
 def test_periodic_m_decays_like_inverse_z():
     rng = random.Random(502)
     for _ in range(10):
         periodic = random_periodic(rng, rng.randint(1, 4), max_mag=5)
-        value = eval_periodic_m(periodic, 1e4j)
+        value = eval_periodic_m(periodic_quadratic(periodic), 1e4j)
         assert abs(1e4j * value + 1) < 1e-3
 
 
 def test_periodic_m_branch_fallback_off_spectrum():
     # real z outside the band: both roots are real, continuity picks the
     # decaying one, here m(3) = (-3 + sqrt(5))/2
-    value = eval_periodic_m(CHEBYSHEV, 3.0 + 0j)
+    value = eval_periodic_m(periodic_quadratic(CHEBYSHEV), 3.0 + 0j)
     assert abs(value - (-3 + 5**0.5) / 2) < 1e-9
 
 
@@ -80,7 +80,7 @@ def test_eval_m_empty_preperiodic_matches_tail():
     periodic = random_periodic(rng, 3)
     seq = purely_periodic(periodic)
     z = 0.4 + 1.2j
-    assert eval_m(seq, z) == eval_periodic_m(periodic, z)
+    assert eval_m(prepare(seq), z) == eval_periodic_m(periodic_quadratic(periodic), z)
 
 
 def test_eval_m_is_stream_function():
@@ -88,7 +88,7 @@ def test_eval_m_is_stream_function():
     z = 0.3 + 1.1j
     plain = sequence([], [(1, 0)])
     padded = sequence([(1, 0)], [(1, 0)])
-    assert abs(eval_m(plain, z) - eval_m(padded, z)) < 1e-12
+    assert abs(eval_m(prepare(plain), z) - eval_m(prepare(padded), z)) < 1e-12
 
 
 def test_eval_m_matches_truncation():
@@ -99,7 +99,7 @@ def test_eval_m_matches_truncation():
             tuple(random_periodic(rng, rng.randint(1, 6), max_mag=10)),
         )
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
-        assert abs(eval_m(seq, z) - eval_truncated(seq, z, 2000)) < 1e-8
+        assert abs(eval_m(prepare(seq), z) - eval_truncated(seq, z, 2000)) < 1e-8
 
 
 def test_truncated_depth_one():
@@ -116,7 +116,7 @@ def test_truncated_converges_to_closed_form():
 
 def test_truncated_error_decays_with_depth():
     seq = purely_periodic(CHEBYSHEV)
-    exact = eval_periodic_m(CHEBYSHEV, 2j)
+    exact = eval_periodic_m(periodic_quadratic(CHEBYSHEV), 2j)
     errors = [abs(eval_truncated(seq, 2j, d) - exact) for d in (1, 5, 10)]
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 1e-7
@@ -155,9 +155,9 @@ def test_strip_identity_random_instances():
 def _m_minus_gap(periodic, ell: int, z) -> float:
     """|m_{ell+1} - m^-| at z: stripped stream vs index-reversed period."""
     stripped = eval_m(
-        JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1])), z
+        prepare(JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1]))), z
     )
-    m_minus = eval_periodic_m(reversed_periodic(periodic), z)
+    m_minus = eval_periodic_m(periodic_quadratic(reversed_periodic(periodic)), z)
     return abs(stripped - m_minus)
 
 
@@ -195,8 +195,8 @@ def test_step_one_identity():
         for _ in range(10):
             seq = normalize_kp(purely_periodic(random_periodic(rng, rng.randint(1, 5), 6)))
             z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2))
-            lhs = mobius_apply(build_T1(seq), eval_m(seq, z), z)
-            rhs = eval_periodic_m(seq.periodic, z)
+            lhs = mobius_apply(build_T1(seq), eval_m(prepare(seq), z), z)
+            rhs = eval_periodic_m(periodic_quadratic(seq.periodic), z)
             assert abs(lhs - rhs) < 1e-8
 
 
@@ -210,12 +210,12 @@ def test_step_three_identity():
             ell = rng.randint(1, p - 2)
             periodic = doubly_palindromic_period(rng, p, ell, max_mag=4)
             seq = normalize_kp(purely_periodic(periodic))
-            relation, _ = _relation_for_sequence(seq)
+            relation = prepare(seq).relation
             ak = seq.preperiodic[-1].a
             z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2))
-            m_tilde = second_solution_value(relation, eval_m(seq, z), z)
+            m_tilde = second_solution_value(relation, eval_m(prepare(seq), z), z)
             lhs = 1 / (Fraction(ak * ak) * m_tilde)
-            m_minus = eval_periodic_m(reversed_periodic(seq.periodic), z)
+            m_minus = eval_periodic_m(periodic_quadratic(reversed_periodic(seq.periodic)), z)
             rhs = mobius_apply(build_T3(seq), m_minus, z)
             assert abs(lhs - rhs) < 1e-8
 

@@ -8,6 +8,7 @@ import pytest
 from palinfrac import (
     DegenerateRelation,
     IndexOutOfRange,
+    JacobiSequence,
     Mat2,
     NotNormalized,
     Poly,
@@ -18,15 +19,15 @@ from palinfrac import (
     normalize_kp,
     pair,
     periodic_quadratic,
+    prepare,
     pullback_quadratic,
     reverse_asymptotics,
     second_solution_value,
     sequence,
     verify_main_identity,
-    verify_reverse_obstruction,
     verify_splits,
 )
-from palinfrac.quadratic import numeric_identity_residual
+from palinfrac.quadratic import numeric_identity_check
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -53,7 +54,7 @@ def test_periodic_quadratic_numeric_residual():
         periodic = random_periodic(rng, rng.randint(1, 5), max_mag=5)
         relation = periodic_quadratic(periodic)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2.5))
-        m = eval_periodic_m(periodic, z)
+        m = eval_periodic_m(periodic_quadratic(periodic), z)
         assert abs(relation.residual(m, z)) < 1e-9
 
 
@@ -122,7 +123,7 @@ def test_pullback_relation_annihilates_M_numerically():
     rng = random.Random(402)
     for _ in range(10):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
-        m_val = eval_m(seq, z)
+        m_val = eval_m(prepare(seq), z)
         assert abs(relation.residual(m_val, z)) < 1e-9
 
 
@@ -141,7 +142,7 @@ def test_discriminant_square_detection():
 def test_second_solution_vieta():
     relation = chebyshev_relation()
     z = 3j
-    m = eval_periodic_m([pair(1, 0)], z)
+    m = eval_periodic_m(periodic_quadratic([pair(1, 0)]), z)
     second = second_solution_value(relation, m, z)
     assert abs(second - 1 / m) < 1e-12
     assert abs(relation.residual(second, z)) < 1e-10
@@ -153,7 +154,7 @@ def test_verify_holds_at_valid_split():
     periodic = [pair(1, 0), pair(1, 0), pair(2, 3), pair(1, 3)]
     assert brute_splits(periodic) == [1]
     seq = normalize_kp(purely_periodic(periodic))
-    report = verify_main_identity(seq, 1)
+    report = verify_main_identity(prepare(seq), 1)
     assert report.holds
     assert report.residual_P.is_zero() and report.residual_Q.is_zero()
 
@@ -161,26 +162,26 @@ def test_verify_holds_at_valid_split():
 def test_verify_fails_at_invalid_split():
     periodic = [pair(1, 0), pair(1, 0), pair(2, 3), pair(1, 3)]
     seq = normalize_kp(purely_periodic(periodic))
-    report = verify_main_identity(seq, 2)
+    report = verify_main_identity(prepare(seq), 2)
     assert not report.holds
     assert not (report.residual_P.is_zero() and report.residual_Q.is_zero())
 
 
 def test_verify_paper_example():
     seq = normalize_kp(purely_periodic(paper_example_periodic()))
-    report = verify_main_identity(seq, 4)
+    report = verify_main_identity(prepare(seq), 4)
     assert report.holds
 
 
 def test_verify_requires_normalization_and_range():
     seq = purely_periodic([pair(1, 0)] * 4)
     with pytest.raises(NotNormalized):
-        verify_main_identity(seq, 1)
+        verify_main_identity(prepare(seq), 1)
     normalized = normalize_kp(seq)
     with pytest.raises(IndexOutOfRange):
-        verify_main_identity(normalized, 0)
+        verify_main_identity(prepare(normalized), 0)
     with pytest.raises(IndexOutOfRange):
-        verify_main_identity(normalized, 3)
+        verify_main_identity(prepare(normalized), 3)
 
 
 def test_detector_equivalence_random_sweep():
@@ -192,20 +193,28 @@ def test_detector_equivalence_random_sweep():
         else:
             periodic = random_periodic(rng, p, max_mag=4)
         seq = normalize_kp(purely_periodic(periodic))
-        holds = [ell for ell, rep in verify_splits(seq).items() if rep.holds]
+        holds = [ell for ell, rep in verify_splits(prepare(seq)).items() if rep.holds]
         assert holds == brute_splits(periodic)
 
 
 def test_verify_splits_agrees_with_single_calls():
+    # the sweep extends T2(ell)*T1 one step per ell; every ell of every
+    # size and preperiod length must match a from-scratch single call
     rng = random.Random(404)
-    periodic = doubly_palindromic_period(rng, 5, 2)
-    seq = normalize_kp(purely_periodic(periodic))
-    batch = verify_splits(seq)
-    for ell, report in batch.items():
-        single = verify_main_identity(seq, ell)
-        assert single.holds == report.holds
-        assert single.residual_P == report.residual_P
-        assert single.residual_Q == report.residual_Q
+    for p in (3, 5, 12, 24):
+        for k in (1, 2, 3):
+            periodic = doubly_palindromic_period(rng, p, rng.randint(1, p - 2))
+            preperiodic = random_periodic(rng, k - 1) + [periodic[-1]]
+            prep = prepare(JacobiSequence(tuple(preperiodic), tuple(periodic)))
+            batch = verify_splits(prep)
+            assert list(batch) == list(range(1, p - 1))
+            for ell, report in batch.items():
+                single = verify_main_identity(prep, ell)
+                assert single.ell == report.ell == ell
+                assert single.holds == report.holds
+                assert single.residual_P == report.residual_P
+                assert single.residual_Q == report.residual_Q
+                assert single.product == report.product
 
 
 def test_numeric_identity_agreement_when_holds():
@@ -219,16 +228,19 @@ def test_numeric_identity_agreement_when_holds():
             p = rng.randint(3, 6)
             ell = rng.randint(1, p - 2)
             periodic = doubly_palindromic_period(rng, p, ell, max_mag=3)
-            seq = normalize_kp(purely_periodic(periodic))
+            prep = prepare(normalize_kp(purely_periodic(periodic)))
+            product = prep.product(ell)
             for _ in range(5):
                 z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2.5))
-                assert numeric_identity_residual(seq, ell, z) < 1e-8
+                check = numeric_identity_check(prep, product, eval_m(prep, z), z)
+                assert check["residual"] < 1e-8
 
 
 def test_numeric_identity_disagreement_when_fails():
     periodic = [pair(1, 0), pair(1, 0), pair(2, 3), pair(1, 3)]
-    seq = normalize_kp(purely_periodic(periodic))
-    assert numeric_identity_residual(seq, 2, 0.3 + 1.1j) > 1e-3
+    prep = prepare(normalize_kp(purely_periodic(periodic)))
+    z = 0.3 + 1.1j
+    assert numeric_identity_check(prep, prep.product(2), eval_m(prep, z), z)["residual"] > 1e-3
 
 
 def test_degenerate_guard_reports_inconclusive():
@@ -247,7 +259,7 @@ def test_reverse_true_for_purely_periodic_palindromic():
     rng = random.Random(406)
     periodic = doubly_palindromic_period(rng, 4, 1, max_mag=2)
     seq = normalize_kp(purely_periodic(periodic))
-    assert verify_reverse_obstruction(seq)
+    assert reverse_asymptotics(seq).is_m_like
 
 
 def test_reverse_false_with_mismatched_graft():
@@ -258,7 +270,7 @@ def test_reverse_false_with_mismatched_graft():
 
 
 def test_reverse_true_when_graft_preserves_periodicity():
-    assert verify_reverse_obstruction(sequence([(1, 0)], [(1, 0)]))
+    assert reverse_asymptotics(sequence([(1, 0)], [(1, 0)])).is_m_like
 
 
 def test_reverse_decay_constant_formula():
