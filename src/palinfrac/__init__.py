@@ -50,6 +50,7 @@ from .mfun import (
     eval_m,
     eval_periodic_m,
     eval_truncated,
+    fold_preperiodic,
     laurent_of_quadratic,
     recover_coefficients,
     strip_identity_check,
@@ -115,6 +116,7 @@ __all__ = [
     "eval_truncated",
     "find_palindrome_splits",
     "first_kind_polys",
+    "fold_preperiodic",
     "laurent_of_quadratic",
     "load_sequence",
     "mobius_apply",

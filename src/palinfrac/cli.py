@@ -43,7 +43,14 @@ from .jacobi import (
     load_sequence,
     normalize_kp,
 )
-from .mfun import eval_m, eval_periodic_m, eval_truncated, laurent_of_quadratic, recover_coefficients
+from .mfun import (
+    eval_m,
+    eval_periodic_m,
+    eval_truncated,
+    fold_preperiodic,
+    laurent_of_quadratic,
+    recover_coefficients,
+)
 from .quadratic import (
     numeric_identity_check,
     periodic_quadratic,
@@ -57,6 +64,12 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+
+# Largest --depth (eval) and --order (recover) accepted.  The truncation
+# unrolls `depth` levels at every point, and exact Laurent recovery grows
+# steeply with the order (order 50 takes seconds, order 100 minutes).
+MAX_DEPTH = 100_000
+MAX_ORDER = 64
 
 _INPUT_ERRORS = (
     ParseError,
@@ -76,6 +89,11 @@ def _read_input(path: str) -> tuple[JacobiSequence, str]:
 
 def _base_report(command: str, digest: str) -> dict:
     return {"schema": 1, "command": command, "input_digest": digest}
+
+
+def _check_limit(option: str, value: int | None, limit: int) -> None:
+    if value is not None and value > limit:
+        raise ParseError(f"{option} must be at most {limit}, got {value}")
 
 
 def _format_complex(value: complex) -> str:
@@ -213,6 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_limit("--depth", args.depth, MAX_DEPTH)
     seq, digest = _read_input(args.input)
     normalized = normalize_kp(seq)
     if args.points:
@@ -238,8 +257,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"identity checked at ell = {ell if ell is not None else 'none (no splits)'}"
     ]
     for z in points:
-        m_full = eval_m(prep, z)
         m_tail = eval_periodic_m(prep.tail, z)
+        m_full = fold_preperiodic(normalized, m_tail, z)
         second = second_solution_value(prep.relation, m_full, z)
         truncation_gap = abs(m_full - eval_truncated(normalized, z, args.depth))
         if ell is not None:
@@ -287,6 +306,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
+    _check_limit("--order", args.order, MAX_ORDER)
     seq, digest = _read_input(args.input)
     p = seq.p
     order = args.order if args.order is not None else 2 * p + 6
@@ -363,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_eval)
     p_eval.add_argument("--points", help='evaluation points as "re,im;re,im;..."')
     p_eval.add_argument("--depth", type=int, default=2000,
-                        help="truncation depth for the cross-check (default 2000)")
+                        help="truncation depth for the cross-check "
+                        f"(default 2000, at most {MAX_DEPTH})")
     p_eval.add_argument("--seed", type=int, default=0,
                         help="seed for random points when --points is omitted")
     p_eval.add_argument("--tolerance", type=float, default=1e-8,
@@ -373,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_recover = sub.add_parser("recover", help="Laurent round trip to coefficients")
     add_common(p_recover)
     p_recover.add_argument("--order", type=int,
-                           help="Laurent expansion order (default 2p+6)")
+                           help=f"Laurent expansion order (default 2p+6, at most {MAX_ORDER})")
     p_recover.set_defaults(func=cmd_recover)
 
     return parser

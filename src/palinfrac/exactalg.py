@@ -10,16 +10,21 @@ the simplest thing that works.
 Everything in this module is immutable and every operation is a pure
 function, so values can be shared freely between threads.
 
-Numeric evaluation is generic over the coefficient field of the point:
-`Poly.__call__` and `mobius_apply` run Horner / linear-fractional arithmetic
-with whatever complex-like type they are handed (builtin complex by default,
-mpmath values work too for extended precision).
+Numeric evaluation depends on the type of the point.  At a builtin float
+or complex point, `Poly.__call__` (and so `mobius_apply`) runs Horner over
+the coefficients converted to float once per polynomial and cached on it
+(a race can only compute the same tuple twice); the result is
+bit-for-bit what Fraction's mixed-type fallback gives, since that fallback
+converts each coefficient to float too.  Every other point type stays
+exact: an int or Fraction point gives a Fraction, and an mpmath value keeps
+its working precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
@@ -155,10 +160,20 @@ class Poly:
                 rem[shift + i] -= factor * c
         return Poly.from_coeffs(quot), Poly.from_coeffs(rem)
 
+    @cached_property
+    def _float_coeffs(self) -> tuple[float, ...]:
+        """The coefficients converted to float, in ascending degree."""
+        return tuple(float(c) for c in self.coeffs)
+
     def __call__(self, z):
-        """Evaluate by Horner's rule in the field of the point z."""
+        """Evaluate by Horner's rule in the field of the point z.
+
+        Builtin float and complex points use `_float_coeffs`; any other
+        point type gets the exact coefficients.
+        """
+        coeffs = self._float_coeffs if type(z) in (float, complex) else self.coeffs
         acc = z * 0
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             acc = acc * z + c
         return acc
 

@@ -93,10 +93,19 @@ def eval_m(prep: Prepared, z):
     """The eventually periodic function at z (Im z > 0).
 
     Evaluates the periodic tail by `eval_periodic_m` on `prep.tail`, then
-    folds the preperiodic pairs around it: value -> 1/(b - z - a^2 * value).
+    folds the preperiodic pairs around it with `fold_preperiodic`.
     """
-    value = eval_periodic_m(prep.tail, z)
-    for q in reversed(prep.seq.preperiodic):
+    return fold_preperiodic(prep.seq, eval_periodic_m(prep.tail, z), z)
+
+
+def fold_preperiodic(seq: JacobiSequence, value, z):
+    """Wrap the tail value at z in the preperiodic levels of `seq`.
+
+    Applies value -> 1/(b - z - a^2 * value) for the preperiodic pairs from
+    last to first, so a caller that already holds the periodic tail's value
+    gets M(z) without solving the tail again.
+    """
+    for q in reversed(seq.preperiodic):
         den = q.b - z - q.a * q.a * value
         if den == 0:
             raise DivisionByZero(f"continued fraction level vanished at z={z}")
@@ -105,12 +114,22 @@ def eval_m(prep: Prepared, z):
 
 
 def eval_truncated(seq: JacobiSequence, z, depth: int):
-    """Finite truncation of the continued fraction with tail value 0."""
+    """Finite truncation of the continued fraction with tail value 0.
+
+    Runs in double precision: the k + p distinct pairs are converted to
+    (float(b), float(a^2)) once per call, and the `depth` levels are folded
+    in float/complex arithmetic.  For a builtin float or complex z this is
+    bit-for-bit what the same loop over the exact pairs gives, because
+    Fraction's mixed-type arithmetic converts to float as well.
+    """
     if depth < 1:
         raise InsufficientOrder(f"depth must be at least 1, got {depth}")
+    table = [(float(q.b), float(q.a * q.a)) for q in seq.preperiodic + seq.periodic]
+    k = seq.k
+    unrolled = (table[:k] + table[k:] * (depth // seq.p + 1))[:depth]
     value = 0 * z
-    for q in reversed(seq.pairs(depth)):
-        value = 1 / (q.b - z - q.a * q.a * value)
+    for b, a2 in reversed(unrolled):
+        value = 1 / (b - z - a2 * value)
     return value
 
 

@@ -280,3 +280,55 @@ def test_relation_is_built_once_per_request(tmp_path, capsys, monkeypatch):
         calls.clear()
         assert main(argv) == expected
         assert len(calls) == 1, argv
+
+
+GOLDEN_POINTS = (
+    "--points=-0.8979579079625268,2.820635731159206;0.37,1.31;-1.5,0.5;"
+    "2,0.01;0,100;0,1000;0,10000"
+)
+
+
+def test_eval_report_bytes_are_pinned(capsys):
+    # the report of the exact-arithmetic evaluators, byte for byte; the float
+    # fast paths must reproduce it, including the 1e4*i probe height
+    path = str(DATA / "eval_moebius_pole.json")
+    assert main(["eval", "--input", path, GOLDEN_POINTS, "--json"]) == 0
+    expected = (DATA / "eval_moebius_pole.golden.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_eval_solves_the_tail_once_per_point(tmp_path, capsys, monkeypatch):
+    import palinfrac.cli as cli
+    import palinfrac.mfun as mfun
+
+    calls = []
+    original = mfun.eval_periodic_m
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mfun, "eval_periodic_m", counting)
+    monkeypatch.setattr(cli, "eval_periodic_m", counting)
+    path = write_input(tmp_path, paper_example_periodic())
+    assert main(["eval", "--input", path, "--points", "0.3,1.5;-1,0.5;0,2", "--json"]) == 0
+    assert len(calls) == 3
+
+
+def test_depth_and_order_are_capped(tmp_path, capsys, monkeypatch):
+    import palinfrac.cli as cli
+    from palinfrac import pair
+
+    monkeypatch.setattr(cli, "MAX_DEPTH", 5)
+    monkeypatch.setattr(cli, "MAX_ORDER", 9)
+    path = write_input(tmp_path, [pair(1, 0), pair(2, 1)])
+    for argv, expected in (
+        (["eval", "--input", path, "--points", "0,2", "--depth", "5"], 0),
+        (["eval", "--input", path, "--points", "0,2", "--depth", "6"], 2),
+        (["recover", "--input", path, "--order", "9"], 0),
+        (["recover", "--input", path, "--order", "10"], 2),
+    ):
+        assert main(argv) == expected, argv
+        err = capsys.readouterr().err
+        if expected == 2:
+            assert err.startswith("input error:") and argv[-2] in err

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palinfrac import (
     DivisionByZero,
@@ -167,3 +168,50 @@ def test_poly_is_square_cases():
         assert poly_is_square(s * s)
         if s.degree >= 1:
             assert not poly_is_square(s * s + Poly.const(1))
+
+
+# Poly.__call__ runs Horner over float coefficients at builtin float and
+# complex points; exact Horner stays here as the reference, and the two
+# must agree to the last bit.
+
+
+def _exact_horner(poly, z):
+    acc = z * 0
+    for c in reversed(poly.coeffs):
+        acc = acc * z + c
+    return acc
+
+
+# numerators and denominators past 2**53, where float(c) rounds only once
+_COEFFS = st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**60))
+_POLYS = st.lists(_COEFFS, max_size=8).map(Poly.from_coeffs)
+_FLOATS = st.floats(-1e3, 1e3)
+_POINTS = st.one_of(
+    st.sampled_from((1e2j, 1e3j, 1e4j)),
+    _FLOATS,
+    st.builds(complex, _FLOATS, _FLOATS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYS, _POINTS)
+def test_float_horner_is_bit_identical_to_exact_horner(poly, z):
+    assert repr(poly(z)) == repr(_exact_horner(poly, z))
+
+
+def test_poly_stays_exact_at_rational_points():
+    poly = Poly.from_coeffs([Fraction(1, 3), -2, Fraction(5, 7)])
+    for z in (Fraction(1, 2), 3, -1):
+        value = poly(z)
+        assert isinstance(value, Fraction)
+        assert value == _exact_horner(poly, Fraction(z))
+
+
+def test_poly_keeps_mpmath_precision():
+    mpmath = pytest.importorskip("mpmath")
+    poly = Poly.from_coeffs([Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11)])
+    with mpmath.workdps(50):
+        z = mpmath.mpc(mpmath.mpf(1) / 3, mpmath.mpf(2) / 7)
+        expected = mpmath.mpf(1) / 3 + mpmath.mpf(2) / 7 * z - mpmath.mpf(5) / 11 * z**2
+        # a double-precision evaluation would be off by about 1e-17
+        assert abs(poly(z) - expected) < mpmath.mpf(10) ** -45

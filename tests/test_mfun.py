@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palinfrac import (
     InsufficientOrder,
@@ -17,6 +18,7 @@ from palinfrac import (
     eval_m,
     eval_periodic_m,
     eval_truncated,
+    fold_preperiodic,
     laurent_of_quadratic,
     mobius_apply,
     normalize_kp,
@@ -316,3 +318,52 @@ def test_recovered_pair_exactness_flag():
     assert abs(rec.a - 2**0.5) < 1e-12
     with pytest.raises(NotAnMFunction):
         _ = rec.pair
+
+
+# eval_truncated folds float pairs; the exact-pair loop it replaced stays
+# here as the reference, and the two must agree to the last bit.
+
+
+def _exact_pair_truncation(seq, z, depth):
+    value = 0 * z
+    for q in reversed(seq.pairs(depth)):
+        value = 1 / (q.b - z - q.a * q.a * value)
+    return value
+
+
+_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_POSITIVE = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+_PAIRS = st.builds(pair, _POSITIVE, _RATIONALS)
+_SEQUENCES = st.builds(
+    lambda pre, per: JacobiSequence(tuple(pre), tuple(per)),
+    st.lists(_PAIRS, max_size=3),
+    st.lists(_PAIRS, min_size=1, max_size=5),
+)
+PROBE_POINTS = (1e2j, 1e3j, 1e4j)
+_UPPER_POINTS = st.one_of(
+    st.sampled_from(PROBE_POINTS),
+    st.builds(complex, st.floats(-3, 3), st.floats(0.01, 3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SEQUENCES, _UPPER_POINTS)
+def test_truncation_is_bit_identical_to_exact_pair_loop(seq, z):
+    # every depth from 1 to a few periods, so depth < k and depth = k occur
+    for depth in range(1, seq.k + 3 * seq.p + 2):
+        assert repr(eval_truncated(seq, z, depth)) == repr(
+            _exact_pair_truncation(seq, z, depth)
+        )
+
+
+def test_fold_preperiodic_wraps_the_tail_value():
+    rng = random.Random(507)
+    for _ in range(10):
+        seq = JacobiSequence(
+            tuple(random_periodic(rng, rng.randint(0, 3))),
+            tuple(random_periodic(rng, rng.randint(1, 4))),
+        )
+        prep = prepare(seq)
+        z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
+        tail = eval_periodic_m(prep.tail, z)
+        assert repr(fold_preperiodic(seq, tail, z)) == repr(eval_m(prep, z))
