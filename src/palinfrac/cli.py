@@ -66,8 +66,10 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 # Largest --depth (eval) and --order (recover) accepted.  The truncation
-# unrolls `depth` levels at every point, and exact Laurent recovery grows
-# steeply with the order (order 50 takes seconds, order 100 minutes).
+# unrolls `depth` levels at every point.  Exact Laurent expansion and
+# recovery take O(order^2) rational operations on entries that grow with the
+# order: about 0.05 s at order 64 and 0.25 s at order 129 for a p = 16
+# period of small rationals (2-vCPU x86 container, Python 3.11).
 MAX_DEPTH = 100_000
 MAX_ORDER = 64
 

@@ -12,15 +12,15 @@ Series side: expansions at infinity are written as
     m(z) = -c_1/z - c_2/z^2 - ... - c_N/z^N + O(z^-(N+1))
 
 with exact rational c_j.  `laurent_of_quadratic` extracts the decaying
-branch of a quadratic relation by a triangular fixed-point substitution, and
-`recover_coefficients` walks the expansion back to continued-fraction pairs
-by repeated stripping: read b_1 and a_1^2 from the first moments, pass to
-(b_1 - z - 1/m)/a_1^2, repeat.  Each recovered pair consumes two orders of
-the expansion, so n pairs need order at least 2n+1.
+branch of a quadratic relation by solving the triangular coefficient system
+in one forward pass, and `recover_coefficients` reads the continued-fraction
+pairs back with Chebyshev's algorithm, since c_j is the (j-1)-th moment of
+the spectral measure.  Both take O(N^2) exact operations.  Each recovered
+pair consumes two orders of the expansion, so n pairs need order at least
+2n+1.
 
-All series arithmetic is exact and tracks its own validity floor, so a
-coefficient is either correct or reported as out of range; nothing is ever
-silently approximated.
+All series arithmetic is exact; the only approximation is the float square
+root reported for an a^2 that is not a rational square.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     InsufficientOrder,
     NotAnMFunction,
 )
-from .exactalg import Poly, mobius_apply
+from .exactalg import mobius_apply
 from .jacobi import JacobiPair, JacobiSequence, strip
 from .orthopoly import conj_transfer
 from .quadratic import Prepared, QuadraticRelation, prepare
@@ -153,95 +153,6 @@ def strip_identity_check(seq: JacobiSequence, count: int, z) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _Series:
-    """Truncated Laurent series at infinity with validity tracking.
-
-    `terms` maps exponents to nonzero Fractions.  `floor_o` is the highest
-    exponent at which the series is NOT known: every stored or implied
-    coefficient at exponents above floor_o is exact, everything at or below
-    is unknown.  Operations propagate floor_o conservatively, so a read
-    above the floor is always trustworthy.
-    """
-
-    __slots__ = ("terms", "floor_o")
-
-    def __init__(self, terms: dict[int, Fraction], floor_o: int):
-        self.terms = {e: c for e, c in terms.items() if e > floor_o and c != 0}
-        self.floor_o = floor_o
-
-    @staticmethod
-    def from_poly(poly: Poly, floor_o: int) -> "_Series":
-        return _Series({i: c for i, c in enumerate(poly.coeffs)}, floor_o)
-
-    def top(self) -> int | None:
-        return max(self.terms) if self.terms else None
-
-    def coeff(self, exponent: int) -> Fraction:
-        if exponent <= self.floor_o:
-            raise InsufficientOrder(
-                f"coefficient at z^{exponent} lies below the validity floor"
-            )
-        return self.terms.get(exponent, Fraction(0))
-
-    def add(self, other: "_Series") -> "_Series":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return _Series(out, max(self.floor_o, other.floor_o))
-
-    def neg(self) -> "_Series":
-        return _Series({e: -c for e, c in self.terms.items()}, self.floor_o)
-
-    def sub(self, other: "_Series") -> "_Series":
-        return self.add(other.neg())
-
-    def scale(self, factor: Fraction) -> "_Series":
-        if factor == 0:
-            return _Series({}, self.floor_o)
-        return _Series({e: c * factor for e, c in self.terms.items()}, self.floor_o)
-
-    def shift(self, offset: int) -> "_Series":
-        return _Series(
-            {e + offset: c for e, c in self.terms.items()}, self.floor_o + offset
-        )
-
-    def mul(self, other: "_Series") -> "_Series":
-        # Unknown tails pollute products below known_top + other.floor_o.
-        candidates = [self.floor_o + other.floor_o]
-        if self.terms:
-            candidates.append(max(self.terms) + other.floor_o)
-        if other.terms:
-            candidates.append(max(other.terms) + self.floor_o)
-        floor_o = max(candidates)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e > floor_o:
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return _Series(out, floor_o)
-
-    def inverse(self) -> "_Series":
-        """Reciprocal, valid as deep as the input allows."""
-        t = self.top()
-        if t is None:
-            raise DegenerateRelation("cannot invert a series with no known terms")
-        lead = self.terms[t]
-        # self = lead * z^t * (1 + u) with top(u) <= -1
-        u = self.scale(1 / lead).shift(-t)
-        u = u.sub(_Series({0: Fraction(1)}, u.floor_o))
-        acc = _Series({0: Fraction(1)}, u.floor_o)
-        term = _Series({0: Fraction(1)}, u.floor_o)
-        neg_u = u.neg()
-        while True:
-            term = term.mul(neg_u)
-            term_top = term.top()
-            if term_top is None or term_top <= acc.floor_o:
-                break
-            acc = acc.add(term)
-        return acc.shift(-t).scale(1 / lead)
-
-
 @dataclass(frozen=True)
 class LaurentSeries:
     """Expansion -c_1/z - c_2/z^2 - ... - c_N/z^N at infinity, exact c_j."""
@@ -262,17 +173,24 @@ class LaurentSeries:
 def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> LaurentSeries:
     """Expansion of the decaying branch of the quadratic at infinity.
 
-    Substituting y = -sum c_j z^-j into alpha*y^2 + beta*y + gamma = 0 and
-    matching coefficients is triangular; the substitution is iterated as
-    y <- -(gamma + alpha*y^2)/beta in exact truncated series arithmetic
-    until the first `order` coefficients stabilize.
+    Substituting y = -sum c_j z^-j into alpha*y^2 + beta*y + gamma = 0 gives
+    alpha*c^2 - beta*c + gamma = 0 for c = sum c_j z^-j.  With d = deg beta,
+    the coefficient of z^(d-n) in it is
+
+        gamma_(d-n) - sum_(j<=n) beta_(d-n+j) c_j
+                    + sum_(2<=m<=n) alpha_(d-n+m) (c^2)_m = 0,
+
+    where (c^2)_m = sum_(i<m) c_i c_(m-i) needs only c_1..c_(m-1).  The
+    system is triangular: one forward pass over n = 1..order solves it for
+    c_n, keeping the coefficients of c^2 in a running list, in O(order^2)
+    exact operations.
 
     The decaying branch exists and is unique when deg beta >= deg alpha
     and deg gamma <= deg beta - 1; anything else fails the leading balance.
 
     Raises:
-        DegenerateRelation: no unique decaying branch, or the substitution
-            fails to stabilize.
+        InsufficientOrder: order < 1.
+        DegenerateRelation: no unique decaying branch.
     """
     if order < 1:
         raise InsufficientOrder(f"order must be at least 1, got {order}")
@@ -281,30 +199,20 @@ def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> LaurentSeri
         raise DegenerateRelation(
             "leading balance failed: no unique branch decaying at infinity"
         )
-    window = -(order + be.degree + 6)
-    al_s = _Series.from_poly(al, window)
-    be_inv = _Series.from_poly(be, window).inverse()
-    ga_s = _Series.from_poly(ga, window)
-
-    def read(series: _Series) -> tuple[Fraction, ...]:
-        return tuple(series.coeff(-j) for j in range(1, order + 1))
-
-    y = _Series({}, window)
-    previous = None
-    for _ in range(2 * order + 10):
-        y = ga_s.add(al_s.mul(y).mul(y)).mul(be_inv).neg()
-        if y.floor_o <= -(order + 1):
-            current = read(y)
-            if current == previous:
-                break
-            previous = current
-    else:
-        raise DegenerateRelation("series substitution failed to stabilize")
-
-    top = y.top()
-    if top is not None and top >= 0:
-        raise DegenerateRelation("computed branch does not decay at infinity")
-    return LaurentSeries(tuple(-y.coeff(-j) for j in range(1, order + 1)))
+    d = be.degree
+    c = [Fraction(0)]  # c[j] is c_j; index 0 pads the 1-based numbering
+    sq = [Fraction(0)]  # sq[m] is (c^2)_m
+    for n in range(1, order + 1):
+        sq.append(sum(c[i] * c[n - i] for i in range(1, n)))
+        low = max(1, n - d)  # beta_(d-n+j) and alpha_(d-n+m) vanish below
+        total = ga.coeffs[d - n] if 0 <= d - n <= ga.degree else 0
+        total -= sum(be.coeffs[d - n + j] * c[j] for j in range(low, n))
+        total += sum(
+            al.coeffs[d - n + m] * sq[m]
+            for m in range(max(2, low), min(n, n - d + al.degree) + 1)
+        )
+        c.append(total / be.coeffs[d])
+    return LaurentSeries(tuple(c[1:]))
 
 
 @dataclass(frozen=True)
@@ -340,37 +248,51 @@ def _sqrt_if_square(value: Fraction) -> tuple[Fraction | float, bool]:
 def recover_coefficients(series: LaurentSeries, count: int) -> list[RecoveredPair]:
     """Read the first `count` coefficient pairs off an m-function expansion.
 
-    Iterated stripping: with the expansion of the current level in hand,
-    b = c_2 and a^2 = c_3 - c_2^2, and the next level is
-    (b - z - 1/m) / a^2.  Requires order >= 2*count + 1.
+    The c_j are the moments of the spectral measure, mu_k = c_(k+1), and
+    the pairs are the recurrence coefficients of its monic orthogonal
+    polynomials, p_(k+1) = (x - alpha_k) p_k - beta_k p_(k-1): pair j is
+    b_j = alpha_(j-1) and a_j^2 = beta_j.  Chebyshev's algorithm (Gautschi,
+    SIAM J. Sci. Stat. Comput. 1982) computes them from the mixed moments
+    sigma_(k,l) = <p_k, x^l>, with sigma_(0,l) = mu_l and sigma_(-1,l) = 0:
+
+        sigma_(k,l) = sigma_(k-1,l+1) - alpha_(k-1) sigma_(k-1,l)
+                      - beta_(k-1) sigma_(k-2,l),
+        alpha_k = sigma_(k,k+1)/sigma_(k,k) - sigma_(k-1,k)/sigma_(k-1,k-1),
+        beta_k = sigma_(k,k)/sigma_(k-1,k-1).
+
+    That is O(count^2) exact operations, and pair `count` reads mu_(2 count),
+    so the series needs order >= 2*count + 1.  Each a^2 is checked before
+    anything divides by it.
 
     Raises:
         InsufficientOrder: the series is too short for `count` pairs.
-        NotAnMFunction: c_1 != 1 at some level, or some recovered a^2 <= 0.
+        NotAnMFunction: c_1 != 1, or some recovered a^2 <= 0.
     """
     if count < 1:
         raise InsufficientOrder(f"count must be at least 1, got {count}")
-    if series.order < 2 * count + 1:
+    width = 2 * count + 1
+    if series.order < width:
         raise InsufficientOrder(
-            f"recovering {count} pairs needs order >= {2 * count + 1}, have {series.order}"
+            f"recovering {count} pairs needs order >= {width}, have {series.order}"
         )
-    current = _Series(
-        {-j: -c for j, c in enumerate(series.coefficients, start=1)},
-        -(series.order + 1),
-    )
-    z_poly = _Series({1: Fraction(1)}, current.floor_o)
+    mu = series.coefficients
+    if mu[0] != 1:
+        raise NotAnMFunction(f"leading coefficient c_1 = {mu[0]} != 1")
+    # rows of sigma indexed by l; row k is only read at l = k..width-1-k
+    older = [Fraction(0)] * width
+    prev = list(mu[:width])
+    b, beta = mu[1], Fraction(0)  # alpha_0 = mu_1/mu_0 with mu_0 = 1
     out: list[RecoveredPair] = []
-    for _ in range(count):
-        if current.coeff(-1) != -1:
-            raise NotAnMFunction(
-                f"leading coefficient c_1 = {-current.coeff(-1)} != 1"
-            )
-        b = -current.coeff(-2)
-        a_sq = -current.coeff(-3) - current.coeff(-2) ** 2
+    for k in range(1, count + 1):
+        cur = [Fraction(0)] * k + [
+            prev[l + 1] - b * prev[l] - beta * older[l] for l in range(k, width - k)
+        ]
+        a_sq = cur[k] / prev[k - 1]
         if a_sq <= 0:
             raise NotAnMFunction(f"recovered a^2 = {a_sq} is not positive")
         a, exact = _sqrt_if_square(a_sq)
         out.append(RecoveredPair(a_sq, b, a, exact))
-        offset = _Series({0: b}, current.floor_o)
-        current = offset.sub(z_poly).sub(current.inverse()).scale(1 / a_sq)
+        if k < count:
+            b = cur[k + 1] / cur[k] - prev[k] / prev[k - 1]
+        older, prev, beta = prev, cur, a_sq
     return out

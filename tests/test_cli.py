@@ -297,6 +297,19 @@ def test_eval_report_bytes_are_pinned(capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_recover_report_bytes_are_pinned(capsys):
+    # stdout and exit code of the fixed-point expansion and iterated stripping
+    # on a p = 8 rational period, text and --json, at the default order and
+    # at order 33; the triangular solve and Chebyshev's algorithm must
+    # reproduce them
+    path = str(DATA / "recover_p8.json")
+    cases = json.loads((DATA / "recover_p8.golden.json").read_text(encoding="utf-8"))
+    assert len(cases) == 4
+    for case in cases:
+        assert main(["recover", "--input", path, *case["args"]]) == case["exit_code"]
+        assert capsys.readouterr().out == case["stdout"], case["args"]
+
+
 def test_eval_solves_the_tail_once_per_point(tmp_path, capsys, monkeypatch):
     import palinfrac.cli as cli
     import palinfrac.mfun as mfun

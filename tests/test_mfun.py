@@ -5,14 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from palinfrac import (
+    DegenerateRelation,
     InsufficientOrder,
     JacobiSequence,
     LaurentSeries,
     NotAnMFunction,
+    PalinfracError,
     Poly,
+    RecoveredPair,
     build_T1,
     build_T3,
     eval_m,
@@ -31,6 +34,8 @@ from palinfrac import (
     sequence,
     strip_identity_check,
 )
+from palinfrac.cli import MAX_ORDER
+from palinfrac.mfun import _sqrt_if_square
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -276,14 +281,18 @@ def test_recover_constant_stream():
 
 
 def test_recover_roundtrip_two_periods():
+    # two periods where the CLI's order cap allows it (4p + 1 <= MAX_ORDER),
+    # as many pairs as MAX_ORDER holds beyond that
     rng = random.Random(513)
-    for _ in range(10):
-        p = rng.randint(1, 5)
+    for p in range(1, 17):
         periodic = random_periodic(rng, p, max_mag=5)
         relation = periodic_quadratic(periodic)
-        series = laurent_of_quadratic(relation, 4 * p + 1)
-        recovered = recover_coefficients(series, 2 * p)
-        expected = purely_periodic(periodic).pairs(2 * p)
+        order = min(4 * p + 1, MAX_ORDER)
+        count = (order - 1) // 2
+        series = laurent_of_quadratic(relation, order)
+        recovered = recover_coefficients(series, count)
+        expected = purely_periodic(periodic).pairs(count)
+        assert len(recovered) == count
         for rec, exp in zip(recovered, expected):
             assert rec.a_sq == exp.a * exp.a
             assert rec.b == exp.b
@@ -367,3 +376,232 @@ def test_fold_preperiodic_wraps_the_tail_value():
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
         tail = eval_periodic_m(prep.tail, z)
         assert repr(fold_preperiodic(seq, tail, z)) == repr(eval_m(prep, z))
+
+
+# laurent_of_quadratic solves the triangular coefficient system in one pass
+# and recover_coefficients runs Chebyshev's algorithm on the moments.  The
+# algorithms they replaced stay here as the reference: fixed-point
+# substitution y <- -(gamma + alpha*y^2)/beta and iterated stripping
+# m -> (b - z - 1/m)/a^2, in truncated series arithmetic that tracks its own
+# validity floor.  They cost O(N^3) to O(N^4), so orders stay at most 17.
+
+
+class _RefSeries:
+    """Truncated Laurent series at infinity; exact above `floor_o` only."""
+
+    __slots__ = ("terms", "floor_o")
+
+    def __init__(self, terms, floor_o):
+        self.terms = {e: c for e, c in terms.items() if e > floor_o and c != 0}
+        self.floor_o = floor_o
+
+    @staticmethod
+    def from_poly(poly, floor_o):
+        return _RefSeries(dict(enumerate(poly.coeffs)), floor_o)
+
+    def top(self):
+        return max(self.terms) if self.terms else None
+
+    def coeff(self, exponent):
+        if exponent <= self.floor_o:
+            raise InsufficientOrder(
+                f"coefficient at z^{exponent} lies below the validity floor"
+            )
+        return self.terms.get(exponent, Fraction(0))
+
+    def add(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return _RefSeries(out, max(self.floor_o, other.floor_o))
+
+    def neg(self):
+        return _RefSeries({e: -c for e, c in self.terms.items()}, self.floor_o)
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def scale(self, factor):
+        if factor == 0:
+            return _RefSeries({}, self.floor_o)
+        return _RefSeries({e: c * factor for e, c in self.terms.items()}, self.floor_o)
+
+    def shift(self, offset):
+        return _RefSeries(
+            {e + offset: c for e, c in self.terms.items()}, self.floor_o + offset
+        )
+
+    def mul(self, other):
+        # unknown tails pollute products below known_top + other.floor_o
+        candidates = [self.floor_o + other.floor_o]
+        if self.terms:
+            candidates.append(max(self.terms) + other.floor_o)
+        if other.terms:
+            candidates.append(max(other.terms) + self.floor_o)
+        floor_o = max(candidates)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = e1 + e2
+                if e > floor_o:
+                    out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return _RefSeries(out, floor_o)
+
+    def inverse(self):
+        t = self.top()
+        if t is None:
+            raise DegenerateRelation("cannot invert a series with no known terms")
+        lead = self.terms[t]
+        # self = lead * z^t * (1 + u) with top(u) <= -1; sum the geometric series
+        u = self.scale(1 / lead).shift(-t)
+        u = u.sub(_RefSeries({0: Fraction(1)}, u.floor_o))
+        acc = _RefSeries({0: Fraction(1)}, u.floor_o)
+        term = _RefSeries({0: Fraction(1)}, u.floor_o)
+        neg_u = u.neg()
+        while True:
+            term = term.mul(neg_u)
+            term_top = term.top()
+            if term_top is None or term_top <= acc.floor_o:
+                break
+            acc = acc.add(term)
+        return acc.shift(-t).scale(1 / lead)
+
+
+def _reference_laurent(relation, order):
+    if order < 1:
+        raise InsufficientOrder(f"order must be at least 1, got {order}")
+    al, be, ga = relation.alpha, relation.beta, relation.gamma
+    if be.is_zero() or be.degree < al.degree or ga.degree > be.degree - 1:
+        raise DegenerateRelation(
+            "leading balance failed: no unique branch decaying at infinity"
+        )
+    window = -(order + be.degree + 6)
+    al_s = _RefSeries.from_poly(al, window)
+    be_inv = _RefSeries.from_poly(be, window).inverse()
+    ga_s = _RefSeries.from_poly(ga, window)
+
+    def read(series):
+        return tuple(series.coeff(-j) for j in range(1, order + 1))
+
+    y = _RefSeries({}, window)
+    previous = None
+    for _ in range(2 * order + 10):
+        y = ga_s.add(al_s.mul(y).mul(y)).mul(be_inv).neg()
+        if y.floor_o <= -(order + 1):
+            current = read(y)
+            if current == previous:
+                break
+            previous = current
+    else:
+        raise DegenerateRelation("series substitution failed to stabilize")
+    top = y.top()
+    if top is not None and top >= 0:
+        raise DegenerateRelation("computed branch does not decay at infinity")
+    return LaurentSeries(tuple(-y.coeff(-j) for j in range(1, order + 1)))
+
+
+def _reference_recover(series, count):
+    if count < 1:
+        raise InsufficientOrder(f"count must be at least 1, got {count}")
+    if series.order < 2 * count + 1:
+        raise InsufficientOrder(
+            f"recovering {count} pairs needs order >= {2 * count + 1}, have {series.order}"
+        )
+    current = _RefSeries(
+        {-j: -c for j, c in enumerate(series.coefficients, start=1)},
+        -(series.order + 1),
+    )
+    z_poly = _RefSeries({1: Fraction(1)}, current.floor_o)
+    out = []
+    for _ in range(count):
+        if current.coeff(-1) != -1:
+            raise NotAnMFunction(
+                f"leading coefficient c_1 = {-current.coeff(-1)} != 1"
+            )
+        b = -current.coeff(-2)
+        a_sq = -current.coeff(-3) - current.coeff(-2) ** 2
+        if a_sq <= 0:
+            raise NotAnMFunction(f"recovered a^2 = {a_sq} is not positive")
+        a, exact = _sqrt_if_square(a_sq)
+        out.append(RecoveredPair(a_sq, b, a, exact))
+        offset = _RefSeries({0: b}, current.floor_o)
+        current = offset.sub(z_poly).sub(current.inverse()).scale(1 / a_sq)
+    return out
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except PalinfracError as exc:
+        return type(exc), str(exc)
+
+
+def _stream_series(pairs, order, edit):
+    """c_1..c_order of the finite stream of (b, a^2) `pairs`, one c_j edited.
+
+    c_j is the moment e_0' J^(j-1) e_0 of the stream's Jacobi matrix J.  With
+    a^2 above the diagonal and 1 below it, J keeps its moments and stays
+    rational, so a non-square a^2 is allowed.  Past the last pair the stream
+    stops, and recovery meets a^2 = 0 there.  `edit`, an (index, value) pair
+    or None, overwrites one coefficient, which can break c_1 = 1 or a later
+    a^2 > 0.
+    """
+    w = [Fraction(1)] + [Fraction(0)] * (len(pairs) - 1)
+    coefficients = []
+    for _ in range(order):
+        coefficients.append(w[0])
+        w = [
+            b * w[i]
+            + (a_sq * w[i + 1] if i + 1 < len(w) else 0)
+            + (w[i - 1] if i else 0)
+            for i, (b, a_sq) in enumerate(pairs)
+        ]
+    if edit is not None and edit[0] < order:
+        coefficients[edit[0]] = edit[1]
+    return LaurentSeries(tuple(coefficients))
+
+
+_SERIES_CASES = st.one_of(
+    st.tuples(
+        st.builds(periodic_quadratic, st.lists(_PAIRS, min_size=1, max_size=6)),
+        st.integers(1, 17),
+    ),
+    st.tuples(st.builds(lambda seq: prepare(seq).relation, _SEQUENCES), st.integers(1, 17)),
+    # order 2*count, one short of what `count` pairs need, up to 2*count + 3
+    st.integers(1, 5).flatmap(
+        lambda count: st.tuples(
+            st.builds(
+                _stream_series,
+                st.lists(st.tuples(_RATIONALS, _POSITIVE), min_size=1, max_size=5),
+                st.integers(2 * count, 2 * count + 3),
+                st.none() | st.tuples(st.integers(0, 4), st.integers(-2, 2).map(Fraction)),
+            ),
+            st.just(count),
+        )
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SERIES_CASES)
+@example((LaurentSeries((Fraction(2), Fraction(0), Fraction(1))), 1))
+@example((_stream_series([(Fraction(1), Fraction(2))], 5, None), 2))
+def test_series_layer_matches_the_reference(case):
+    # a relation is expanded to the given order and recovered at full
+    # capacity and one pair past it; a raw series is recovered at the given
+    # count
+    source, n = case
+    if isinstance(source, LaurentSeries):
+        series, counts = source, [n]
+    else:
+        series = _outcome(laurent_of_quadratic, source, n)
+        assert series == _outcome(_reference_laurent, source, n)
+        if not isinstance(series, LaurentSeries):
+            return
+        capacity = (n - 1) // 2
+        counts = [max(1, capacity), capacity + 1]
+    for count in counts:
+        assert _outcome(recover_coefficients, series, count) == _outcome(
+            _reference_recover, series, count
+        )
