@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import hashlib
 import json
 import random
@@ -358,7 +359,13 @@ def cmd_recover(args: argparse.Namespace) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged, so one instance serves every
+    `main` call in the process.
+    """
     parser = argparse.ArgumentParser(
         prog="palinfrac",
         description="Palindromic structure of periodic continued fractions, decided exactly.",

@@ -2,8 +2,14 @@
 
 Scalars are `fractions.Fraction`, which already guarantees lowest terms and
 a positive denominator, so it serves directly as the rational type.  A
-polynomial is a dense tuple of Fractions in ascending degree with no trailing
-zeros; the zero polynomial is the empty tuple.  Degrees stay small here
+polynomial is fraction-free: a dense tuple of integer numerators in
+ascending degree over one shared positive denominator (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 6).  It is kept in one canonical
+form, so equal polynomials have equal fields: no trailing zero numerator,
+the denominator coprime to all numerators together, and the zero
+polynomial is ((), 1).  Sums, products and scalings work on the integer
+numerators and end in one gcd reduction, instead of one Fraction per
+coefficient; division is integer pseudo-division.  Degrees stay small here
 (bounded by the coefficient block lengths), so the dense representation is
 the simplest thing that works.
 
@@ -13,11 +19,12 @@ function, so values can be shared freely between threads.
 Numeric evaluation depends on the type of the point.  At a builtin float
 or complex point, `Poly.__call__` (and so `mobius_apply`) runs Horner over
 the coefficients converted to float once per polynomial and cached on it
-(a race can only compute the same tuple twice); the result is
-bit-for-bit what Fraction's mixed-type fallback gives, since that fallback
-converts each coefficient to float too.  Every other point type stays
-exact: an int or Fraction point gives a Fraction, and an mpmath value keeps
-its working precision.
+(a race can only compute the same tuple twice).  Each is n / den, which
+int true division rounds correctly, so the result is bit-for-bit what
+Fraction's mixed-type fallback gives, since that fallback converts each
+coefficient to float too.  Every other point type stays exact: an int or
+Fraction point gives a Fraction, and an mpmath value keeps its working
+precision.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
@@ -40,27 +48,45 @@ def as_rational(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _canonical(num: list[int], den: int) -> "Poly":
+    """The polynomial num/den in canonical form; `num` may be modified."""
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return Poly((), 1)
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [n // g for n in num]
+        den //= g
+    return Poly(tuple(num), den)
+
+
 @dataclass(frozen=True)
 class Poly:
     """Univariate polynomial in z with exact rational coefficients.
 
-    `coeffs[i]` is the coefficient of z**i.  The highest stored coefficient
-    is nonzero unless the polynomial is zero (empty tuple).
+    The coefficient of z**i is `num[i] / den`.  Canonical form: `den > 0`,
+    gcd(den, *num) == 1, and `num[-1] != 0` unless the polynomial is zero,
+    which is ((), 1).  Build polynomials with the static constructors or
+    the arithmetic, which keep that form; `coeffs` gives the coefficients
+    as Fractions.
     """
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     @staticmethod
     def from_coeffs(values: Iterable[RationalLike]) -> "Poly":
         """Build a polynomial from ascending coefficients, trimming zeros."""
         cs = [as_rational(v) for v in values]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return _canonical([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return Poly((), 1)
 
     @staticmethod
     def const(value: RationalLike) -> "Poly":
@@ -69,61 +95,66 @@ class Poly:
     @staticmethod
     def x() -> "Poly":
         """The monomial z."""
-        return Poly((Fraction(0), Fraction(1)))
+        return Poly((0, 1), 1)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, in ascending degree."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             return Fraction(0)
         return self.coeffs[-1]
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
+        if 0 <= power < len(self.num):
             return self.coeffs[power]
         return Fraction(0)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.from_coeffs(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other over the least common denominator."""
+        da, db = self.den, other.den
+        if da == db:
+            ma, mb = 1, sign
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, sign * (da // g)
+            da *= ma
+        return _canonical(
+            [x * ma + y * mb for x, y in zip_longest(self.num, other.num, fillvalue=0)],
+            da,
         )
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.from_coeffs(
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(-n for n in self.num), self.den)
 
     def __mul__(self, other: "Poly | RationalLike") -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        # Convolve over the integers (one gcd per output coefficient instead
-        # of one per partial product).
-        d1 = lcm(*(c.denominator for c in self.coeffs)) if len(self.coeffs) > 1 else self.coeffs[0].denominator
-        d2 = lcm(*(c.denominator for c in other.coeffs)) if len(other.coeffs) > 1 else other.coeffs[0].denominator
-        a = [c.numerator * (d1 // c.denominator) for c in self.coeffs]
-        b = [c.numerator * (d2 // c.denominator) for c in other.coeffs]
+        a, b = self.num, other.num
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-        den = d1 * d2
-        return Poly(tuple(Fraction(v, den) for v in out))
+        return _canonical(out, self.den * other.den)
 
     def __rmul__(self, other: RationalLike) -> "Poly":
         return self.scale(other)
@@ -131,39 +162,29 @@ class Poly:
     def scale(self, factor: RationalLike) -> "Poly":
         """Multiply every coefficient by an exact rational factor."""
         f = as_rational(factor)
-        if f == 0:
-            return Poly(())
-        return Poly(tuple(c * f for c in self.coeffs))
+        fn = f.numerator
+        return _canonical([n * fn for n in self.num], self.den * f.denominator)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading)
+        # num[i]/den divided by num[-1]/den is num[i]/num[-1]
+        return _canonical(list(self.num), self.num[-1])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial long division."""
+        """Exact polynomial long division, by integer pseudo-division."""
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quot[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-        return Poly.from_coeffs(quot), Poly.from_coeffs(rem)
+        mult, quot, rem = _pseudo_divmod(self.num, other.num)
+        # mult*self.num = quot*other.num + rem, and other = other.num/other.den
+        den = mult * self.den
+        return _canonical([q * other.den for q in quot], den), _canonical(rem, den)
 
     @cached_property
     def _float_coeffs(self) -> tuple[float, ...]:
         """The coefficients converted to float, in ascending degree."""
-        return tuple(float(c) for c in self.coeffs)
+        den = self.den
+        return tuple(n / den for n in self.num)
 
     def __call__(self, z):
         """Evaluate by Horner's rule in the field of the point z.
@@ -193,38 +214,59 @@ class Poly:
         return " + ".join(reversed(parts))
 
 
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """Integer pseudo-division: (mult, quot, rem) with mult*a = quot*b + rem.
+
+    deg rem < deg b.  Before each step the running remainder is multiplied
+    by lc(b)/gcd(lc(b), leading term) only, so that the step divides
+    exactly; when b divides a over the integers, mult stays 1.
+    """
+    n = len(b) - 1
+    lc = b[-1]
+    rem = list(a)
+    quot = [0] * max(len(a) - n, 0)
+    mult = 1
+    for shift in range(len(a) - 1 - n, -1, -1):
+        top = rem[shift + n]
+        if top == 0:
+            continue
+        s = lc // gcd(top, lc)
+        if s != 1:
+            rem = [r * s for r in rem[: shift + n + 1]]
+            quot = [q * s for q in quot]
+            mult *= s
+            top *= s
+        f = top // lc
+        quot[shift] = f
+        for i, bi in enumerate(b):
+            rem[shift + i] -= f * bi
+    return mult, quot, rem[:n]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor over the rationals (Euclid).
 
-    Remainders are made monic at every step to keep coefficient growth in
-    check.  gcd(0, 0) is the zero polynomial.
+    Runs the primitive remainder sequence on the integer numerators: each
+    pseudo-remainder is divided by the gcd of its coefficients, which keeps
+    coefficient growth in check without any denominators.  gcd(0, 0) is the
+    zero polynomial.
     """
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    x, y = a.monic(), b.monic()
-    while not y.is_zero():
-        _, r = divmod(x, y)
-        x, y = y, r.monic()
-    return x
+    x, y = a.num, b.num
+    while y:
+        r = _pseudo_divmod(x, y)[2]
+        x, y = y, _canonical(r, gcd(*r)).num  # the primitive part
+    return Poly(tuple(x), 1).monic()
 
 
 def rational_content(polys: Sequence[Poly]) -> Fraction:
     """Positive rational content of a family of polynomials.
 
     gcd of all numerators over lcm of all denominators; 0 if every
-    polynomial is zero.
+    polynomial is zero.  In canonical form each denominator is coprime to
+    its numerators, so no coefficient needs reducing first.
     """
-    num = 0
-    den = 1
-    for poly in polys:
-        for c in poly.coeffs:
-            num = gcd(num, abs(c.numerator))
-            den = lcm(den, c.denominator)
-    if num == 0:
-        return Fraction(0)
-    return Fraction(num, den)
+    num = gcd(*(n for poly in polys for n in poly.num))
+    return Fraction(num, lcm(*(poly.den for poly in polys)))
 
 
 def poly_is_square(poly: Poly) -> bool:

@@ -26,6 +26,7 @@ root reported for an a^2 that is not a rational square.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,20 +118,42 @@ def eval_truncated(seq: JacobiSequence, z, depth: int):
     """Finite truncation of the continued fraction with tail value 0.
 
     Runs in double precision: the k + p distinct pairs are converted to
-    (float(b), float(a^2)) once per call, and the `depth` levels are folded
-    in float/complex arithmetic.  For a builtin float or complex z this is
+    (float(b), float(a^2)) once per call, and the levels are folded in
+    float/complex arithmetic.  For a builtin float or complex z this is
     bit-for-bit what the same loop over the exact pairs gives, because
     Fraction's mixed-type arithmetic converts to float as well.
+
+    The fold stops at its cycle.  Levels at and above k repeat their pair
+    with period p, so once the value at a periodic level j has the same
+    bits as the value at level j + p, every shallower periodic level repeats
+    too, and the value at level k + ((j - k) mod p) is the value at j.  The
+    fold jumps there and finishes the remaining levels; the result is the
+    bits the full `depth` levels give.
     """
     if depth < 1:
         raise InsufficientOrder(f"depth must be at least 1, got {depth}")
     table = [(float(q.b), float(q.a * q.a)) for q in seq.preperiodic + seq.periodic]
-    k = seq.k
-    unrolled = (table[:k] + table[k:] * (depth // seq.p + 1))[:depth]
+    k, p = seq.k, seq.p
     value = 0 * z
-    for b, a2 in reversed(unrolled):
+    below = [None] * p  # by (level - k) mod p: the value p levels further down
+    level = depth  # levels level-1 .. 0 are still to be folded
+    while level > k:
+        level -= 1
+        phase = (level - k) % p
+        b, a2 = table[k + phase]
+        value = 1 / (b - z - a2 * value)
+        if value == below[phase] and _bits(value) == _bits(below[phase]):
+            level = k + phase
+            break
+        below[phase] = value
+    for b, a2 in reversed(table[:level]):
         value = 1 / (b - z - a2 * value)
     return value
+
+
+def _bits(value) -> bytes:
+    """The IEEE bits of a float or complex value (signed zeros differ)."""
+    return struct.pack("<dd", value.real, value.imag)
 
 
 def strip_identity_check(seq: JacobiSequence, count: int, z) -> float:

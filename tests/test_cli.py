@@ -4,6 +4,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from palinfrac.cli import main
 from conftest import brute_splits, doubly_palindromic_period, random_periodic
 from test_jacobi import paper_example_periodic
@@ -345,3 +347,47 @@ def test_depth_and_order_are_capped(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         if expected == 2:
             assert err.startswith("input error:") and argv[-2] in err
+
+
+def test_verify_report_bytes_are_pinned(capsys):
+    # stdout and exit code of verify --all, text and --json, captured before
+    # the polynomial kernel became fraction-free: the Moebius pole fixture,
+    # and a p = 24, k = 2 sequence whose identity holds at ell = 9 only
+    for name in ("verify_moebius_pole", "verify_p24"):
+        path = str(DATA / f"{name}.json")
+        cases = json.loads((DATA / f"{name}.golden.json").read_text(encoding="utf-8"))
+        assert len(cases) == 2
+        for case in cases:
+            assert main(["verify", "--input", path, *case["args"]]) == case["exit_code"]
+            assert capsys.readouterr().out == case["stdout"], (name, case["args"])
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    path = write_input(tmp_path, paper_example_periodic())
+    argv = ["analyze", "--input", path]
+    assert main(argv) == 0
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(argv) == 0
+    assert main(["verify", "--input", path, "--ell", "4"]) == 0
+    assert built == []
+
+
+def test_help_shows_the_caps(capsys):
+    import palinfrac.cli as cli
+
+    # rebuild, in case a test that patches the caps built the shared parser
+    cli.build_parser.cache_clear()
+    for command, cap in (("eval", cli.MAX_DEPTH), ("recover", cli.MAX_ORDER)):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert f"at most {cap})" in " ".join(capsys.readouterr().out.split())

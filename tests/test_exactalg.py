@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from palinfrac import (
     poly_gcd,
     poly_is_square,
 )
+from palinfrac.exactalg import rational_content
 from conftest import random_rational
 
 
@@ -215,3 +217,127 @@ def test_poly_keeps_mpmath_precision():
         expected = mpmath.mpf(1) / 3 + mpmath.mpf(2) / 7 * z - mpmath.mpf(5) / 11 * z**2
         # a double-precision evaluation would be off by about 1e-17
         assert abs(poly(z) - expected) < mpmath.mpf(10) ** -45
+
+
+# Poly keeps integer numerators over one shared denominator.  Plain tuples
+# of Fractions in ascending degree, with no trailing zero, are the reference
+# for every operation, and every result must be in the canonical form.
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_combine(a, b, sign):
+    zero = Fraction(0)
+    n = max(len(a), len(b))
+    return _trim(
+        (a[i] if i < len(a) else zero) + sign * (b[i] if i < len(b) else zero)
+        for i in range(n)
+    )
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    rem = list(a)
+    for shift in range(len(a) - len(b), -1, -1):
+        factor = rem[shift + len(b) - 1] / b[-1]
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+    return _trim(quot), _trim(rem)
+
+
+def _ref_monic(a):
+    return tuple(c / a[-1] for c in a) if a else ()
+
+
+def _ref_gcd(a, b):
+    a, b = _ref_monic(a), _ref_monic(b)
+    while b:
+        a, b = b, _ref_monic(_ref_divmod(a, b)[1])
+    return a
+
+
+def _ref_content(family):
+    num, den = 0, 1
+    for cs in family:
+        for c in cs:
+            num = gcd(num, abs(c.numerator))
+            den = lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+def _assert_canonical(poly):
+    assert type(poly.den) is int and poly.den > 0
+    assert all(type(n) is int for n in poly.num)
+    assert gcd(poly.den, *poly.num) == 1
+    assert not poly.num or poly.num[-1] != 0
+
+
+# zeros (trailing ones too), small rationals that share denominators, and
+# numerators up to 2**80 over denominators up to 2**60
+_KERNEL_COEFFS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    _COEFFS,
+)
+_KERNEL_LISTS = st.lists(_KERNEL_COEFFS, max_size=6)
+_FACTORS = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 2))),
+    _COEFFS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_KERNEL_LISTS, _KERNEL_LISTS, _KERNEL_LISTS, _FACTORS)
+def test_kernel_matches_the_fraction_reference(xs, ys, ws, factor):
+    p, q, w = (Poly.from_coeffs(cs) for cs in (xs, ys, ws))
+    rp, rq, rw = (_trim(cs) for cs in (xs, ys, ws))
+    checks = [
+        (p, rp),
+        (p + q, _ref_combine(rp, rq, 1)),
+        (p - q, _ref_combine(rp, rq, -1)),
+        (-p, _ref_combine((), rp, -1)),
+        (p * q, _ref_mul(rp, rq)),
+        (p.scale(factor), tuple(_trim(c * factor for c in rp))),
+        (p * factor, tuple(_trim(c * factor for c in rp))),
+        (factor * p, tuple(_trim(c * factor for c in rp))),
+        (p.monic(), _ref_monic(rp)),
+        (poly_gcd(p, q), _ref_gcd(rp, rq)),
+        (poly_gcd(p * w, q * w), _ref_gcd(_ref_mul(rp, rw), _ref_mul(rq, rw))),
+    ]
+    if rq:
+        quot, rem = _ref_divmod(rp, rq)
+        checks += list(zip(divmod(p, q), (quot, rem)))
+        checks += list(zip(divmod(p * q, q), (rp, ())))
+    else:
+        with pytest.raises(DivisionByZero):
+            divmod(p, q)
+    for poly, expected in checks:
+        _assert_canonical(poly)
+        assert poly.coeffs == expected
+        assert all(type(c) is Fraction for c in poly.coeffs)
+        assert poly.degree == len(expected) - 1
+        assert poly.is_zero() == (not expected)
+        assert repr(poly._float_coeffs) == repr(tuple(float(c) for c in expected))
+        # one canonical form: structural equality and hashing agree with
+        # equality of the coefficients
+        same = Poly.from_coeffs(list(expected) + [0])
+        assert poly == same and hash(poly) == hash(same)
+    assert (p == q) == (rp == rq)
+    assert rational_content([p, q, w]) == _ref_content([rp, rq, rw])
+    assert rational_content([p]) == _ref_content([rp])

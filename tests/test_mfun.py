@@ -358,8 +358,13 @@ _UPPER_POINTS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_SEQUENCES, _UPPER_POINTS)
 def test_truncation_is_bit_identical_to_exact_pair_loop(seq, z):
-    # every depth from 1 to a few periods, so depth < k and depth = k occur
-    for depth in range(1, seq.k + 3 * seq.p + 2):
+    # every depth from 1 to a few periods, so depth < k and depth = k occur;
+    # at the probe heights also the default depth 2000, where the fold
+    # reaches its cycle and jumps
+    depths = list(range(1, seq.k + 3 * seq.p + 2))
+    if z in PROBE_POINTS:
+        depths.append(2000)
+    for depth in depths:
         assert repr(eval_truncated(seq, z, depth)) == repr(
             _exact_pair_truncation(seq, z, depth)
         )
