@@ -60,8 +60,6 @@ from .orthopoly import (
     build_T2,
     build_T3,
     conj_transfer,
-    first_kind_polys,
-    second_kind_polys,
 )
 from .quadratic import (
     Prepared,
@@ -115,7 +113,6 @@ __all__ = [
     "eval_periodic_m",
     "eval_truncated",
     "find_palindrome_splits",
-    "first_kind_polys",
     "fold_preperiodic",
     "laurent_of_quadratic",
     "load_sequence",
@@ -130,7 +127,6 @@ __all__ = [
     "recover_coefficients",
     "reverse_asymptotics",
     "reversed_periodic",
-    "second_kind_polys",
     "second_solution_value",
     "sequence",
     "strip",

@@ -56,6 +56,7 @@ from .quadratic import (
     numeric_identity_check,
     periodic_quadratic,
     prepare,
+    product_values,
     second_solution_value,
     verify_main_identity,
     verify_splits,
@@ -188,10 +189,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = {args.ell: verify_main_identity(prep, args.ell)}
     z0 = complex(0.37, 1.31)
     m0 = eval_m(prep, z0)
+    values = dict(enumerate(product_values(prep, z0), start=1))
     all_hold = True
     for ell in requested:
         result = results[ell]
-        check = numeric_identity_check(prep, result.product, m0, z0, args.tolerance)
+        check = numeric_identity_check(prep, values[ell], m0, z0, args.tolerance)
         numeric = check["residual"]
         verdicts.append(
             {
@@ -251,7 +253,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     splits = [s.ell for s in find_palindrome_splits(normalized.periodic)]
     ell = splits[0] if splits else None
     prep = prepare(normalized)
-    product = prep.product(ell) if ell is not None else None
+    entries = prep.product(ell).entries() if ell is not None else ()
 
     report = _base_report("eval", digest)
     rows = []
@@ -265,7 +267,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         second = second_solution_value(prep.relation, m_full, z)
         truncation_gap = abs(m_full - eval_truncated(normalized, z, args.depth))
         if ell is not None:
-            check = numeric_identity_check(prep, product, m_full, z, args.tolerance)
+            values = [e(z) for e in entries]
+            check = numeric_identity_check(prep, values, m_full, z, args.tolerance)
             residual = check["residual"]
             residual_ok = check["ok"]
         else:

@@ -49,6 +49,18 @@ def transfer_step(t: Mat2, q: JacobiPair) -> Mat2:
     )
 
 
+def transfer_step_at(t: tuple, q: JacobiPair, z) -> tuple:
+    """transfer_step at the point z, on the values (a11, a12, a21, a22).
+
+    The pair enters as floats, so the values follow double precision at a
+    builtin float or complex point.
+    """
+    t11, t12, t21, t22 = t
+    a = float(q.a)
+    shift = z - float(q.b)
+    return ((shift * t11 + t21) / a, (shift * t12 + t22) / a, -a * t11, -a * t12)
+
+
 def transfer_prefixes(coeffs: Sequence[JacobiPair], n: int) -> list[Mat2]:
     """T_0 = identity, T_1, ..., T_n over the first pairs of `coeffs`."""
     if n < 0:
@@ -56,16 +68,6 @@ def transfer_prefixes(coeffs: Sequence[JacobiPair], n: int) -> list[Mat2]:
     if len(coeffs) < n:
         raise InsufficientCoefficients(f"need {n} pairs, have {len(coeffs)}")
     return list(accumulate(coeffs[:n], transfer_step, initial=Mat2.identity()))
-
-
-def first_kind_polys(coeffs: Sequence[JacobiPair], n: int) -> list[Poly]:
-    """The polynomials p_0 ... p_n for the given coefficient pairs."""
-    return [t.a11 for t in transfer_prefixes(coeffs, n)]
-
-
-def second_kind_polys(coeffs: Sequence[JacobiPair], n: int) -> list[Poly]:
-    """The polynomials q_0 ... q_n for the given coefficient pairs."""
-    return [t.a12 for t in transfer_prefixes(coeffs, n)]
 
 
 def conj_transfer(coeffs: Sequence[JacobiPair], n: int) -> Mat2:

@@ -12,19 +12,30 @@ the relation satisfied by the full eventually periodic function M.
 
 The verifier decides, by exact polynomial arithmetic alone, whether
 
-    1 / (ak^2 * Mtilde(z))  =  f_{T3 T2 T1}(M(z))
+    1 / (ak^2 * Mtilde(z))  =  f_{T3 T2(ell) T1}(M(z))
 
 holds identically, where Mtilde is the second root of M's quadratic and ak
 is the a-entry of the last preperiodic pair.  Eliminating Mtilde through the
 product of roots (M * Mtilde = gamma/alpha), cross-multiplying, and reducing
 modulo the relation (alpha*M^2 = -beta*M - gamma) collapses the identity to
 
-    (alpha*D - beta*C - ak^2*gamma*A) * M - gamma*(C + ak^2*B) = 0
+    P * M - Q = 0,   P = alpha*D - beta*C - ak^2*gamma*A,   Q = gamma*(C + ak^2*B)
 
-with [[A, B], [C, D]] = T3*T2*T1.  Because M is not a rational function
+with [[A, B], [C, D]] = T3*T2(ell)*T1.  Because M is not a rational function
 whenever the discriminant beta^2 - 4*alpha*gamma is not a polynomial square
-(guarded), the identity holds if and only if both collected coefficients are
-the zero polynomial.  The verdict therefore needs no numerical tolerance.
+(guarded), the identity holds if and only if both residuals P and Q are the
+zero polynomial.  The verdict therefore needs no numerical tolerance.
+
+Both residuals are linear in T2(ell):
+
+    P(ell) = tr(T2(ell) * L_P^T),   Q(ell) = tr(T2(ell) * L_Q^T),
+
+with L^T = T1 * W * T3 for W_P = [[-ak^2*gamma, -beta], [0, alpha]] and
+W_Q = [[0, gamma], [ak^2*gamma, 0]].  Since T2(ell) = S(a, b) * T2(ell-1),
+N(ell) = T2(ell) * L^T obeys the same transfer recurrence, started at
+N = L^T.  The sweep over ell therefore advances N_P and N_Q by one transfer
+step per ell and reads each residual off as a trace; the product
+T3*T2(ell)*T1 is never formed.
 """
 
 from __future__ import annotations
@@ -33,12 +44,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange, NumericInstability
-from .exactalg import Mat2, Poly, mobius_apply, poly_gcd, poly_is_square, rational_content
+from .exactalg import Mat2, Poly, poly_gcd, poly_is_square, rational_content
 from .jacobi import JacobiPair, JacobiSequence, normalize_kp, require_kp_normalized, reversed_periodic
-from .orthopoly import conj_transfer, transfer_prefixes, transfer_step
+from .orthopoly import conj_transfer, transfer_prefixes, transfer_step, transfer_step_at
 
 
 @dataclass(frozen=True)
@@ -87,16 +98,12 @@ class QuadraticRelation:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the exact identity check at one candidate first length.
-
-    `product` is T3*T2(ell)*T1, the matrix the verdict was decided on.
-    """
+    """Outcome of the exact identity check at one candidate first length."""
 
     ell: int
     residual_P: Poly
     residual_Q: Poly
     holds: bool
-    product: Mat2
 
 
 def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
@@ -202,13 +209,34 @@ def _guard_relation(relation: QuadraticRelation) -> None:
         )
 
 
-def _report(prep: Prepared, ell: int, product: Mat2) -> VerificationReport:
-    a_mat, b_mat, c_mat, d_mat = product.entries()
+def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
+    """The reports for ell = 1, 2, ..., p-2, one transfer step per ell.
+
+    N_P and N_Q start at L_P^T = T1*W_P*T3 and L_Q^T = T1*W_Q*T3 and follow
+    the transfer recurrence over the periodic pairs; after the first ell+1
+    pairs they are T2(ell)*L^T, whose traces are the residuals.
+    """
+    require_kp_normalized(prep.seq)
+    _guard_relation(prep.relation)
     al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
-    residual_p = al * d_mat - be * c_mat - (ga * a_mat).scale(prep.ak2)
-    residual_q = ga * (c_mat + b_mat.scale(prep.ak2))
-    holds = residual_p.is_zero() and residual_q.is_zero()
-    return VerificationReport(ell, residual_p, residual_q, holds, product)
+    ak2_ga = ga.scale(prep.ak2)
+    zero = Poly.zero()
+    kernels = (
+        prep.t1 @ Mat2(-ak2_ga, -be, zero, al) @ prep.t3,
+        prep.t1 @ Mat2(zero, ga, ak2_ga, zero) @ prep.t3,
+    )
+    periodic = prep.seq.periodic
+    # element j is (T2(j-1)*L_P^T, T2(j-1)*L_Q^T), over the first j periodic pairs
+    steps = accumulate(
+        periodic[: len(periodic) - 1],
+        lambda ns, q: (transfer_step(ns[0], q), transfer_step(ns[1], q)),
+        initial=kernels,
+    )
+    for ell, (n_p, n_q) in enumerate(islice(steps, 2, None), start=1):
+        residual_p = n_p.a11 + n_p.a22
+        residual_q = n_q.a11 + n_q.a22
+        holds = residual_p.is_zero() and residual_q.is_zero()
+        yield VerificationReport(ell, residual_p, residual_q, holds)
 
 
 def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
@@ -218,6 +246,7 @@ def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
     the last periodic pair) and ell must lie in 1 .. p-2.  `holds` is true
     exactly when both residual polynomials vanish identically, which happens
     if and only if the period is doubly palindromic with first length ell.
+    Runs the split sweep and stops at ell.
 
     Raises:
         NotNormalized: the sequence is not in canonical form.
@@ -228,26 +257,17 @@ def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
     p = prep.seq.p
     if not 1 <= ell <= p - 2:
         raise IndexOutOfRange(f"need 1 <= ell <= p-2 = {p - 2}, got ell={ell}")
-    require_kp_normalized(prep.seq)
-    _guard_relation(prep.relation)
-    return _report(prep, ell, prep.product(ell))
+    return next(islice(_sweep(prep), ell - 1, None))
 
 
 def verify_splits(prep: Prepared) -> dict[int, VerificationReport]:
     """The verify_main_identity reports for every ell in 1 .. p-2.
 
-    T2(ell)*T1 is extended by one step of the transfer recurrence per ell
-    rather than rebuilt.  Returns reports keyed by ell in ascending order.
+    One sweep: each ell costs one transfer step of N_P and N_Q, whose
+    entries are multiplied only by the degree-1 shift z - b and scaled.
+    Returns reports keyed by ell in ascending order.
     """
-    require_kp_normalized(prep.seq)
-    _guard_relation(prep.relation)
-    periodic = prep.seq.periodic
-    # element j is T2(j-1)*T1, the product over the first j periodic pairs
-    steps = accumulate(periodic[: len(periodic) - 1], transfer_step, initial=prep.t1)
-    return {
-        ell: _report(prep, ell, prep.t3 @ t21)
-        for ell, t21 in enumerate(islice(steps, 2, None), start=1)
-    }
+    return {report.ell: report for report in _sweep(prep)}
 
 
 @dataclass(frozen=True)
@@ -324,26 +344,58 @@ def reverse_asymptotics(
     return ReverseObstructionReport(is_m_like, decay, fit_deviation, tail_magnitude)
 
 
+def product_values(prep: Prepared, z) -> Iterator[tuple]:
+    """The entries of T3*T2(ell)*T1 at z, for ell = 1, 2, ..., p-2.
+
+    T1(z) and T3(z) are evaluated once; T2(ell)(z) follows the transfer
+    recurrence pointwise from the identity, one step per ell, so each ell
+    costs O(1) operations and no exact product is formed.
+    """
+    t1 = [e(z) for e in prep.t1.entries()]
+    t3 = [e(z) for e in prep.t3.entries()]
+    periodic = prep.seq.periodic
+    steps = accumulate(
+        periodic[: len(periodic) - 1],
+        lambda t, q: transfer_step_at(t, q, z),
+        initial=(1, 0, 0, 1),
+    )
+    for t2 in islice(steps, 2, None):
+        yield _mat_values(t3, _mat_values(t2, t1))
+
+
+def _mat_values(x: Sequence, y: Sequence) -> tuple:
+    """The product of two 2x2 matrices given as (a11, a12, a21, a22) values."""
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
 def numeric_identity_check(
-    prep: Prepared, product: Mat2, m_val, z, tolerance: float = 1e-8
+    prep: Prepared, values: Sequence, m_val, z, tolerance: float = 1e-8
 ) -> dict:
     """Pointwise cross-check of the identity with a conditioning budget.
 
-    Compares 1/(ak^2 * Mtilde(z)) with f_product(M(z)) for the T3*T2(ell)*T1
-    `product` the exact verdict was decided on and `m_val` = M(z), so no
-    exact arithmetic is done here; the residual polynomials stay the source
-    of truth.  Returns a dict with the forward residual, the Moebius
-    derivative magnitude 1/|C(z)M + D(z)|^2 (the error amplification of the
-    right side), and `ok`: residual within `tolerance` or within the
-    double-precision budget that the conditioning allows.  Pass an
-    extended-precision point (e.g. mpmath.mpc) for sharper checks.  If a
-    denominator vanishes or a value overflows, the residual is None and `ok`
-    is False.
+    `values` = (A, B, C, D) are the entries of T3*T2(ell)*T1 at z (from
+    `product_values`, or from the exact product's entries evaluated at z)
+    and `m_val` = M(z).  Compares 1/(ak^2 * Mtilde(z)) with
+    (A*M + B)/(C*M + D), so no exact arithmetic is done here; the residual
+    polynomials stay the source of truth.  Returns a dict with the forward
+    residual, the Moebius derivative magnitude 1/|C*M + D|^2 (the error
+    amplification of the right side), and `ok`: residual within `tolerance`
+    or within the double-precision budget that the conditioning allows.
+    Pass extended-precision values and point (e.g. mpmath.mpc) for sharper
+    checks.  If a denominator vanishes or a value overflows, the residual is
+    None and `ok` is False.
     """
+    a, b, c, d = values
     try:
         second = second_solution_value(prep.relation, m_val, z)
-        residual = abs(1 / (prep.ak2 * second) - mobius_apply(product, m_val, z))
-        condition = float(1 / abs(product.a21(z) * m_val + product.a22(z)) ** 2)
+        den = c * m_val + d
+        residual = abs(1 / (prep.ak2 * second) - (a * m_val + b) / den)
+        condition = float(1 / abs(den) ** 2)
     except (ZeroDivisionError, OverflowError):
         residual, condition = None, float("inf")
     budget = max(tolerance, 1e-13 * (1.0 + condition))

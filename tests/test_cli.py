@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -243,15 +244,16 @@ def test_eval_survives_a_vanishing_moebius_denominator(capsys):
 
 
 def test_verify_survives_a_vanishing_moebius_denominator(capsys):
-    # the cross-check's denominator vanishes at ell = 11; the exact verdicts
-    # alone decide the report and the exit code
-    path = str(DATA / "verify_moebius_pole.json")
+    # the cross-check's double-precision denominator C(z0)*M + D(z0) is
+    # exactly 0 at ell = 6; the exact verdicts alone decide the report and
+    # the exit code
+    path = str(DATA / "verify_sweep_pole.json")
     code = main(["verify", "--input", path, "--all", "--json"])
     report = strict_json(capsys.readouterr().out)
     assert code == 1 and report["exit_status"] == 1
     assert report["holds_set"] == []
-    assert [v["ell"] for v in report["verdicts"]] == list(range(1, 12))
-    assert report["verdicts"][10]["numeric_residual"] is None
+    assert [v["ell"] for v in report["verdicts"]] == list(range(1, 8))
+    assert report["verdicts"][5]["numeric_residual"] is None
 
 
 def test_eval_at_an_extreme_point_is_a_computation_failure(tmp_path, capsys):
@@ -360,6 +362,38 @@ def test_verify_report_bytes_are_pinned(capsys):
         for case in cases:
             assert main(["verify", "--input", path, *case["args"]]) == case["exit_code"]
             assert capsys.readouterr().out == case["stdout"], (name, case["args"])
+
+
+_CROSS_CHECK_FIELDS = (
+    # JSON: the double-precision residual and its budget verdict
+    (re.compile(r'("numeric_(?:residual|ok)"): [^,\n]+'), r"\1: *"),
+    # text: the residual value and the budget note after it
+    (re.compile(r"(numeric residual at \S+ = )[^)]*"), r"\1*"),
+)
+
+
+def _mask_cross_check(text: str) -> str:
+    for pattern, replacement in _CROSS_CHECK_FIELDS:
+        text = pattern.sub(replacement, text)
+    return text
+
+
+def test_verify_reports_match_the_product_route_outside_the_cross_check(capsys):
+    # the *.product_route.golden.json files hold the reports of the sweep
+    # that formed T3*T2(ell)*T1 exactly and evaluated it by Horner; only the
+    # float cross-check may differ from them, every other byte and the exit
+    # code must not
+    for name in ("verify_moebius_pole", "verify_p24"):
+        path = str(DATA / f"{name}.json")
+        cases = json.loads(
+            (DATA / f"{name}.product_route.golden.json").read_text(encoding="utf-8")
+        )
+        assert len(cases) == 2
+        for case in cases:
+            assert main(["verify", "--input", path, *case["args"]]) == case["exit_code"]
+            out = capsys.readouterr().out
+            assert _mask_cross_check(out) == _mask_cross_check(case["stdout"]), (
+                name, case["args"])
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

@@ -16,12 +16,11 @@ from palinfrac import (
     build_T2,
     build_T3,
     conj_transfer,
-    first_kind_polys,
     normalize_kp,
     pair,
-    second_kind_polys,
     sequence,
 )
+from palinfrac.orthopoly import transfer_prefixes
 from conftest import random_periodic, scalar_first_kind, scalar_second_kind
 
 
@@ -29,15 +28,15 @@ CONSTANT = [pair(1, 0)] * 6
 
 
 def test_first_kind_base_case():
-    assert first_kind_polys([], 0) == [Poly.const(1)]
+    assert [t.a11 for t in transfer_prefixes([], 0)] == [Poly.const(1)]
 
 
 def test_first_kind_single_step():
-    assert first_kind_polys([pair(1, 0)], 1)[1] == Poly.x()
+    assert [t.a11 for t in transfer_prefixes([pair(1, 0)], 1)][1] == Poly.x()
 
 
 def test_first_kind_chebyshev_like():
-    ps = first_kind_polys(CONSTANT, 3)
+    ps = [t.a11 for t in transfer_prefixes(CONSTANT, 3)]
     assert ps[2] == Poly.from_coeffs([-1, 0, 1])
     assert ps[3] == Poly.from_coeffs([0, -2, 0, 1])
 
@@ -46,7 +45,7 @@ def test_first_kind_degree_and_leading():
     rng = random.Random(301)
     for _ in range(10):
         coeffs = random_periodic(rng, 8)
-        ps = first_kind_polys(coeffs, 8)
+        ps = [t.a11 for t in transfer_prefixes(coeffs, 8)]
         for n, p in enumerate(ps):
             assert p.degree == n
             assert p.leading == 1 / prod((q.a for q in coeffs[:n]), start=Fraction(1))
@@ -57,23 +56,23 @@ def test_first_kind_matches_scalar_recurrence():
     for _ in range(10):
         coeffs = random_periodic(rng, 10)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.4, 2))
-        symbolic = first_kind_polys(coeffs, 10)
+        symbolic = [t.a11 for t in transfer_prefixes(coeffs, 10)]
         numeric = scalar_first_kind(coeffs, 10, z)
         for sym, num in zip(symbolic, numeric):
             assert abs(sym(z) - num) < 1e-9 * max(1.0, abs(num))
 
 
 def test_second_kind_base_cases():
-    assert second_kind_polys([], 0) == [Poly.zero()]
-    assert second_kind_polys([pair(1, 0)], 1)[1] == Poly.const(1)
-    assert second_kind_polys(CONSTANT, 2)[2] == Poly.x()
+    assert [t.a12 for t in transfer_prefixes([], 0)] == [Poly.zero()]
+    assert [t.a12 for t in transfer_prefixes([pair(1, 0)], 1)][1] == Poly.const(1)
+    assert [t.a12 for t in transfer_prefixes(CONSTANT, 2)][2] == Poly.x()
 
 
 def test_second_kind_degree_and_leading():
     rng = random.Random(303)
     for _ in range(10):
         coeffs = random_periodic(rng, 8)
-        qs = second_kind_polys(coeffs, 8)
+        qs = [t.a12 for t in transfer_prefixes(coeffs, 8)]
         for n in range(1, 9):
             assert qs[n].degree == n - 1
             expected = 1 / (coeffs[0].a * prod((q.a for q in coeffs[1:n]), start=Fraction(1)))
@@ -85,7 +84,7 @@ def test_second_kind_matches_scalar_recurrence():
     for _ in range(10):
         coeffs = random_periodic(rng, 10)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.4, 2))
-        symbolic = second_kind_polys(coeffs, 10)
+        symbolic = [t.a12 for t in transfer_prefixes(coeffs, 10)]
         numeric = scalar_second_kind(coeffs, 10, z)
         for sym, num in zip(symbolic, numeric):
             assert abs(sym(z) - num) < 1e-9 * max(1.0, abs(num))
@@ -93,9 +92,9 @@ def test_second_kind_matches_scalar_recurrence():
 
 def test_insufficient_coefficients():
     with pytest.raises(InsufficientCoefficients):
-        first_kind_polys([pair(1, 0)], 2)
+        [t.a11 for t in transfer_prefixes([pair(1, 0)], 2)]
     with pytest.raises(InsufficientCoefficients):
-        second_kind_polys([pair(1, 0)], 2)
+        [t.a12 for t in transfer_prefixes([pair(1, 0)], 2)]
     with pytest.raises(InsufficientCoefficients):
         conj_transfer([pair(1, 0)], 2)
 

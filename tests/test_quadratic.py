@@ -1,9 +1,12 @@
 """Quadratic relations, the exact identity verifier, and the reverse probe."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import accumulate, islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palinfrac import (
     DegenerateRelation,
@@ -11,6 +14,7 @@ from palinfrac import (
     JacobiSequence,
     Mat2,
     NotNormalized,
+    PalinfracError,
     Poly,
     QuadraticRelation,
     discriminant_is_square,
@@ -27,7 +31,9 @@ from palinfrac import (
     verify_main_identity,
     verify_splits,
 )
-from palinfrac.quadratic import numeric_identity_check
+from palinfrac.jacobi import require_kp_normalized
+from palinfrac.orthopoly import transfer_step
+from palinfrac.quadratic import _guard_relation, numeric_identity_check
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -214,7 +220,109 @@ def test_verify_splits_agrees_with_single_calls():
                 assert single.holds == report.holds
                 assert single.residual_P == report.residual_P
                 assert single.residual_Q == report.residual_Q
-                assert single.product == report.product
+
+
+def product_route_reports(prep) -> dict:
+    """The reference sweep: form T3*T2(ell)*T1 for every ell, then collect.
+
+    P = alpha*D - beta*C - ak^2*gamma*A and Q = gamma*(C + ak^2*B) with
+    [[A, B], [C, D]] the product, T2(ell)*T1 extended one step per ell.
+    """
+    require_kp_normalized(prep.seq)
+    _guard_relation(prep.relation)
+    al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
+    periodic = prep.seq.periodic
+    steps = accumulate(periodic[: len(periodic) - 1], transfer_step, initial=prep.t1)
+    reports = {}
+    for ell, t21 in enumerate(islice(steps, 2, None), start=1):
+        a_mat, b_mat, c_mat, d_mat = (prep.t3 @ t21).entries()
+        residual_p = al * d_mat - be * c_mat - (ga * a_mat).scale(prep.ak2)
+        residual_q = ga * (c_mat + b_mat.scale(prep.ak2))
+        reports[ell] = (residual_p, residual_q, residual_p.is_zero() and residual_q.is_zero())
+    return reports
+
+
+def multi_split_period(rng: random.Random, p: int) -> list:
+    """A doubly palindromic block of length q repeated p/q times, which splits
+    at ell0, ell0 + q, ...; a single pair repeated when p has no block length."""
+    blocks = [q for q in range(3, p // 2 + 1) if p % q == 0]
+    if not blocks:
+        return random_periodic(rng, 1, max_mag=4) * p
+    q = rng.choice(blocks)
+    return doubly_palindromic_period(rng, q, rng.randint(1, q - 2)) * (p // q)
+
+
+def sweep_case(seed: int, p: int, k: int, kind: str, fault: str):
+    rng = random.Random(seed)
+    if kind == "doubly":
+        periodic = doubly_palindromic_period(rng, p, rng.randint(1, p - 2))
+    elif kind == "random":
+        periodic = random_periodic(rng, p, max_mag=5)
+    else:
+        periodic = multi_split_period(rng, p)
+    if k == 0:
+        seq = purely_periodic(periodic)
+        if fault != "unnormalized":
+            seq = normalize_kp(seq)
+    else:
+        last = periodic[-1] if fault != "unnormalized" else pair(periodic[-1].a + 1, 0)
+        seq = JacobiSequence(tuple(random_periodic(rng, k - 1, max_mag=5)) + (last,), tuple(periodic))
+    prep = prepare(seq)
+    if fault == "degenerate":
+        # gamma = 0, or alpha*y^2 + beta*y + gamma = alpha*(y - u)*(y - v)
+        u, v = Poly.from_coeffs([rng.randint(-3, 3), 1]), Poly.const(rng.randint(1, 3))
+        alpha = prep.relation.alpha
+        relation = (
+            QuadraticRelation(alpha, prep.relation.beta, Poly.zero())
+            if rng.random() < 0.5
+            else QuadraticRelation(alpha, -(alpha * (u + v)), alpha * u * v)
+        )
+        prep = dataclasses.replace(prep, relation=relation)
+    return prep, periodic, rng.randint(1, p - 2)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except PalinfracError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(3, 24),
+    st.integers(0, 3),
+    st.sampled_from(["doubly", "random", "multi"]),
+    st.sampled_from(["none", "none", "unnormalized", "degenerate"]),
+)
+def test_sweep_matches_the_product_reference(seed, p, k, kind, fault):
+    # the residuals as traces of T2(ell)*L^T must be the very polynomials the
+    # product route collects, at every ell, and the guards must fire alike
+    prep, periodic, ell = sweep_case(seed, p, k, kind, fault)
+
+    def residuals(reports):
+        return {
+            ell: (r.residual_P.num, r.residual_P.den, r.residual_Q.num, r.residual_Q.den, r.holds)
+            for ell, r in reports.items()
+        }
+
+    def reference():
+        return {
+            ell: (rp.num, rp.den, rq.num, rq.den, holds)
+            for ell, (rp, rq, holds) in product_route_reports(prep).items()
+        }
+
+    expected = _outcome(reference)
+    assert _outcome(lambda: residuals(verify_splits(prep))) == expected
+    single = _outcome(lambda: residuals({ell: verify_main_identity(prep, ell)}))
+    if isinstance(expected, dict):
+        assert single == {ell: expected[ell]}
+        assert fault == "none"
+        assert [e for e, row in expected.items() if row[-1]] == brute_splits(periodic)
+    else:
+        assert single == expected
+        assert fault != "none"
 
 
 def test_numeric_identity_agreement_when_holds():
@@ -229,10 +337,11 @@ def test_numeric_identity_agreement_when_holds():
             ell = rng.randint(1, p - 2)
             periodic = doubly_palindromic_period(rng, p, ell, max_mag=3)
             prep = prepare(normalize_kp(purely_periodic(periodic)))
-            product = prep.product(ell)
+            entries = prep.product(ell).entries()
             for _ in range(5):
                 z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2.5))
-                check = numeric_identity_check(prep, product, eval_m(prep, z), z)
+                values = [e(z) for e in entries]
+                check = numeric_identity_check(prep, values, eval_m(prep, z), z)
                 assert check["residual"] < 1e-8
 
 
@@ -240,7 +349,8 @@ def test_numeric_identity_disagreement_when_fails():
     periodic = [pair(1, 0), pair(1, 0), pair(2, 3), pair(1, 3)]
     prep = prepare(normalize_kp(purely_periodic(periodic)))
     z = 0.3 + 1.1j
-    assert numeric_identity_check(prep, prep.product(2), eval_m(prep, z), z)["residual"] > 1e-3
+    values = [e(z) for e in prep.product(2).entries()]
+    assert numeric_identity_check(prep, values, eval_m(prep, z), z)["residual"] > 1e-3
 
 
 def test_degenerate_guard_reports_inconclusive():
