@@ -66,7 +66,6 @@ from .quadratic import (
     QuadraticRelation,
     ReverseObstructionReport,
     VerificationReport,
-    discriminant_is_square,
     periodic_quadratic,
     prepare,
     pullback_quadratic,
@@ -106,7 +105,6 @@ __all__ = [
     "build_T2",
     "build_T3",
     "conj_transfer",
-    "discriminant_is_square",
     "double_period",
     "dump_sequence",
     "eval_m",

@@ -22,6 +22,7 @@ import cmath
 import functools
 import hashlib
 import json
+import math
 import random
 import sys
 
@@ -100,6 +101,12 @@ def _check_limit(option: str, value: int | None, limit: int) -> None:
         raise ParseError(f"{option} must be at most {limit}, got {value}")
 
 
+def _check_tolerance(value: float) -> None:
+    # nan and inf have no JSON form, and inf would pass every check
+    if not math.isfinite(value):
+        raise ParseError(f"--tolerance must be finite, got {value}")
+
+
 def _format_complex(value: complex) -> str:
     return f"{value.real:.12g}{value.imag:+.12g}j"
 
@@ -165,6 +172,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_tolerance(args.tolerance)
     seq, digest = _read_input(args.input)
     normalized = normalize_kp(seq)
     p = normalized.p
@@ -237,6 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_limit("--depth", args.depth, MAX_DEPTH)
+    _check_tolerance(args.tolerance)
     seq, digest = _read_input(args.input)
     normalized = normalize_kp(seq)
     if args.points:

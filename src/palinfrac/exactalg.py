@@ -273,30 +273,24 @@ def poly_is_square(poly: Poly) -> bool:
     """Exact test: is poly the square of a polynomial with rational coefficients?"""
     if poly.is_zero():
         return True
-    if poly.degree % 2 != 0:
-        return False
-    if not _is_rational_square(poly.leading):
-        return False
-    root = _poly_sqrt(poly)
-    return root is not None
+    return poly.degree % 2 == 0 and _poly_sqrt(poly) is not None
 
 
-def _is_rational_square(value: Fraction) -> bool:
-    if value < 0:
-        return False
+def rational_sqrt(value: Fraction) -> Fraction | None:
+    """The exact square root of value, or None if value is not a rational square."""
     n, d = value.numerator, value.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-
-
-def _rational_sqrt(value: Fraction) -> Fraction:
-    return Fraction(isqrt(value.numerator), isqrt(value.denominator))
+    if n < 0 or isqrt(n) ** 2 != n or isqrt(d) ** 2 != d:
+        return None
+    return Fraction(isqrt(n), isqrt(d))
 
 
 def _poly_sqrt(poly: Poly) -> Poly | None:
     """Square root of an even-degree polynomial, or None if it is not a square."""
     half = poly.degree // 2
-    s = [Fraction(0)] * (half + 1)
-    s[half] = _rational_sqrt(poly.leading)
+    lead = rational_sqrt(poly.leading)
+    if lead is None:
+        return None
+    s = [Fraction(0)] * half + [lead]
     for i in range(half - 1, -1, -1):
         acc = poly.coefficient(i + half)
         for j in range(i + 1, half):

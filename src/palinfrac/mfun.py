@@ -37,7 +37,7 @@ from .errors import (
     InsufficientOrder,
     NotAnMFunction,
 )
-from .exactalg import mobius_apply
+from .exactalg import mobius_apply, rational_sqrt
 from .jacobi import JacobiPair, JacobiSequence, strip
 from .orthopoly import conj_transfer
 from .quadratic import Prepared, QuadraticRelation, prepare
@@ -260,14 +260,6 @@ class RecoveredPair:
         return JacobiPair(self.a, self.b)
 
 
-def _sqrt_if_square(value: Fraction) -> tuple[Fraction | float, bool]:
-    n, d = value.numerator, value.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd), True
-    return math.sqrt(n / d), False
-
-
 def recover_coefficients(series: LaurentSeries, count: int) -> list[RecoveredPair]:
     """Read the first `count` coefficient pairs off an m-function expansion.
 
@@ -313,8 +305,9 @@ def recover_coefficients(series: LaurentSeries, count: int) -> list[RecoveredPai
         a_sq = cur[k] / prev[k - 1]
         if a_sq <= 0:
             raise NotAnMFunction(f"recovered a^2 = {a_sq} is not positive")
-        a, exact = _sqrt_if_square(a_sq)
-        out.append(RecoveredPair(a_sq, b, a, exact))
+        root = rational_sqrt(a_sq)
+        a = math.sqrt(a_sq.numerator / a_sq.denominator) if root is None else root
+        out.append(RecoveredPair(a_sq, b, a, root is not None))
         if k < count:
             b = cur[k + 1] / cur[k] - prev[k] / prev[k - 1]
         older, prev, beta = prev, cur, a_sq

@@ -17,9 +17,9 @@ cancellation.  The Moebius action of T_n removes the first n pairs of a
 stream: if s has a coefficient stream starting with those pairs, the
 stripped function s_n equals f_T(s).  Its determinant is identically 1.
 
-The verifier's three blocks are prefixes of the same recurrence: over the
-preperiodic pairs, over the leading ell+1 periodic pairs, and over the
-index-reversed preperiodic pairs.
+The verifier's T1 and T2 are prefixes of the same recurrence, over the
+preperiodic and the leading ell+1 periodic pairs; its T3 is D * T1^T * D^-1
+(see `quadratic`), which `build_T3` rebuilds from the reversed pairs.
 """
 
 from __future__ import annotations

@@ -26,16 +26,23 @@ whenever the discriminant beta^2 - 4*alpha*gamma is not a polynomial square
 (guarded), the identity holds if and only if both residuals P and Q are the
 zero polynomial.  The verdict therefore needs no numerical tolerance.
 
+T3 needs no transfer of its own: T3 = D * T1^T * D^-1, D = diag(1, -ak^2).
+For S(a, b) = diag(1/a, a) * U(b), U(b) = [[z - b, 1], [-1, 0]], and
+U(b)^T = J * U(b) * J, J = diag(1, -1), so transposing T1 = S(a_k, b_k) ...
+S(a_1, b_1) reverses the factors into the steps of the index-reversed block.
+
 Both residuals are linear in T2(ell):
 
     P(ell) = tr(T2(ell) * L_P^T),   Q(ell) = tr(T2(ell) * L_Q^T),
 
 with L^T = T1 * W * T3 for W_P = [[-ak^2*gamma, -beta], [0, alpha]] and
-W_Q = [[0, gamma], [ak^2*gamma, 0]].  Since T2(ell) = S(a, b) * T2(ell-1),
-N(ell) = T2(ell) * L^T obeys the same transfer recurrence, started at
-N = L^T.  The sweep over ell therefore advances N_P and N_Q by one transfer
-step per ell and reads each residual off as a trace; the product
-T3*T2(ell)*T1 is never formed.
+W_Q = [[0, gamma], [ak^2*gamma, 0]].  L_Q^T is W_Q itself: W_Q * D =
+ak^2*gamma * K for K = [[0, -1], [1, 0]], and T1 * K * T1^T = det(T1) * K = K,
+so Q(ell) = gamma * (T2(ell)_21 + ak^2 * T2(ell)_12).  Since T2(ell) =
+S(a, b) * T2(ell-1), N(ell) = T2(ell) * L^T obeys the same transfer
+recurrence, started at N = L^T.  The sweep over ell therefore advances N_P
+and N_Q by one transfer step per ell and reads each residual off as a
+trace; the product T3*T2(ell)*T1 is never formed.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from typing import Iterator, Sequence
 
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange, NumericInstability
 from .exactalg import Mat2, Poly, poly_gcd, poly_is_square, rational_content
-from .jacobi import JacobiPair, JacobiSequence, normalize_kp, require_kp_normalized, reversed_periodic
+from .jacobi import JacobiPair, JacobiSequence, normalize_kp, require_kp_normalized
 from .orthopoly import conj_transfer, transfer_prefixes, transfer_step, transfer_step_at
 
 
@@ -142,11 +149,6 @@ def pullback_quadratic(relation: QuadraticRelation, transform: Mat2) -> Quadrati
     return QuadraticRelation(alpha_new, beta_new, gamma_new).canonical()
 
 
-def discriminant_is_square(relation: QuadraticRelation) -> bool:
-    """True iff beta^2 - 4*alpha*gamma is the square of a rational polynomial."""
-    return poly_is_square(relation.discriminant())
-
-
 def second_solution_value(relation: QuadraticRelation, m_val, z):
     """The other root of the quadratic at z, via the product of roots.
 
@@ -167,9 +169,10 @@ class Prepared:
 
     `tail` is the periodic_quadratic of the period, `t1` the transfer matrix
     over the preperiodic block, `relation` the canonical relation for M (tail
-    pulled back through t1), `t3` the transfer matrix over the index-reversed
-    preperiodic block, and `ak2` the squared a-entry of the pair before the
-    tail (with no preperiodic block: t1 = t3 = identity, last periodic pair).
+    pulled back through t1), `t3` = D*t1^T*D^-1 with D = diag(1, -ak2), the
+    transfer matrix over the index-reversed preperiodic block, and `ak2` the
+    squared a-entry of the pair before the tail (with no preperiodic block:
+    t1 = t3 = identity, last periodic pair).
     """
 
     seq: JacobiSequence
@@ -193,9 +196,10 @@ def prepare(seq: JacobiSequence) -> Prepared:
     """
     tail = periodic_quadratic(seq.periodic)
     t1 = transfer_prefixes(seq.preperiodic, seq.k)[-1]
-    t3 = transfer_prefixes(reversed_periodic(seq.preperiodic), seq.k)[-1]
     ak = (seq.preperiodic or seq.periodic)[-1].a
-    return Prepared(seq, tail, t1, pullback_quadratic(tail, t1), t3, ak * ak)
+    ak2 = ak * ak
+    t3 = Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
+    return Prepared(seq, tail, t1, pullback_quadratic(tail, t1), t3, ak2)
 
 
 def _guard_relation(relation: QuadraticRelation) -> None:
@@ -212,9 +216,9 @@ def _guard_relation(relation: QuadraticRelation) -> None:
 def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     """The reports for ell = 1, 2, ..., p-2, one transfer step per ell.
 
-    N_P and N_Q start at L_P^T = T1*W_P*T3 and L_Q^T = T1*W_Q*T3 and follow
-    the transfer recurrence over the periodic pairs; after the first ell+1
-    pairs they are T2(ell)*L^T, whose traces are the residuals.
+    N_P starts at L_P^T = T1*W_P*T3 and N_Q at L_Q^T = T1*W_Q*T3 = W_Q; both
+    follow the transfer recurrence over the periodic pairs, and after the
+    first ell+1 pairs they are T2(ell)*L^T, whose traces are the residuals.
     """
     require_kp_normalized(prep.seq)
     _guard_relation(prep.relation)
@@ -223,7 +227,7 @@ def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     zero = Poly.zero()
     kernels = (
         prep.t1 @ Mat2(-ak2_ga, -be, zero, al) @ prep.t3,
-        prep.t1 @ Mat2(zero, ga, ak2_ga, zero) @ prep.t3,
+        Mat2(zero, ga, ak2_ga, zero),
     )
     periodic = prep.seq.periodic
     # element j is (T2(j-1)*L_P^T, T2(j-1)*L_Q^T), over the first j periodic pairs
@@ -286,19 +290,20 @@ class ReverseObstructionReport:
     tail_magnitude: float
 
 
-def reverse_asymptotics(
-    seq: JacobiSequence,
-    heights: Sequence[float] = (1e2, 1e3, 1e4),
-    fit_tolerance: float = 1e-4,
-    tail_tolerance: float = 1e-2,
-) -> ReverseObstructionReport:
+# The reverse probe's heights y (ascending) and its two acceptance bounds.
+PROBE_HEIGHTS = (1e2, 1e3, 1e4)
+FIT_TOLERANCE = 1e-4
+TAIL_TOLERANCE = 1e-2
+
+
+def reverse_asymptotics(seq: JacobiSequence) -> ReverseObstructionReport:
     """Probe the reversed identity numerically along z = i*y for large y.
 
-    Evaluates w(z) = 1/(ak^2 * Mtilde(z)) at the given heights and tests the
-    m-function asymptotics w ~ -1/z: the imaginary part of i*y*w(i*y) + 1
-    must fit c/y with deviation below `fit_tolerance`, and the full modulus
-    of i*y*w(i*y) + 1 at the largest height must stay below
-    `tail_tolerance`.  (The magnitude check matters: streams with symmetric
+    Evaluates w(z) = 1/(ak^2 * Mtilde(z)) at the heights y in PROBE_HEIGHTS
+    and tests the m-function asymptotics w ~ -1/z: the imaginary part of
+    i*y*w(i*y) + 1 must fit c/y with deviation below FIT_TOLERANCE, and the
+    full modulus of i*y*w(i*y) + 1 at the largest height must stay below
+    TAIL_TOLERANCE.  (The magnitude check matters: streams with symmetric
     b-entries can have an identically real i*y*w(i*y) + 1, which would make
     the imaginary-part fit pass vacuously.)
 
@@ -320,11 +325,10 @@ def reverse_asymptotics(
         raise DegenerateRelation("relation for M degenerated")
     ak2 = float(prep.ak2)
 
-    ys = sorted(float(y) for y in heights)
     g_values = []
     decay = complex(0.0)
     try:
-        for y in ys:
+        for y in PROBE_HEIGHTS:
             z = complex(0.0, y)
             m_val = mfun.eval_m(prep, z)
             second = second_solution_value(relation, m_val, z)
@@ -335,12 +339,12 @@ def reverse_asymptotics(
         raise NumericInstability(f"asymptotic probe failed: {exc}") from exc
 
     # least-squares fit of Im(g) ~ c/y over the sampled heights
-    num = sum(g.imag / y for g, y in zip(g_values, ys))
-    den = sum(1.0 / (y * y) for y in ys)
+    num = sum(g.imag / y for g, y in zip(g_values, PROBE_HEIGHTS))
+    den = sum(1.0 / (y * y) for y in PROBE_HEIGHTS)
     c_hat = num / den if den else 0.0
-    fit_deviation = max(abs(g.imag - c_hat / y) for g, y in zip(g_values, ys))
+    fit_deviation = max(abs(g.imag - c_hat / y) for g, y in zip(g_values, PROBE_HEIGHTS))
     tail_magnitude = abs(g_values[-1])
-    is_m_like = fit_deviation < fit_tolerance and tail_magnitude < tail_tolerance
+    is_m_like = fit_deviation < FIT_TOLERANCE and tail_magnitude < TAIL_TOLERANCE
     return ReverseObstructionReport(is_m_like, decay, fit_deviation, tail_magnitude)
 
 

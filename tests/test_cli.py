@@ -137,6 +137,20 @@ def test_eval_rejects_lower_half_plane(tmp_path, capsys):
     assert main(["eval", "--input", path, "--points=0,inf"]) == 2
 
 
+def test_non_finite_tolerance_is_an_input_error(tmp_path, capsys):
+    # nan and inf have no JSON form, and inf would accept every residual
+    path = write_input(tmp_path, paper_example_periodic())
+    for value in ("nan", "inf", "-inf"):
+        for argv in (
+            ["verify", "--input", path, "--all"],
+            ["eval", "--input", path, "--points", "0.3,1.5"],
+        ):
+            assert main([*argv, "--json", f"--tolerance={value}"]) == 2, (argv, value)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("input error:") and "--tolerance" in captured.err
+
+
 def test_eval_seeded_points_reproducible(tmp_path, capsys):
     from palinfrac import pair
 

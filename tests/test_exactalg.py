@@ -15,7 +15,7 @@ from palinfrac import (
     poly_gcd,
     poly_is_square,
 )
-from palinfrac.exactalg import rational_content
+from palinfrac.exactalg import rational_content, rational_sqrt
 from conftest import random_rational
 
 
@@ -157,6 +157,13 @@ def test_poly_gcd_contains_common_factor():
         g = poly_gcd(common * u, common * v)
         _, rem = divmod(g, common.monic())
         assert rem.is_zero()
+
+
+def test_rational_sqrt_is_exact_or_none():
+    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert rational_sqrt(Fraction(0)) == 0
+    for value in (Fraction(2), Fraction(9, 2), Fraction(2, 9), Fraction(-4)):
+        assert rational_sqrt(value) is None
 
 
 def test_poly_is_square_cases():

@@ -1,6 +1,7 @@
 """Numeric evaluation, Laurent expansions, and coefficient recovery."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -35,7 +36,6 @@ from palinfrac import (
     strip_identity_check,
 )
 from palinfrac.cli import MAX_ORDER
-from palinfrac.mfun import _sqrt_if_square
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -527,7 +527,9 @@ def _reference_recover(series, count):
         a_sq = -current.coeff(-3) - current.coeff(-2) ** 2
         if a_sq <= 0:
             raise NotAnMFunction(f"recovered a^2 = {a_sq} is not positive")
-        a, exact = _sqrt_if_square(a_sq)
+        rn, rd = math.isqrt(a_sq.numerator), math.isqrt(a_sq.denominator)
+        exact = rn * rn == a_sq.numerator and rd * rd == a_sq.denominator
+        a = Fraction(rn, rd) if exact else math.sqrt(a_sq.numerator / a_sq.denominator)
         out.append(RecoveredPair(a_sq, b, a, exact))
         offset = _RefSeries({0: b}, current.floor_o)
         current = offset.sub(z_poly).sub(current.inverse()).scale(1 / a_sq)

@@ -17,22 +17,24 @@ from palinfrac import (
     PalinfracError,
     Poly,
     QuadraticRelation,
-    discriminant_is_square,
+    conj_transfer,
     eval_m,
     eval_periodic_m,
     normalize_kp,
     pair,
     periodic_quadratic,
+    poly_is_square,
     prepare,
     pullback_quadratic,
     reverse_asymptotics,
+    reversed_periodic,
     second_solution_value,
     sequence,
     verify_main_identity,
     verify_splits,
 )
 from palinfrac.jacobi import require_kp_normalized
-from palinfrac.orthopoly import transfer_step
+from palinfrac.orthopoly import transfer_prefixes, transfer_step
 from palinfrac.quadratic import _guard_relation, numeric_identity_check
 from conftest import (
     brute_splits,
@@ -137,11 +139,13 @@ def test_discriminant_square_detection():
     z = Poly.x()
     # beta^2 - 4*alpha*gamma = (z-1)^2 for alpha=0... use a direct construction:
     # alpha=1, beta=z+1, gamma=z gives disc (z+1)^2 - 4z = (z-1)^2
-    assert discriminant_is_square(QuadraticRelation(Poly.const(1), z + Poly.const(1), z))
-    assert not discriminant_is_square(chebyshev_relation())  # z^2 - 4
+    assert poly_is_square(QuadraticRelation(Poly.const(1), z + Poly.const(1), z).discriminant())
+    assert not poly_is_square(chebyshev_relation().discriminant())  # z^2 - 4
     # zero discriminant counts as a (degenerate) square
-    assert discriminant_is_square(
-        QuadraticRelation(Poly.const(1), Poly.from_coeffs([0, 2]), Poly.from_coeffs([0, 0, 1]))
+    assert poly_is_square(
+        QuadraticRelation(
+            Poly.const(1), Poly.from_coeffs([0, 2]), Poly.from_coeffs([0, 0, 1])
+        ).discriminant()
     )
 
 
@@ -227,19 +231,43 @@ def product_route_reports(prep) -> dict:
 
     P = alpha*D - beta*C - ak^2*gamma*A and Q = gamma*(C + ak^2*B) with
     [[A, B], [C, D]] the product, T2(ell)*T1 extended one step per ell.
+    T3 comes from the recurrence over the index-reversed preperiodic block,
+    not from `prep.t3`, so the reference does not share the similarity.
     """
     require_kp_normalized(prep.seq)
     _guard_relation(prep.relation)
     al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
+    t3 = transfer_prefixes(reversed_periodic(prep.seq.preperiodic), prep.seq.k)[-1]
     periodic = prep.seq.periodic
     steps = accumulate(periodic[: len(periodic) - 1], transfer_step, initial=prep.t1)
     reports = {}
     for ell, t21 in enumerate(islice(steps, 2, None), start=1):
-        a_mat, b_mat, c_mat, d_mat = (prep.t3 @ t21).entries()
+        a_mat, b_mat, c_mat, d_mat = (t3 @ t21).entries()
         residual_p = al * d_mat - be * c_mat - (ga * a_mat).scale(prep.ak2)
         residual_q = ga * (c_mat + b_mat.scale(prep.ak2))
         reports[ell] = (residual_p, residual_q, residual_p.is_zero() and residual_q.is_zero())
     return reports
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 6), st.integers(1, 5), st.booleans())
+def test_t3_is_t1_under_the_diagonal_similarity(seed, k, p, normalized):
+    # T3 = D*T1^T*D^-1 with D = diag(1, -ak^2) is the recurrence over the
+    # reversed block, whether or not the block ends with the last periodic
+    # pair, and it makes T1*W_Q*T3 = W_Q
+    rng = random.Random(seed)
+    periodic = random_periodic(rng, p, max_mag=5)
+    preperiodic = random_periodic(rng, k, max_mag=5)
+    if normalized and k:
+        preperiodic[-1] = periodic[-1]
+    prep = prepare(JacobiSequence(tuple(preperiodic), tuple(periodic)))
+    if k == 0:
+        assert prep.t3 == Mat2.identity()
+    else:
+        assert prep.t3 == conj_transfer(reversed_periodic(preperiodic), k)
+    ga, zero = prep.relation.gamma, Poly.zero()
+    w_q = Mat2(zero, ga, ga.scale(prep.ak2), zero)
+    assert prep.t1 @ w_q @ prep.t3 == w_q
 
 
 def multi_split_period(rng: random.Random, p: int) -> list:
