@@ -197,11 +197,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = {args.ell: verify_main_identity(prep, args.ell)}
     z0 = complex(0.37, 1.31)
     m0 = eval_m(prep, z0)
+    try:
+        second0 = second_solution_value(prep.relation, m0, z0)
+    except (ZeroDivisionError, OverflowError):
+        second0 = None  # every ell's cross-check reports its residual unavailable
     values = dict(enumerate(product_values(prep, z0), start=1))
     all_hold = True
     for ell in requested:
         result = results[ell]
-        check = numeric_identity_check(prep, values[ell], m0, z0, args.tolerance)
+        check = numeric_identity_check(prep, values[ell], m0, second0, args.tolerance)
         numeric = check["residual"]
         verdicts.append(
             {
@@ -277,7 +281,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         truncation_gap = abs(m_full - eval_truncated(normalized, z, args.depth))
         if ell is not None:
             values = [e(z) for e in entries]
-            check = numeric_identity_check(prep, values, m_full, z, args.tolerance)
+            check = numeric_identity_check(prep, values, m_full, second, args.tolerance)
             residual = check["residual"]
             residual_ok = check["ok"]
         else:

@@ -7,9 +7,11 @@ ascending degree over one shared positive denominator (von zur Gathen and
 Gerhard, *Modern Computer Algebra*, ch. 6).  It is kept in one canonical
 form, so equal polynomials have equal fields: no trailing zero numerator,
 the denominator coprime to all numerators together, and the zero
-polynomial is ((), 1).  Sums, products and scalings work on the integer
-numerators and end in one gcd reduction, instead of one Fraction per
-coefficient; division is integer pseudo-division.  Degrees stay small here
+polynomial is ((), 1).  Sums, products and `shift_add`, the fused step
+((z - b)*x + y)/a of the transfer recurrence, work on the integer numerators
+and end in one gcd reduction, instead of one Fraction per coefficient; a
+scaling reads its common factor off two small gcds and needs no reduction
+at all; division is integer pseudo-division.  Degrees stay small here
 (bounded by the coefficient block lengths), so the dense representation is
 the simplest thing that works.
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import count, zip_longest
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
@@ -160,10 +162,21 @@ class Poly:
         return self.scale(other)
 
     def scale(self, factor: RationalLike) -> "Poly":
-        """Multiply every coefficient by an exact rational factor."""
+        """Multiply every coefficient by an exact rational factor.
+
+        With f = fn/fd in lowest terms and self canonical, the common factor
+        of fn*num over den*fd is exactly gcd(fn, den) * gcd(fd, *num), so the
+        result needs no gcd sweep over the product numerators.
+        """
         f = as_rational(factor)
-        fn = f.numerator
-        return _canonical([n * fn for n in self.num], self.den * f.denominator)
+        fn, fd = f.numerator, f.denominator
+        if fn == 0 or not self.num:
+            return Poly((), 1)
+        g_den = gcd(fn, self.den)
+        g_num = gcd(fd, *self.num)
+        num = self.num if g_num == 1 else [n // g_num for n in self.num]
+        fn //= g_den
+        return Poly(tuple([n * fn for n in num]), (self.den // g_den) * (fd // g_num))
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -212,6 +225,35 @@ class Poly:
             else:
                 parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
         return " + ".join(reversed(parts))
+
+
+def shift_add(x: Poly, y: Poly, a: Fraction, b: Fraction) -> Poly:
+    """((z - b)*x + y)/a, from the integer numerators in one pass.
+
+    With b = bn/bd, (z - b)*x has the numerators bd*X[i-1] - bn*X[i] over
+    bd*x.den.  They and y's numerators are brought over the least common
+    denominator, with a's denominator folded into the same two integer
+    multipliers, so each coefficient costs three products of a big
+    numerator by a small factor, and the result a single gcd reduction.
+
+    Raises:
+        DivisionByZero: a is zero.
+    """
+    if a == 0:
+        raise DivisionByZero("shift_add by a zero divisor")
+    bn, bd = b.numerator, b.denominator
+    den_x = x.den * bd
+    g = gcd(den_x, y.den)
+    mx, my = y.den // g, den_x // g
+    # ad * (mx*((z - b)*X) + my*Y) over lcm(den_x, y.den) * an
+    cx, cy = mx * a.denominator, my * a.denominator
+    up, keep = cx * bd, cx * bn
+    xs = x.num
+    out = [
+        up * u - keep * v + cy * w
+        for u, v, w in zip_longest((0, *xs), xs, y.num, fillvalue=0)
+    ]
+    return _canonical(out, den_x * mx * a.numerator)
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
@@ -270,10 +312,26 @@ def rational_content(polys: Sequence[Poly]) -> Fraction:
 
 
 def poly_is_square(poly: Poly) -> bool:
-    """Exact test: is poly the square of a polynomial with rational coefficients?"""
+    """Exact test: is poly the square of a polynomial with rational coefficients?
+
+    A square s^2 takes a rational square value s(t)^2 at every rational t,
+    so the value at the first integer t = 0, 1, 2, ... where poly does not
+    vanish is tested first; a non-square value settles the answer without
+    the O(deg^2) square-root solve.
+    """
     if poly.is_zero():
         return True
-    return poly.degree % 2 == 0 and _poly_sqrt(poly) is not None
+    if poly.degree % 2:
+        return False
+    for t in count():
+        value = 0
+        for n in reversed(poly.num):
+            value = value * t + n
+        if value:
+            break
+    if rational_sqrt(Fraction(value, poly.den)) is None:
+        return False
+    return _poly_sqrt(poly) is not None
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

@@ -17,6 +17,12 @@ cancellation.  The Moebius action of T_n removes the first n pairs of a
 stream: if s has a coefficient stream starting with those pairs, the
 stripped function s_n equals f_T(s).  Its determinant is identically 1.
 
+One step is fused, fraction-free: each new first-row entry is one
+`exactalg.shift_add` on the integer numerators and each second-row entry a
+`Poly.scale`, so a step forms no polynomial product and each result is
+reduced once.  Started at any matrix X instead of the identity, n steps
+give T_n * X; the verifier uses that for all of its exact blocks.
+
 The verifier's T1 and T2 are prefixes of the same recurrence, over the
 preperiodic and the leading ell+1 periodic pairs; its T3 is D * T1^T * D^-1
 (see `quadratic`), which `build_T3` rebuilds from the reversed pairs.
@@ -28,24 +34,25 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import IndexOutOfRange, InsufficientCoefficients
-from .exactalg import Mat2, Poly
+from .exactalg import Mat2, shift_add
 from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized, reversed_periodic
 
 
 def transfer_step(t: Mat2, q: JacobiPair) -> Mat2:
     """S(q.a, q.b) * t, one step of the recurrence.
 
-    Applied row by row: the new first row is ((z - b)*row1 + row2)/a and the
-    new second row is -a*row1, which takes two polynomial products where a
-    general 2x2 product would take eight.
+    Applied row by row: the new first row is ((z - b)*row1 + row2)/a, each
+    entry one fused `shift_add` on the integer numerators, and the new
+    second row is -a*row1, a `scale` whose common factor is read off two
+    small gcds.  No polynomial product is formed, so a step costs O(deg)
+    big-integer operations where a general 2x2 product costs O(deg^2).
     """
-    shift = Poly.from_coeffs([-q.b, 1])
-    inv_a = 1 / q.a
+    neg_a = -q.a
     return Mat2(
-        (shift * t.a11 + t.a21).scale(inv_a),
-        (shift * t.a12 + t.a22).scale(inv_a),
-        t.a11.scale(-q.a),
-        t.a12.scale(-q.a),
+        shift_add(t.a11, t.a21, q.a, q.b),
+        shift_add(t.a12, t.a22, q.a, q.b),
+        t.a11.scale(neg_a),
+        t.a12.scale(neg_a),
     )
 
 

@@ -38,11 +38,14 @@ Both residuals are linear in T2(ell):
 with L^T = T1 * W * T3 for W_P = [[-ak^2*gamma, -beta], [0, alpha]] and
 W_Q = [[0, gamma], [ak^2*gamma, 0]].  L_Q^T is W_Q itself: W_Q * D =
 ak^2*gamma * K for K = [[0, -1], [1, 0]], and T1 * K * T1^T = det(T1) * K = K,
-so Q(ell) = gamma * (T2(ell)_21 + ak^2 * T2(ell)_12).  Since T2(ell) =
-S(a, b) * T2(ell-1), N(ell) = T2(ell) * L^T obeys the same transfer
-recurrence, started at N = L^T.  The sweep over ell therefore advances N_P
-and N_Q by one transfer step per ell and reads each residual off as a
-trace; the product T3*T2(ell)*T1 is never formed.
+so Q(ell) = gamma * (T2(ell)_21 + ak^2 * T2(ell)_12).  L_P^T = T1 * Y * T1^T
+* D^-1 with Y = W_P * D takes 2k transfer steps and no matrix product: T1*X
+is the k steps over the preperiodic pairs started at X, and T1 * Y * T1^T =
+(T1 * (T1 * Y)^T)^T.  Since T2(ell) = S(a, b) * T2(ell-1), N(ell) =
+T2(ell) * L^T obeys the same transfer recurrence, started at N = L^T.  The
+sweep over ell therefore advances N_P and N_Q by one transfer step per ell
+and reads each residual off as a trace; the product T3*T2(ell)*T1 is never
+formed, and `verify` runs no `Mat2` product at all.
 """
 
 from __future__ import annotations
@@ -216,17 +219,25 @@ def _guard_relation(relation: QuadraticRelation) -> None:
 def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     """The reports for ell = 1, 2, ..., p-2, one transfer step per ell.
 
-    N_P starts at L_P^T = T1*W_P*T3 and N_Q at L_Q^T = T1*W_Q*T3 = W_Q; both
-    follow the transfer recurrence over the periodic pairs, and after the
-    first ell+1 pairs they are T2(ell)*L^T, whose traces are the residuals.
+    N_P starts at L_P^T = T1*W_P*T3 = T1*(W_P*D)*T1^T*D^-1, built by 2k
+    transfer steps over the preperiodic pairs (T1*Y, then T1 applied to its
+    transpose), and N_Q at L_Q^T = T1*W_Q*T3 = W_Q.  Both follow the
+    transfer recurrence over the periodic pairs, and after the first ell+1
+    pairs they are T2(ell)*L^T, whose traces are the residuals.  No `Mat2`
+    product is formed.
     """
     require_kp_normalized(prep.seq)
     _guard_relation(prep.relation)
     al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
-    ak2_ga = ga.scale(prep.ak2)
+    ak2 = prep.ak2
+    ak2_ga = ga.scale(ak2)
     zero = Poly.zero()
+    pre = prep.seq.preperiodic
+    t1_y = reduce(transfer_step, pre, Mat2(-ak2_ga, be.scale(ak2), zero, al.scale(-ak2)))
+    l_p = reduce(transfer_step, pre, Mat2(t1_y.a11, t1_y.a21, t1_y.a12, t1_y.a22))
+    inv = -1 / ak2
     kernels = (
-        prep.t1 @ Mat2(-ak2_ga, -be, zero, al) @ prep.t3,
+        Mat2(l_p.a11, l_p.a21.scale(inv), l_p.a12, l_p.a22.scale(inv)),
         Mat2(zero, ga, ak2_ga, zero),
     )
     periodic = prep.seq.periodic
@@ -267,8 +278,8 @@ def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
 def verify_splits(prep: Prepared) -> dict[int, VerificationReport]:
     """The verify_main_identity reports for every ell in 1 .. p-2.
 
-    One sweep: each ell costs one transfer step of N_P and N_Q, whose
-    entries are multiplied only by the degree-1 shift z - b and scaled.
+    One sweep: each ell costs one fused transfer step of N_P and N_Q, which
+    forms no polynomial product.
     Returns reports keyed by ell in ascending order.
     """
     return {report.ell: report for report in _sweep(prep)}
@@ -378,30 +389,33 @@ def _mat_values(x: Sequence, y: Sequence) -> tuple:
 
 
 def numeric_identity_check(
-    prep: Prepared, values: Sequence, m_val, z, tolerance: float = 1e-8
+    prep: Prepared, values: Sequence, m_val, second, tolerance: float = 1e-8
 ) -> dict:
     """Pointwise cross-check of the identity with a conditioning budget.
 
-    `values` = (A, B, C, D) are the entries of T3*T2(ell)*T1 at z (from
-    `product_values`, or from the exact product's entries evaluated at z)
-    and `m_val` = M(z).  Compares 1/(ak^2 * Mtilde(z)) with
-    (A*M + B)/(C*M + D), so no exact arithmetic is done here; the residual
-    polynomials stay the source of truth.  Returns a dict with the forward
-    residual, the Moebius derivative magnitude 1/|C*M + D|^2 (the error
-    amplification of the right side), and `ok`: residual within `tolerance`
-    or within the double-precision budget that the conditioning allows.
-    Pass extended-precision values and point (e.g. mpmath.mpc) for sharper
-    checks.  If a denominator vanishes or a value overflows, the residual is
-    None and `ok` is False.
+    `values` = (A, B, C, D) are the entries of T3*T2(ell)*T1 at a point z
+    (from `product_values`, or from the exact product's entries evaluated
+    at z), `m_val` = M(z) and `second` = Mtilde(z) from
+    `second_solution_value`, or None if it could not be formed; the caller
+    computes it once per point, since it does not depend on ell.  Compares
+    1/(ak^2 * Mtilde(z)) with (A*M + B)/(C*M + D), so no exact arithmetic is
+    done here; the residual polynomials stay the source of truth.  Returns a
+    dict with the forward residual, the Moebius derivative magnitude
+    1/|C*M + D|^2 (the error amplification of the right side), and `ok`:
+    residual within `tolerance` or within the double-precision budget that
+    the conditioning allows.  Pass extended-precision values (e.g.
+    mpmath.mpc) for sharper checks.  If `second` is None, a denominator
+    vanishes or a value overflows, the residual is None and `ok` is False.
     """
     a, b, c, d = values
-    try:
-        second = second_solution_value(prep.relation, m_val, z)
-        den = c * m_val + d
-        residual = abs(1 / (prep.ak2 * second) - (a * m_val + b) / den)
-        condition = float(1 / abs(den) ** 2)
-    except (ZeroDivisionError, OverflowError):
-        residual, condition = None, float("inf")
+    residual, condition = None, float("inf")
+    if second is not None:
+        try:
+            den = c * m_val + d
+            residual = abs(1 / (prep.ak2 * second) - (a * m_val + b) / den)
+            condition = float(1 / abs(den) ** 2)
+        except (ZeroDivisionError, OverflowError):
+            residual = None
     budget = max(tolerance, 1e-13 * (1.0 + condition))
     return {
         "residual": residual,

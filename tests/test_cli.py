@@ -270,6 +270,47 @@ def test_verify_survives_a_vanishing_moebius_denominator(capsys):
     assert report["verdicts"][5]["numeric_residual"] is None
 
 
+def test_verify_survives_an_unavailable_second_solution(capsys, monkeypatch):
+    import palinfrac.cli as cli
+    from palinfrac import DivisionByZero
+
+    # when Mtilde(z0) cannot be formed, every ell keeps its exact verdict and
+    # reports its cross-check as unavailable
+    def vanishing(*args):
+        raise DivisionByZero("second solution undefined: alpha(z)*m = 0")
+
+    monkeypatch.setattr(cli, "second_solution_value", vanishing)
+    path = str(DATA / "verify_p24.json")
+    code = main(["verify", "--input", path, "--all", "--json"])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 1 and report["holds_set"] == [9]
+    assert [v["ell"] for v in report["verdicts"]] == list(range(1, 23))
+    for verdict in report["verdicts"]:
+        assert verdict["numeric_residual"] is None
+        assert verdict["numeric_ok"] is (False if verdict["holds"] else None)
+
+
+def test_second_solution_is_formed_once_per_point(tmp_path, capsys, monkeypatch):
+    import palinfrac.cli as cli
+
+    calls = []
+    original = cli.second_solution_value
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "second_solution_value", counting)
+    path = write_input(tmp_path, paper_example_periodic())
+    for argv, expected in (
+        (["verify", "--input", path, "--all", "--json"], 1),
+        (["eval", "--input", path, "--points", "0.3,1.5;-1,0.5;0,2", "--json"], 3),
+    ):
+        calls.clear()
+        main(argv)
+        assert len(calls) == expected, argv
+
+
 def test_eval_at_an_extreme_point_is_a_computation_failure(tmp_path, capsys):
     from palinfrac import pair
 

@@ -15,7 +15,7 @@ from palinfrac import (
     poly_gcd,
     poly_is_square,
 )
-from palinfrac.exactalg import rational_content, rational_sqrt
+from palinfrac.exactalg import _poly_sqrt, rational_content, rational_sqrt, shift_add
 from conftest import random_rational
 
 
@@ -179,6 +179,45 @@ def test_poly_is_square_cases():
             assert not poly_is_square(s * s + Poly.const(1))
 
 
+_SQUARE_ROOTS = st.lists(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)), min_size=1, max_size=5
+).map(Poly.from_coeffs).filter(lambda s: not s.is_zero())
+_NON_SQUARES = st.sampled_from((Fraction(2), Fraction(-1), Fraction(3, 4), Fraction(1, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _SQUARE_ROOTS,
+    _NON_SQUARES,
+    st.integers(0, 8),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+)
+def test_poly_is_square_matches_the_square_root_route(s, c, index, delta):
+    # the point-value filter only ever short-cuts the exact solve: same answer
+    # on squares, on non-square multiples of squares, on squares with one
+    # coefficient moved, and on polynomials that vanish at z = 0, 1, 2, the
+    # first points the filter tries
+    z = Poly.x()
+    vanishing = z * (z - Poly.const(1)) * (z - Poly.const(2))
+    square = s * s
+    perturbed = list(square.coeffs)
+    perturbed[index % len(perturbed)] += delta
+    cases = [
+        square,
+        square.scale(c),
+        Poly.from_coeffs(perturbed),
+        square * vanishing,
+        square * vanishing * vanishing,
+        square.scale(c) * vanishing * vanishing,
+        square * vanishing * (z - Poly.const(delta)),
+    ]
+    for poly in cases:
+        plain = poly.is_zero() or (poly.degree % 2 == 0 and _poly_sqrt(poly) is not None)
+        assert poly_is_square(poly) == plain
+    assert poly_is_square(square) and poly_is_square(square * vanishing * vanishing)
+    assert not poly_is_square(square.scale(c))
+
+
 # Poly.__call__ runs Horner over float coefficients at builtin float and
 # complex points; exact Horner stays here as the reference, and the two
 # must agree to the last bit.
@@ -257,6 +296,11 @@ def _ref_mul(a, b):
     return _trim(out)
 
 
+def _ref_shift_add(x, y, a, b):
+    shifted = _ref_combine((Fraction(0),) + x, tuple(c * b for c in x), -1)
+    return tuple(c / a for c in _ref_combine(shifted, y, 1))
+
+
 def _ref_divmod(a, b):
     quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     rem = list(a)
@@ -327,6 +371,12 @@ def test_kernel_matches_the_fraction_reference(xs, ys, ws, factor):
         (poly_gcd(p, q), _ref_gcd(rp, rq)),
         (poly_gcd(p * w, q * w), _ref_gcd(_ref_mul(rp, rw), _ref_mul(rq, rw))),
     ]
+    b = w.coefficient(0)
+    if factor:
+        checks.append((shift_add(p, q, factor, b), _ref_shift_add(rp, rq, factor, b)))
+    else:
+        with pytest.raises(DivisionByZero):
+            shift_add(p, q, factor, b)
     if rq:
         quot, rem = _ref_divmod(rp, rq)
         checks += list(zip(divmod(p, q), (quot, rem)))

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palinfrac import (
     IndexOutOfRange,
@@ -20,7 +21,7 @@ from palinfrac import (
     pair,
     sequence,
 )
-from palinfrac.orthopoly import transfer_prefixes
+from palinfrac.orthopoly import transfer_prefixes, transfer_step
 from conftest import random_periodic, scalar_first_kind, scalar_second_kind
 
 
@@ -179,3 +180,40 @@ def test_product_of_blocks_has_det_one():
         seq = normalize_kp(sequence([], [(q.a, q.b) for q in random_periodic(rng, p)]))
         product = build_T3(seq) @ build_T2(seq.periodic, 1) @ build_T1(seq)
         assert product.det() == Poly.const(1)
+
+
+# zeros, small rationals, and numerators up to 2**80 over denominators up to
+# 2**60, so the common denominators of the fused step differ and grow
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**60)),
+)
+_ENTRY_POLYS = st.lists(_ENTRIES, max_size=6).map(Poly.from_coeffs)
+_A = st.one_of(
+    st.integers(1, 9).map(Fraction),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(1, 2**70), st.integers(1, 2**60)),
+)
+_B = st.one_of(st.just(Fraction(0)), _ENTRIES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENTRY_POLYS, min_size=4, max_size=4), _A, _B)
+def test_transfer_step_matches_the_composed_step(entries, a, b):
+    # the fused step against general products, sums and scalings: the new
+    # first row is ((z - b)*row1 + row2)/a and the new second row -a*row1
+    t = Mat2(*entries)
+    shift = Poly.from_coeffs([-b, 1])
+    expected = Mat2(
+        (shift * t.a11 + t.a21).scale(1 / a),
+        (shift * t.a12 + t.a22).scale(1 / a),
+        t.a11.scale(-a),
+        t.a12.scale(-a),
+    )
+    result = transfer_step(t, pair(a, b))
+    assert result == expected
+    for poly in result.entries():
+        assert poly.den > 0 and gcd(poly.den, *poly.num) == 1
+        assert not poly.num or poly.num[-1] != 0

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, islice
 
 import pytest
@@ -34,7 +35,6 @@ from palinfrac import (
     verify_splits,
 )
 from palinfrac.jacobi import require_kp_normalized
-from palinfrac.orthopoly import transfer_prefixes, transfer_step
 from palinfrac.quadratic import _guard_relation, numeric_identity_check
 from conftest import (
     brute_splits,
@@ -226,20 +226,35 @@ def test_verify_splits_agrees_with_single_calls():
                 assert single.residual_Q == report.residual_Q
 
 
+def composed_step(t: Mat2, q) -> Mat2:
+    """S(q.a, q.b) @ t as a general 2x2 product of polynomial matrices."""
+    inv_a = 1 / q.a
+    s = Mat2(
+        Poly.from_coeffs([-q.b * inv_a, inv_a]),
+        Poly.const(inv_a),
+        Poly.const(-q.a),
+        Poly.zero(),
+    )
+    return s @ t
+
+
 def product_route_reports(prep) -> dict:
     """The reference sweep: form T3*T2(ell)*T1 for every ell, then collect.
 
     P = alpha*D - beta*C - ak^2*gamma*A and Q = gamma*(C + ak^2*B) with
     [[A, B], [C, D]] the product, T2(ell)*T1 extended one step per ell.
-    T3 comes from the recurrence over the index-reversed preperiodic block,
-    not from `prep.t3`, so the reference does not share the similarity.
+    Every block comes from `composed_step`, not from `transfer_step`, and
+    T3 from the index-reversed preperiodic block, not from `prep.t3`, so the
+    reference shares neither the fused step nor the similarity.
     """
     require_kp_normalized(prep.seq)
     _guard_relation(prep.relation)
     al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
-    t3 = transfer_prefixes(reversed_periodic(prep.seq.preperiodic), prep.seq.k)[-1]
+    pre = prep.seq.preperiodic
+    t1 = reduce(composed_step, pre, Mat2.identity())
+    t3 = reduce(composed_step, reversed_periodic(pre), Mat2.identity())
     periodic = prep.seq.periodic
-    steps = accumulate(periodic[: len(periodic) - 1], transfer_step, initial=prep.t1)
+    steps = accumulate(periodic[: len(periodic) - 1], composed_step, initial=t1)
     reports = {}
     for ell, t21 in enumerate(islice(steps, 2, None), start=1):
         a_mat, b_mat, c_mat, d_mat = (t3 @ t21).entries()
@@ -369,7 +384,9 @@ def test_numeric_identity_agreement_when_holds():
             for _ in range(5):
                 z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2.5))
                 values = [e(z) for e in entries]
-                check = numeric_identity_check(prep, values, eval_m(prep, z), z)
+                m = eval_m(prep, z)
+                second = second_solution_value(prep.relation, m, z)
+                check = numeric_identity_check(prep, values, m, second)
                 assert check["residual"] < 1e-8
 
 
@@ -378,7 +395,9 @@ def test_numeric_identity_disagreement_when_fails():
     prep = prepare(normalize_kp(purely_periodic(periodic)))
     z = 0.3 + 1.1j
     values = [e(z) for e in prep.product(2).entries()]
-    assert numeric_identity_check(prep, values, eval_m(prep, z), z)["residual"] > 1e-3
+    m = eval_m(prep, z)
+    second = second_solution_value(prep.relation, m, z)
+    assert numeric_identity_check(prep, values, m, second)["residual"] > 1e-3
 
 
 def test_degenerate_guard_reports_inconclusive():
