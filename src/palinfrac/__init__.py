@@ -47,12 +47,14 @@ from .jacobi import (
 from .mfun import (
     LaurentSeries,
     RecoveredPair,
+    ReverseObstructionReport,
     eval_m,
     eval_periodic_m,
     eval_truncated,
     fold_preperiodic,
     laurent_of_quadratic,
     recover_coefficients,
+    reverse_asymptotics,
     strip_identity_check,
 )
 from .orthopoly import (
@@ -64,12 +66,10 @@ from .orthopoly import (
 from .quadratic import (
     Prepared,
     QuadraticRelation,
-    ReverseObstructionReport,
     VerificationReport,
     periodic_quadratic,
     prepare,
     pullback_quadratic,
-    reverse_asymptotics,
     second_solution_value,
     verify_main_identity,
     verify_splits,

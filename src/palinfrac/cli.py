@@ -183,29 +183,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ParseError("verify needs --ell N or --all")
         requested = [args.ell]
         if not 1 <= args.ell <= p - 2:
-            raise IndexOutOfRange(
-                f"--ell must lie in 1 .. p-2 = {p - 2}, got {args.ell}"
-            )
+            raise IndexOutOfRange(f"--ell must lie in 1 .. p-2 = {p - 2}, got {args.ell}")
 
     report = _base_report("verify", digest)
     verdicts = []
     lines = [f"period p = {p}, preperiodic length k = {normalized.k}"]
     prep = prepare(normalized)
-    if args.all:
-        results = verify_splits(prep)
-    else:
-        results = {args.ell: verify_main_identity(prep, args.ell)}
+    results = verify_splits(prep) if args.all else {args.ell: verify_main_identity(prep, args.ell)}
     z0 = complex(0.37, 1.31)
-    m0 = eval_m(prep, z0)
     try:
+        m0 = eval_m(prep, z0)
         second0 = second_solution_value(prep.relation, m0, z0)
-    except (ZeroDivisionError, OverflowError):
-        second0 = None  # every ell's cross-check reports its residual unavailable
-    values = dict(enumerate(product_values(prep, z0), start=1))
+        values = dict(enumerate(product_values(prep, z0), start=1))
+    except (BranchAmbiguity, ZeroDivisionError, OverflowError):
+        # the cross-check only annotates: every ell reports it unavailable
+        m0 = second0 = None
+        values = {}
     all_hold = True
     for ell in requested:
         result = results[ell]
-        check = numeric_identity_check(prep, values[ell], m0, second0, args.tolerance)
+        check = numeric_identity_check(prep, values.get(ell), m0, second0, args.tolerance)
         numeric = check["residual"]
         verdicts.append(
             {
@@ -221,10 +218,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         all_hold = all_hold and result.holds
         numeric_text = "unavailable" if numeric is None else f"{numeric:.3e}"
+        budget_note = ""
         if result.holds and numeric is not None:
             budget_note = ", within fp budget" if check["ok"] else ", EXCEEDS fp budget"
-        else:
-            budget_note = ""
         lines.append(
             f"ell = {ell}: {'HOLDS' if result.holds else 'fails'} "
             f"(deg residual_P = {result.residual_P.degree}, "
@@ -328,7 +324,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     _check_limit("--order", args.order, MAX_ORDER)
     seq, digest = _read_input(args.input)
     p = seq.p
-    order = args.order if args.order is not None else 2 * p + 6
+    order = args.order if args.order is not None else min(2 * p + 6, MAX_ORDER)
     count = (order - 1) // 2
     if count < 1:
         raise InsufficientOrder(
@@ -419,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_recover = sub.add_parser("recover", help="Laurent round trip to coefficients")
     add_common(p_recover)
     p_recover.add_argument("--order", type=int,
-                           help=f"Laurent expansion order (default 2p+6, at most {MAX_ORDER})")
+                           help=f"Laurent expansion order (default min(2p+6, {MAX_ORDER}), "
+                           f"at most {MAX_ORDER})")
     p_recover.set_defaults(func=cmd_recover)
 
     return parser

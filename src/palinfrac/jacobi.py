@@ -22,6 +22,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, islice
 from typing import Sequence
 
 from .errors import IndexOutOfRange, NotNormalized, ParseError
@@ -74,12 +75,7 @@ class JacobiSequence:
 
     def pairs(self, n: int) -> list[JacobiPair]:
         """Unroll the first n pairs of the stream."""
-        out = list(self.preperiodic[:n])
-        i = 0
-        while len(out) < n:
-            out.append(self.periodic[i % self.p])
-            i += 1
-        return out
+        return list(islice(chain(self.preperiodic, cycle(self.periodic)), n))
 
     def is_kp_normalized(self) -> bool:
         """True when the preperiodic block is nonempty and ends with the last periodic pair."""
@@ -206,12 +202,8 @@ def double_period(seq: JacobiSequence) -> JacobiSequence:
     return JacobiSequence(seq.preperiodic, seq.periodic + seq.periodic)
 
 
-def _is_palindrome(values: Sequence[Fraction]) -> bool:
-    n = len(values)
-    for i in range(n // 2):
-        if values[i] != values[n - 1 - i]:
-            return False
-    return True
+def _is_palindrome(values: list[Fraction]) -> bool:
+    return values == values[::-1]
 
 
 def find_palindrome_splits(periodic: Sequence[JacobiPair]) -> list[PalindromeSplit]:
@@ -224,16 +216,12 @@ def find_palindrome_splits(periodic: Sequence[JacobiPair]) -> list[PalindromeSpl
     p = len(periodic)
     a = [q.a for q in periodic]
     b = [q.b for q in periodic]
-    out = []
-    for ell in range(1, p - 1):
-        if (
-            _is_palindrome(a[:ell])
-            and _is_palindrome(a[ell:])
-            and _is_palindrome(b[: ell + 1])
-            and _is_palindrome(b[ell + 1 :])
-        ):
-            out.append(PalindromeSplit(p, ell))
-    return out
+    return [
+        PalindromeSplit(p, ell)
+        for ell in range(1, p - 1)
+        if _is_palindrome(a[:ell]) and _is_palindrome(a[ell:])
+        and _is_palindrome(b[: ell + 1]) and _is_palindrome(b[ell + 1 :])
+    ]
 
 
 def strip(seq: JacobiSequence, count: int) -> JacobiSequence:
@@ -258,9 +246,4 @@ def reversed_periodic(periodic: Sequence[JacobiPair]) -> list[JacobiPair]:
     the single pair (a_1, b_1).
     """
     p = len(periodic)
-    out = []
-    for j in range(1, p + 1):
-        a_idx = (p - j) % p or p
-        b_idx = p - j + 1
-        out.append(JacobiPair(periodic[a_idx - 1].a, periodic[b_idx - 1].b))
-    return out
+    return [JacobiPair(periodic[(p - j - 1) % p].a, periodic[p - j].b) for j in range(1, p + 1)]

@@ -7,8 +7,10 @@ map of the transfer matrix over one period: with that matrix written as
     C*m^2 + (D - A)*m - B = 0,
 
 which is the quadratic relation (alpha, beta, gamma) = (C, D - A, -B).
-Pulling the relation back through the preperiodic transfer matrix produces
-the relation satisfied by the full eventually periodic function M.
+Pulling it back through the preperiodic transfer matrix T1 gives the
+relation for the full eventually periodic function M: as quadratic forms
+Q = [[alpha, beta/2], [beta/2, gamma]], the congruence T1^T * Q * T1, one
+det-1 step per preperiodic pair, which keeps the polynomial gcd.
 
 The verifier decides, by exact polynomial arithmetic alone, whether
 
@@ -38,14 +40,18 @@ Both residuals are linear in T2(ell):
 with L^T = T1 * W * T3 for W_P = [[-ak^2*gamma, -beta], [0, alpha]] and
 W_Q = [[0, gamma], [ak^2*gamma, 0]].  L_Q^T is W_Q itself: W_Q * D =
 ak^2*gamma * K for K = [[0, -1], [1, 0]], and T1 * K * T1^T = det(T1) * K = K,
-so Q(ell) = gamma * (T2(ell)_21 + ak^2 * T2(ell)_12).  L_P^T = T1 * Y * T1^T
-* D^-1 with Y = W_P * D takes 2k transfer steps and no matrix product: T1*X
-is the k steps over the preperiodic pairs started at X, and T1 * Y * T1^T =
-(T1 * (T1 * Y)^T)^T.  Since T2(ell) = S(a, b) * T2(ell-1), N(ell) =
-T2(ell) * L^T obeys the same transfer recurrence, started at N = L^T.  The
-sweep over ell therefore advances N_P and N_Q by one transfer step per ell
-and reads each residual off as a trace; the product T3*T2(ell)*T1 is never
-formed, and `verify` runs no `Mat2` product at all.
+so Q(ell) = gamma * (T2(ell)_21 + ak^2 * T2(ell)_12).  And W_P * D =
+-ak^2 * (adj(Q_M) + (beta/2) * K) for M's form Q_M, with T1 * adj(Q_M) * T1^T
+= adj(Q') for the tail form Q' = (alpha', beta', gamma') that pulls back to
+Q_M exactly, so
+
+    L_P^T = [[-ak^2*gamma', -(beta' + beta)/2], [-ak^2*(beta - beta')/2, alpha']].
+
+Since T2(ell) = S(a, b) * T2(ell-1), N(ell) = T2(ell) * L^T obeys the same
+transfer recurrence, started at N = L^T.  The sweep over ell therefore
+advances N_P and N_Q by one transfer step per ell and reads each residual
+off as a trace; the product T3*T2(ell)*T1 is never formed, and `verify`
+runs no `Mat2` product at all.
 """
 
 from __future__ import annotations
@@ -56,9 +62,9 @@ from functools import reduce
 from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
-from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange, NumericInstability
-from .exactalg import Mat2, Poly, poly_gcd, poly_is_square, rational_content
-from .jacobi import JacobiPair, JacobiSequence, normalize_kp, require_kp_normalized
+from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
+from .exactalg import Mat2, Poly, poly_gcd, poly_is_square, rational_content, shift_add
+from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
 from .orthopoly import conj_transfer, transfer_prefixes, transfer_step, transfer_step_at
 
 
@@ -88,10 +94,15 @@ class QuadraticRelation:
         triple = [self.alpha, self.beta, self.gamma]
         if g.degree > 0:
             triple = [divmod(t, g)[0] for t in triple]
-        content = rational_content(triple)
-        if content not in (0, 1):
-            triple = [t.scale(1 / content) for t in triple]
-        return QuadraticRelation(*triple)
+        return QuadraticRelation(*triple).primitive()[0]
+
+    def primitive(self) -> tuple["QuadraticRelation", Fraction]:
+        """The relation over its positive rational content, and that content."""
+        content = rational_content([self.alpha, self.beta, self.gamma])
+        return self.scale(1 / content), content
+
+    def scale(self, factor: Fraction) -> "QuadraticRelation":
+        return QuadraticRelation(*(t.scale(factor) for t in (self.alpha, self.beta, self.gamma)))
 
     def is_proportional_to(self, other: "QuadraticRelation") -> bool:
         """Exact cross-multiplication test for projective equality."""
@@ -131,25 +142,29 @@ def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
     return relation
 
 
-def pullback_quadratic(relation: QuadraticRelation, transform: Mat2) -> QuadraticRelation:
-    """The relation satisfied by x when y = f_transform(x) satisfies `relation`.
+def pullback_quadratic(
+    relation: QuadraticRelation, pairs: Sequence[JacobiPair]
+) -> QuadraticRelation:
+    """The relation for x when y = f_T(x) satisfies `relation`.
 
-    Substitutes y = (a*x + b)/(c*x + d), clears the squared denominator, and
-    collects in x.  The result is canonicalized (common polynomial content
-    divided out).
+    T is the transfer matrix over `pairs`.  Returns the form T^T * Q * T of
+    Q = [[alpha, beta/2], [beta/2, gamma]], exact and not canonicalized,
+    taken pair by pair from the last: with alpha' = alpha/a^2 and
+    v = (z - b)*alpha' - beta, the congruence by S(a, b) is
 
-    Raises:
-        DegenerateRelation: the transform has zero determinant, so the
-            substitution collapses.
+        (alpha, beta, gamma) -> ((z - b)*v + a^2*gamma, (z - b)*alpha' + v, alpha'),
+
+    three `shift_add` calls and two scalings, no polynomial product.  Each
+    step has det 1, so the result keeps the polynomial gcd of `relation`.
     """
-    if transform.det().is_zero():
-        raise DegenerateRelation("pullback through a singular matrix")
-    a, b, c, d = transform.entries()
+    one = Fraction(1)
     al, be, ga = relation.alpha, relation.beta, relation.gamma
-    alpha_new = al * (a * a) + be * (a * c) + ga * (c * c)
-    beta_new = (al * (a * b)).scale(2) + be * (a * d + b * c) + (ga * (c * d)).scale(2)
-    gamma_new = al * (b * b) + be * (b * d) + ga * (d * d)
-    return QuadraticRelation(alpha_new, beta_new, gamma_new).canonical()
+    for q in reversed(pairs):
+        a2 = q.a * q.a
+        al_q = al.scale(1 / a2)
+        v = shift_add(al_q, -be, one, q.b)
+        al, be, ga = shift_add(v, ga.scale(a2), one, q.b), shift_add(al_q, v, one, q.b), al_q
+    return QuadraticRelation(al, be, ga)
 
 
 def second_solution_value(relation: QuadraticRelation, m_val, z):
@@ -171,8 +186,9 @@ class Prepared:
     """What the identity and the evaluators need of one sequence, built once.
 
     `tail` is the periodic_quadratic of the period, `t1` the transfer matrix
-    over the preperiodic block, `relation` the canonical relation for M (tail
-    pulled back through t1), `t3` = D*t1^T*D^-1 with D = diag(1, -ak2), the
+    over the preperiodic block, `relation` the canonical relation for M,
+    `scaled_tail` the canonical tail scaled so that it pulls back to
+    `relation` exactly, `t3` = D*t1^T*D^-1 with D = diag(1, -ak2), the
     transfer matrix over the index-reversed preperiodic block, and `ak2` the
     squared a-entry of the pair before the tail (with no preperiodic block:
     t1 = t3 = identity, last periodic pair).
@@ -182,6 +198,7 @@ class Prepared:
     tail: QuadraticRelation
     t1: Mat2
     relation: QuadraticRelation
+    scaled_tail: QuadraticRelation
     t3: Mat2
     ak2: Fraction
 
@@ -195,14 +212,18 @@ def prepare(seq: JacobiSequence) -> Prepared:
 
     The representation is used as given: nothing is normalized here.  The
     verifier checks normalization itself, and the reverse probe relies on
-    representations that are not normalized.
+    representations that are not normalized.  The pullback keeps the
+    polynomial gcd, so only the tail runs `poly_gcd`.
     """
     tail = periodic_quadratic(seq.periodic)
     t1 = transfer_prefixes(seq.preperiodic, seq.k)[-1]
     ak = (seq.preperiodic or seq.periodic)[-1].a
     ak2 = ak * ak
     t3 = Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
-    return Prepared(seq, tail, t1, pullback_quadratic(tail, t1), t3, ak2)
+    canonical_tail = tail.canonical()
+    relation, content = pullback_quadratic(canonical_tail, seq.preperiodic).primitive()
+    scaled_tail = canonical_tail.scale(1 / content)
+    return Prepared(seq, tail, t1, relation, scaled_tail, t3, ak2)
 
 
 def _guard_relation(relation: QuadraticRelation) -> None:
@@ -219,27 +240,25 @@ def _guard_relation(relation: QuadraticRelation) -> None:
 def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     """The reports for ell = 1, 2, ..., p-2, one transfer step per ell.
 
-    N_P starts at L_P^T = T1*W_P*T3 = T1*(W_P*D)*T1^T*D^-1, built by 2k
-    transfer steps over the preperiodic pairs (T1*Y, then T1 applied to its
-    transpose), and N_Q at L_Q^T = T1*W_Q*T3 = W_Q.  Both follow the
-    transfer recurrence over the periodic pairs, and after the first ell+1
-    pairs they are T2(ell)*L^T, whose traces are the residuals.  No `Mat2`
-    product is formed.
+    N_P starts at L_P^T = T1*W_P*T3, read off M's beta and the scaled tail
+    (alpha', beta', gamma') as [[-ak2*gamma', -(beta' + beta)/2],
+    [-ak2*(beta - beta')/2, alpha']], and N_Q at L_Q^T = T1*W_Q*T3 = W_Q.
+    Both follow the transfer recurrence over the periodic pairs, and after
+    the first ell+1 pairs they are T2(ell)*L^T, whose traces are the
+    residuals.  No step runs over the preperiodic pairs.
     """
     require_kp_normalized(prep.seq)
     _guard_relation(prep.relation)
-    al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
-    ak2 = prep.ak2
-    ak2_ga = ga.scale(ak2)
+    be, ga, ak2 = prep.relation.beta, prep.relation.gamma, prep.ak2
+    tail = prep.scaled_tail
     zero = Poly.zero()
-    pre = prep.seq.preperiodic
-    t1_y = reduce(transfer_step, pre, Mat2(-ak2_ga, be.scale(ak2), zero, al.scale(-ak2)))
-    l_p = reduce(transfer_step, pre, Mat2(t1_y.a11, t1_y.a21, t1_y.a12, t1_y.a22))
-    inv = -1 / ak2
-    kernels = (
-        Mat2(l_p.a11, l_p.a21.scale(inv), l_p.a12, l_p.a22.scale(inv)),
-        Mat2(zero, ga, ak2_ga, zero),
+    l_p = Mat2(
+        tail.gamma.scale(-ak2),
+        (tail.beta + be).scale(Fraction(-1, 2)),
+        (be - tail.beta).scale(-ak2 / 2),
+        tail.alpha,
     )
+    kernels = (l_p, Mat2(zero, ga, ga.scale(ak2), zero))
     periodic = prep.seq.periodic
     # element j is (T2(j-1)*L_P^T, T2(j-1)*L_Q^T), over the first j periodic pairs
     steps = accumulate(
@@ -285,80 +304,6 @@ def verify_splits(prep: Prepared) -> dict[int, VerificationReport]:
     return {report.ell: report for report in _sweep(prep)}
 
 
-@dataclass(frozen=True)
-class ReverseObstructionReport:
-    """Asymptotic test of whether 1/(ak^2 * Mtilde) behaves like an m-function.
-
-    `decay_constant` is i*y*Mtilde(i*y) at the largest probe height, the
-    last sample rather than a fitted limit; for an obstructed representation
-    with one preperiodic pair (alpha_1, beta_1) over a one-pair period it
-    approaches -1/(1 - alpha_1^2/a_p^2) as the height grows.
-    """
-
-    is_m_like: bool
-    decay_constant: complex
-    fit_deviation: float
-    tail_magnitude: float
-
-
-# The reverse probe's heights y (ascending) and its two acceptance bounds.
-PROBE_HEIGHTS = (1e2, 1e3, 1e4)
-FIT_TOLERANCE = 1e-4
-TAIL_TOLERANCE = 1e-2
-
-
-def reverse_asymptotics(seq: JacobiSequence) -> ReverseObstructionReport:
-    """Probe the reversed identity numerically along z = i*y for large y.
-
-    Evaluates w(z) = 1/(ak^2 * Mtilde(z)) at the heights y in PROBE_HEIGHTS
-    and tests the m-function asymptotics w ~ -1/z: the imaginary part of
-    i*y*w(i*y) + 1 must fit c/y with deviation below FIT_TOLERANCE, and the
-    full modulus of i*y*w(i*y) + 1 at the largest height must stay below
-    TAIL_TOLERANCE.  (The magnitude check matters: streams with symmetric
-    b-entries can have an identically real i*y*w(i*y) + 1, which would make
-    the imaginary-part fit pass vacuously.)
-
-    A purely periodic sequence is first rewritten with one explicit period
-    as its preperiodic block.  A nonempty preperiodic block is used exactly
-    as given, even when it does not end with the last periodic pair: the
-    whole point of the probe is to detect such representations.
-
-    Raises:
-        NumericInstability: the evaluation points hit a pole of the relation.
-    """
-    from . import mfun  # local import: mfun builds on this module
-
-    if seq.k == 0:
-        seq = normalize_kp(seq)
-    prep = prepare(seq)
-    relation = prep.relation
-    if relation.alpha.is_zero() or relation.gamma.is_zero():
-        raise DegenerateRelation("relation for M degenerated")
-    ak2 = float(prep.ak2)
-
-    g_values = []
-    decay = complex(0.0)
-    try:
-        for y in PROBE_HEIGHTS:
-            z = complex(0.0, y)
-            m_val = mfun.eval_m(prep, z)
-            second = second_solution_value(relation, m_val, z)
-            w = 1.0 / (ak2 * second)
-            g_values.append(1j * y * w + 1.0)
-            decay = 1j * y * second
-    except (DivisionByZero, ZeroDivisionError, OverflowError) as exc:
-        raise NumericInstability(f"asymptotic probe failed: {exc}") from exc
-
-    # least-squares fit of Im(g) ~ c/y over the sampled heights
-    num = sum(g.imag / y for g, y in zip(g_values, PROBE_HEIGHTS))
-    den = sum(1.0 / (y * y) for y in PROBE_HEIGHTS)
-    c_hat = num / den if den else 0.0
-    fit_deviation = max(abs(g.imag - c_hat / y) for g, y in zip(g_values, PROBE_HEIGHTS))
-    tail_magnitude = abs(g_values[-1])
-    is_m_like = fit_deviation < FIT_TOLERANCE and tail_magnitude < TAIL_TOLERANCE
-    return ReverseObstructionReport(is_m_like, decay, fit_deviation, tail_magnitude)
-
-
 def product_values(prep: Prepared, z) -> Iterator[tuple]:
     """The entries of T3*T2(ell)*T1 at z, for ell = 1, 2, ..., p-2.
 
@@ -389,27 +334,27 @@ def _mat_values(x: Sequence, y: Sequence) -> tuple:
 
 
 def numeric_identity_check(
-    prep: Prepared, values: Sequence, m_val, second, tolerance: float = 1e-8
+    prep: Prepared, values: Sequence | None, m_val, second, tolerance: float = 1e-8
 ) -> dict:
     """Pointwise cross-check of the identity with a conditioning budget.
 
     `values` = (A, B, C, D) are the entries of T3*T2(ell)*T1 at a point z
     (from `product_values`, or from the exact product's entries evaluated
     at z), `m_val` = M(z) and `second` = Mtilde(z) from
-    `second_solution_value`, or None if it could not be formed; the caller
-    computes it once per point, since it does not depend on ell.  Compares
+    `second_solution_value`, which the caller forms once per point.  Compares
     1/(ak^2 * Mtilde(z)) with (A*M + B)/(C*M + D), so no exact arithmetic is
     done here; the residual polynomials stay the source of truth.  Returns a
     dict with the forward residual, the Moebius derivative magnitude
     1/|C*M + D|^2 (the error amplification of the right side), and `ok`:
     residual within `tolerance` or within the double-precision budget that
     the conditioning allows.  Pass extended-precision values (e.g.
-    mpmath.mpc) for sharper checks.  If `second` is None, a denominator
-    vanishes or a value overflows, the residual is None and `ok` is False.
+    mpmath.mpc) for sharper checks.  If `values` or `second` is None (not
+    formed), a denominator vanishes or a value overflows, the residual is
+    None and `ok` is False.
     """
-    a, b, c, d = values
     residual, condition = None, float("inf")
-    if second is not None:
+    if values is not None and second is not None:
+        a, b, c, d = values
         try:
             den = c * m_val + d
             residual = abs(1 / (prep.ak2 * second) - (a * m_val + b) / den)

@@ -185,6 +185,19 @@ def test_recover_roundtrip_exit_0(tmp_path, capsys):
     assert len(report["pairs_recovered"]) == (report["order"] - 1) // 2
 
 
+def test_recover_default_order_stays_within_the_cap(tmp_path, capsys):
+    import palinfrac.cli as cli
+
+    # from p = 30 on, 2p+6 exceeds MAX_ORDER: the default is capped there,
+    # while asking for 2p+6 explicitly is an input error
+    rng = random.Random(604)
+    path = write_input(tmp_path, random_periodic(rng, 30, max_mag=4))
+    code, report = run_json(capsys, ["recover", "--input", path, "--json"])
+    assert code == 0 and report["roundtrip_matches"]
+    assert report["order"] == cli.MAX_ORDER
+    assert main(["recover", "--input", path, "--order", str(2 * 30 + 6)]) == 2
+
+
 def test_recover_constant_stream(tmp_path, capsys):
     from palinfrac import pair
 
@@ -268,6 +281,22 @@ def test_verify_survives_a_vanishing_moebius_denominator(capsys):
     assert report["holds_set"] == []
     assert [v["ell"] for v in report["verdicts"]] == list(range(1, 8))
     assert report["verdicts"][5]["numeric_residual"] is None
+
+
+def test_verify_survives_a_failing_cross_check(capsys):
+    # both identities hold exactly at ell = 1, but in double precision the
+    # tail's branch selection fails at z0 on the first input, and T1's float
+    # coefficients overflow on the second; the exact verdicts alone decide
+    # the report and the exit code
+    for name in ("verify_branch_failure.json", "verify_float_overflow.json"):
+        path = str(DATA / name)
+        code = main(["verify", "--input", path, "--all", "--json"])
+        report = strict_json(capsys.readouterr().out)
+        assert code == 0 and report["holds_set"] == [1], name
+        assert report["verdicts"][0]["numeric_residual"] is None
+        assert report["verdicts"][0]["numeric_ok"] is False
+        assert main(["verify", "--input", path, "--ell", "1"]) == 0
+        assert "= unavailable)" in capsys.readouterr().out
 
 
 def test_verify_survives_an_unavailable_second_solution(capsys, monkeypatch):

@@ -73,44 +73,51 @@ def test_doubled_period_relation_is_proportional():
     assert doubled == single
 
 
+def substitution_pullback(relation: QuadraticRelation, t: Mat2) -> QuadraticRelation:
+    """The reference pullback: substitute y = (a*x + b)/(c*x + d) into the
+    relation, clear the squared denominator and collect in x, with general
+    polynomial products; nothing is canonicalized."""
+    a, b, c, d = t.entries()
+    al, be, ga = relation.alpha, relation.beta, relation.gamma
+    return QuadraticRelation(
+        al * (a * a) + be * (a * c) + ga * (c * c),
+        (al * (a * b)).scale(2) + be * (a * d + b * c) + (ga * (c * d)).scale(2),
+        al * (b * b) + be * (b * d) + ga * (d * d),
+    )
+
+
 def test_pullback_identity_is_noop():
     relation = chebyshev_relation()
-    back = pullback_quadratic(relation, Mat2.identity())
-    assert back.is_proportional_to(relation)
+    assert pullback_quadratic(relation, ()) == relation
 
 
-def test_pullback_inversion_swaps_alpha_gamma():
+def test_pullback_one_pair_closed_form():
+    # one congruence by S(a, b); with u = z - b the form maps to
+    # (alpha*u^2/a^2 - beta*u + a^2*gamma, 2*alpha*u/a^2 - beta, alpha/a^2)
     z = Poly.x()
-    relation = QuadraticRelation(Poly.const(2), z, Poly.from_coeffs([1, 0, 3]))
-    swap = Mat2(Poly.zero(), Poly.const(1), Poly.const(1), Poly.zero())
-    back = pullback_quadratic(relation, swap)
-    assert back.alpha == relation.gamma
-    assert back.beta == relation.beta
-    assert back.gamma == relation.alpha
+    al, be, ga = Poly.const(2), z, Poly.from_coeffs([1, 0, 3])
+    q = pair(Fraction(3, 2), Fraction(-1, 3))
+    u, a2 = z - Poly.const(q.b), q.a * q.a
+    back = pullback_quadratic(QuadraticRelation(al, be, ga), [q])
+    assert back == QuadraticRelation(
+        (al * u * u).scale(1 / a2) - be * u + ga.scale(a2),
+        (al * u).scale(2 / a2) - be,
+        al.scale(1 / a2),
+    )
 
 
-def test_pullback_rejects_singular_matrix():
-    relation = chebyshev_relation()
-    singular = Mat2(Poly.x(), Poly.x(), Poly.x(), Poly.x())
-    with pytest.raises(DegenerateRelation):
-        pullback_quadratic(relation, singular)
-
-
-def test_pullback_roundtrip_through_inverse():
-    # pulling back through T and then its adjugate (det T = 1 for transfer
-    # matrices, so the adjugate is the inverse) restores the relation up to
-    # a scalar multiple
-    from palinfrac import conj_transfer
-
+def test_pullback_through_its_own_period_is_itself():
+    # m = f_T(m) for T over one period, so the pullback through the period
+    # is proportional to the period's relation; the fixed-point form is the
+    # symmetric part of -K*T, K = [[0, -1], [1, 0]], and T^T*K*T = K when
+    # det T = 1, so it is even equal
     rng = random.Random(408)
     for _ in range(10):
         periodic = random_periodic(rng, rng.randint(1, 4), max_mag=4)
         relation = periodic_quadratic(periodic)
-        t = conj_transfer(periodic, len(periodic))
-        assert t.det() == Poly.const(1)
-        inverse = Mat2(t.a22, -t.a12, -t.a21, t.a11)
-        back = pullback_quadratic(pullback_quadratic(relation, t), inverse)
+        back = pullback_quadratic(relation, periodic)
         assert back.is_proportional_to(relation)
+        assert back == relation
 
 
 def test_doubled_period_relation_proportional_general():
@@ -125,9 +132,7 @@ def test_doubled_period_relation_proportional_general():
 def test_pullback_relation_annihilates_M_numerically():
     # one preperiodic pair over a constant tail
     seq = normalize_kp(sequence([(1, 0)], [(1, 0)]))
-    from palinfrac import build_T1
-
-    relation = pullback_quadratic(chebyshev_relation(), build_T1(seq))
+    relation = pullback_quadratic(chebyshev_relation(), seq.preperiodic)
     rng = random.Random(402)
     for _ in range(10):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
@@ -262,6 +267,28 @@ def product_route_reports(prep) -> dict:
         residual_q = ga * (c_mat + b_mat.scale(prep.ak2))
         reports[ell] = (residual_p, residual_q, residual_p.is_zero() and residual_q.is_zero())
     return reports
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32), st.integers(0, 6), st.integers(1, 4), st.integers(1, 3), st.booleans()
+)
+def test_stepwise_pullback_matches_the_substitution_reference(seed, k, q, repeats, normalized):
+    # a period repeated r times has the relation of one period times a
+    # polynomial of degree q*(r-1), so the gcd that `canonical` removes is
+    # nontrivial whenever repeats > 1
+    rng = random.Random(seed)
+    periodic = random_periodic(rng, q, max_mag=5) * repeats
+    preperiodic = random_periodic(rng, k, max_mag=5)
+    if normalized and k:
+        preperiodic[-1] = periodic[-1]
+    tail = periodic_quadratic(periodic)
+    t1 = reduce(composed_step, preperiodic, Mat2.identity())
+    reference = substitution_pullback(tail, t1)
+    assert pullback_quadratic(tail, preperiodic) == reference
+    prep = prepare(JacobiSequence(tuple(preperiodic), tuple(periodic)))
+    assert prep.relation == reference.canonical()
+    assert pullback_quadratic(prep.scaled_tail, preperiodic) == prep.relation
 
 
 @settings(max_examples=100, deadline=None)
