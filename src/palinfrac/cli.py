@@ -273,10 +273,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for z in points:
         m_tail = eval_periodic_m(prep.tail, z)
         m_full = fold_preperiodic(normalized, m_tail, z)
-        second = second_solution_value(prep.relation, m_full, z)
+        # Mtilde and the identity's matrix values need the float coefficients
+        # of exact polynomials, which overflow on very large rationals; they
+        # are then reported unavailable, and M, m and the gap still are
+        try:
+            second = second_solution_value(prep.relation, m_full, z)
+        except OverflowError:
+            second = None
         truncation_gap = abs(m_full - eval_truncated(normalized, z, args.depth))
         if ell is not None:
-            values = [e(z) for e in entries]
+            try:
+                values = [e(z) for e in entries]
+            except OverflowError:
+                values = None
             check = numeric_identity_check(prep, values, m_full, second, args.tolerance)
             residual = check["residual"]
             residual_ok = check["ok"]
@@ -288,7 +297,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 "z": _format_complex(z),
                 "M": _format_complex(m_full),
                 "m": _format_complex(m_tail),
-                "Mtilde": _format_complex(second),
+                "Mtilde": None if second is None else _format_complex(second),
                 "im_M_positive": m_full.imag > 0,
                 "truncation_gap": truncation_gap,
                 "identity_residual": residual,
@@ -304,7 +313,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             residual_text = ""
         lines.append(
             f"z = {_format_complex(z)}: M = {_format_complex(m_full)}, "
-            f"m = {_format_complex(m_tail)}, Mtilde = {_format_complex(second)}, "
+            f"m = {_format_complex(m_tail)}, "
+            f"Mtilde = {'unavailable' if second is None else _format_complex(second)}, "
             f"truncation gap = {truncation_gap:.3e}{residual_text}"
         )
     report.update(

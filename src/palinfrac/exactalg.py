@@ -11,9 +11,11 @@ polynomial is ((), 1).  Sums, products and `shift_add`, the fused step
 ((z - b)*x + y)/a of the transfer recurrence, work on the integer numerators
 and end in one gcd reduction, instead of one Fraction per coefficient; a
 scaling reads its common factor off two small gcds and needs no reduction
-at all; division is integer pseudo-division.  Degrees stay small here
-(bounded by the coefficient block lengths), so the dense representation is
-the simplest thing that works.
+at all; division is integer pseudo-division, and `poly_gcd` is the
+heuristic gcd of Char, Geddes and Gonnet, which reads a candidate off one
+integer gcd and certifies it by exact pseudo-division.  Degrees stay small
+here (bounded by the coefficient block lengths), so the dense
+representation is the simplest thing that works.
 
 Everything in this module is immutable and every operation is a pure
 function, so values can be shared freely between threads.
@@ -285,19 +287,63 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], 
     return mult, quot, rem[:n]
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor over the rationals (Euclid).
+def _primitive_part(num: Sequence[int]) -> list[int]:
+    """The integer coefficients over their content, leading coefficient positive."""
+    g = gcd(*num)
+    if num[-1] < 0:
+        g = -g
+    return [n // g for n in num]
 
-    Runs the primitive remainder sequence on the integer numerators: each
-    pseudo-remainder is divided by the gcd of its coefficients, which keeps
-    coefficient growth in check without any denominators.  gcd(0, 0) is the
-    zero polynomial.
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor over the rationals, by heuristic gcd.
+
+    The heuristic gcd of Char, Geddes and Gonnet ("GCDHEU: heuristic
+    polynomial GCD algorithm based on integer GCD computation", J. Symbolic
+    Comput. 7, 1989; Geddes, Czapor and Labahn, *Algorithms for Computer
+    Algebra*, sec. 7.7) on the primitive integer parts A and B of the
+    numerators.  At an integer xi > 2*min(|A|_inf, |B|_inf) + 2 it takes
+    h = gcd(A(xi), B(xi)) as Python ints and reads a candidate off h's
+    balanced xi-adic digits (each in (-xi/2, xi/2]).  The candidate's
+    primitive part G is the gcd exactly when it divides both A and B, which
+    holds trivially when G is constant and is otherwise certified by exact
+    pseudo-division; a rejected candidate grows xi geometrically.
+
+    The loop ends.  With D = gcd(A, B) and the coprime cofactors A' = A/D
+    and B' = B/D, h = |D(xi)*s| for s = gcd(A'(xi), B'(xi)), and s divides
+    the resultant of A' and B', a nonzero integer that does not depend on
+    xi.  Once xi > 2*|s*D|_inf the digits of h are those of +-s*D, and
+    G = D passes.
+
+    gcd(0, 0) is the zero polynomial and gcd(a, 0) is monic(a).
     """
-    x, y = a.num, b.num
-    while y:
-        r = _pseudo_divmod(x, y)[2]
-        x, y = y, _canonical(r, gcd(*r)).num  # the primitive part
-    return Poly(tuple(x), 1).monic()
+    if not (a.num and b.num):
+        return Poly(a.num or b.num, 1).monic()
+    x, y = _primitive_part(a.num), _primitive_part(b.num)
+    xi = 2 * min(max(map(abs, x)), max(map(abs, y))) + 29
+    while True:
+        h = gcd(_eval_int(x, xi), _eval_int(y, xi))
+        digits = []
+        while h:
+            d = h % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        g = _primitive_part(digits)
+        if len(g) == 1:
+            return Poly((1,), 1)
+        if not any(_pseudo_divmod(x, g)[2]) and not any(_pseudo_divmod(y, g)[2]):
+            return Poly(tuple(g), 1).monic()
+        xi = xi * 73794 // 27011  # the growth factor of Geddes et al., about 2.73
+
+
+def _eval_int(num: Sequence[int], xi: int) -> int:
+    """The integer polynomial with ascending coefficients `num` at xi (Horner)."""
+    acc = 0
+    for n in reversed(num):
+        acc = acc * xi + n
+    return acc
 
 
 def rational_content(polys: Sequence[Poly]) -> Fraction:

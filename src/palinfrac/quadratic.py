@@ -188,7 +188,8 @@ class Prepared:
     `tail` is the periodic_quadratic of the period, `t1` the transfer matrix
     over the preperiodic block, `relation` the canonical relation for M,
     `scaled_tail` the canonical tail scaled so that it pulls back to
-    `relation` exactly, `t3` = D*t1^T*D^-1 with D = diag(1, -ak2), the
+    `relation` exactly (through the whole block, trailing periods
+    included), `t3` = D*t1^T*D^-1 with D = diag(1, -ak2), the
     transfer matrix over the index-reversed preperiodic block, and `ak2` the
     squared a-entry of the pair before the tail (with no preperiodic block:
     t1 = t3 = identity, last periodic pair).
@@ -214,6 +215,13 @@ def prepare(seq: JacobiSequence) -> Prepared:
     verifier checks normalization itself, and the reverse probe relies on
     representations that are not normalized.  The pullback keeps the
     polynomial gcd, so only the tail runs `poly_gcd`.
+
+    The pullback skips every whole period at the end of the preperiodic
+    block, as `normalize_kp` appends one.  The tail form is
+    Q = sym(K*T_P) for the period transfer T_P = [[A, B], [C, D]] and
+    K = [[0, 1], [-1, 0]], and T_P^T * K * T_P = det(T_P) * K = K, so
+    T_P^T * Q * T_P = Q exactly: pulling back through a period returns the
+    relation unchanged.  `t1`, `t3` and `ak2` still span the whole block.
     """
     tail = periodic_quadratic(seq.periodic)
     t1 = transfer_prefixes(seq.preperiodic, seq.k)[-1]
@@ -221,7 +229,10 @@ def prepare(seq: JacobiSequence) -> Prepared:
     ak2 = ak * ak
     t3 = Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
     canonical_tail = tail.canonical()
-    relation, content = pullback_quadratic(canonical_tail, seq.preperiodic).primitive()
+    block, p = seq.preperiodic, seq.p
+    while block[-p:] == seq.periodic:
+        block = block[:-p]
+    relation, content = pullback_quadratic(canonical_tail, block).primitive()
     scaled_tail = canonical_tail.scale(1 / content)
     return Prepared(seq, tail, t1, relation, scaled_tail, t3, ak2)
 

@@ -270,6 +270,25 @@ def test_eval_survives_a_vanishing_moebius_denominator(capsys):
     assert row["within_tolerance"] is False
 
 
+def test_eval_survives_coefficients_too_large_for_a_double(capsys):
+    # M(z) is finite, but the relation's and the product's float coefficients
+    # overflow: Mtilde and the identity residual are unavailable, the rest
+    # of each row is reported and the request succeeds
+    path = str(DATA / "verify_float_overflow.json")
+    code = main(["eval", "--input", path, "--points", "0.3,1.5", "--json"])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 0 and report["exit_status"] == 0 and report["ell"] == 1
+    row = report["points"][0]
+    assert row["M"] == "-0.128205128205+0.641025641026j"
+    assert row["m"] == "-0.0595845798766+0.494256785473j"
+    assert row["truncation_gap"] == 0.0
+    assert row["Mtilde"] is None and row["identity_residual"] is None
+    assert row["within_tolerance"] is False
+    assert main(["eval", "--input", path, "--points", "0.3,1.5"]) == 0
+    out = capsys.readouterr().out
+    assert "Mtilde = unavailable" in out and "identity residual unavailable" in out
+
+
 def test_verify_survives_a_vanishing_moebius_denominator(capsys):
     # the cross-check's double-precision denominator C(z0)*M + D(z0) is
     # exactly 0 at ell = 6; the exact verdicts alone decide the report and
@@ -438,8 +457,10 @@ def test_depth_and_order_are_capped(tmp_path, capsys, monkeypatch):
 def test_verify_report_bytes_are_pinned(capsys):
     # stdout and exit code of verify --all, text and --json, captured before
     # the polynomial kernel became fraction-free: the Moebius pole fixture,
-    # and a p = 24, k = 2 sequence whose identity holds at ell = 9 only
-    for name in ("verify_moebius_pole", "verify_p24"):
+    # and a p = 24, k = 2 sequence whose identity holds at ell = 9 only;
+    # and captured while `poly_gcd` ran a remainder sequence: a p = 96
+    # sequence that `normalize_kp` extends to k = 98
+    for name in ("verify_moebius_pole", "verify_p24", "verify_p96"):
         path = str(DATA / f"{name}.json")
         cases = json.loads((DATA / f"{name}.golden.json").read_text(encoding="utf-8"))
         assert len(cases) == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from palinfrac import (
     DivisionByZero,
@@ -146,9 +146,23 @@ def test_divmod_roundtrip():
 
 def test_poly_gcd_contains_common_factor():
     z = Poly.x()
+    one = Poly.const(1)
     g = poly_gcd((z - Poly.const(1)) * (z + Poly.const(2)),
                  (z - Poly.const(1)) * (z + Poly.const(3)))
     assert g == (z - Poly.const(1))
+    for a, b, expected in (
+        # the first evaluation point, 35, gives the spurious candidate z + 3
+        (z + Poly.const(3), Poly.from_coeffs([-2, 3, -3]), one),
+        (Poly.zero(), Poly.zero(), Poly.zero()),
+        (Poly.zero(), Poly.from_coeffs([-3, 6]), Poly.from_coeffs([Fraction(-1, 2), 1])),
+        (Poly.const(Fraction(-3, 2)), z + one, one),
+        (Poly.const(Fraction(-3, 2)), Poly.const(5), one),
+        (Poly.from_coeffs([1, 0, -4]), Poly.from_coeffs([1, -2]),
+         Poly.from_coeffs([Fraction(-1, 2), 1])),
+        (Poly.from_coeffs([-12, 6, 6]), Poly.from_coeffs([Fraction(-10, 3), Fraction(10, 3)]),
+         z - one),
+    ):
+        assert poly_gcd(a, b) == expected == poly_gcd(b, a)
     rng = random.Random(108)
     for _ in range(20):
         common = rand_poly(rng, 3, allow_zero=False)
@@ -353,8 +367,21 @@ _FACTORS = st.one_of(
 )
 
 
+def _kernel_example(xs, ys, ws, factor):
+    """An explicit kernel input, every coefficient a Fraction as drawn."""
+    return example(*([Fraction(c) for c in cs] for cs in (xs, ys, ws)), Fraction(factor))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_KERNEL_LISTS, _KERNEL_LISTS, _KERNEL_LISTS, _FACTORS)
+# gcd inputs: a spurious first candidate of the heuristic gcd (z + 3 at the
+# evaluation point 35), a zero argument, constants, negative leading
+# coefficients, and numerators with a nontrivial content
+@_kernel_example([3, 1], [-2, 3, -3], [1], 1)
+@_kernel_example([], ["-3/4", "3/2"], [-1, 1], 2)
+@_kernel_example(["-3/2"], [5], [7], 1)
+@_kernel_example([1, 0, -4], [1, -2], [0, -1], -1)
+@_kernel_example([6, 12, 18], ["10/3", "20/3"], ["-14/5", 7], 3)
 def test_kernel_matches_the_fraction_reference(xs, ys, ws, factor):
     p, q, w = (Poly.from_coeffs(cs) for cs in (xs, ys, ws))
     rp, rq, rw = (_trim(cs) for cs in (xs, ys, ws))

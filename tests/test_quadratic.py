@@ -271,17 +271,27 @@ def product_route_reports(prep) -> dict:
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(0, 2**32), st.integers(0, 6), st.integers(1, 4), st.integers(1, 3), st.booleans()
+    st.integers(0, 2**32),
+    st.integers(0, 6),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2),
 )
-def test_stepwise_pullback_matches_the_substitution_reference(seed, k, q, repeats, normalized):
+def test_stepwise_pullback_matches_the_substitution_reference(
+    seed, k, q, repeats, normalized, copies
+):
     # a period repeated r times has the relation of one period times a
     # polynomial of degree q*(r-1), so the gcd that `canonical` removes is
-    # nontrivial whenever repeats > 1
+    # nontrivial whenever repeats > 1; whole periods at the end of the
+    # block, which `prepare` does not pull back through, must not change
+    # the relation
     rng = random.Random(seed)
     periodic = random_periodic(rng, q, max_mag=5) * repeats
     preperiodic = random_periodic(rng, k, max_mag=5)
     if normalized and k:
         preperiodic[-1] = periodic[-1]
+    preperiodic += periodic * copies
     tail = periodic_quadratic(periodic)
     t1 = reduce(composed_step, preperiodic, Mat2.identity())
     reference = substitution_pullback(tail, t1)
