@@ -18,7 +18,6 @@ from .errors import (
     InsufficientOrder,
     NotAnMFunction,
     NotNormalized,
-    NumericInstability,
     PalinfracError,
     ParseError,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "Mat2",
     "NotAnMFunction",
     "NotNormalized",
-    "NumericInstability",
     "PalinfracError",
     "PalindromeSplit",
     "ParseError",

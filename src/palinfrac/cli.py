@@ -35,7 +35,6 @@ from .errors import (
     InsufficientOrder,
     NotAnMFunction,
     NotNormalized,
-    NumericInstability,
     ParseError,
 )
 from .jacobi import (
@@ -443,9 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        BranchAmbiguity, DivisionByZero, NumericInstability, NotAnMFunction, OverflowError
-    ) as exc:
+    except (BranchAmbiguity, DivisionByZero, NotAnMFunction, OverflowError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -39,10 +39,6 @@ class BranchAmbiguity(PalinfracError):
     """Neither or both quadratic roots qualify as the upper-half-plane branch."""
 
 
-class NumericInstability(PalinfracError):
-    """An asymptotic fit failed to converge."""
-
-
 class NotAnMFunction(PalinfracError):
     """A Laurent series violates the normalization or positivity of m-functions."""
 

@@ -5,9 +5,9 @@ fixed-point quadratic at the point and selecting the root in the upper half
 plane; an eventually periodic function wraps that value in finitely many
 continued-fraction levels.  A depth-limited truncation evaluator provides an
 independent cross-check, `strip_identity_check` compares direct
-evaluation of a shifted stream against the Moebius image of the original,
-and `reverse_asymptotics` probes whether 1/(ak^2 * Mtilde) decays like an
-m-function along the imaginary axis.
+evaluation of a shifted stream against the Moebius image of the original.
+`reverse_asymptotics` decides exactly, from the leading coefficients of M's
+relation, whether 1/(ak^2 * Mtilde) decays like an m-function at infinity.
 
 Series side: expansions at infinity are written as
 
@@ -38,12 +38,11 @@ from .errors import (
     DivisionByZero,
     InsufficientOrder,
     NotAnMFunction,
-    NumericInstability,
 )
 from .exactalg import mobius_apply, rational_sqrt
 from .jacobi import JacobiPair, JacobiSequence, normalize_kp, strip
 from .orthopoly import conj_transfer
-from .quadratic import Prepared, QuadraticRelation, prepare, second_solution_value
+from .quadratic import Prepared, QuadraticRelation, prepare
 
 
 # ---------------------------------------------------------------------------
@@ -176,74 +175,50 @@ def strip_identity_check(seq: JacobiSequence, count: int, z) -> float:
 
 @dataclass(frozen=True)
 class ReverseObstructionReport:
-    """Asymptotic test of whether 1/(ak^2 * Mtilde) behaves like an m-function.
+    """Exact test of whether w = 1/(ak^2 * Mtilde) decays like an m-function.
 
-    `decay_constant` is i*y*Mtilde(i*y) at the largest probe height, the
-    last sample rather than a fitted limit; for an obstructed representation
-    with one preperiodic pair (alpha_1, beta_1) over a one-pair period it
-    approaches -1/(1 - alpha_1^2/a_p^2) as the height grows.
+    `is_m_like` is true when w = -1/z + O(z^-2) at infinity.
+    `decay_constant` is the limit of z*Mtilde(z) at infinity, or None where
+    z*Mtilde grows; for an obstructed representation with one preperiodic
+    pair (alpha_1, beta_1) over a one-pair period it is
+    -1/(1 - alpha_1^2/a_p^2).
     """
 
     is_m_like: bool
-    decay_constant: complex
-    fit_deviation: float
-    tail_magnitude: float
-
-
-# The reverse probe's heights y (ascending) and its two acceptance bounds.
-PROBE_HEIGHTS = (1e2, 1e3, 1e4)
-FIT_TOLERANCE = 1e-4
-TAIL_TOLERANCE = 1e-2
+    decay_constant: Fraction | None
 
 
 def reverse_asymptotics(seq: JacobiSequence) -> ReverseObstructionReport:
-    """Probe the reversed identity numerically along z = i*y for large y.
+    """Decide the m-function asymptotics of w = 1/(ak^2 * Mtilde) exactly.
 
-    Evaluates w(z) = 1/(ak^2 * Mtilde(z)) at the heights y in PROBE_HEIGHTS
-    and tests the m-function asymptotics w ~ -1/z: the imaginary part of
-    i*y*w(i*y) + 1 must fit c/y with deviation below FIT_TOLERANCE, and the
-    full modulus of i*y*w(i*y) + 1 at the largest height must stay below
-    TAIL_TOLERANCE.  (The magnitude check matters: streams with symmetric
-    b-entries can have an identically real i*y*w(i*y) + 1, which would make
-    the imaginary-part fit pass vacuously.)
+    With M's relation (alpha, beta, gamma), M*Mtilde = gamma/alpha, so
+    w = alpha*M/(ak^2*gamma), and M = -1/z + O(z^-2) for every stream.
+    Hence w = -1/z + O(z^-2) exactly when deg alpha = deg gamma and
+    lc(alpha) = ak^2 * lc(gamma), and z*Mtilde = -z^2*gamma/alpha*(1 + O(1/z))
+    tends to -lc(gamma)/lc(alpha) when deg alpha - deg gamma = 2 and grows
+    when the gap is 0 or 1.  No other gap occurs: the tail's second root
+    grows like z, and each preperiodic level maps a value that grows like z,
+    stays bounded or decays like 1/z to one of the same three kinds.  Only
+    the leading coefficients are read; no point is evaluated.
 
     A purely periodic sequence is first rewritten with one explicit period
     as its preperiodic block.  A nonempty preperiodic block is used exactly
     as given, even when it does not end with the last periodic pair: the
-    whole point of the probe is to detect such representations.
+    whole point of the test is to detect such representations.
 
     Raises:
-        NumericInstability: the evaluation points hit a pole of the relation.
+        DegenerateRelation: alpha or gamma of M's relation is zero.
     """
     if seq.k == 0:
         seq = normalize_kp(seq)
     prep = prepare(seq)
-    relation = prep.relation
-    if relation.alpha.is_zero() or relation.gamma.is_zero():
+    al, ga = prep.relation.alpha, prep.relation.gamma
+    if al.is_zero() or ga.is_zero():
         raise DegenerateRelation("relation for M degenerated")
-    ak2 = float(prep.ak2)
-
-    g_values = []
-    decay = complex(0.0)
-    try:
-        for y in PROBE_HEIGHTS:
-            z = complex(0.0, y)
-            m_val = eval_m(prep, z)
-            second = second_solution_value(relation, m_val, z)
-            w = 1.0 / (ak2 * second)
-            g_values.append(1j * y * w + 1.0)
-            decay = 1j * y * second
-    except (DivisionByZero, ZeroDivisionError, OverflowError) as exc:
-        raise NumericInstability(f"asymptotic probe failed: {exc}") from exc
-
-    # least-squares fit of Im(g) ~ c/y over the sampled heights
-    num = sum(g.imag / y for g, y in zip(g_values, PROBE_HEIGHTS))
-    den = sum(1.0 / (y * y) for y in PROBE_HEIGHTS)
-    c_hat = num / den if den else 0.0
-    fit_deviation = max(abs(g.imag - c_hat / y) for g, y in zip(g_values, PROBE_HEIGHTS))
-    tail_magnitude = abs(g_values[-1])
-    is_m_like = fit_deviation < FIT_TOLERANCE and tail_magnitude < TAIL_TOLERANCE
-    return ReverseObstructionReport(is_m_like, decay, fit_deviation, tail_magnitude)
+    gap = al.degree - ga.degree
+    is_m_like = gap == 0 and al.leading == prep.ak2 * ga.leading
+    decay = -ga.leading / al.leading if gap == 2 else None
+    return ReverseObstructionReport(is_m_like, decay)
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def prepare(seq: JacobiSequence) -> Prepared:
     """Build the relations and block matrices of `seq` once.
 
     The representation is used as given: nothing is normalized here.  The
-    verifier checks normalization itself, and the reverse probe relies on
+    verifier checks normalization itself, and the reverse test relies on
     representations that are not normalized.  The pullback keeps the
     polynomial gcd, so only the tail runs `poly_gcd`.
 
@@ -358,10 +358,9 @@ def numeric_identity_check(
     dict with the forward residual, the Moebius derivative magnitude
     1/|C*M + D|^2 (the error amplification of the right side), and `ok`:
     residual within `tolerance` or within the double-precision budget that
-    the conditioning allows.  Pass extended-precision values (e.g.
-    mpmath.mpc) for sharper checks.  If `values` or `second` is None (not
-    formed), a denominator vanishes or a value overflows, the residual is
-    None and `ok` is False.
+    the conditioning allows.  If `values` or `second` is None (not formed),
+    a denominator vanishes or a value overflows, the residual is None and
+    `ok` is False.
     """
     residual, condition = None, float("inf")
     if values is not None and second is not None:

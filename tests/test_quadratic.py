@@ -1,10 +1,11 @@
-"""Quadratic relations, the exact identity verifier, and the reverse probe."""
+"""Quadratic relations, the exact identity verifier, and the exact reverse test."""
 
 import dataclasses
 import random
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,8 @@ from palinfrac import (
     conj_transfer,
     eval_m,
     eval_periodic_m,
+    fold_preperiodic,
+    load_sequence,
     normalize_kp,
     pair,
     periodic_quadratic,
@@ -41,6 +44,7 @@ from conftest import (
     doubly_palindromic_period,
     purely_periodic,
     random_periodic,
+    random_rational,
 )
 from test_jacobi import paper_example_periodic
 
@@ -475,3 +479,78 @@ def test_reverse_decay_constant_formula():
         expected = -1.0 / (1.0 - float(Fraction(alpha1) ** 2 / Fraction(ap) ** 2))
         assert not report.is_m_like
         assert abs(report.decay_constant - expected) < 1e-2 * abs(expected)
+
+
+def test_reverse_on_a_graft_too_small_for_floats():
+    # 1e-200 entries make the relation's coefficients overflow a float; the
+    # verdict reads exact leading coefficients, as for a = 1/2, 1/10 or 2
+    path = Path(__file__).parent / "data" / "verify_float_overflow.json"
+    seq = load_sequence(path.read_text())
+    report = reverse_asymptotics(seq)
+    assert not report.is_m_like
+    assert report.decay_constant == -1
+
+
+def random_reverse_stream(rng: random.Random) -> JacobiSequence:
+    """p in 1..6, k in 0..3: a random or doubly palindromic period under a
+    random block, a graft that continues the period, or that graft with one
+    a-entry changed."""
+    p, k = rng.randint(1, 6), rng.randint(0, 3)
+    if p >= 3 and rng.random() < 0.5:
+        periodic = doubly_palindromic_period(rng, p, rng.randint(1, p - 2), max_mag=3, max_den=3)
+    else:
+        periodic = random_periodic(rng, p, max_mag=3)
+    kind = rng.choice(["random", "graft", "one-off"])
+    if kind == "random":
+        pre = [
+            pair(random_rational(rng, 1, 3, 3), random_rational(rng, -3, 3, 3)) for _ in range(k)
+        ]
+    else:
+        pre = [periodic[(i - k) % p] for i in range(k)]
+        if kind == "one-off" and k:
+            j = rng.randrange(k)
+            pre[j] = pair(random_rational(rng, 1, 3, 3), pre[j].b)
+    return JacobiSequence(tuple(pre), tuple(periodic))
+
+
+def test_reverse_agrees_with_mpmath_reference():
+    """The exact verdict against z*w(z) + 1 and z*Mtilde(z) at z = 1e6*i, 50 digits.
+
+    M is the tail root folded through the block and Mtilde = -beta/alpha - M
+    from the raw pullback of the tail relation, so the reference shares no
+    canonicalization or leading-coefficient reading with the verdict.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(411)
+    with mpmath.workdps(50):
+        z = mpmath.mpc(0, 10**6)
+        for _ in range(300):
+            seq = random_reverse_stream(rng)
+            if seq.k == 0:
+                seq = normalize_kp(seq)
+            report = reverse_asymptotics(seq)
+            tail = periodic_quadratic(seq.periodic)
+            relation = pullback_quadratic(tail, seq.preperiodic)
+            m = fold_preperiodic(seq, eval_periodic_m(tail, z), z)
+            m_tilde = -relation.beta(z) / relation.alpha(z) - m
+            g = abs(z / (seq.preperiodic[-1].a ** 2 * m_tilde) + 1)
+            assert g < 1e-4 if report.is_m_like else g > 1e-2
+            if report.decay_constant is None:
+                assert abs(z * m_tilde) > 1e3
+            else:
+                decay = report.decay_constant
+                assert abs(z * m_tilde - decay) < 1e-3 * max(1, abs(decay))
+
+
+def test_reverse_decay_constant_is_exact_for_one_pair_grafts():
+    rng = random.Random(412)
+    for _ in range(100):
+        ap = random_rational(rng, 1, 5, 4)
+        alpha1 = random_rational(rng, 1, 5, 4)
+        while alpha1 == ap:
+            alpha1 = random_rational(rng, 1, 5, 4)
+        b1, bp = random_rational(rng, -3, 3, 3), random_rational(rng, -3, 3, 3)
+        seq = sequence([(alpha1, b1)], [(ap, bp)])
+        report = reverse_asymptotics(seq)
+        assert not report.is_m_like
+        assert report.decay_constant == -1 / (1 - alpha1**2 / ap**2)
