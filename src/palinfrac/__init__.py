@@ -27,7 +27,6 @@ from .exactalg import (
     as_rational,
     mobius_apply,
     poly_gcd,
-    poly_is_square,
 )
 from .jacobi import (
     JacobiPair,
@@ -117,7 +116,6 @@ __all__ = [
     "pair",
     "periodic_quadratic",
     "poly_gcd",
-    "poly_is_square",
     "prepare",
     "pullback_quadratic",
     "recover_coefficients",

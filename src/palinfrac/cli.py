@@ -8,7 +8,8 @@ Four subcommands drive the library over the JSON input format:
     recover  - Laurent round trip from the quadratic back to coefficients
 
 Exit codes: 0 everything requested holds, 1 some requested check fails,
-2 input error, 3 inconclusive (degenerate relation guard fired).
+2 input error, 3 inconclusive (the library raised DegenerateRelation; no
+valid input reaches this exit).
 
 Reports are plain text by default; --json emits a stable layout with a
 "schema": 1 field, carrying the same data.  All rationals are emitted as

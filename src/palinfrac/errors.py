@@ -28,7 +28,7 @@ class IndexOutOfRange(PalinfracError):
 
 
 class DegenerateRelation(PalinfracError):
-    """A quadratic relation collapsed (zero coefficients or square discriminant)."""
+    """A quadratic relation has all-zero coefficients or no unique decaying branch."""
 
 
 class DivisionByZero(PalinfracError, ZeroDivisionError):

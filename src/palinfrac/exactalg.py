@@ -369,12 +369,7 @@ def poly_is_square(poly: Poly) -> bool:
         return True
     if poly.degree % 2:
         return False
-    for t in count():
-        value = 0
-        for n in reversed(poly.num):
-            value = value * t + n
-        if value:
-            break
+    value = next(v for v in (_eval_int(poly.num, t) for t in count()) if v)
     if rational_sqrt(Fraction(value, poly.den)) is None:
         return False
     return _poly_sqrt(poly) is not None

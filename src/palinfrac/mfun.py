@@ -204,17 +204,13 @@ def reverse_asymptotics(seq: JacobiSequence) -> ReverseObstructionReport:
     A purely periodic sequence is first rewritten with one explicit period
     as its preperiodic block.  A nonempty preperiodic block is used exactly
     as given, even when it does not end with the last periodic pair: the
-    whole point of the test is to detect such representations.
-
-    Raises:
-        DegenerateRelation: alpha or gamma of M's relation is zero.
+    whole point of the test is to detect such representations.  alpha and
+    gamma are never zero (the `quadratic` module docstring proves it).
     """
     if seq.k == 0:
         seq = normalize_kp(seq)
     prep = prepare(seq)
     al, ga = prep.relation.alpha, prep.relation.gamma
-    if al.is_zero() or ga.is_zero():
-        raise DegenerateRelation("relation for M degenerated")
     gap = al.degree - ga.degree
     is_m_like = gap == 0 and al.leading == prep.ak2 * ga.leading
     decay = -ga.leading / al.leading if gap == 2 else None

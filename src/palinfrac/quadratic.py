@@ -23,10 +23,20 @@ modulo the relation (alpha*M^2 = -beta*M - gamma) collapses the identity to
 
     P * M - Q = 0,   P = alpha*D - beta*C - ak^2*gamma*A,   Q = gamma*(C + ak^2*B)
 
-with [[A, B], [C, D]] = T3*T2(ell)*T1.  Because M is not a rational function
-whenever the discriminant beta^2 - 4*alpha*gamma is not a polynomial square
-(guarded), the identity holds if and only if both residuals P and Q are the
-zero polynomial.  The verdict therefore needs no numerical tolerance.
+with [[A, B], [C, D]] = T3*T2(ell)*T1.  M is never a rational function, so
+the identity holds if and only if both residuals P and Q are the zero
+polynomial, and the verdict needs no numerical tolerance.  The proof: the
+pullback is a det-1 congruence, so disc = beta^2 - 4*alpha*gamma of M's
+relation is the tail's discriminant over a nonzero square.  For the period
+transfer T_P the tail's is (tr T_P)^2 - 4 = (tr T_P - 2)*(tr T_P + 2), and
+tr T_P has degree p >= 1.  The two factors differ by 4, so they are coprime,
+and their product is a constant times a square only if each factor is:
+c*s^2 - c'*t^2 = 4 with s, t of degree p/2 >= 1.  Over the complex numbers
+the left side is (sqrt(c)*s - sqrt(c')*t)*(sqrt(c)*s + sqrt(c')*t), and a
+product of two polynomials is constant only if both are, so s and t would
+be constant.  Hence disc is not a square and M is irrational.  Nor can
+alpha or gamma vanish, since either would make disc = beta^2 a square.  No
+request checks any of this at run time.
 
 T3 needs no transfer of its own: T3 = D * T1^T * D^-1, D = diag(1, -ak^2).
 For S(a, b) = diag(1/a, a) * U(b), U(b) = [[z - b, 1], [-1, 0]], and
@@ -63,9 +73,9 @@ from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
-from .exactalg import Mat2, Poly, poly_gcd, poly_is_square, rational_content, shift_add
+from .exactalg import Mat2, Poly, poly_gcd, rational_content, shift_add
 from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
-from .orthopoly import conj_transfer, transfer_prefixes, transfer_step, transfer_step_at
+from .orthopoly import conj_transfer, transfer_step, transfer_step_at
 
 
 @dataclass(frozen=True)
@@ -79,9 +89,6 @@ class QuadraticRelation:
     def __post_init__(self) -> None:
         if self.alpha.is_zero() and self.beta.is_zero() and self.gamma.is_zero():
             raise DegenerateRelation("all three relation polynomials are zero")
-
-    def discriminant(self) -> Poly:
-        return self.beta * self.beta - self.alpha * self.gamma.scale(4)
 
     def canonical(self) -> "QuadraticRelation":
         """Divide out the common polynomial factor and the rational content.
@@ -131,15 +138,13 @@ def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
     """The quadratic relation satisfied by the purely periodic function.
 
     Built from the fixed-point equation of the one-period transfer matrix.
-    Returns exactly (C, D - A, -B); no normalization is applied.
+    Returns exactly (C, D - A, -B); no normalization is applied.  gamma =
+    -B has degree p - 1 and a nonzero leading coefficient.
     """
     if len(periodic) < 1:
         raise IndexOutOfRange("period must be nonempty")
     t = conj_transfer(periodic, len(periodic))
-    relation = QuadraticRelation(t.a21, t.a22 - t.a11, -t.a12)
-    if relation.gamma.is_zero():
-        raise DegenerateRelation("fixed-point relation has gamma = 0")
-    return relation
+    return QuadraticRelation(t.a21, t.a22 - t.a11, -t.a12)
 
 
 def pullback_quadratic(
@@ -224,7 +229,7 @@ def prepare(seq: JacobiSequence) -> Prepared:
     relation unchanged.  `t1`, `t3` and `ak2` still span the whole block.
     """
     tail = periodic_quadratic(seq.periodic)
-    t1 = transfer_prefixes(seq.preperiodic, seq.k)[-1]
+    t1 = reduce(transfer_step, seq.preperiodic, Mat2.identity())
     ak = (seq.preperiodic or seq.periodic)[-1].a
     ak2 = ak * ak
     t3 = Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
@@ -237,17 +242,6 @@ def prepare(seq: JacobiSequence) -> Prepared:
     return Prepared(seq, tail, t1, relation, scaled_tail, t3, ak2)
 
 
-def _guard_relation(relation: QuadraticRelation) -> None:
-    if relation.alpha.is_zero() or relation.gamma.is_zero():
-        raise DegenerateRelation(
-            "relation for M degenerated (alpha or gamma identically zero)"
-        )
-    if poly_is_square(relation.discriminant()):
-        raise DegenerateRelation(
-            "discriminant is a polynomial square: M would be rational, verdict withheld"
-        )
-
-
 def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     """The reports for ell = 1, 2, ..., p-2, one transfer step per ell.
 
@@ -257,9 +251,11 @@ def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     Both follow the transfer recurrence over the periodic pairs, and after
     the first ell+1 pairs they are T2(ell)*L^T, whose traces are the
     residuals.  No step runs over the preperiodic pairs.
+
+    Raises:
+        NotNormalized: the sequence is not in canonical form.
     """
     require_kp_normalized(prep.seq)
-    _guard_relation(prep.relation)
     be, ga, ak2 = prep.relation.beta, prep.relation.gamma, prep.ak2
     tail = prep.scaled_tail
     zero = Poly.zero()
@@ -296,8 +292,6 @@ def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
     Raises:
         NotNormalized: the sequence is not in canonical form.
         IndexOutOfRange: ell outside 1 .. p-2.
-        DegenerateRelation: the relation for M collapsed or its discriminant
-            is a polynomial square; no verdict is possible.
     """
     p = prep.seq.p
     if not 1 <= ell <= p - 2:

@@ -99,8 +99,9 @@ def test_verify_all_matches_analyze(tmp_path, capsys):
 
 
 def test_verify_inconclusive_exit_3(tmp_path, capsys, monkeypatch):
-    # the degenerate guard is unreachable for genuine positive streams, so
-    # the exit path is exercised by stubbing the verifier
+    # no valid input reaches exit 3: M is never rational (the proof is in
+    # the `quadratic` module docstring), so the exit path is exercised by
+    # stubbing the verifier
     from palinfrac.errors import DegenerateRelation
     import palinfrac.cli as cli
 
@@ -336,6 +337,25 @@ def test_verify_survives_an_unavailable_second_solution(capsys, monkeypatch):
     for verdict in report["verdicts"]:
         assert verdict["numeric_residual"] is None
         assert verdict["numeric_ok"] is (False if verdict["holds"] else None)
+
+
+def test_verify_forms_no_polynomial_product(capsys, monkeypatch):
+    # M is never rational, so no request tests the discriminant, and the
+    # pullback and the split sweep run on fused steps and scalings alone
+    from palinfrac.exactalg import Poly
+
+    calls = []
+    product = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    path = str(DATA / "verify_p24.json")
+    assert main(["verify", "--input", path, "--all", "--json"]) == 1
+    assert main(["verify", "--input", path, "--ell", "9"]) == 0
+    assert calls == []
 
 
 def test_second_solution_is_formed_once_per_point(tmp_path, capsys, monkeypatch):

@@ -13,9 +13,14 @@ from palinfrac import (
     Poly,
     mobius_apply,
     poly_gcd,
-    poly_is_square,
 )
-from palinfrac.exactalg import _poly_sqrt, rational_content, rational_sqrt, shift_add
+from palinfrac.exactalg import (
+    _poly_sqrt,
+    poly_is_square,
+    rational_content,
+    rational_sqrt,
+    shift_add,
+)
 from conftest import random_rational
 
 

@@ -1,6 +1,5 @@
 """Quadratic relations, the exact identity verifier, and the exact reverse test."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from functools import reduce
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palinfrac import (
-    DegenerateRelation,
     IndexOutOfRange,
     JacobiSequence,
     Mat2,
@@ -27,7 +25,6 @@ from palinfrac import (
     normalize_kp,
     pair,
     periodic_quadratic,
-    poly_is_square,
     prepare,
     pullback_quadratic,
     reverse_asymptotics,
@@ -37,8 +34,9 @@ from palinfrac import (
     verify_main_identity,
     verify_splits,
 )
+from palinfrac.exactalg import poly_is_square
 from palinfrac.jacobi import require_kp_normalized
-from palinfrac.quadratic import _guard_relation, numeric_identity_check
+from palinfrac.quadratic import numeric_identity_check
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -144,20 +142,6 @@ def test_pullback_relation_annihilates_M_numerically():
         assert abs(relation.residual(m_val, z)) < 1e-9
 
 
-def test_discriminant_square_detection():
-    z = Poly.x()
-    # beta^2 - 4*alpha*gamma = (z-1)^2 for alpha=0... use a direct construction:
-    # alpha=1, beta=z+1, gamma=z gives disc (z+1)^2 - 4z = (z-1)^2
-    assert poly_is_square(QuadraticRelation(Poly.const(1), z + Poly.const(1), z).discriminant())
-    assert not poly_is_square(chebyshev_relation().discriminant())  # z^2 - 4
-    # zero discriminant counts as a (degenerate) square
-    assert poly_is_square(
-        QuadraticRelation(
-            Poly.const(1), Poly.from_coeffs([0, 2]), Poly.from_coeffs([0, 0, 1])
-        ).discriminant()
-    )
-
-
 def test_second_solution_vieta():
     relation = chebyshev_relation()
     z = 3j
@@ -257,7 +241,6 @@ def product_route_reports(prep) -> dict:
     reference shares neither the fused step nor the similarity.
     """
     require_kp_normalized(prep.seq)
-    _guard_relation(prep.relation)
     al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
     pre = prep.seq.preperiodic
     t1 = reduce(composed_step, pre, Mat2.identity())
@@ -303,6 +286,42 @@ def test_stepwise_pullback_matches_the_substitution_reference(
     prep = prepare(JacobiSequence(tuple(preperiodic), tuple(periodic)))
     assert prep.relation == reference.canonical()
     assert pullback_quadratic(prep.scaled_tail, preperiodic) == prep.relation
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 10),
+    st.integers(0, 4),
+    st.booleans(),
+    st.integers(0, 2),
+    st.booleans(),
+)
+def test_m_is_never_rational(seed, p, k, repeated, copies, normalized):
+    # the proof in the `quadratic` module docstring, which lets the verifier
+    # run without a guard: the det-1 pullback keeps the discriminant, the
+    # tail's is tr(T_P)^2 - 4, and that is no square, so neither alpha nor
+    # gamma can vanish; a repeated period makes `canonical` divide out a
+    # nontrivial gcd, and whole periods may end the block
+    rng = random.Random(seed)
+    q = rng.choice([d for d in range(1, p) if p % d == 0] or [p]) if repeated else p
+    periodic = random_periodic(rng, q, max_mag=5) * (p // q)
+    preperiodic = random_periodic(rng, k, max_mag=5) + periodic * copies
+    seq = JacobiSequence(tuple(preperiodic), tuple(periodic))
+    if normalized:
+        seq = normalize_kp(seq)
+    prep = prepare(seq)
+
+    def disc(relation):
+        return relation.beta * relation.beta - (relation.alpha * relation.gamma).scale(4)
+
+    t_p = conj_transfer(periodic, p)
+    trace = t_p.a11 + t_p.a22
+    assert disc(prep.tail) == trace * trace - Poly.const(4)
+    assert disc(prep.relation) == disc(prep.scaled_tail)
+    assert not poly_is_square(disc(prep.relation))
+    assert not prep.relation.alpha.is_zero() and not prep.relation.gamma.is_zero()
+    assert not prep.tail.gamma.is_zero()
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,18 +370,7 @@ def sweep_case(seed: int, p: int, k: int, kind: str, fault: str):
     else:
         last = periodic[-1] if fault != "unnormalized" else pair(periodic[-1].a + 1, 0)
         seq = JacobiSequence(tuple(random_periodic(rng, k - 1, max_mag=5)) + (last,), tuple(periodic))
-    prep = prepare(seq)
-    if fault == "degenerate":
-        # gamma = 0, or alpha*y^2 + beta*y + gamma = alpha*(y - u)*(y - v)
-        u, v = Poly.from_coeffs([rng.randint(-3, 3), 1]), Poly.const(rng.randint(1, 3))
-        alpha = prep.relation.alpha
-        relation = (
-            QuadraticRelation(alpha, prep.relation.beta, Poly.zero())
-            if rng.random() < 0.5
-            else QuadraticRelation(alpha, -(alpha * (u + v)), alpha * u * v)
-        )
-        prep = dataclasses.replace(prep, relation=relation)
-    return prep, periodic, rng.randint(1, p - 2)
+    return prepare(seq), periodic, rng.randint(1, p - 2)
 
 
 def _outcome(run):
@@ -378,11 +386,12 @@ def _outcome(run):
     st.integers(3, 24),
     st.integers(0, 3),
     st.sampled_from(["doubly", "random", "multi"]),
-    st.sampled_from(["none", "none", "unnormalized", "degenerate"]),
+    st.sampled_from(["none", "none", "unnormalized"]),
 )
 def test_sweep_matches_the_product_reference(seed, p, k, kind, fault):
     # the residuals as traces of T2(ell)*L^T must be the very polynomials the
-    # product route collects, at every ell, and the guards must fire alike
+    # product route collects, at every ell, and the normalization check must
+    # fire alike
     prep, periodic, ell = sweep_case(seed, p, k, kind, fault)
 
     def residuals(reports):
@@ -439,18 +448,6 @@ def test_numeric_identity_disagreement_when_fails():
     m = eval_m(prep, z)
     second = second_solution_value(prep.relation, m, z)
     assert numeric_identity_check(prep, values, m, second)["residual"] > 1e-3
-
-
-def test_degenerate_guard_reports_inconclusive():
-    # a hand-built relation with square discriminant trips the guard inside
-    # the verifier pipeline; exercised directly on the guard helper
-    from palinfrac.quadratic import _guard_relation
-
-    z = Poly.x()
-    with pytest.raises(DegenerateRelation):
-        _guard_relation(QuadraticRelation(Poly.const(1), z + Poly.const(1), z))
-    with pytest.raises(DegenerateRelation):
-        _guard_relation(QuadraticRelation(Poly.zero(), z, Poly.const(1)))
 
 
 def test_reverse_true_for_purely_periodic_palindromic():
