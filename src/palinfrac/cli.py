@@ -70,9 +70,11 @@ EXIT_INCONCLUSIVE = 3
 
 # Largest --depth (eval) and --order (recover) accepted.  The truncation
 # unrolls `depth` levels at every point.  Exact Laurent expansion and
-# recovery take O(order^2) rational operations on entries that grow with the
-# order: about 0.05 s at order 64 and 0.25 s at order 129 for a p = 16
-# period of small rationals (2-vCPU x86 container, Python 3.11).
+# recovery take O(order^2) integer operations on entries that grow with the
+# order, and one reduction per coefficient or row: about 0.007 s at order 64
+# and 0.04 s at order 129 for a p = 16 period of rationals with numerators
+# and denominators up to 9, and 0.01 s and 0.11 s for the larger entries of
+# tests/data/recover_p16.json (2-vCPU x86 container, Python 3.11).
 MAX_DEPTH = 100_000
 MAX_ORDER = 64
 

@@ -17,9 +17,13 @@ with exact rational c_j.  `laurent_of_quadratic` extracts the decaying
 branch of a quadratic relation by solving the triangular coefficient system
 in one forward pass, and `recover_coefficients` reads the continued-fraction
 pairs back with Chebyshev's algorithm, since c_j is the (j-1)-th moment of
-the spectral measure.  Both take O(N^2) exact operations.  Each recovered
-pair consumes two orders of the expansion, so n pairs need order at least
-2n+1.
+the spectral measure.  Both take O(N^2) operations, and both are
+fraction-free in the way `Poly` is (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 6): the inner sums run on Python ints over one
+shared denominator, and only the result is reduced, once per coefficient
+c_n or once per row of mixed moments, instead of one gcd per rational
+operation.  Each recovered pair consumes two orders of the expansion, so n
+pairs need order at least 2n+1.
 
 All series arithmetic is exact; the only approximation is the float square
 root reported for an a^2 that is not a rational square.
@@ -252,7 +256,20 @@ def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> LaurentSeri
     where (c^2)_m = sum_(i<m) c_i c_(m-i) needs only c_1..c_(m-1).  The
     system is triangular: one forward pass over n = 1..order solves it for
     c_n, keeping the coefficients of c^2 in a running list, in O(order^2)
-    exact operations.
+    operations.
+
+    The pass runs on integers.  The relation is cleared to integer A, B, G
+    over the lcm of its three denominators.  With D the lcm of the
+    denominators of c_1..c_(n-1), the running lists hold X_j = c_j*D and
+    Y_m = (c^2)_m*D^2, so step n forms one integer
+
+        T = G_(d-n)*D^2 - D*sum B_(d-n+j) X_j + sum A_(d-n+m) Y_m
+
+    and c_n = T/(lc(B)*D^2) is the step's only gcd reduction.  When c_n
+    brings a new factor f into D, the lists are rescaled by f and f^2.
+    D is the denominator the reduced coefficients need, so the integers
+    stay near the size of the c_j themselves; scaling by a fixed power of
+    lc(B) instead would let them grow with lc(B)^(2n).
 
     The decaying branch exists and is unique when deg beta >= deg alpha
     and deg gamma <= deg beta - 1; anything else fails the leading balance.
@@ -269,19 +286,31 @@ def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> LaurentSeri
             "leading balance failed: no unique branch decaying at infinity"
         )
     d = be.degree
-    c = [Fraction(0)]  # c[j] is c_j; index 0 pads the 1-based numbering
-    sq = [Fraction(0)]  # sq[m] is (c^2)_m
+    den = math.lcm(al.den, be.den, ga.den)
+    A, B, G = ([n * (den // t.den) for n in t.num] for t in (al, be, ga))
+    D = 1  # lcm of the denominators of c_1 .. c_(n-1)
+    X = [0]  # X[j] = c_j * D; index 0 pads the 1-based numbering
+    Y = [0]  # Y[m] = (c^2)_m * D^2
+    c: list[Fraction] = []
     for n in range(1, order + 1):
-        sq.append(sum(c[i] * c[n - i] for i in range(1, n)))
-        low = max(1, n - d)  # beta_(d-n+j) and alpha_(d-n+m) vanish below
-        total = ga.coeffs[d - n] if 0 <= d - n <= ga.degree else 0
-        total -= sum(be.coeffs[d - n + j] * c[j] for j in range(low, n))
+        Y.append(sum(X[i] * X[n - i] for i in range(1, n)))
+        low = max(1, n - d)  # B[d-n+j] and A[d-n+m] vanish below
+        total = G[d - n] * D * D if 0 <= d - n < len(G) else 0
+        total -= D * sum(B[d - n + j] * X[j] for j in range(low, n))
         total += sum(
-            al.coeffs[d - n + m] * sq[m]
+            A[d - n + m] * Y[m]
             for m in range(max(2, low), min(n, n - d + al.degree) + 1)
         )
-        c.append(total / be.coeffs[d])
-    return LaurentSeries(tuple(c[1:]))
+        cn = Fraction(total, B[d] * D * D)
+        c.append(cn)
+        grow = cn.denominator // math.gcd(D, cn.denominator)
+        if grow != 1:
+            D *= grow
+            X = [x * grow for x in X]
+            grow *= grow
+            Y = [y * grow for y in Y]
+        X.append(cn.numerator * (D // cn.denominator))
+    return LaurentSeries(tuple(c))
 
 
 @dataclass(frozen=True)
@@ -321,9 +350,17 @@ def recover_coefficients(series: LaurentSeries, count: int) -> list[RecoveredPai
         alpha_k = sigma_(k,k+1)/sigma_(k,k) - sigma_(k-1,k)/sigma_(k-1,k-1),
         beta_k = sigma_(k,k)/sigma_(k-1,k-1).
 
-    That is O(count^2) exact operations, and pair `count` reads mu_(2 count),
-    so the series needs order >= 2*count + 1.  Each a^2 is checked before
+    That is O(count^2) operations, and pair `count` reads mu_(2 count), so
+    the series needs order >= 2*count + 1.  Each a^2 is checked before
     anything divides by it.
+
+    Each row of sigma is held as integer numerators over one positive
+    denominator.  With b = alpha_(k-1) and beta = beta_(k-1) as reduced
+    fractions, the next row's numerators over the lcm of the two products
+    of denominators take three integer multipliers, as in
+    `exactalg.shift_add`, and the row is reduced once by the gcd of its
+    denominator and numerators.  Only a^2 and the next b are formed as
+    Fractions, two per row.
 
     Raises:
         InsufficientOrder: the series is too short for `count` pairs.
@@ -339,22 +376,36 @@ def recover_coefficients(series: LaurentSeries, count: int) -> list[RecoveredPai
     mu = series.coefficients
     if mu[0] != 1:
         raise NotAnMFunction(f"leading coefficient c_1 = {mu[0]} != 1")
-    # rows of sigma indexed by l; row k is only read at l = k..width-1-k
-    older = [Fraction(0)] * width
-    prev = list(mu[:width])
+    # rows of sigma indexed by l, as integer numerators over one positive
+    # denominator; row k is only read at l = k..width-1-k
+    pd = math.lcm(*(m.denominator for m in mu[:width]))
+    prev = [m.numerator * (pd // m.denominator) for m in mu[:width]]
+    older, od = [0] * width, 1
     b, beta = mu[1], Fraction(0)  # alpha_0 = mu_1/mu_0 with mu_0 = 1
     out: list[RecoveredPair] = []
     for k in range(1, count + 1):
-        cur = [Fraction(0)] * k + [
-            prev[l + 1] - b * prev[l] - beta * older[l] for l in range(k, width - k)
+        # prev[l+1] - b*prev[l] - beta*older[l] over lcm(bd*pd, ed*od)
+        bn, bd, en, ed = b.numerator, b.denominator, beta.numerator, beta.denominator
+        left, right = bd * pd, ed * od
+        g = math.gcd(left, right)
+        up, keep, drop = right // g * bd, right // g * bn, left // g * en
+        nums = [
+            up * prev[l + 1] - keep * prev[l] - drop * older[l]
+            for l in range(k, width - k)
         ]
-        a_sq = cur[k] / prev[k - 1]
+        cd = left // g * right
+        g = math.gcd(cd, *nums)
+        cd //= g
+        cur = [0] * k + [n // g for n in nums]
+        a_sq = Fraction(cur[k] * pd, cd * prev[k - 1])
         if a_sq <= 0:
             raise NotAnMFunction(f"recovered a^2 = {a_sq} is not positive")
         root = rational_sqrt(a_sq)
         a = math.sqrt(a_sq.numerator / a_sq.denominator) if root is None else root
         out.append(RecoveredPair(a_sq, b, a, root is not None))
         if k < count:
-            b = cur[k + 1] / cur[k] - prev[k] / prev[k - 1]
-        older, prev, beta = prev, cur, a_sq
+            b = Fraction(
+                cur[k + 1] * prev[k - 1] - prev[k] * cur[k], cur[k] * prev[k - 1]
+            )
+        older, od, prev, pd, beta = prev, pd, cur, cd, a_sq
     return out

@@ -30,7 +30,7 @@ preperiodic and the leading ell+1 periodic pairs; its T3 is D * T1^T * D^-1
 
 from __future__ import annotations
 
-from itertools import accumulate
+from functools import reduce
 from typing import Sequence
 
 from .errors import IndexOutOfRange, InsufficientCoefficients
@@ -68,20 +68,13 @@ def transfer_step_at(t: tuple, q: JacobiPair, z) -> tuple:
     return ((shift * t11 + t21) / a, (shift * t12 + t22) / a, -a * t11, -a * t12)
 
 
-def transfer_prefixes(coeffs: Sequence[JacobiPair], n: int) -> list[Mat2]:
-    """T_0 = identity, T_1, ..., T_n over the first pairs of `coeffs`."""
-    if n < 0:
-        raise IndexOutOfRange(f"polynomial count must be nonnegative, got {n}")
-    if len(coeffs) < n:
-        raise InsufficientCoefficients(f"need {n} pairs, have {len(coeffs)}")
-    return list(accumulate(coeffs[:n], transfer_step, initial=Mat2.identity()))
-
-
 def conj_transfer(coeffs: Sequence[JacobiPair], n: int) -> Mat2:
     """The conjugated transfer matrix over the first n pairs (n >= 1)."""
     if n < 1:
         raise IndexOutOfRange(f"transfer matrix needs n >= 1, got {n}")
-    return transfer_prefixes(coeffs, n)[-1]
+    if len(coeffs) < n:
+        raise InsufficientCoefficients(f"need {n} pairs, have {len(coeffs)}")
+    return reduce(transfer_step, coeffs[:n], Mat2.identity())
 
 
 def build_T1(seq: JacobiSequence) -> Mat2:

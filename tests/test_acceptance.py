@@ -10,6 +10,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -32,8 +33,8 @@ from palinfrac import (
     verify_splits,
 )
 from palinfrac.cli import main as cli_main
-from palinfrac.exactalg import Poly
-from palinfrac.orthopoly import transfer_prefixes
+from palinfrac.exactalg import Mat2, Poly
+from palinfrac.orthopoly import transfer_step
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -137,8 +138,8 @@ def test_criterion_5_determinant_invariant():
     one = Poly.const(1)
     for _ in range(50):
         coeffs = random_periodic(rng, 50, max_mag=9)
-        # transfer_prefixes(coeffs, 50)[n] is conj_transfer(coeffs, n)
-        for t in transfer_prefixes(coeffs, 50)[1:]:
+        # the n-th prefix of the fold is conj_transfer(coeffs, n)
+        for t in list(accumulate(coeffs, transfer_step, initial=Mat2.identity()))[1:]:
             assert t.det() == one
 
 

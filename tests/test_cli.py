@@ -429,12 +429,25 @@ def test_recover_report_bytes_are_pinned(capsys):
     # on a p = 8 rational period, text and --json, at the default order and
     # at order 33; the triangular solve and Chebyshev's algorithm must
     # reproduce them
-    path = str(DATA / "recover_p8.json")
-    cases = json.loads((DATA / "recover_p8.golden.json").read_text(encoding="utf-8"))
-    assert len(cases) == 4
+    assert_recover_golden(capsys, "recover_p8", 4)
+
+
+def test_recover_report_bytes_are_pinned_at_the_order_cap(capsys):
+    # a p = 16 period whose a are rational squares over mixed denominators,
+    # at --order 64, where the series integers are largest; pinned from the
+    # Fraction-per-operation series layer that the fraction-free one replaced
+    assert_recover_golden(capsys, "recover_p16", 2)
+
+
+def assert_recover_golden(capsys, name, count):
+    path = str(DATA / f"{name}.json")
+    cases = json.loads((DATA / f"{name}.golden.json").read_text(encoding="utf-8"))
+    assert len(cases) == count
     for case in cases:
         assert main(["recover", "--input", path, *case["args"]]) == case["exit_code"]
-        assert capsys.readouterr().out == case["stdout"], case["args"]
+        captured = capsys.readouterr()
+        assert captured.out == case["stdout"], case["args"]
+        assert captured.err == ""
 
 
 def test_eval_solves_the_tail_once_per_point(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Numeric evaluation, Laurent expansions, and coefficient recovery."""
 
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +18,7 @@ from palinfrac import (
     NotAnMFunction,
     PalinfracError,
     Poly,
+    QuadraticRelation,
     RecoveredPair,
     build_T1,
     build_T3,
@@ -595,20 +598,158 @@ _SERIES_CASES = st.one_of(
 @example((LaurentSeries((Fraction(2), Fraction(0), Fraction(1))), 1))
 @example((_stream_series([(Fraction(1), Fraction(2))], 5, None), 2))
 def test_series_layer_matches_the_reference(case):
-    # a relation is expanded to the given order and recovered at full
-    # capacity and one pair past it; a raw series is recovered at the given
-    # count
+    _assert_series_layer_matches(case, _reference_laurent, _reference_recover)
+
+
+def _assert_series_layer_matches(case, laurent_ref, recover_ref):
+    """Compare the series layer with reference versions, errors included.
+
+    A relation is expanded to the given order and recovered at full
+    capacity and one pair past it; a raw series is recovered at the given
+    count.
+    """
     source, n = case
     if isinstance(source, LaurentSeries):
         series, counts = source, [n]
     else:
         series = _outcome(laurent_of_quadratic, source, n)
-        assert series == _outcome(_reference_laurent, source, n)
+        assert series == _outcome(laurent_ref, source, n)
         if not isinstance(series, LaurentSeries):
             return
         capacity = (n - 1) // 2
         counts = [max(1, capacity), capacity + 1]
     for count in counts:
         assert _outcome(recover_coefficients, series, count) == _outcome(
-            _reference_recover, series, count
+            recover_ref, series, count
         )
+
+
+# laurent_of_quadratic and recover_coefficients run on integer numerators
+# over one denominator.  The Fraction-per-operation loops they replaced are
+# O(N^2) as well, so they serve as references at the CLI's order cap and
+# beyond.
+
+
+def _fraction_laurent(relation, order):
+    if order < 1:
+        raise InsufficientOrder(f"order must be at least 1, got {order}")
+    al, be, ga = relation.alpha, relation.beta, relation.gamma
+    if be.is_zero() or be.degree < al.degree or ga.degree > be.degree - 1:
+        raise DegenerateRelation(
+            "leading balance failed: no unique branch decaying at infinity"
+        )
+    d = be.degree
+    c = [Fraction(0)]
+    sq = [Fraction(0)]
+    for n in range(1, order + 1):
+        sq.append(sum(c[i] * c[n - i] for i in range(1, n)))
+        low = max(1, n - d)
+        total = ga.coeffs[d - n] if 0 <= d - n <= ga.degree else 0
+        total -= sum(be.coeffs[d - n + j] * c[j] for j in range(low, n))
+        total += sum(
+            al.coeffs[d - n + m] * sq[m]
+            for m in range(max(2, low), min(n, n - d + al.degree) + 1)
+        )
+        c.append(total / be.coeffs[d])
+    return LaurentSeries(tuple(c[1:]))
+
+
+def _fraction_recover(series, count):
+    if count < 1:
+        raise InsufficientOrder(f"count must be at least 1, got {count}")
+    width = 2 * count + 1
+    if series.order < width:
+        raise InsufficientOrder(
+            f"recovering {count} pairs needs order >= {width}, have {series.order}"
+        )
+    mu = series.coefficients
+    if mu[0] != 1:
+        raise NotAnMFunction(f"leading coefficient c_1 = {mu[0]} != 1")
+    older = [Fraction(0)] * width
+    prev = list(mu[:width])
+    b, beta = mu[1], Fraction(0)
+    out = []
+    for k in range(1, count + 1):
+        cur = [Fraction(0)] * k + [
+            prev[l + 1] - b * prev[l] - beta * older[l] for l in range(k, width - k)
+        ]
+        a_sq = cur[k] / prev[k - 1]
+        if a_sq <= 0:
+            raise NotAnMFunction(f"recovered a^2 = {a_sq} is not positive")
+        rn, rd = math.isqrt(a_sq.numerator), math.isqrt(a_sq.denominator)
+        exact = rn * rn == a_sq.numerator and rd * rd == a_sq.denominator
+        a = Fraction(rn, rd) if exact else math.sqrt(a_sq.numerator / a_sq.denominator)
+        out.append(RecoveredPair(a_sq, b, a, exact))
+        if k < count:
+            b = cur[k + 1] / cur[k] - prev[k] / prev[k - 1]
+        older, prev, beta = prev, cur, a_sq
+    return out
+
+
+def _random_relation(alpha_low, alpha_lead, beta_low, beta_lead, gamma):
+    """alpha and beta of one degree, unless alpha's leading term is zero."""
+    return QuadraticRelation(
+        Poly.from_coeffs(alpha_low + [alpha_lead]),
+        Poly.from_coeffs(beta_low + [beta_lead]),
+        Poly.from_coeffs(gamma),
+    )
+
+
+_P16_PERIOD = [
+    pair(a, b)
+    for a, b in json.loads(
+        (Path(__file__).parent / "data" / "recover_p16.json").read_text(encoding="utf-8")
+    )["periodic"]
+]
+_ORDERS = st.integers(1, MAX_ORDER)
+_CAP_CASES = st.one_of(
+    st.tuples(
+        st.builds(periodic_quadratic, st.lists(_PAIRS, min_size=1, max_size=16)),
+        _ORDERS,
+    ),
+    # a preperiodic block: mostly a relation with no decaying branch
+    st.tuples(
+        st.builds(
+            lambda pre, per: prepare(JacobiSequence(tuple(pre), tuple(per))).relation,
+            st.lists(_PAIRS, min_size=1, max_size=3),
+            st.lists(_PAIRS, min_size=1, max_size=8),
+        ),
+        _ORDERS,
+    ),
+    # deg alpha = deg beta, lc beta of either sign, deg gamma up to deg beta
+    st.tuples(
+        st.integers(0, 4).flatmap(
+            lambda d: st.builds(
+                _random_relation,
+                st.lists(_RATIONALS, min_size=d, max_size=d),
+                _RATIONALS,
+                st.lists(_RATIONALS, min_size=d, max_size=d),
+                st.one_of(_POSITIVE, _POSITIVE.map(lambda v: -v)),
+                st.lists(_RATIONALS, max_size=d + 1),
+            )
+        ),
+        _ORDERS,
+    ),
+    st.integers(1, (MAX_ORDER - 1) // 2).flatmap(
+        lambda count: st.tuples(
+            st.builds(
+                _stream_series,
+                st.lists(st.tuples(_RATIONALS, _POSITIVE), min_size=1, max_size=16),
+                st.integers(2 * count, 2 * count + 3),
+                st.none()
+                | st.tuples(
+                    st.integers(0, 2 * count + 2), st.integers(-2, 2).map(Fraction)
+                ),
+            ),
+            st.just(count),
+        )
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CAP_CASES)
+@example((periodic_quadratic(_P16_PERIOD), MAX_ORDER))
+@example((periodic_quadratic(_P16_PERIOD), 129))
+def test_series_layer_matches_the_fraction_loops(case):
+    _assert_series_layer_matches(case, _fraction_laurent, _fraction_recover)
