@@ -283,6 +283,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except OverflowError:
             second = None
         truncation_gap = abs(m_full - eval_truncated(normalized, z, args.depth))
+        if not math.isfinite(truncation_gap):
+            # the float fold overflows at subnormal heights; nan is not JSON
+            truncation_gap = None
         if ell is not None:
             try:
                 values = [e(z) for e in entries]
@@ -313,11 +316,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             residual_text = ", identity residual unavailable"
         else:
             residual_text = ""
+        gap_text = (
+            "truncation gap unavailable"
+            if truncation_gap is None
+            else f"truncation gap = {truncation_gap:.3e}"
+        )
         lines.append(
             f"z = {_format_complex(z)}: M = {_format_complex(m_full)}, "
             f"m = {_format_complex(m_tail)}, "
             f"Mtilde = {'unavailable' if second is None else _format_complex(second)}, "
-            f"truncation gap = {truncation_gap:.3e}{residual_text}"
+            f"{gap_text}{residual_text}"
         )
     report.update(
         {

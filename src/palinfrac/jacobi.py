@@ -22,6 +22,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, cycle, islice
 from typing import Sequence
 
@@ -72,6 +73,15 @@ class JacobiSequence:
     def p(self) -> int:
         """Length of one period."""
         return len(self.periodic)
+
+    @cached_property
+    def float_pairs(self) -> tuple[tuple[float, float], ...]:
+        """(float(b), float(a^2)) of each pair, preperiodic then periodic.
+
+        Converted on first use and kept, so the double-precision evaluators
+        convert each pair once per sequence, not once per point.
+        """
+        return tuple((float(q.b), float(q.a * q.a)) for q in self.preperiodic + self.periodic)
 
     def pairs(self, n: int) -> list[JacobiPair]:
         """Unroll the first n pairs of the stream."""

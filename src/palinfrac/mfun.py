@@ -111,9 +111,25 @@ def fold_preperiodic(seq: JacobiSequence, value, z):
     Applies value -> 1/(b - z - a^2 * value) for the preperiodic pairs from
     last to first, so a caller that already holds the periodic tail's value
     gets M(z) without solving the tail again.
+
+    At a builtin float or complex point the levels read the first k entries
+    of `seq.float_pairs`, converted once per sequence; that is bit for bit
+    the exact-pair loop, since Fraction's mixed arithmetic with a float or
+    complex converts the Fraction to float as well.  Any other point type
+    (Fraction, mpmath) gets the exact pairs, as `Poly.__call__` does, and so
+    does a sequence with a pair too large for a float, since the exact loop
+    converts only the preperiodic pairs and only as it reaches them.
     """
-    for q in reversed(seq.preperiodic):
-        den = q.b - z - q.a * q.a * value
+    levels = None
+    if type(z) in (float, complex):
+        try:
+            levels = seq.float_pairs[: seq.k]
+        except OverflowError:
+            pass
+    if levels is None:
+        levels = [(q.b, q.a * q.a) for q in seq.preperiodic]
+    for b, a2 in reversed(levels):
+        den = b - z - a2 * value
         if den == 0:
             raise DivisionByZero(f"continued fraction level vanished at z={z}")
         value = 1 / den
@@ -123,11 +139,12 @@ def fold_preperiodic(seq: JacobiSequence, value, z):
 def eval_truncated(seq: JacobiSequence, z, depth: int):
     """Finite truncation of the continued fraction with tail value 0.
 
-    Runs in double precision: the k + p distinct pairs are converted to
-    (float(b), float(a^2)) once per call, and the levels are folded in
-    float/complex arithmetic.  For a builtin float or complex z this is
-    bit-for-bit what the same loop over the exact pairs gives, because
-    Fraction's mixed-type arithmetic converts to float as well.
+    Runs in double precision: the levels read `seq.float_pairs`, the k + p
+    distinct pairs converted to (float(b), float(a^2)) once per sequence,
+    and are folded in float/complex arithmetic.  For a builtin float or
+    complex z this is bit-for-bit what the same loop over the exact pairs
+    gives, because Fraction's mixed-type arithmetic converts to float as
+    well.
 
     The fold stops at its cycle.  Levels at and above k repeat their pair
     with period p, so once the value at a periodic level j has the same
@@ -138,7 +155,7 @@ def eval_truncated(seq: JacobiSequence, z, depth: int):
     """
     if depth < 1:
         raise InsufficientOrder(f"depth must be at least 1, got {depth}")
-    table = [(float(q.b), float(q.a * q.a)) for q in seq.preperiodic + seq.periodic]
+    table = seq.float_pairs
     k, p = seq.k, seq.p
     value = 0 * z
     below = [None] * p  # by (level - k) mod p: the value p levels further down

@@ -66,9 +66,10 @@ runs no `Mat2` product at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
@@ -143,7 +144,11 @@ def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
     """
     if len(periodic) < 1:
         raise IndexOutOfRange("period must be nonempty")
-    t = conj_transfer(periodic, len(periodic))
+    return _fixed_point_relation(conj_transfer(periodic, len(periodic)))
+
+
+def _fixed_point_relation(t: Mat2) -> QuadraticRelation:
+    """(C, D - A, -B) for the period transfer matrix t = [[A, B], [C, D]]."""
     return QuadraticRelation(t.a21, t.a22 - t.a11, -t.a12)
 
 
@@ -208,6 +213,11 @@ class Prepared:
     t3: Mat2
     ak2: Fraction
 
+    @cached_property
+    def float_ak2(self) -> float:
+        """`ak2` converted to float on first use; OverflowError where it has none."""
+        return float(self.ak2)
+
     def product(self, ell: int) -> Mat2:
         """T3*T2(ell)*T1, with T2(ell) over the first ell+1 periodic pairs."""
         return self.t3 @ reduce(transfer_step, self.seq.periodic[: ell + 1], self.t1)
@@ -227,9 +237,18 @@ def prepare(seq: JacobiSequence) -> Prepared:
     K = [[0, 1], [-1, 0]], and T_P^T * K * T_P = det(T_P) * K = K, so
     T_P^T * Q * T_P = Q exactly: pulling back through a period returns the
     relation unchanged.  `t1`, `t3` and `ak2` still span the whole block.
+
+    The period transfer T_P is built once, for the tail and, when the block
+    is exactly one period (as `normalize_kp` makes every purely periodic
+    input), for `t1` as well, since then T1 = T_P; any other block is
+    walked pair by pair.
     """
-    tail = periodic_quadratic(seq.periodic)
-    t1 = reduce(transfer_step, seq.preperiodic, Mat2.identity())
+    t_p = conj_transfer(seq.periodic, seq.p)
+    tail = _fixed_point_relation(t_p)
+    if seq.preperiodic == seq.periodic:
+        t1 = t_p
+    else:
+        t1 = reduce(transfer_step, seq.preperiodic, Mat2.identity())
     ak = (seq.preperiodic or seq.periodic)[-1].a
     ak2 = ak * ak
     t3 = Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
@@ -347,13 +366,14 @@ def numeric_identity_check(
     (from `product_values`, or from the exact product's entries evaluated
     at z), `m_val` = M(z) and `second` = Mtilde(z) from
     `second_solution_value`, which the caller forms once per point.  Compares
-    1/(ak^2 * Mtilde(z)) with (A*M + B)/(C*M + D), so no exact arithmetic is
-    done here; the residual polynomials stay the source of truth.  Returns a
-    dict with the forward residual, the Moebius derivative magnitude
-    1/|C*M + D|^2 (the error amplification of the right side), and `ok`:
-    residual within `tolerance` or within the double-precision budget that
-    the conditioning allows.  If `values` or `second` is None (not formed),
-    a denominator vanishes or a value overflows, the residual is None and
+    1/(ak^2 * Mtilde(z)) with (A*M + B)/(C*M + D), with ak^2 as the float
+    `prep.float_ak2`, so no exact arithmetic is done here; the residual
+    polynomials stay the source of truth.  Returns a dict with the forward
+    residual, the Moebius derivative magnitude 1/|C*M + D|^2 (the error
+    amplification of the right side), and `ok`: residual within `tolerance`
+    or within the double-precision budget that the conditioning allows.  If
+    `values` or `second` is None (not formed), a denominator vanishes, a
+    value overflows or the residual is not finite, the residual is None and
     `ok` is False.
     """
     residual, condition = None, float("inf")
@@ -361,7 +381,9 @@ def numeric_identity_check(
         a, b, c, d = values
         try:
             den = c * m_val + d
-            residual = abs(1 / (prep.ak2 * second) - (a * m_val + b) / den)
+            residual = abs(1 / (prep.float_ak2 * second) - (a * m_val + b) / den)
+            if not math.isfinite(residual):
+                residual = None
             condition = float(1 / abs(den) ** 2)
         except (ZeroDivisionError, OverflowError):
             residual = None

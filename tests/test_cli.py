@@ -468,6 +468,52 @@ def test_eval_solves_the_tail_once_per_point(tmp_path, capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_eval_converts_each_pair_to_float_once_per_request(capsys, monkeypatch):
+    from fractions import Fraction
+
+    # the pairs and a_k^2 become floats once per request, not at every point
+    calls = []
+    to_float = Fraction.__float__
+
+    def counting(self):
+        calls.append(self)
+        return to_float(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counting)
+    path = str(DATA / "verify_p24.json")
+    rng = random.Random(14)
+    counts = []
+    for n in (1, 64):
+        points = ";".join(f"{rng.uniform(-2, 2)},{rng.uniform(0.5, 3)}" for _ in range(n))
+        calls.clear()
+        assert main(["eval", "--input", path, f"--points={points}"]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1]
+
+
+def test_json_reports_have_no_nan_or_infinity(tmp_path, capsys):
+    from palinfrac import pair
+
+    parsed = 0
+    for golden in sorted(DATA.glob("*.golden.json")):
+        doc = strict_json(golden.read_text(encoding="utf-8"))
+        for case in doc if isinstance(doc, list) else []:
+            if "--json" in case["args"]:
+                strict_json(case["stdout"])
+                parsed += 1
+    assert parsed > 0
+    # at a subnormal height the float truncation fold overflows to nan: the
+    # gap is reported unavailable, and the rest of the row stands
+    path = write_input(tmp_path, [pair(1, 0), pair(1, 0), pair(2, 0)])
+    assert main(["eval", "--input", path, "--points=0,1e-310", "--json"]) == 0
+    row = strict_json(capsys.readouterr().out)["points"][0]
+    assert row["truncation_gap"] is None
+    assert row["M"] == "3.06161699787e-17+0.5j"
+    assert main(["eval", "--input", path, "--points=0,1e-310"]) == 0
+    assert "truncation gap unavailable" in capsys.readouterr().out
+
+
 def test_depth_and_order_are_capped(tmp_path, capsys, monkeypatch):
     import palinfrac.cli as cli
     from palinfrac import pair

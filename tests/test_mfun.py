@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from palinfrac import (
     DegenerateRelation,
+    DivisionByZero,
     InsufficientOrder,
     JacobiSequence,
     LaurentSeries,
@@ -384,6 +385,73 @@ def test_fold_preperiodic_wraps_the_tail_value():
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
         tail = eval_periodic_m(prep.tail, z)
         assert repr(fold_preperiodic(seq, tail, z)) == repr(eval_m(prep, z))
+
+
+# fold_preperiodic reads the sequence's float table at a float or complex
+# point; the exact-pair loop it replaced stays here as the reference.
+
+
+def _exact_pair_fold(seq, value, z):
+    for q in reversed(seq.preperiodic):
+        den = q.b - z - q.a * q.a * value
+        if den == 0:
+            raise DivisionByZero(f"continued fraction level vanished at z={z}")
+        value = 1 / den
+    return value
+
+
+def _fold_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (DivisionByZero, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_FLOAT_POINTS = st.one_of(_UPPER_POINTS, st.floats(-3, 3))
+_TAIL_VALUES = st.one_of(
+    st.builds(complex, st.floats(-2, 2), st.floats(1e-6, 2)),
+    st.floats(-2, 2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEQUENCES, _FLOAT_POINTS, _TAIL_VALUES)
+@example(JacobiSequence((pair(1, 0),), (pair(1, 0),)), 0.0, 0.0)
+# a^2 has no float: in the period, which the exact loop never reaches, and
+# in the preperiodic block, where both raise at that level
+@example(JacobiSequence((pair(1, 0),), (pair(10**200, 0), pair(1, 0))), 0.5j, 0.5j)
+@example(JacobiSequence((pair(10**200, 0), pair(1, 0)), (pair(1, 0),)), 0.5j, 0.5j)
+def test_float_fold_is_bit_identical_to_exact_pair_loop(seq, z, value):
+    # twice, so the second call reads the cached table
+    for _ in range(2):
+        assert _fold_outcome(fold_preperiodic, seq, value, z) == _fold_outcome(
+            _exact_pair_fold, seq, value, z
+        )
+
+
+def test_fold_preperiodic_keeps_mpmath_precision():
+    # the float table is filled first, and an mpc point must still fold the
+    # exact pairs: a float b or a^2 would be off by about 1e-17
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(1409)
+
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    with mpmath.workdps(40):
+        for _ in range(30):
+            seq = JacobiSequence(
+                tuple(random_periodic(rng, rng.randint(1, 4))),
+                tuple(random_periodic(rng, rng.randint(1, 4))),
+            )
+            fold_preperiodic(seq, 0.5j, complex(0.1, 1.0))
+            z = mpmath.mpc(rng.uniform(-2, 2), rng.uniform(0.5, 2))
+            value = mpmath.mpc(rng.uniform(-1, 1), rng.uniform(0.1, 1))
+            expected = value
+            for q in reversed(seq.preperiodic):
+                expected = 1 / (mp(q.b) - z - mp(q.a) ** 2 * expected)
+            got = fold_preperiodic(seq, value, z)
+            assert abs(got - expected) <= mpmath.mpf(10) ** -35 * abs(expected)
 
 
 # laurent_of_quadratic solves the triangular coefficient system in one pass

@@ -36,6 +36,7 @@ from palinfrac import (
 )
 from palinfrac.exactalg import poly_is_square
 from palinfrac.jacobi import require_kp_normalized
+from palinfrac.orthopoly import transfer_step
 from palinfrac.quadratic import numeric_identity_check
 from conftest import (
     brute_splits,
@@ -343,6 +344,49 @@ def test_t3_is_t1_under_the_diagonal_similarity(seed, k, p, normalized):
     ga, zero = prep.relation.gamma, Poly.zero()
     w_q = Mat2(zero, ga, ga.scale(prep.ak2), zero)
     assert prep.t1 @ w_q @ prep.t3 == w_q
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 3),
+    st.integers(1, 5),
+    st.sampled_from(["one period", "pairs + one period", "random"]),
+)
+def test_prepare_t1_is_the_transfer_over_the_block(seed, k, p, block):
+    # a block of exactly one period takes T1 from the period transfer that
+    # the tail is built from; every block gets the pair-by-pair walk's matrix
+    rng = random.Random(seed)
+    periodic = tuple(random_periodic(rng, p, max_mag=5))
+    preperiodic = tuple(random_periodic(rng, k, max_mag=5))
+    if block == "one period":
+        preperiodic = periodic
+    elif block == "pairs + one period":
+        preperiodic += periodic
+    prep = prepare(JacobiSequence(preperiodic, periodic))
+    assert prep.tail == periodic_quadratic(periodic)
+    assert prep.t1 == reduce(transfer_step, preperiodic, Mat2.identity())
+
+
+def test_prepare_walks_a_one_period_block_once(monkeypatch):
+    import palinfrac.orthopoly as orthopoly
+    import palinfrac.quadratic as quadratic
+
+    calls = []
+    step = orthopoly.transfer_step
+
+    def counting(t, q):
+        calls.append(q)
+        return step(t, q)
+
+    monkeypatch.setattr(orthopoly, "transfer_step", counting)
+    monkeypatch.setattr(quadratic, "transfer_step", counting)
+    periodic = tuple(random_periodic(random.Random(15), 24))
+    prepare(normalize_kp(JacobiSequence((), periodic)))
+    assert len(calls) == 24
+    calls.clear()
+    prepare(JacobiSequence(periodic[:2] + periodic, periodic))
+    assert len(calls) == 24 + 26
 
 
 def multi_split_period(rng: random.Random, p: int) -> list:
