@@ -26,6 +26,7 @@ import json
 import math
 import random
 import sys
+from itertools import islice
 
 from .errors import (
     BranchAmbiguity,
@@ -184,6 +185,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.ell is None:
             raise ParseError("verify needs --ell N or --all")
         requested = [args.ell]
+        if p < 3:
+            raise IndexOutOfRange(
+                f"--ell needs p >= 3: a period of p = {p} has no first length to check"
+            )
         if not 1 <= args.ell <= p - 2:
             raise IndexOutOfRange(f"--ell must lie in 1 .. p-2 = {p - 2}, got {args.ell}")
 
@@ -196,7 +201,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         m0 = eval_m(prep, z0)
         second0 = second_solution_value(prep.relation, m0, z0)
-        values = dict(enumerate(product_values(prep, z0), start=1))
+        values = dict(
+            enumerate(islice(product_values(prep, z0), max(requested, default=0)), start=1)
+        )
     except (BranchAmbiguity, ZeroDivisionError, OverflowError):
         # the cross-check only annotates: every ell reports it unavailable
         m0 = second0 = None
@@ -211,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "ell": ell,
                 "holds": result.holds,
                 "residual_P_degree": result.residual_P.degree,
-                "residual_Q_degree": result.residual_Q.degree,
+                "residual_Q_degree": result.residual_Q_degree,
                 "numeric_residual": numeric,
                 # a numeric claim is only meaningful when the identity holds;
                 # the exact residual polynomials carry the negative verdicts
@@ -226,7 +233,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(
             f"ell = {ell}: {'HOLDS' if result.holds else 'fails'} "
             f"(deg residual_P = {result.residual_P.degree}, "
-            f"deg residual_Q = {result.residual_Q.degree}, "
+            f"deg residual_Q = {result.residual_Q_degree}, "
             f"numeric residual at {_format_complex(z0)} = {numeric_text}{budget_note})"
         )
     status = EXIT_OK if all_hold else EXIT_FAIL

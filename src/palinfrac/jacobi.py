@@ -75,13 +75,18 @@ class JacobiSequence:
         return len(self.periodic)
 
     @cached_property
-    def float_pairs(self) -> tuple[tuple[float, float], ...]:
-        """(float(b), float(a^2)) of each pair, preperiodic then periodic.
+    def float_preperiodic(self) -> tuple[tuple[float, float], ...]:
+        """(float(b), float(a^2)) of each preperiodic pair.
 
         Converted on first use and kept, so the double-precision evaluators
         convert each pair once per sequence, not once per point.
         """
-        return tuple((float(q.b), float(q.a * q.a)) for q in self.preperiodic + self.periodic)
+        return _float_pairs(self.preperiodic)
+
+    @cached_property
+    def float_pairs(self) -> tuple[tuple[float, float], ...]:
+        """`float_preperiodic`, then the same conversion of each periodic pair."""
+        return self.float_preperiodic + _float_pairs(self.periodic)
 
     def pairs(self, n: int) -> list[JacobiPair]:
         """Unroll the first n pairs of the stream."""
@@ -90,6 +95,10 @@ class JacobiSequence:
     def is_kp_normalized(self) -> bool:
         """True when the preperiodic block is nonempty and ends with the last periodic pair."""
         return self.k >= 1 and self.preperiodic[-1] == self.periodic[-1]
+
+
+def _float_pairs(pairs: Sequence[JacobiPair]) -> tuple[tuple[float, float], ...]:
+    return tuple((float(q.b), float(q.a * q.a)) for q in pairs)
 
 
 def sequence(

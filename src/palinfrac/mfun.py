@@ -112,18 +112,19 @@ def fold_preperiodic(seq: JacobiSequence, value, z):
     last to first, so a caller that already holds the periodic tail's value
     gets M(z) without solving the tail again.
 
-    At a builtin float or complex point the levels read the first k entries
-    of `seq.float_pairs`, converted once per sequence; that is bit for bit
+    At a builtin float or complex point the levels read
+    `seq.float_preperiodic`, the k preperiodic pairs converted once per
+    sequence; the periodic pairs are not converted.  That is bit for bit
     the exact-pair loop, since Fraction's mixed arithmetic with a float or
     complex converts the Fraction to float as well.  Any other point type
     (Fraction, mpmath) gets the exact pairs, as `Poly.__call__` does, and so
-    does a sequence with a pair too large for a float, since the exact loop
-    converts only the preperiodic pairs and only as it reaches them.
+    does a block with a pair too large for a float, since the exact loop
+    converts the pairs only as it reaches them.
     """
     levels = None
     if type(z) in (float, complex):
         try:
-            levels = seq.float_pairs[: seq.k]
+            levels = seq.float_preperiodic
         except OverflowError:
             pass
     if levels is None:

@@ -21,11 +21,14 @@ One step is fused, fraction-free: each new first-row entry is one
 `exactalg.shift_add` on the integer numerators and each second-row entry a
 `Poly.scale`, so a step forms no polynomial product and each result is
 reduced once.  Started at any matrix X instead of the identity, n steps
-give T_n * X; the verifier uses that for all of its exact blocks.
+give T_n * X; the verifier steps its P kernel that way.  `column_step` is
+the same step from the right, X -> X * S(a, b), again with no product.
 
-The verifier's T1 and T2 are prefixes of the same recurrence, over the
-preperiodic and the leading ell+1 periodic pairs; its T3 is D * T1^T * D^-1
-(see `quadratic`), which `build_T3` rebuilds from the reversed pairs.
+The verifier's T2(ell) are the prefixes of the recurrence over the period,
+and its T1 the recurrence over the preperiodic block: when that block ends
+with one whole period, T1 = T_P * T_pre, which `column_step` builds by
+right-multiplying the period transfer T_P.  Its T3 is D * T1^T * D^-1 (see
+`quadratic`), which `build_T3` rebuilds from the reversed pairs.
 """
 
 from __future__ import annotations
@@ -53,6 +56,25 @@ def transfer_step(t: Mat2, q: JacobiPair) -> Mat2:
         shift_add(t.a12, t.a22, q.a, q.b),
         t.a11.scale(neg_a),
         t.a12.scale(neg_a),
+    )
+
+
+def column_step(t: Mat2, q: JacobiPair) -> Mat2:
+    """t * S(q.a, q.b), one step of the recurrence applied from the right.
+
+    Applied column by column: the new first column is
+    ((z - b)*col1 - a^2*col2)/a, one fused `shift_add` per entry over a
+    scaled second column, and the new second column is col1/a, a `scale`.
+    Folding it over reversed pairs right-multiplies t by their transfer
+    matrix, still without a polynomial product.
+    """
+    neg_a2 = -q.a * q.a
+    inv_a = 1 / q.a
+    return Mat2(
+        shift_add(t.a11, t.a12.scale(neg_a2), q.a, q.b),
+        t.a11.scale(inv_a),
+        shift_add(t.a21, t.a22.scale(neg_a2), q.a, q.b),
+        t.a21.scale(inv_a),
     )
 
 

@@ -57,11 +57,16 @@ Q_M exactly, so
 
     L_P^T = [[-ak^2*gamma', -(beta' + beta)/2], [-ak^2*(beta - beta')/2, alpha']].
 
-Since T2(ell) = S(a, b) * T2(ell-1), N(ell) = T2(ell) * L^T obeys the same
-transfer recurrence, started at N = L^T.  The sweep over ell therefore
-advances N_P and N_Q by one transfer step per ell and reads each residual
-off as a trace; the product T3*T2(ell)*T1 is never formed, and `verify`
-runs no `Mat2` product at all.
+Since T2(ell) = S(a, b) * T2(ell-1), N_P(ell) = T2(ell) * L_P^T obeys the
+same transfer recurrence, started at N_P = L_P^T.  The sweep over ell
+therefore advances N_P by one transfer step per ell and reads P(ell) off as
+a trace.  Q needs no walk of its own: T2(ell) is the (ell+1)-th prefix of
+the period walk that builds the tail, so Q(ell) = gamma * s(ell) with the
+cofactor s(ell) = T2(ell)_21 + ak^2 * T2(ell)_12 read off the stored
+prefixes, and since gamma != 0, Q(ell) vanishes exactly when s(ell) does.
+The period is walked once for the tail and the cofactors and once for N_P;
+the product T3*T2(ell)*T1 is never formed, nor is gamma * s(ell) unless a
+caller reads `residual_Q`, and `verify` runs no polynomial product at all.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ from typing import Iterator, Sequence
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
 from .exactalg import Mat2, Poly, poly_gcd, rational_content, shift_add
 from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
-from .orthopoly import conj_transfer, transfer_step, transfer_step_at
+from .orthopoly import column_step, conj_transfer, transfer_step, transfer_step_at
 
 
 @dataclass(frozen=True)
@@ -127,12 +132,32 @@ class QuadraticRelation:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the exact identity check at one candidate first length."""
+    """Outcome of the exact identity check at one candidate first length.
+
+    The Q residual is kept as its two factors, M's `gamma` and the cofactor
+    `cofactor_Q` = T2(ell)_21 + ak^2 * T2(ell)_12.  `residual_Q`, their
+    product, is formed on first access only; `residual_Q_degree` needs no
+    product.  `holds` is true exactly when `residual_P` and `cofactor_Q`
+    both vanish, which is when `residual_Q` does too, since gamma != 0.
+    """
 
     ell: int
     residual_P: Poly
-    residual_Q: Poly
+    gamma: Poly
+    cofactor_Q: Poly
     holds: bool
+
+    @cached_property
+    def residual_Q(self) -> Poly:
+        """Q(ell) = gamma * cofactor_Q, exact."""
+        return self.gamma * self.cofactor_Q
+
+    @property
+    def residual_Q_degree(self) -> int:
+        """The degree of `residual_Q`, -1 when it is zero, without the product."""
+        if self.cofactor_Q.is_zero():
+            return -1
+        return self.gamma.degree + self.cofactor_Q.degree
 
 
 def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
@@ -195,17 +220,21 @@ def second_solution_value(relation: QuadraticRelation, m_val, z):
 class Prepared:
     """What the identity and the evaluators need of one sequence, built once.
 
-    `tail` is the periodic_quadratic of the period, `t1` the transfer matrix
-    over the preperiodic block, `relation` the canonical relation for M,
-    `scaled_tail` the canonical tail scaled so that it pulls back to
-    `relation` exactly (through the whole block, trailing periods
-    included), `t3` = D*t1^T*D^-1 with D = diag(1, -ak2), the
-    transfer matrix over the index-reversed preperiodic block, and `ak2` the
-    squared a-entry of the pair before the tail (with no preperiodic block:
-    t1 = t3 = identity, last periodic pair).
+    `period_prefixes` are the transfer matrices T_1, ..., T_p over the first
+    1, ..., p periodic pairs, so T2(ell) is `period_prefixes[ell]` and the
+    period transfer T_P the last.  `tail` is the periodic_quadratic of the
+    period, `t1` the transfer matrix over the preperiodic block,
+    `relation` the canonical relation for M, `scaled_tail` the canonical
+    tail scaled so that it pulls back to `relation` exactly (through the
+    whole block, trailing periods included), `t3` = D*t1^T*D^-1 with
+    D = diag(1, -ak2), the transfer matrix over the index-reversed
+    preperiodic block, and `ak2` the squared a-entry of the pair before the
+    tail (with no preperiodic block: t1 = t3 = identity, last periodic
+    pair).
     """
 
     seq: JacobiSequence
+    period_prefixes: tuple[Mat2, ...]
     tail: QuadraticRelation
     t1: Mat2
     relation: QuadraticRelation
@@ -238,27 +267,32 @@ def prepare(seq: JacobiSequence) -> Prepared:
     T_P^T * Q * T_P = Q exactly: pulling back through a period returns the
     relation unchanged.  `t1`, `t3` and `ak2` still span the whole block.
 
-    The period transfer T_P is built once, for the tail and, when the block
-    is exactly one period (as `normalize_kp` makes every purely periodic
-    input), for `t1` as well, since then T1 = T_P; any other block is
-    walked pair by pair.
+    The period is walked once, one transfer step per pair, and every
+    prefix is kept: the last, T_P, gives the tail, and the sweep reads the
+    Q cofactors off the others.  When the block ends with one whole period
+    (as `normalize_kp` appends to every input it changes), T1 = T_P * T_pre
+    for the pairs before that period, and `column_step` right-multiplies
+    T_P by their steps, last pair first; a block of exactly one period
+    takes T1 = T_P.  Any other block is walked pair by pair.  Neither forms
+    a polynomial product.
     """
-    t_p = conj_transfer(seq.periodic, seq.p)
+    block, periodic, p = seq.preperiodic, seq.periodic, seq.p
+    prefixes = tuple(islice(accumulate(periodic, transfer_step, initial=Mat2.identity()), 1, None))
+    t_p = prefixes[-1]
     tail = _fixed_point_relation(t_p)
-    if seq.preperiodic == seq.periodic:
-        t1 = t_p
+    if block[-p:] == periodic:
+        t1 = reduce(column_step, reversed(block[:-p]), t_p)
     else:
-        t1 = reduce(transfer_step, seq.preperiodic, Mat2.identity())
-    ak = (seq.preperiodic or seq.periodic)[-1].a
+        t1 = reduce(transfer_step, block, Mat2.identity())
+    ak = (block or periodic)[-1].a
     ak2 = ak * ak
     t3 = Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
     canonical_tail = tail.canonical()
-    block, p = seq.preperiodic, seq.p
-    while block[-p:] == seq.periodic:
+    while block[-p:] == periodic:
         block = block[:-p]
     relation, content = pullback_quadratic(canonical_tail, block).primitive()
     scaled_tail = canonical_tail.scale(1 / content)
-    return Prepared(seq, tail, t1, relation, scaled_tail, t3, ak2)
+    return Prepared(seq, prefixes, tail, t1, relation, scaled_tail, t3, ak2)
 
 
 def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
@@ -266,10 +300,11 @@ def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
 
     N_P starts at L_P^T = T1*W_P*T3, read off M's beta and the scaled tail
     (alpha', beta', gamma') as [[-ak2*gamma', -(beta' + beta)/2],
-    [-ak2*(beta - beta')/2, alpha']], and N_Q at L_Q^T = T1*W_Q*T3 = W_Q.
-    Both follow the transfer recurrence over the periodic pairs, and after
-    the first ell+1 pairs they are T2(ell)*L^T, whose traces are the
-    residuals.  No step runs over the preperiodic pairs.
+    [-ak2*(beta - beta')/2, alpha']].  It follows the transfer recurrence
+    over the periodic pairs, and after the first ell+1 pairs it is
+    T2(ell)*L_P^T, whose trace is P(ell).  The Q cofactor
+    T2(ell)_21 + ak2*T2(ell)_12 is read off `prep.period_prefixes`, one
+    scaling and one sum per ell.  No step runs over the preperiodic pairs.
 
     Raises:
         NotNormalized: the sequence is not in canonical form.
@@ -277,26 +312,21 @@ def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     require_kp_normalized(prep.seq)
     be, ga, ak2 = prep.relation.beta, prep.relation.gamma, prep.ak2
     tail = prep.scaled_tail
-    zero = Poly.zero()
     l_p = Mat2(
         tail.gamma.scale(-ak2),
         (tail.beta + be).scale(Fraction(-1, 2)),
         (be - tail.beta).scale(-ak2 / 2),
         tail.alpha,
     )
-    kernels = (l_p, Mat2(zero, ga, ga.scale(ak2), zero))
-    periodic = prep.seq.periodic
-    # element j is (T2(j-1)*L_P^T, T2(j-1)*L_Q^T), over the first j periodic pairs
-    steps = accumulate(
-        periodic[: len(periodic) - 1],
-        lambda ns, q: (transfer_step(ns[0], q), transfer_step(ns[1], q)),
-        initial=kernels,
-    )
-    for ell, (n_p, n_q) in enumerate(islice(steps, 2, None), start=1):
+    periodic, prefixes = prep.seq.periodic, prep.period_prefixes
+    # element j is T2(j-1)*L_P^T, over the first j periodic pairs
+    steps = accumulate(periodic[: len(periodic) - 1], transfer_step, initial=l_p)
+    for ell, n_p in enumerate(islice(steps, 2, None), start=1):
+        t2 = prefixes[ell]
         residual_p = n_p.a11 + n_p.a22
-        residual_q = n_q.a11 + n_q.a22
-        holds = residual_p.is_zero() and residual_q.is_zero()
-        yield VerificationReport(ell, residual_p, residual_q, holds)
+        cofactor_q = t2.a21 + t2.a12.scale(ak2)
+        holds = residual_p.is_zero() and cofactor_q.is_zero()
+        yield VerificationReport(ell, residual_p, ga, cofactor_q, holds)
 
 
 def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
@@ -321,8 +351,9 @@ def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
 def verify_splits(prep: Prepared) -> dict[int, VerificationReport]:
     """The verify_main_identity reports for every ell in 1 .. p-2.
 
-    One sweep: each ell costs one fused transfer step of N_P and N_Q, which
-    forms no polynomial product.
+    One sweep: each ell costs one fused transfer step of N_P and one read
+    of the Q cofactor off the period prefixes that `prepare` kept; neither
+    forms a polynomial product, and `residual_Q` is formed only when read.
     Returns reports keyed by ell in ascending order.
     """
     return {report.ell: report for report in _sweep(prep)}

@@ -358,6 +358,59 @@ def test_verify_forms_no_polynomial_product(capsys, monkeypatch):
     assert calls == []
 
 
+def test_verify_walks_the_period_once(tmp_path, capsys, monkeypatch):
+    import palinfrac.orthopoly as orthopoly
+    import palinfrac.quadratic as quadratic
+    from palinfrac import load_sequence
+
+    # verify --all walks the period once for the tail and the Q cofactors,
+    # steps N_P once per periodic pair before the last (ell = 1 reads two
+    # pairs), walks a block that does not end with a whole period, and
+    # right-multiplies the period transfer by the pairs before an appended one
+    calls = {"transfer_step": 0, "column_step": 0, "transfer_step_at": 0}
+    for name in calls:
+        step = getattr(orthopoly, name)
+
+        def counting(*args, step=step, name=name):
+            calls[name] += 1
+            return step(*args)
+
+        monkeypatch.setattr(orthopoly, name, counting)
+        monkeypatch.setattr(quadratic, name, counting)
+    path = str(DATA / "verify_p24.json")
+    seq = load_sequence((DATA / "verify_p24.json").read_bytes())
+    p = seq.p
+    appended = write_input(tmp_path, seq.periodic, seq.preperiodic[:-1] + seq.periodic[:1])
+    for source, walked, before in ((path, 2, 0), (appended, 0, 2)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["verify", "--input", source, "--all", "--json"]) == 1
+        assert calls == {
+            "transfer_step": p + (p - 1) + walked,
+            "column_step": before,
+            "transfer_step_at": p - 1,
+        }
+    # one --ell forms the pointwise values only up to that ell
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["verify", "--input", path, "--ell", "9"]) == 0
+    assert calls["transfer_step_at"] == 9 + 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_verify_ell_on_a_period_shorter_than_three(tmp_path, capsys, p):
+    from palinfrac import pair
+
+    path = write_input(tmp_path, [pair(1, 0), pair(2, 1)][:p])
+    assert main(["verify", "--input", path, "--ell", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: --ell needs p >= 3: a period of p = {p} has no first length to check\n"
+    )
+    assert main(["verify", "--input", path, "--all"]) == 0
+    assert capsys.readouterr().out.endswith("holds for ell in []\n")
+
+
 def test_second_solution_is_formed_once_per_point(tmp_path, capsys, monkeypatch):
     import palinfrac.cli as cli
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import gcd, prod
 
@@ -22,7 +23,7 @@ from palinfrac import (
     pair,
     sequence,
 )
-from palinfrac.orthopoly import transfer_step
+from palinfrac.orthopoly import column_step, transfer_step
 from conftest import random_periodic, scalar_first_kind, scalar_second_kind
 
 
@@ -219,3 +220,19 @@ def test_transfer_step_matches_the_composed_step(entries, a, b):
     for poly in result.entries():
         assert poly.den > 0 and gcd(poly.den, *poly.num) == 1
         assert not poly.num or poly.num[-1] != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 5), st.integers(1, 6), st.integers(1, 2))
+def test_column_steps_on_the_period_transfer_give_the_block_transfer(seed, m, p, copies):
+    # T1 = T_P * T_pre for a block of m pairs and then whole periods, by
+    # right-multiplying the period transfer over the reversed pairs before
+    # the last period; the pair-by-pair walk is the reference
+    rng = random.Random(seed)
+    periodic = random_periodic(rng, p, max_mag=5)
+    block = random_periodic(rng, m, max_mag=5) + periodic * copies
+    block_transfer = reduce(transfer_step, block, Mat2.identity())
+    t_p = conj_transfer(periodic, p)
+    assert reduce(column_step, reversed(block[:-p]), t_p) == block_transfer
+    x = conj_transfer(random_periodic(rng, 2, max_mag=5), 2)
+    assert reduce(column_step, reversed(block), x) == x @ block_transfer

@@ -372,21 +372,55 @@ def test_prepare_walks_a_one_period_block_once(monkeypatch):
     import palinfrac.orthopoly as orthopoly
     import palinfrac.quadratic as quadratic
 
-    calls = []
-    step = orthopoly.transfer_step
+    # the period is walked once; the pairs before an appended period are
+    # column steps on its transfer matrix
+    calls = {"transfer_step": [], "column_step": []}
+    for name, log in calls.items():
+        step = getattr(orthopoly, name)
 
-    def counting(t, q):
-        calls.append(q)
-        return step(t, q)
+        def counting(t, q, step=step, log=log):
+            log.append(q)
+            return step(t, q)
 
-    monkeypatch.setattr(orthopoly, "transfer_step", counting)
-    monkeypatch.setattr(quadratic, "transfer_step", counting)
+        monkeypatch.setattr(orthopoly, name, counting)
+        monkeypatch.setattr(quadratic, name, counting)
     periodic = tuple(random_periodic(random.Random(15), 24))
     prepare(normalize_kp(JacobiSequence((), periodic)))
-    assert len(calls) == 24
-    calls.clear()
+    assert (len(calls["transfer_step"]), len(calls["column_step"])) == (24, 0)
+    for log in calls.values():
+        log.clear()
     prepare(JacobiSequence(periodic[:2] + periodic, periodic))
-    assert len(calls) == 24 + 26
+    assert (len(calls["transfer_step"]), len(calls["column_step"])) == (24, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(3, 24),
+    st.integers(0, 3),
+    st.booleans(),
+    st.sampled_from(["doubly", "random", "multi"]),
+)
+def test_q_residual_is_formed_only_when_read(seed, p, k, normalized, kind):
+    # the Q residual is kept as gamma and its cofactor; its degree and the
+    # verdict need no product, and they agree with the product when formed
+    rng = random.Random(seed)
+    if kind == "doubly":
+        periodic = doubly_palindromic_period(rng, p, rng.randint(1, p - 2))
+    elif kind == "random":
+        periodic = random_periodic(rng, p, max_mag=5)
+    else:
+        periodic = multi_split_period(rng, p)
+    preperiodic = random_periodic(rng, k, max_mag=5)
+    if normalized and k:
+        preperiodic[-1] = periodic[-1]
+    seq = normalize_kp(JacobiSequence(tuple(preperiodic), tuple(periodic)))
+    reports = verify_splits(prepare(seq))
+    assert not any("residual_Q" in vars(r) for r in reports.values())
+    for report in reports.values():
+        assert report.residual_Q_degree == report.residual_Q.degree
+        assert report.holds == (report.residual_P.is_zero() and report.residual_Q.is_zero())
+    assert [ell for ell, r in reports.items() if r.holds] == brute_splits(periodic)
 
 
 def multi_split_period(rng: random.Random, p: int) -> list:
