@@ -36,7 +36,7 @@ class DivisionByZero(PalinfracError, ZeroDivisionError):
 
 
 class BranchAmbiguity(PalinfracError):
-    """Neither or both quadratic roots qualify as the upper-half-plane branch."""
+    """No root of the periodic tail is off the real axis, at the point or just above it."""
 
 
 class NotAnMFunction(PalinfracError):

@@ -85,8 +85,11 @@ class JacobiSequence:
 
     @cached_property
     def float_pairs(self) -> tuple[tuple[float, float], ...]:
-        """`float_preperiodic`, then the same conversion of each periodic pair."""
-        return self.float_preperiodic + _float_pairs(self.periodic)
+        """`float_preperiodic`, then the periodic pairs: lent by a block that
+        ends with the period (as `normalize_kp` leaves one), else converted."""
+        block, p = self.float_preperiodic, self.p
+        lent = self.preperiodic[-p:] == self.periodic
+        return block + (block[-p:] if lent else _float_pairs(self.periodic))
 
     def pairs(self, n: int) -> list[JacobiPair]:
         """Unroll the first n pairs of the stream."""

@@ -1,11 +1,12 @@
 """Numeric evaluation of m-functions and exact Laurent-series machinery.
 
 Evaluation side: a purely periodic function is evaluated by solving its
-fixed-point quadratic at the point and selecting the root in the upper half
-plane; an eventually periodic function wraps that value in finitely many
-continued-fraction levels.  A depth-limited truncation evaluator provides an
-independent cross-check, `strip_identity_check` compares direct
-evaluation of a shifted stream against the Moebius image of the original.
+fixed-point quadratic at the point and keeping the root with the larger
+imaginary part, the only one in the upper half plane; an eventually
+periodic function wraps that value in finitely many continued-fraction
+levels.  A depth-limited truncation evaluator provides an independent
+cross-check, `strip_identity_check` compares direct evaluation of a
+shifted stream against the Moebius image of the original.
 `reverse_asymptotics` decides exactly, from the leading coefficients of M's
 relation, whether 1/(ak^2 * Mtilde) decays like an m-function at infinity.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,47 +55,46 @@ from .quadratic import Prepared, QuadraticRelation, prepare
 # numeric evaluation
 # ---------------------------------------------------------------------------
 
-_IM_CUTOFF = 1e-13
-_CONTINUITY_STEP = 1e-6
 
-
-def eval_periodic_m(tail: QuadraticRelation, z, _nudged: bool = False):
+def eval_periodic_m(tail: QuadraticRelation, z):
     """The purely periodic function at z (Im z > 0): upper-half-plane root.
 
     `tail` is the period's fixed-point relation (`periodic_quadratic`, or
-    `Prepared.tail`).  Solves it at z and returns the root with positive
-    imaginary part.  If both roots are numerically real, the point is
-    re-evaluated slightly higher in the half plane and the root is selected
-    by continuity.
+    `Prepared.tail`).  For Im z > 0 each level v -> 1/(b - z - a^2 v) maps
+    the closed upper half plane into the open one, so exactly one root lies
+    there and the other lies below (Wall, *Analytic Theory of Continued
+    Fractions*, 1948): m(z) is the root with the larger imaginary part when
+    that part is a positive normal double.  Otherwise both roots are real to
+    double precision (the real axis, or subnormal heights), and the one
+    closest to m(z + 1e-6 i) is taken.
 
     Raises:
-        BranchAmbiguity: both roots claim the upper half plane, or the
-            continuity fallback cannot separate them.
+        OverflowError: a root is not finite; the tail's values overflow at z.
+        BranchAmbiguity: no root is off the real axis at z + 1e-6 i either.
     """
-    av = tail.alpha(z)
-    bv = tail.beta(z)
-    gv = tail.gamma(z)
-    if av == 0:
-        if bv == 0:
-            raise DivisionByZero("quadratic degenerates at evaluation point")
-        return -gv / bv
-    disc = bv * bv - 4 * av * gv
-    root = disc ** 0.5
-    r1 = (-bv + root) / (2 * av)
-    r2 = (-bv - root) / (2 * av)
+    m, other = _tail_roots(tail, z)
+    if m.imag < sys.float_info.min:
+        reference = _tail_roots(tail, z + 1e-6j)[0]
+        if reference.imag < sys.float_info.min:
+            raise BranchAmbiguity(f"no root of the periodic tail is off the real axis at z={z}")
+        return min(m, other, key=lambda r: abs(r - reference))
+    return m
 
-    im1, im2 = r1.imag, r2.imag
-    if im1 > _IM_CUTOFF and im2 <= _IM_CUTOFF:
-        return r1
-    if im2 > _IM_CUTOFF and im1 <= _IM_CUTOFF:
-        return r2
-    if im1 > _IM_CUTOFF and im2 > _IM_CUTOFF:
-        raise BranchAmbiguity(f"both roots lie in the upper half plane at z={z}")
-    if _nudged:
-        raise BranchAmbiguity(f"branch selection failed to converge at z={z}")
-    # Both roots numerically real: nudge upward and select by continuity.
-    reference = eval_periodic_m(tail, z + 1j * _CONTINUITY_STEP, _nudged=True)
-    return r1 if abs(r1 - reference) <= abs(r2 - reference) else r2
+
+def _tail_roots(tail: QuadraticRelation, z) -> tuple:
+    """Both roots at z, larger imaginary part first, by formulas that do not cancel:
+    big/(2 alpha) and, by Vieta, 2 gamma/big (the only root where alpha(z) = 0),
+    with big = -beta - s*sqrt(disc) and s = +-1 maximising |big|."""
+    av, bv, gv = tail.alpha(z), tail.beta(z), tail.gamma(z)
+    root = (bv * bv - 4 * av * gv) ** 0.5
+    big = -bv - root if abs(bv + root) >= abs(bv - root) else root - bv
+    if big == 0:
+        raise DivisionByZero("quadratic degenerates at evaluation point")
+    r1 = 2 * gv / big
+    r2 = big / (2 * av) if av != 0 else r1
+    if not (abs(r1) < math.inf and abs(r2) < math.inf):
+        raise OverflowError(f"periodic tail overflows at z={z}")
+    return (r1, r2) if r1.imag >= r2.imag else (r2, r1)
 
 
 def eval_m(prep: Prepared, z):
@@ -114,20 +115,14 @@ def fold_preperiodic(seq: JacobiSequence, value, z):
 
     At a builtin float or complex point the levels read
     `seq.float_preperiodic`, the k preperiodic pairs converted once per
-    sequence; the periodic pairs are not converted.  That is bit for bit
-    the exact-pair loop, since Fraction's mixed arithmetic with a float or
-    complex converts the Fraction to float as well.  Any other point type
-    (Fraction, mpmath) gets the exact pairs, as `Poly.__call__` does, and so
-    does a block with a pair too large for a float, since the exact loop
-    converts the pairs only as it reaches them.
+    sequence.  That is bit for bit the exact-pair loop, since Fraction's
+    mixed arithmetic with a float or complex converts through float() too,
+    and so raises the same OverflowError at a pair too large for a float.
+    Other point types (Fraction, mpmath) get the exact pairs.
     """
-    levels = None
     if type(z) in (float, complex):
-        try:
-            levels = seq.float_preperiodic
-        except OverflowError:
-            pass
-    if levels is None:
+        levels = seq.float_preperiodic
+    else:
         levels = [(q.b, q.a * q.a) for q in seq.preperiodic]
     for b, a2 in reversed(levels):
         den = b - z - a2 * value

@@ -305,7 +305,7 @@ def test_verify_survives_a_vanishing_moebius_denominator(capsys):
 
 def test_verify_survives_a_failing_cross_check(capsys):
     # both identities hold exactly at ell = 1, but in double precision the
-    # tail's branch selection fails at z0 on the first input, and T1's float
+    # periodic tail overflows at z0 on the first input, and T1's float
     # coefficients overflow on the second; the exact verdicts alone decide
     # the report and the exit code
     for name in ("verify_branch_failure.json", "verify_float_overflow.json"):
@@ -521,10 +521,14 @@ def test_eval_solves_the_tail_once_per_point(tmp_path, capsys, monkeypatch):
     assert len(calls) == 3
 
 
-def test_eval_converts_each_pair_to_float_once_per_request(capsys, monkeypatch):
+def test_eval_converts_each_pair_to_float_once_per_request(tmp_path, capsys, monkeypatch):
     from fractions import Fraction
 
-    # the pairs and a_k^2 become floats once per request, not at every point
+    from palinfrac import load_sequence
+
+    # the pairs and a_k^2 become floats once per request, not at every point;
+    # normalize_kp turns a purely periodic input into a block of one period,
+    # which lends its float pairs to the period: 2p conversions and one for a_k^2
     calls = []
     to_float = Fraction.__float__
 
@@ -532,17 +536,20 @@ def test_eval_converts_each_pair_to_float_once_per_request(capsys, monkeypatch):
         calls.append(self)
         return to_float(self)
 
+    periodic = load_sequence((DATA / "verify_p24.json").read_text(encoding="utf-8")).periodic
+    lone_period = write_input(tmp_path, periodic)
     monkeypatch.setattr(Fraction, "__float__", counting)
-    path = str(DATA / "verify_p24.json")
     rng = random.Random(14)
-    counts = []
-    for n in (1, 64):
-        points = ";".join(f"{rng.uniform(-2, 2)},{rng.uniform(0.5, 3)}" for _ in range(n))
-        calls.clear()
-        assert main(["eval", "--input", path, f"--points={points}"]) == 0
-        counts.append(len(calls))
-    capsys.readouterr()
-    assert counts[0] == counts[1]
+    for path in (str(DATA / "verify_p24.json"), lone_period):
+        counts = []
+        for n in (1, 64):
+            points = ";".join(f"{rng.uniform(-2, 2)},{rng.uniform(0.5, 3)}" for _ in range(n))
+            calls.clear()
+            assert main(["eval", "--input", path, f"--points={points}"]) == 0
+            counts.append(len(calls))
+        capsys.readouterr()
+        assert counts[0] == counts[1]
+    assert counts[0] == 2 * len(periodic) + 1 == 49
 
 
 def test_json_reports_have_no_nan_or_infinity(tmp_path, capsys):

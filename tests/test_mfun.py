@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from palinfrac import (
     sequence,
     strip_identity_check,
 )
-from palinfrac.cli import MAX_ORDER
+from palinfrac.cli import MAX_ORDER, main
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -84,6 +85,68 @@ def test_periodic_m_branch_fallback_off_spectrum():
     # decaying one, here m(3) = (-3 + sqrt(5))/2
     value = eval_periodic_m(periodic_quadratic(CHEBYSHEV), 3.0 + 0j)
     assert abs(value - (-3 + 5**0.5) / 2) < 1e-9
+
+
+def _mpmath_m(mpmath, seq, z):
+    """M(z) from the period's Moebius map in mpmath, not from the relation.
+
+    Each level is v -> 1/(b - z - a^2 v), the matrix [[0, 1], [-a^2, b - z]];
+    the period's product [[A, B], [C, D]] fixes m when
+    C m^2 + (D - A) m - B = 0, and m is the root with Im m > 0.
+    """
+
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    A, B, C, D = 1, 0, 0, 1
+    for q in seq.periodic:
+        a2, d = mp(q.a) ** 2, mp(q.b) - z
+        A, B, C, D = -B * a2, A + B * d, -D * a2, C + D * d
+    root = mpmath.sqrt((D - A) ** 2 + 4 * B * C)
+    value = max(((A - D + root) / (2 * C), (A - D - root) / (2 * C)), key=lambda r: r.imag)
+    for q in reversed(seq.preperiodic):
+        value = 1 / (mp(q.b) - z - mp(q.a) ** 2 * value)
+    return value
+
+
+def test_periodic_m_matches_mpmath_at_every_height():
+    # the textbook root formula cancels at large |z|, and near the real axis
+    # Im m is tiny (about 1e-24 at 1e12 + i), so heights run to 1e12 along
+    # i*y and along y + i
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(1601)
+    with mpmath.workdps(60):
+        for _ in range(24):
+            seq = JacobiSequence(
+                tuple(random_periodic(rng, rng.randint(0, 3))),
+                tuple(random_periodic(rng, rng.randint(1, 12))),
+            )
+            prep = prepare(seq)
+            tail = JacobiSequence((), seq.periodic)
+            for e in range(13):
+                for z in (complex(0, 10.0**e), complex(10.0**e, 1)):
+                    zm = mpmath.mpc(z.real, z.imag)
+                    for got, exact in (
+                        (eval_periodic_m(prep.tail, z), _mpmath_m(mpmath, tail, zm)),
+                        (eval_m(prep, z), _mpmath_m(mpmath, seq, zm)),
+                    ):
+                        assert abs(got - exact) <= 1e-13 * abs(exact), (seq, z)
+
+
+def test_periodic_m_names_an_overflowing_tail(capsys):
+    # Horner's values on a p = 48 tail pass 1e308 at 1e8*i; with a = 1e-200
+    # the tail's coefficients hold 1e400, its values reach about 1e200 at z0,
+    # and the discriminant overflows
+    path = str(Path(__file__).parent / "data" / "verify_branch_failure.json")
+    for seq, z in (
+        (purely_periodic(random_periodic(random.Random(1602), 48)), 1e8j),
+        (sequence([], [("1e-200", 0), (1, 0), (1, 0)]), 0.37 + 1.31j),
+    ):
+        tail = prepare(normalize_kp(seq)).tail
+        with pytest.raises(OverflowError, match=re.escape(f"periodic tail overflows at z={z}")):
+            eval_periodic_m(tail, z)
+    assert main(["eval", "--input", path, "--points=0.37,1.31"]) == 1
+    assert capsys.readouterr().err.startswith("computation failed: periodic tail overflows")
 
 
 def test_eval_m_empty_preperiodic_matches_tail():
