@@ -199,7 +199,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = verify_splits(prep) if args.all else {args.ell: verify_main_identity(prep, args.ell)}
     z0 = complex(0.37, 1.31)
     try:
-        m0 = eval_m(prep, z0)
+        m0 = eval_m(normalized, z0)
         second0 = second_solution_value(prep.relation, m0, z0)
         values = dict(
             enumerate(islice(product_values(prep, z0), max(requested, default=0)), start=1)
@@ -280,13 +280,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"identity checked at ell = {ell if ell is not None else 'none (no splits)'}"
     ]
     for z in points:
-        m_tail = eval_periodic_m(prep.tail, z)
+        m_tail = eval_periodic_m(normalized, z)
         m_full = fold_preperiodic(normalized, m_tail, z)
-        # Mtilde and the identity's matrix values need the float coefficients
-        # of exact polynomials, which overflow on very large rationals; they
-        # are then reported unavailable, and M, m and the gap still are
+        # Mtilde and the identity's matrix values are Horner values of exact
+        # polynomials, which overflow on huge rationals or at extreme heights;
+        # they are then reported unavailable, and M, m and the gap still are
         try:
             second = second_solution_value(prep.relation, m_full, z)
+            second = second if cmath.isfinite(second) else None
         except OverflowError:
             second = None
         truncation_gap = abs(m_full - eval_truncated(normalized, z, args.depth))
@@ -302,8 +303,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             residual = check["residual"]
             residual_ok = check["ok"]
         else:
-            residual = None
-            residual_ok = None
+            residual = residual_ok = None
         rows.append(
             {
                 "z": _format_complex(z),

@@ -76,11 +76,7 @@ class JacobiSequence:
 
     @cached_property
     def float_preperiodic(self) -> tuple[tuple[float, float], ...]:
-        """(float(b), float(a^2)) of each preperiodic pair.
-
-        Converted on first use and kept, so the double-precision evaluators
-        convert each pair once per sequence, not once per point.
-        """
+        """(float(b), float(a^2)) per preperiodic pair, once per sequence."""
         return _float_pairs(self.preperiodic)
 
     @cached_property

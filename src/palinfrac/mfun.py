@@ -1,12 +1,11 @@
 """Numeric evaluation of m-functions and exact Laurent-series machinery.
 
-Evaluation side: a purely periodic function is evaluated by solving its
-fixed-point quadratic at the point and keeping the root with the larger
-imaginary part, the only one in the upper half plane; an eventually
-periodic function wraps that value in finitely many continued-fraction
-levels.  A depth-limited truncation evaluator provides an independent
-cross-check, `strip_identity_check` compares direct evaluation of a
-shifted stream against the Moebius image of the original.
+Evaluation side: everything is read off the pairs.  A purely periodic
+function is the fixed point of its period's product of level maps that
+lies in the upper half plane, and an eventually periodic function wraps
+it in its preperiodic levels.  A depth-limited truncation evaluator
+cross-checks them, and `strip_identity_check` compares direct evaluation
+of a shifted stream against the Moebius image of the original.
 `reverse_asymptotics` decides exactly, from the leading coefficients of M's
 relation, whether 1/(ak^2 * Mtilde) decays like an m-function at infinity.
 
@@ -48,7 +47,7 @@ from .errors import (
 from .exactalg import mobius_apply, rational_sqrt
 from .jacobi import JacobiPair, JacobiSequence, normalize_kp, strip
 from .orthopoly import conj_transfer
-from .quadratic import Prepared, QuadraticRelation, prepare
+from .quadratic import QuadraticRelation, prepare
 
 
 # ---------------------------------------------------------------------------
@@ -56,36 +55,55 @@ from .quadratic import Prepared, QuadraticRelation, prepare
 # ---------------------------------------------------------------------------
 
 
-def eval_periodic_m(tail: QuadraticRelation, z):
-    """The purely periodic function at z (Im z > 0): upper-half-plane root.
+def eval_periodic_m(seq: JacobiSequence, z):
+    """The purely periodic function of `seq`'s period at z (Im z > 0).
 
-    `tail` is the period's fixed-point relation (`periodic_quadratic`, or
-    `Prepared.tail`).  For Im z > 0 each level v -> 1/(b - z - a^2 v) maps
-    the closed upper half plane into the open one, so exactly one root lies
-    there and the other lies below (Wall, *Analytic Theory of Continued
-    Fractions*, 1948): m(z) is the root with the larger imaginary part when
-    that part is a positive normal double.  Otherwise both roots are real to
-    double precision (the real axis, or subnormal heights), and the one
-    closest to m(z + 1e-6 i) is taken.
+    m is a fixed point of the product [[A, B], [C, D]] of the period's level
+    matrices [[0, 1], [-a^2, b - z]], the maps v -> 1/(b - z - a^2 v), so a
+    root of C m^2 + (D - A) m - B = 0.  Each level maps the closed upper
+    half plane into the open one, so only one root lies there (Wall,
+    *Analytic Theory of Continued Fractions*, 1948): m(z) is the root with
+    the larger imaginary part if that is a positive normal double.  Else
+    both are real to double precision (the real axis, subnormal heights),
+    and the one closest to m(z + 1e-6 i) is taken.
 
     Raises:
-        OverflowError: a root is not finite; the tail's values overflow at z.
+        OverflowError: a root is not finite.
         BranchAmbiguity: no root is off the real axis at z + 1e-6 i either.
     """
-    m, other = _tail_roots(tail, z)
+    m, other = _tail_roots(seq, z)
     if m.imag < sys.float_info.min:
-        reference = _tail_roots(tail, z + 1e-6j)[0]
+        reference = _tail_roots(seq, z + 1e-6j)[0]
         if reference.imag < sys.float_info.min:
             raise BranchAmbiguity(f"no root of the periodic tail is off the real axis at z={z}")
         return min(m, other, key=lambda r: abs(r - reference))
     return m
 
 
-def _tail_roots(tail: QuadraticRelation, z) -> tuple:
-    """Both roots at z, larger imaginary part first, by formulas that do not cancel:
-    big/(2 alpha) and, by Vieta, 2 gamma/big (the only root where alpha(z) = 0),
-    with big = -beta - s*sqrt(disc) and s = +-1 maximising |big|."""
-    av, bv, gv = tail.alpha(z), tail.beta(z), tail.gamma(z)
+def _tail_roots(seq: JacobiSequence, z) -> tuple:
+    """Both roots at z, larger imaginary part first.
+
+    At a builtin point the product is rescaled by its largest entry before
+    a level, unless z, b and a^2 lie within 1e90 of 1 and the second column
+    within 1e100: the first column is the last second column times -a^2,
+    so a level then moves no entry beyond 1e191 of 1.  (alpha, beta, gamma)
+    is rescaled once more.  No entry overflows or underflows, and no
+    scaling moves a root.  The roots big/(2 alpha) and 2 gamma/big (Vieta;
+    the only root where alpha = 0), with big = -beta - s*sqrt(disc) and
+    s = +-1 maximising |big|, do not cancel.
+    """
+    floats, near = type(z) in (float, complex), abs(z) < 1e90
+    A, B, C, D = 1, 0, 0, 1
+    for b, a2 in _levels(seq, z, periodic=True):
+        if floats and not (
+            near and 1e-90 < a2 < 1e90 and -1e90 < b < 1e90 and 1e-100 < abs(B) + abs(D) < 1e100
+        ):
+            s = 1 / max(abs(A), abs(B), abs(C), abs(D))
+            A, B, C, D = A * s, B * s, C * s, D * s
+        d = b - z
+        A, B, C, D = -B * a2, A + B * d, -D * a2, C + D * d
+    s = 1 / (max(abs(C), abs(D - A), abs(B)) or 1) if floats else 1
+    av, bv, gv = C * s, (D - A) * s, -B * s
     root = (bv * bv - 4 * av * gv) ** 0.5
     big = -bv - root if abs(bv + root) >= abs(bv - root) else root - bv
     if big == 0:
@@ -97,34 +115,30 @@ def _tail_roots(tail: QuadraticRelation, z) -> tuple:
     return (r1, r2) if r1.imag >= r2.imag else (r2, r1)
 
 
-def eval_m(prep: Prepared, z):
-    """The eventually periodic function at z (Im z > 0).
+def _levels(seq: JacobiSequence, z, periodic: bool) -> tuple:
+    """(b, a^2) of the period's or the block's pairs, in the arithmetic of z.
 
-    Evaluates the periodic tail by `eval_periodic_m` on `prep.tail`, then
-    folds the preperiodic pairs around it with `fold_preperiodic`.
+    A builtin float or complex point reads the sequence's float table, with
+    the bits and OverflowErrors of the exact pairs (mixed Fraction
+    arithmetic converts through float() too); other points, the exact pairs.
     """
-    return fold_preperiodic(prep.seq, eval_periodic_m(prep.tail, z), z)
+    if type(z) in (float, complex):
+        return seq.float_pairs[seq.k :] if periodic else seq.float_preperiodic
+    return tuple((q.b, q.a * q.a) for q in (seq.periodic if periodic else seq.preperiodic))
+
+
+def eval_m(seq: JacobiSequence, z):
+    """The eventually periodic function at z (Im z > 0): the tail, folded."""
+    return fold_preperiodic(seq, eval_periodic_m(seq, z), z)
 
 
 def fold_preperiodic(seq: JacobiSequence, value, z):
-    """Wrap the tail value at z in the preperiodic levels of `seq`.
+    """Wrap the tail value at z in the preperiodic levels of `seq`, last first.
 
-    Applies value -> 1/(b - z - a^2 * value) for the preperiodic pairs from
-    last to first, so a caller that already holds the periodic tail's value
-    gets M(z) without solving the tail again.
-
-    At a builtin float or complex point the levels read
-    `seq.float_preperiodic`, the k preperiodic pairs converted once per
-    sequence.  That is bit for bit the exact-pair loop, since Fraction's
-    mixed arithmetic with a float or complex converts through float() too,
-    and so raises the same OverflowError at a pair too large for a float.
-    Other point types (Fraction, mpmath) get the exact pairs.
+    A caller that holds the periodic tail's value gets M(z) without solving
+    the tail again.
     """
-    if type(z) in (float, complex):
-        levels = seq.float_preperiodic
-    else:
-        levels = [(q.b, q.a * q.a) for q in seq.preperiodic]
-    for b, a2 in reversed(levels):
+    for b, a2 in reversed(_levels(seq, z, periodic=False)):
         den = b - z - a2 * value
         if den == 0:
             raise DivisionByZero(f"continued fraction level vanished at z={z}")
@@ -185,8 +199,8 @@ def strip_identity_check(seq: JacobiSequence, count: int, z) -> float:
     if count < 1:
         raise InsufficientOrder(f"strip count must be at least 1, got {count}")
     removed = seq.pairs(count)
-    direct = eval_m(prepare(strip(seq, count)), z)
-    image = mobius_apply(conj_transfer(removed, count), eval_m(prepare(seq), z), z)
+    direct = eval_m(strip(seq, count), z)
+    image = mobius_apply(conj_transfer(removed, count), eval_m(seq, z), z)
     return abs(direct - image)
 
 

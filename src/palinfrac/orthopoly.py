@@ -81,12 +81,12 @@ def column_step(t: Mat2, q: JacobiPair) -> Mat2:
 def transfer_step_at(t: tuple, q: JacobiPair, z) -> tuple:
     """transfer_step at the point z, on the values (a11, a12, a21, a22).
 
-    The pair enters as floats, so the values follow double precision at a
-    builtin float or complex point.
+    The pair enters as floats at a builtin float or complex point, so the
+    values follow double precision there, and exactly at any other point.
     """
     t11, t12, t21, t22 = t
-    a = float(q.a)
-    shift = z - float(q.b)
+    a, b = (float(q.a), float(q.b)) if type(z) in (float, complex) else (q.a, q.b)
+    shift = z - b
     return ((shift * t11 + t21) / a, (shift * t12 + t22) / a, -a * t11, -a * t12)
 
 

@@ -62,8 +62,8 @@ same transfer recurrence, started at N_P = L_P^T.  The sweep over ell
 therefore advances N_P by one transfer step per ell and reads P(ell) off as
 a trace.  Q needs no walk of its own: T2(ell) is the (ell+1)-th prefix of
 the period walk that builds the tail, so Q(ell) = gamma * s(ell) with the
-cofactor s(ell) = T2(ell)_21 + ak^2 * T2(ell)_12 read off the stored
-prefixes, and since gamma != 0, Q(ell) vanishes exactly when s(ell) does.
+cofactor s(ell) = T2(ell)_21 + ak^2 * T2(ell)_12 formed as the walk passes
+it, and since gamma != 0, Q(ell) vanishes exactly when s(ell) does.
 The period is walked once for the tail and the cofactors and once for N_P;
 the product T3*T2(ell)*T1 is never formed, nor is gamma * s(ell) unless a
 caller reads `residual_Q`, and `verify` runs no polynomial product at all.
@@ -116,14 +116,6 @@ class QuadraticRelation:
 
     def scale(self, factor: Fraction) -> "QuadraticRelation":
         return QuadraticRelation(*(t.scale(factor) for t in (self.alpha, self.beta, self.gamma)))
-
-    def is_proportional_to(self, other: "QuadraticRelation") -> bool:
-        """Exact cross-multiplication test for projective equality."""
-        return (
-            self.alpha * other.beta == other.alpha * self.beta
-            and self.alpha * other.gamma == other.alpha * self.gamma
-            and self.beta * other.gamma == other.beta * self.gamma
-        )
 
     def residual(self, y, z):
         """Evaluate alpha(z)*y^2 + beta(z)*y + gamma(z)."""
@@ -218,24 +210,21 @@ def second_solution_value(relation: QuadraticRelation, m_val, z):
 
 @dataclass(frozen=True)
 class Prepared:
-    """What the identity and the evaluators need of one sequence, built once.
+    """What the identity checks need of one sequence, built once.
 
-    `period_prefixes` are the transfer matrices T_1, ..., T_p over the first
-    1, ..., p periodic pairs, so T2(ell) is `period_prefixes[ell]` and the
-    period transfer T_P the last.  `tail` is the periodic_quadratic of the
-    period, `t1` the transfer matrix over the preperiodic block,
-    `relation` the canonical relation for M, `scaled_tail` the canonical
-    tail scaled so that it pulls back to `relation` exactly (through the
-    whole block, trailing periods included), `t3` = D*t1^T*D^-1 with
-    D = diag(1, -ak2), the transfer matrix over the index-reversed
-    preperiodic block, and `ak2` the squared a-entry of the pair before the
-    tail (with no preperiodic block: t1 = t3 = identity, last periodic
-    pair).
+    `cofactors[ell - 1]` is the Q cofactor T2(ell)_21 + ak2 * T2(ell)_12,
+    ell = 1 .. p-2, for the transfer T2(ell) over ell+1 periodic pairs.
+    `t1` is the transfer matrix over the preperiodic block, `relation` the
+    canonical relation for M, `scaled_tail` the canonical tail scaled so
+    that it pulls back to `relation` exactly (through the whole block,
+    trailing periods included), `t3` = D*t1^T*D^-1 with D = diag(1, -ak2),
+    the transfer matrix over the index-reversed preperiodic block, and
+    `ak2` the squared a-entry of the pair before the tail (with no
+    preperiodic block: t1 = t3 = identity, last periodic pair).
     """
 
     seq: JacobiSequence
-    period_prefixes: tuple[Mat2, ...]
-    tail: QuadraticRelation
+    cofactors: tuple[Poly, ...]
     t1: Mat2
     relation: QuadraticRelation
     scaled_tail: QuadraticRelation
@@ -267,32 +256,33 @@ def prepare(seq: JacobiSequence) -> Prepared:
     T_P^T * Q * T_P = Q exactly: pulling back through a period returns the
     relation unchanged.  `t1`, `t3` and `ak2` still span the whole block.
 
-    The period is walked once, one transfer step per pair, and every
-    prefix is kept: the last, T_P, gives the tail, and the sweep reads the
-    Q cofactors off the others.  When the block ends with one whole period
-    (as `normalize_kp` appends to every input it changes), T1 = T_P * T_pre
-    for the pairs before that period, and `column_step` right-multiplies
-    T_P by their steps, last pair first; a block of exactly one period
-    takes T1 = T_P.  Any other block is walked pair by pair.  Neither forms
-    a polynomial product.
+    The period is walked once, one transfer step per pair, keeping the Q
+    cofactor of each prefix T2(ell), ell = 1 .. p-2, but no prefix.  When
+    the block ends with one whole period (as `normalize_kp` appends to
+    every input it changes), T1 = T_P * T_pre for the pairs before that
+    period, and `column_step` right-multiplies T_P by their steps, last
+    pair first; a block of exactly one period takes T1 = T_P.  Any other
+    block is walked pair by pair.  Neither forms a polynomial product.
     """
     block, periodic, p = seq.preperiodic, seq.periodic, seq.p
-    prefixes = tuple(islice(accumulate(periodic, transfer_step, initial=Mat2.identity()), 1, None))
-    t_p = prefixes[-1]
-    tail = _fixed_point_relation(t_p)
+    ak = (block or periodic)[-1].a
+    ak2 = ak * ak
+    t_p, cofactors = Mat2.identity(), []
+    for ell, q in enumerate(periodic):
+        t_p = transfer_step(t_p, q)  # T2(ell)
+        if 0 < ell < p - 1:
+            cofactors.append(t_p.a21 + t_p.a12.scale(ak2))
     if block[-p:] == periodic:
         t1 = reduce(column_step, reversed(block[:-p]), t_p)
     else:
         t1 = reduce(transfer_step, block, Mat2.identity())
-    ak = (block or periodic)[-1].a
-    ak2 = ak * ak
     t3 = Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
-    canonical_tail = tail.canonical()
+    canonical_tail = _fixed_point_relation(t_p).canonical()
     while block[-p:] == periodic:
         block = block[:-p]
     relation, content = pullback_quadratic(canonical_tail, block).primitive()
     scaled_tail = canonical_tail.scale(1 / content)
-    return Prepared(seq, prefixes, tail, t1, relation, scaled_tail, t3, ak2)
+    return Prepared(seq, tuple(cofactors), t1, relation, scaled_tail, t3, ak2)
 
 
 def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
@@ -303,8 +293,8 @@ def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     [-ak2*(beta - beta')/2, alpha']].  It follows the transfer recurrence
     over the periodic pairs, and after the first ell+1 pairs it is
     T2(ell)*L_P^T, whose trace is P(ell).  The Q cofactor
-    T2(ell)_21 + ak2*T2(ell)_12 is read off `prep.period_prefixes`, one
-    scaling and one sum per ell.  No step runs over the preperiodic pairs.
+    T2(ell)_21 + ak2*T2(ell)_12 is read off `prep.cofactors`.  No step
+    runs over the preperiodic pairs.
 
     Raises:
         NotNormalized: the sequence is not in canonical form.
@@ -318,13 +308,12 @@ def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
         (be - tail.beta).scale(-ak2 / 2),
         tail.alpha,
     )
-    periodic, prefixes = prep.seq.periodic, prep.period_prefixes
+    periodic = prep.seq.periodic
     # element j is T2(j-1)*L_P^T, over the first j periodic pairs
     steps = accumulate(periodic[: len(periodic) - 1], transfer_step, initial=l_p)
-    for ell, n_p in enumerate(islice(steps, 2, None), start=1):
-        t2 = prefixes[ell]
+    kernels = zip(islice(steps, 2, None), prep.cofactors)
+    for ell, (n_p, cofactor_q) in enumerate(kernels, start=1):
         residual_p = n_p.a11 + n_p.a22
-        cofactor_q = t2.a21 + t2.a12.scale(ak2)
         holds = residual_p.is_zero() and cofactor_q.is_zero()
         yield VerificationReport(ell, residual_p, ga, cofactor_q, holds)
 
@@ -352,7 +341,7 @@ def verify_splits(prep: Prepared) -> dict[int, VerificationReport]:
     """The verify_main_identity reports for every ell in 1 .. p-2.
 
     One sweep: each ell costs one fused transfer step of N_P and one read
-    of the Q cofactor off the period prefixes that `prepare` kept; neither
+    of the Q cofactor that `prepare` formed; neither
     forms a polynomial product, and `residual_Q` is formed only when read.
     Returns reports keyed by ell in ascending order.
     """

@@ -147,7 +147,7 @@ def test_criterion_5_determinant_invariant():
 def test_criterion_6_chebyshev_oracle():
     import cmath
 
-    prep = prepare(purely_periodic([pair(1, 0)]))
+    seq = purely_periodic([pair(1, 0)])
     for i in range(5):
         for j in range(5):
             z = complex(-2.0 + i * 1.0, 0.5 + j * 0.875)
@@ -155,7 +155,7 @@ def test_criterion_6_chebyshev_oracle():
             closed = (-z + root) / 2
             if closed.imag <= 0:
                 closed = (-z - root) / 2
-            assert abs(eval_m(prep, z) - closed) < 1e-12
+            assert abs(eval_m(seq, z) - closed) < 1e-12
 
 
 @criterion(7, "eval_m agrees with depth-2000 truncation to 1e-8")
@@ -166,10 +166,9 @@ def test_criterion_7_truncation_consistency():
             tuple(random_periodic(rng, rng.randint(0, 3), max_mag=10)),
             tuple(random_periodic(rng, rng.randint(1, 6), max_mag=10)),
         )
-        prep = prepare(seq)
         for _ in range(20):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2.5))
-            assert abs(eval_m(prep, z) - eval_truncated(seq, z, 2000)) < 1e-8
+            assert abs(eval_m(seq, z) - eval_truncated(seq, z, 2000)) < 1e-8
 
 
 @criterion(8, "strip identities: Moebius route, and stripped-vs-reversed gap")
@@ -193,9 +192,9 @@ def test_criterion_8_stripping_identities():
             periodic = doubly_palindromic_period(rng, p, ell, max_mag=4)
             z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2))
             stripped = eval_m(
-                prepare(JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1]))), z
+                JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1])), z
             )
-            m_minus = eval_periodic_m(periodic_quadratic(reversed_periodic(periodic)), z)
+            m_minus = eval_periodic_m(purely_periodic(reversed_periodic(periodic)), z)
             assert abs(stripped - m_minus) < 1e-9
     # generic non-split ell: visibly different functions
     rng2 = random.Random(20260814)
@@ -210,9 +209,9 @@ def test_criterion_8_stripping_identities():
         ell = rng2.choice(candidates)
         z = complex(rng2.uniform(-1, 1), rng2.uniform(0.5, 1.2))
         stripped = eval_m(
-            prepare(JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1]))), z
+            JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1])), z
         )
-        m_minus = eval_periodic_m(periodic_quadratic(reversed_periodic(periodic)), z)
+        m_minus = eval_periodic_m(purely_periodic(reversed_periodic(periodic)), z)
         assert abs(stripped - m_minus) > 1e-3
         rejected += 1
 

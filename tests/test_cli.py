@@ -304,10 +304,10 @@ def test_verify_survives_a_vanishing_moebius_denominator(capsys):
 
 
 def test_verify_survives_a_failing_cross_check(capsys):
-    # both identities hold exactly at ell = 1, but in double precision the
-    # periodic tail overflows at z0 on the first input, and T1's float
-    # coefficients overflow on the second; the exact verdicts alone decide
-    # the report and the exit code
+    # both identities hold exactly at ell = 1, and M(z0) is finite, but the
+    # float coefficients of M's relation overflow on both inputs (a = 1e-200
+    # makes them hold 1e400), and T1's on the second; the exact verdicts
+    # alone decide the report and the exit code
     for name in ("verify_branch_failure.json", "verify_float_overflow.json"):
         path = str(DATA / name)
         code = main(["verify", "--input", path, "--all", "--json"])
@@ -432,13 +432,25 @@ def test_second_solution_is_formed_once_per_point(tmp_path, capsys, monkeypatch)
         assert len(calls) == expected, argv
 
 
-def test_eval_at_an_extreme_point_is_a_computation_failure(tmp_path, capsys):
+def test_eval_answers_at_an_extreme_point(tmp_path, capsys):
     from palinfrac import pair
 
-    # branch selection fails on one stream, the root overflows on the other
-    for path in (str(DATA / "eval_moebius_pole.json"), write_input(tmp_path, [pair(1, 0)])):
-        assert main(["eval", "--input", path, "--points=0,1e300"]) == 1
+    # the level-map tail stays finite at 1e300*i, where m and M are -1/z to
+    # double precision; Horner on M's relation is not finite there on the
+    # first stream, so its Mtilde is unavailable.  Where m is subnormal, at
+    # 1.7e308*i, no root is a normal double off the real axis (or the tail
+    # overflows), and the request fails
+    pole, chebyshev = str(DATA / "eval_moebius_pole.json"), write_input(tmp_path, [pair(1, 0)])
+    for path, m_tilde in ((pole, None), (chebyshev, "-0-1e+300j")):
+        assert main(["eval", "--input", path, "--points=0,1e300", "--json"]) == 0
+        row = strict_json(capsys.readouterr().out)["points"][0]
+        for key in ("M", "m"):
+            assert abs(complex(row[key]) * 1e300j + 1) < 1e-12, (path, key)
+        assert row["Mtilde"] == m_tilde
+        assert main(["eval", "--input", path, "--points=0,1.7e308"]) == 1
         assert "computation failed" in capsys.readouterr().err
+    assert main(["eval", "--input", pole, "--points=0,1e300"]) == 0
+    assert "Mtilde = unavailable" in capsys.readouterr().out
 
 
 def test_relation_is_built_once_per_request(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,6 @@ import cmath
 import json
 import math
 import random
-import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,7 +59,7 @@ def chebyshev_closed_form(z: complex) -> complex:
 
 
 def test_periodic_m_closed_form_point():
-    value = eval_periodic_m(periodic_quadratic(CHEBYSHEV), 2j)
+    value = eval_periodic_m(purely_periodic(CHEBYSHEV), 2j)
     assert abs(value - 1j * (2**0.5 - 1)) < 1e-12
 
 
@@ -69,21 +68,21 @@ def test_periodic_m_is_herglotz():
     for _ in range(50):
         periodic = random_periodic(rng, rng.randint(1, 5), max_mag=6)
         z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
-        assert eval_periodic_m(periodic_quadratic(periodic), z).imag > 0
+        assert eval_periodic_m(purely_periodic(periodic), z).imag > 0
 
 
 def test_periodic_m_decays_like_inverse_z():
     rng = random.Random(502)
     for _ in range(10):
         periodic = random_periodic(rng, rng.randint(1, 4), max_mag=5)
-        value = eval_periodic_m(periodic_quadratic(periodic), 1e4j)
+        value = eval_periodic_m(purely_periodic(periodic), 1e4j)
         assert abs(1e4j * value + 1) < 1e-3
 
 
 def test_periodic_m_branch_fallback_off_spectrum():
     # real z outside the band: both roots are real, continuity picks the
     # decaying one, here m(3) = (-3 + sqrt(5))/2
-    value = eval_periodic_m(periodic_quadratic(CHEBYSHEV), 3.0 + 0j)
+    value = eval_periodic_m(purely_periodic(CHEBYSHEV), 3.0 + 0j)
     assert abs(value - (-3 + 5**0.5) / 2) < 1e-9
 
 
@@ -112,41 +111,55 @@ def _mpmath_m(mpmath, seq, z):
 def test_periodic_m_matches_mpmath_at_every_height():
     # the textbook root formula cancels at large |z|, and near the real axis
     # Im m is tiny (about 1e-24 at 1e12 + i), so heights run to 1e12 along
-    # i*y and along y + i
+    # i*y and along y + i; the tail's expanded coefficients overflowed there
+    # from 1e7 at p = 24 and from 1e4 at p = 48, the level maps do not.
+    # Near the axis, at heights 1e-2 down to 1e-330 (below the smallest
+    # subnormal, so the float point is real), m and M keep 8 digits
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(1601)
     with mpmath.workdps(60):
-        for _ in range(24):
+        for n in range(30):
             seq = JacobiSequence(
                 tuple(random_periodic(rng, rng.randint(0, 3))),
-                tuple(random_periodic(rng, rng.randint(1, 12))),
+                tuple(random_periodic(rng, rng.randint(1, 12) if n < 24 else (24, 48)[n % 2])),
             )
-            prep = prepare(seq)
             tail = JacobiSequence((), seq.periodic)
-            for e in range(13):
-                for z in (complex(0, 10.0**e), complex(10.0**e, 1)):
-                    zm = mpmath.mpc(z.real, z.imag)
-                    for got, exact in (
-                        (eval_periodic_m(prep.tail, z), _mpmath_m(mpmath, tail, zm)),
-                        (eval_m(prep, z), _mpmath_m(mpmath, seq, zm)),
-                    ):
-                        assert abs(got - exact) <= 1e-13 * abs(exact), (seq, z)
+            points = [
+                (complex(0, 10.0**e), mpmath.mpc(0, 10.0**e), 1e-13) for e in range(13)
+            ] + [(complex(10.0**e, 1), mpmath.mpc(10.0**e, 1), 1e-13) for e in range(13)]
+            for _ in range(8):
+                x, u = rng.uniform(-4, 4), rng.uniform(2, 330)
+                points.append((complex(x, 10.0**-u), mpmath.mpc(x, mpmath.mpf(10) ** -u), 1e-8))
+            for z, zm, bound in points:
+                for got, exact in (
+                    (eval_periodic_m(seq, z), _mpmath_m(mpmath, tail, zm)),
+                    (eval_m(seq, z), _mpmath_m(mpmath, seq, zm)),
+                ):
+                    assert abs(got - exact) <= bound * abs(exact), (seq, z)
 
 
-def test_periodic_m_names_an_overflowing_tail(capsys):
-    # Horner's values on a p = 48 tail pass 1e308 at 1e8*i; with a = 1e-200
-    # the tail's coefficients hold 1e400, its values reach about 1e200 at z0,
-    # and the discriminant overflows
+def test_periodic_m_is_finite_where_the_expanded_tail_overflowed(capsys):
+    # Horner on the expanded tail passed 1e308 on a p = 48 period at 1e8*i;
+    # with a = 1e-200 the tail's coefficients hold 1e400 and its discriminant
+    # overflowed at z0.  The level maps give both values, and `eval` answers
+    mpmath = pytest.importorskip("mpmath")
     path = str(Path(__file__).parent / "data" / "verify_branch_failure.json")
-    for seq, z in (
-        (purely_periodic(random_periodic(random.Random(1602), 48)), 1e8j),
-        (sequence([], [("1e-200", 0), (1, 0), (1, 0)]), 0.37 + 1.31j),
-    ):
-        tail = prepare(normalize_kp(seq)).tail
-        with pytest.raises(OverflowError, match=re.escape(f"periodic tail overflows at z={z}")):
-            eval_periodic_m(tail, z)
-    assert main(["eval", "--input", path, "--points=0.37,1.31"]) == 1
-    assert capsys.readouterr().err.startswith("computation failed: periodic tail overflows")
+    with mpmath.workdps(60):
+        for seq, z in (
+            (purely_periodic(random_periodic(random.Random(1602), 48)), 1e8j),
+            (sequence([], [("1e-200", 0), (1, 0), (1, 0)]), 0.37 + 1.31j),
+        ):
+            seq = normalize_kp(seq)
+            zm = mpmath.mpc(z.real, z.imag)
+            exact = _mpmath_m(mpmath, JacobiSequence((), seq.periodic), zm)
+            assert abs(eval_periodic_m(seq, z) - exact) <= 1e-13 * abs(exact)
+            exact = _mpmath_m(mpmath, seq, zm)
+            assert abs(eval_m(seq, z) - exact) <= 1e-13 * abs(exact)
+        assert main(["eval", "--input", path, "--points=0.37,1.31", "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)["points"][0]
+        seq = normalize_kp(sequence([], [("1e-200", 0), (1, 0), (1, 0)]))
+        exact = _mpmath_m(mpmath, seq, mpmath.mpc(0.37, 1.31))
+        assert abs(complex(row["M"]) - exact) <= 1e-11 * abs(exact)
 
 
 def test_eval_m_empty_preperiodic_matches_tail():
@@ -154,7 +167,7 @@ def test_eval_m_empty_preperiodic_matches_tail():
     periodic = random_periodic(rng, 3)
     seq = purely_periodic(periodic)
     z = 0.4 + 1.2j
-    assert eval_m(prepare(seq), z) == eval_periodic_m(periodic_quadratic(periodic), z)
+    assert eval_m(seq, z) == eval_periodic_m(seq, z)
 
 
 def test_eval_m_is_stream_function():
@@ -162,7 +175,7 @@ def test_eval_m_is_stream_function():
     z = 0.3 + 1.1j
     plain = sequence([], [(1, 0)])
     padded = sequence([(1, 0)], [(1, 0)])
-    assert abs(eval_m(prepare(plain), z) - eval_m(prepare(padded), z)) < 1e-12
+    assert abs(eval_m(plain, z) - eval_m(padded, z)) < 1e-12
 
 
 def test_eval_m_matches_truncation():
@@ -173,7 +186,7 @@ def test_eval_m_matches_truncation():
             tuple(random_periodic(rng, rng.randint(1, 6), max_mag=10)),
         )
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
-        assert abs(eval_m(prepare(seq), z) - eval_truncated(seq, z, 2000)) < 1e-8
+        assert abs(eval_m(seq, z) - eval_truncated(seq, z, 2000)) < 1e-8
 
 
 def test_truncated_depth_one():
@@ -190,7 +203,7 @@ def test_truncated_converges_to_closed_form():
 
 def test_truncated_error_decays_with_depth():
     seq = purely_periodic(CHEBYSHEV)
-    exact = eval_periodic_m(periodic_quadratic(CHEBYSHEV), 2j)
+    exact = eval_periodic_m(purely_periodic(CHEBYSHEV), 2j)
     errors = [abs(eval_truncated(seq, 2j, d) - exact) for d in (1, 5, 10)]
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 1e-7
@@ -229,9 +242,9 @@ def test_strip_identity_random_instances():
 def _m_minus_gap(periodic, ell: int, z) -> float:
     """|m_{ell+1} - m^-| at z: stripped stream vs index-reversed period."""
     stripped = eval_m(
-        prepare(JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1]))), z
+        JacobiSequence((), tuple(periodic[ell + 1 :] + periodic[: ell + 1])), z
     )
-    m_minus = eval_periodic_m(periodic_quadratic(reversed_periodic(periodic)), z)
+    m_minus = eval_periodic_m(purely_periodic(reversed_periodic(periodic)), z)
     return abs(stripped - m_minus)
 
 
@@ -269,8 +282,8 @@ def test_step_one_identity():
         for _ in range(10):
             seq = normalize_kp(purely_periodic(random_periodic(rng, rng.randint(1, 5), 6)))
             z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2))
-            lhs = mobius_apply(build_T1(seq), eval_m(prepare(seq), z), z)
-            rhs = eval_periodic_m(periodic_quadratic(seq.periodic), z)
+            lhs = mobius_apply(build_T1(seq), eval_m(seq, z), z)
+            rhs = eval_periodic_m(purely_periodic(seq.periodic), z)
             assert abs(lhs - rhs) < 1e-8
 
 
@@ -287,9 +300,9 @@ def test_step_three_identity():
             relation = prepare(seq).relation
             ak = seq.preperiodic[-1].a
             z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2))
-            m_tilde = second_solution_value(relation, eval_m(prepare(seq), z), z)
+            m_tilde = second_solution_value(relation, eval_m(seq, z), z)
             lhs = 1 / (Fraction(ak * ak) * m_tilde)
-            m_minus = eval_periodic_m(periodic_quadratic(reversed_periodic(seq.periodic)), z)
+            m_minus = eval_periodic_m(purely_periodic(reversed_periodic(seq.periodic)), z)
             rhs = mobius_apply(build_T3(seq), m_minus, z)
             assert abs(lhs - rhs) < 1e-8
 
@@ -444,10 +457,9 @@ def test_fold_preperiodic_wraps_the_tail_value():
             tuple(random_periodic(rng, rng.randint(0, 3))),
             tuple(random_periodic(rng, rng.randint(1, 4))),
         )
-        prep = prepare(seq)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
-        tail = eval_periodic_m(prep.tail, z)
-        assert repr(fold_preperiodic(seq, tail, z)) == repr(eval_m(prep, z))
+        tail = eval_periodic_m(seq, z)
+        assert repr(fold_preperiodic(seq, tail, z)) == repr(eval_m(seq, z))
 
 
 # fold_preperiodic reads the sequence's float table at a float or complex

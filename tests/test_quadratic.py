@@ -37,7 +37,7 @@ from palinfrac import (
 from palinfrac.exactalg import poly_is_square
 from palinfrac.jacobi import require_kp_normalized
 from palinfrac.orthopoly import transfer_step
-from palinfrac.quadratic import numeric_identity_check
+from palinfrac.quadratic import numeric_identity_check, product_values
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -50,6 +50,15 @@ from test_jacobi import paper_example_periodic
 
 def chebyshev_relation() -> QuadraticRelation:
     return periodic_quadratic([pair(1, 0)])
+
+
+def proportional(r: QuadraticRelation, s: QuadraticRelation) -> bool:
+    """Exact cross-multiplication test for projective equality."""
+    return (
+        r.alpha * s.beta == s.alpha * r.beta
+        and r.alpha * s.gamma == s.alpha * r.gamma
+        and r.beta * s.gamma == s.beta * r.gamma
+    )
 
 
 def test_periodic_quadratic_single_pair():
@@ -65,14 +74,14 @@ def test_periodic_quadratic_numeric_residual():
         periodic = random_periodic(rng, rng.randint(1, 5), max_mag=5)
         relation = periodic_quadratic(periodic)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2.5))
-        m = eval_periodic_m(periodic_quadratic(periodic), z)
+        m = eval_periodic_m(purely_periodic(periodic), z)
         assert abs(relation.residual(m, z)) < 1e-9
 
 
 def test_doubled_period_relation_is_proportional():
     single = chebyshev_relation().canonical()
     doubled = periodic_quadratic([pair(1, 0), pair(1, 0)]).canonical()
-    assert doubled.is_proportional_to(single)
+    assert proportional(doubled, single)
     assert doubled == single
 
 
@@ -119,7 +128,7 @@ def test_pullback_through_its_own_period_is_itself():
         periodic = random_periodic(rng, rng.randint(1, 4), max_mag=4)
         relation = periodic_quadratic(periodic)
         back = pullback_quadratic(relation, periodic)
-        assert back.is_proportional_to(relation)
+        assert proportional(back, relation)
         assert back == relation
 
 
@@ -129,7 +138,7 @@ def test_doubled_period_relation_proportional_general():
         periodic = random_periodic(rng, rng.randint(1, 4), max_mag=4)
         single = periodic_quadratic(periodic).canonical()
         doubled = periodic_quadratic(periodic + periodic).canonical()
-        assert doubled.is_proportional_to(single)
+        assert proportional(doubled, single)
 
 
 def test_pullback_relation_annihilates_M_numerically():
@@ -139,14 +148,14 @@ def test_pullback_relation_annihilates_M_numerically():
     rng = random.Random(402)
     for _ in range(10):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
-        m_val = eval_m(prepare(seq), z)
+        m_val = eval_m(seq, z)
         assert abs(relation.residual(m_val, z)) < 1e-9
 
 
 def test_second_solution_vieta():
     relation = chebyshev_relation()
     z = 3j
-    m = eval_periodic_m(periodic_quadratic([pair(1, 0)]), z)
+    m = eval_periodic_m(purely_periodic([pair(1, 0)]), z)
     second = second_solution_value(relation, m, z)
     assert abs(second - 1 / m) < 1e-12
     assert abs(relation.residual(second, z)) < 1e-10
@@ -318,11 +327,12 @@ def test_m_is_never_rational(seed, p, k, repeated, copies, normalized):
 
     t_p = conj_transfer(periodic, p)
     trace = t_p.a11 + t_p.a22
-    assert disc(prep.tail) == trace * trace - Poly.const(4)
+    tail = periodic_quadratic(periodic)
+    assert disc(tail) == trace * trace - Poly.const(4)
     assert disc(prep.relation) == disc(prep.scaled_tail)
     assert not poly_is_square(disc(prep.relation))
     assert not prep.relation.alpha.is_zero() and not prep.relation.gamma.is_zero()
-    assert not prep.tail.gamma.is_zero()
+    assert not tail.gamma.is_zero()
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,7 +365,8 @@ def test_t3_is_t1_under_the_diagonal_similarity(seed, k, p, normalized):
 )
 def test_prepare_t1_is_the_transfer_over_the_block(seed, k, p, block):
     # a block of exactly one period takes T1 from the period transfer that
-    # the tail is built from; every block gets the pair-by-pair walk's matrix
+    # the tail is built from; every block gets the pair-by-pair walk's matrix,
+    # and the walk leaves the Q cofactor of every prefix T2(ell)
     rng = random.Random(seed)
     periodic = tuple(random_periodic(rng, p, max_mag=5))
     preperiodic = tuple(random_periodic(rng, k, max_mag=5))
@@ -364,8 +375,10 @@ def test_prepare_t1_is_the_transfer_over_the_block(seed, k, p, block):
     elif block == "pairs + one period":
         preperiodic += periodic
     prep = prepare(JacobiSequence(preperiodic, periodic))
-    assert prep.tail == periodic_quadratic(periodic)
+    assert prep.scaled_tail.canonical() == periodic_quadratic(periodic).canonical()
     assert prep.t1 == reduce(transfer_step, preperiodic, Mat2.identity())
+    prefixes = [conj_transfer(periodic, ell + 1) for ell in range(1, p - 1)]
+    assert prep.cofactors == tuple(t.a21 + t.a12.scale(prep.ak2) for t in prefixes)
 
 
 def test_prepare_walks_a_one_period_block_once(monkeypatch):
@@ -496,6 +509,28 @@ def test_sweep_matches_the_product_reference(seed, p, k, kind, fault):
         assert fault != "none"
 
 
+def test_product_values_keep_mpmath_precision():
+    # at an mpmath point the pointwise steps read the exact pairs, so the
+    # values are the exact product's entries to the working precision; pairs
+    # converted to floats would be off by about 1e-16
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(1701)
+    with mpmath.workdps(50):
+        for _ in range(10):
+            seq = normalize_kp(
+                JacobiSequence(
+                    tuple(random_periodic(rng, rng.randint(0, 3))),
+                    tuple(random_periodic(rng, rng.randint(3, 8))),
+                )
+            )
+            prep = prepare(seq)
+            z = mpmath.mpc(rng.uniform(-2, 2), rng.uniform(0.5, 2))
+            for ell, values in enumerate(product_values(prep, z), start=1):
+                exact = [e(z) for e in prep.product(ell).entries()]
+                for got, want in zip(values, exact):
+                    assert abs(got - want) <= 1e-40 * max(1, abs(want)), (seq, ell)
+
+
 def test_numeric_identity_agreement_when_holds():
     # Forward Moebius transport loses digits like the squared transfer-matrix
     # norm, so the cross-check runs at extended precision; the identity is
@@ -512,7 +547,7 @@ def test_numeric_identity_agreement_when_holds():
             for _ in range(5):
                 z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2.5))
                 values = [e(z) for e in entries]
-                m = eval_m(prep, z)
+                m = eval_m(prep.seq, z)
                 second = second_solution_value(prep.relation, m, z)
                 check = numeric_identity_check(prep, values, m, second)
                 assert check["residual"] < 1e-8
@@ -523,7 +558,7 @@ def test_numeric_identity_disagreement_when_fails():
     prep = prepare(normalize_kp(purely_periodic(periodic)))
     z = 0.3 + 1.1j
     values = [e(z) for e in prep.product(2).entries()]
-    m = eval_m(prep, z)
+    m = eval_m(prep.seq, z)
     second = second_solution_value(prep.relation, m, z)
     assert numeric_identity_check(prep, values, m, second)["residual"] > 1e-3
 
@@ -606,7 +641,7 @@ def test_reverse_agrees_with_mpmath_reference():
             report = reverse_asymptotics(seq)
             tail = periodic_quadratic(seq.periodic)
             relation = pullback_quadratic(tail, seq.preperiodic)
-            m = fold_preperiodic(seq, eval_periodic_m(tail, z), z)
+            m = fold_preperiodic(seq, eval_periodic_m(seq, z), z)
             m_tilde = -relation.beta(z) / relation.alpha(z) - m
             g = abs(z / (seq.preperiodic[-1].a ** 2 * m_tilde) + 1)
             assert g < 1e-4 if report.is_m_like else g > 1e-2
