@@ -33,13 +33,13 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, zip_longest
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
+from ._value import frozen
 from .errors import DivisionByZero
 
 RationalLike = Union[Fraction, int, str]
@@ -67,7 +67,7 @@ def _canonical(num: list[int], den: int) -> "Poly":
     return Poly(tuple(num), den)
 
 
-@dataclass(frozen=True)
+@frozen
 class Poly:
     """Univariate polynomial in z with exact rational coefficients.
 
@@ -401,7 +401,7 @@ def _poly_sqrt(poly: Poly) -> Poly | None:
     return None
 
 
-@dataclass(frozen=True)
+@frozen
 class Mat2:
     """A 2x2 matrix of polynomials, acting on values by Moebius maps."""
 
@@ -422,9 +422,6 @@ class Mat2:
             self.a21 * other.a11 + self.a22 * other.a21,
             self.a21 * other.a12 + self.a22 * other.a22,
         )
-
-    def det(self) -> Poly:
-        return self.a11 * self.a22 - self.a12 * self.a21
 
     def entries(self) -> tuple[Poly, Poly, Poly, Poly]:
         return (self.a11, self.a12, self.a21, self.a22)

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, cycle, islice
 from typing import Sequence
 
+from ._value import frozen
 from .errors import IndexOutOfRange, NotNormalized, ParseError
 from .exactalg import RationalLike, as_rational
 
@@ -36,7 +36,7 @@ MAX_ENTRY_DIGITS = 256
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
-@dataclass(frozen=True)
+@frozen
 class JacobiPair:
     """One coefficient pair (a, b) with a > 0."""
 
@@ -53,7 +53,7 @@ def pair(a: RationalLike, b: RationalLike) -> JacobiPair:
     return JacobiPair(as_rational(a), as_rational(b))
 
 
-@dataclass(frozen=True)
+@frozen
 class JacobiSequence:
     """An eventually periodic stream: preperiodic block + repeated period."""
 
@@ -111,7 +111,7 @@ def sequence(
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class PalindromeSplit:
     """A valid double-palindrome split: period length p and first length ell."""
 

@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import frozen
 from .errors import (
     BranchAmbiguity,
     DegenerateRelation,
@@ -204,7 +204,7 @@ def strip_identity_check(seq: JacobiSequence, count: int, z) -> float:
     return abs(direct - image)
 
 
-@dataclass(frozen=True)
+@frozen
 class ReverseObstructionReport:
     """Exact test of whether w = 1/(ak^2 * Mtilde) decays like an m-function.
 
@@ -253,7 +253,7 @@ def reverse_asymptotics(seq: JacobiSequence) -> ReverseObstructionReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class LaurentSeries:
     """Expansion -c_1/z - c_2/z^2 - ... - c_N/z^N at infinity, exact c_j."""
 
@@ -340,7 +340,7 @@ def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> LaurentSeri
     return LaurentSeries(tuple(c))
 
 
-@dataclass(frozen=True)
+@frozen
 class RecoveredPair:
     """One recovered coefficient pair.
 

@@ -72,19 +72,19 @@ caller reads `residual_Q`, and `verify` runs no polynomial product at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
+from ._value import frozen
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
 from .exactalg import Mat2, Poly, poly_gcd, rational_content, shift_add
 from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
 from .orthopoly import column_step, conj_transfer, transfer_step, transfer_step_at
 
 
-@dataclass(frozen=True)
+@frozen
 class QuadraticRelation:
     """Polynomials (alpha, beta, gamma) with alpha*y^2 + beta*y + gamma = 0."""
 
@@ -122,7 +122,7 @@ class QuadraticRelation:
         return self.alpha(z) * y * y + self.beta(z) * y + self.gamma(z)
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     """Outcome of the exact identity check at one candidate first length.
 
@@ -208,7 +208,7 @@ def second_solution_value(relation: QuadraticRelation, m_val, z):
     return relation.gamma(z) / denom
 
 
-@dataclass(frozen=True)
+@frozen
 class Prepared:
     """What the identity checks need of one sequence, built once.
 

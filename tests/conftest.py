@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from palinfrac import JacobiPair, JacobiSequence, pair
+from palinfrac import JacobiPair, JacobiSequence, Mat2, Poly, pair
 
 
 def brute_splits(periodic) -> list[int]:
@@ -29,6 +29,11 @@ def brute_splits(periodic) -> list[int]:
         ):
             out.append(ell)
     return out
+
+
+def det(m: Mat2) -> Poly:
+    """The determinant a11*a22 - a12*a21 of a polynomial matrix."""
+    return m.a11 * m.a22 - m.a12 * m.a21
 
 
 def mirror(values: list[Fraction]) -> list[Fraction]:

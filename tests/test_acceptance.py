@@ -37,6 +37,7 @@ from palinfrac.exactalg import Mat2, Poly
 from palinfrac.orthopoly import transfer_step
 from conftest import (
     brute_splits,
+    det,
     doubly_palindromic_period,
     purely_periodic,
     random_periodic,
@@ -140,7 +141,7 @@ def test_criterion_5_determinant_invariant():
         coeffs = random_periodic(rng, 50, max_mag=9)
         # the n-th prefix of the fold is conj_transfer(coeffs, n)
         for t in list(accumulate(coeffs, transfer_step, initial=Mat2.identity()))[1:]:
-            assert t.det() == one
+            assert det(t) == one
 
 
 @criterion(6, "constant-stream evaluation matches the closed form to 1e-12")
