@@ -217,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             {
                 "ell": ell,
                 "holds": result.holds,
-                "residual_P_degree": result.residual_P.degree,
+                "residual_P_degree": result.residual_P_degree,
                 "residual_Q_degree": result.residual_Q_degree,
                 "numeric_residual": numeric,
                 # a numeric claim is only meaningful when the identity holds;
@@ -232,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             budget_note = ", within fp budget" if check["ok"] else ", EXCEEDS fp budget"
         lines.append(
             f"ell = {ell}: {'HOLDS' if result.holds else 'fails'} "
-            f"(deg residual_P = {result.residual_P.degree}, "
+            f"(deg residual_P = {result.residual_P_degree}, "
             f"deg residual_Q = {result.residual_Q_degree}, "
             f"numeric residual at {_format_complex(z0)} = {numeric_text}{budget_note})"
         )
@@ -304,18 +304,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
             residual_ok = check["ok"]
         else:
             residual = residual_ok = None
-        rows.append(
-            {
-                "z": _format_complex(z),
-                "M": _format_complex(m_full),
-                "m": _format_complex(m_tail),
-                "Mtilde": None if second is None else _format_complex(second),
-                "im_M_positive": m_full.imag > 0,
-                "truncation_gap": truncation_gap,
-                "identity_residual": residual,
-                "within_tolerance": residual_ok,
-            }
-        )
+        row = {
+            "z": _format_complex(z),
+            "M": _format_complex(m_full),
+            "m": _format_complex(m_tail),
+            "Mtilde": None if second is None else _format_complex(second),
+            "im_M_positive": m_full.imag > 0,
+            "truncation_gap": truncation_gap,
+            "identity_residual": residual,
+            "within_tolerance": residual_ok,
+        }
+        rows.append(row)
         if residual is not None:
             note = " (within fp budget)" if residual_ok else " (EXCEEDS fp budget)"
             residual_text = f", identity residual = {residual:.3e}{note}"
@@ -329,10 +328,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             else f"truncation gap = {truncation_gap:.3e}"
         )
         lines.append(
-            f"z = {_format_complex(z)}: M = {_format_complex(m_full)}, "
-            f"m = {_format_complex(m_tail)}, "
-            f"Mtilde = {'unavailable' if second is None else _format_complex(second)}, "
-            f"{gap_text}{residual_text}"
+            f"z = {row['z']}: M = {row['M']}, m = {row['m']}, "
+            f"Mtilde = {row['Mtilde'] or 'unavailable'}, {gap_text}{residual_text}"
         )
     report.update(
         {

@@ -17,6 +17,14 @@ integer gcd and certifies it by exact pseudo-division.  Degrees stay small
 here (bounded by the coefficient block lengths), so the dense
 representation is the simplest thing that works.
 
+The verifier's period walks use a second form, Kronecker substitution
+(Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44, 2009): an integer polynomial is one
+Python int, its value at 2^w.  `pack` and `decode` convert between the two
+through `int.to_bytes`, and `packed_degree` reads the degree off
+`int.bit_length`; all three are exact while every coefficient stays below
+2^(w-2) in absolute value, which the caller's choice of w guarantees.
+
 Everything in this module is immutable and every operation is a pure
 function, so values can be shared freely between threads.
 
@@ -256,6 +264,38 @@ def shift_add(x: Poly, y: Poly, a: Fraction, b: Fraction) -> Poly:
         for u, v, w in zip_longest((0, *xs), xs, y.num, fillvalue=0)
     ]
     return _canonical(out, den_x * mx * a.numerator)
+
+
+def pack(num: Sequence[int], w: int) -> int:
+    """The integer polynomial with ascending coefficients `num` at 2^w.
+
+    Each coefficient plus 2^(w-1) is one unsigned w-bit digit, w a multiple
+    of 8; the offset comes off the joined digits at once.
+    """
+    half, size = 1 << (w - 1), w // 8
+    digits = b"".join((n + half).to_bytes(size, "little") for n in num)
+    return int.from_bytes(digits, "little") - _offset(len(num), w)
+
+
+def packed_degree(v: int, w: int) -> int:
+    """The degree of the polynomial packed as v, -1 when v is zero."""
+    return abs(v).bit_length() // w if v else -1
+
+
+def decode(v: int, den: int, w: int) -> Poly:
+    """The polynomial packed as v, over the denominator den, in canonical form."""
+    n, size = packed_degree(v, w) + 1, w // 8
+    digits = (v + _offset(n, w)).to_bytes(n * size, "little")
+    half = 1 << (w - 1)
+    return _canonical(
+        [int.from_bytes(digits[i : i + size], "little") - half for i in range(0, n * size, size)],
+        den,
+    )
+
+
+def _offset(n: int, w: int) -> int:
+    """The sum of 2^(w-1) * 2^(w*i) for i < n."""
+    return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * n, "little")
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:

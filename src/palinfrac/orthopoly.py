@@ -24,6 +24,11 @@ reduced once.  Started at any matrix X instead of the identity, n steps
 give T_n * X; the verifier steps its P kernel that way.  `column_step` is
 the same step from the right, X -> X * S(a, b), again with no product.
 
+The verifier walks the period with `packed_step` instead: the same step on
+integer numerator polynomials packed at 2^w (see `exactalg`) over one shared
+denominator, with no gcd.  `packed_width` picks w by a scalar pre-pass that
+bounds every coefficient of the walk (the proof is in `quadratic`).
+
 The verifier's T2(ell) are the prefixes of the recurrence over the period,
 and its T1 the recurrence over the preperiodic block: when that block ends
 with one whole period, T1 = T_P * T_pre, which `column_step` builds by
@@ -33,6 +38,7 @@ right-multiplying the period transfer T_P.  Its T3 is D * T1^T * D^-1 (see
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
@@ -76,6 +82,44 @@ def column_step(t: Mat2, q: JacobiPair) -> Mat2:
         shift_add(t.a21, t.a22.scale(neg_a2), q.a, q.b),
         t.a21.scale(inv_a),
     )
+
+
+def packed_step(t: tuple, q: JacobiPair, w: int) -> tuple:
+    """S(q.a, q.b) * t on a packed matrix t = (x11, x12, x21, x22, den).
+
+    Each x is an integer polynomial packed at 2^w over the shared den.  With
+    a = an/ad and b = bn/bd, and `<< w` multiplying by z:
+
+        row 1 <- ad^2 * (bd * (row1 << w) - bn * row1 + bd * row2),
+        row 2 <- -an^2 * bd * row1,        den <- den * an * bd * ad.
+    """
+    x11, x12, x21, x22, den = t
+    an, ad, bn, bd = q.a.numerator, q.a.denominator, q.b.numerator, q.b.denominator
+    up, keep, low = ad * ad * bd, ad * ad * bn, -an * an * bd
+    return (
+        up * ((x11 << w) + x21) - keep * x11,
+        up * ((x12 << w) + x22) - keep * x12,
+        low * x11,
+        low * x12,
+        den * an * bd * ad,
+    )
+
+
+def packed_width(pairs: Sequence[JacobiPair], h1: int, h2: int, ak2: Fraction) -> int:
+    """The width w, a multiple of 8, that the walk over `pairs` decodes at.
+
+    h1 and h2 bound the coefficients of the start's rows.  Each pair steps
+    them to ad^2 * ((bd + |bn|)*h1 + bd*h2) and an^2 * bd * h1, and w
+    puts every kd*h2 + kn*h1 (ak2 = kn/kd) below 2^(w-2): that bounds the
+    entries, the trace and the Q cofactor (see `quadratic`).
+    """
+    kn, kd = ak2.numerator, ak2.denominator
+    top = kd * h2 + kn * h1
+    for q in pairs:
+        an, ad, bn, bd = q.a.numerator, q.a.denominator, q.b.numerator, q.b.denominator
+        h1, h2 = ad * ad * ((bd + abs(bn)) * h1 + bd * h2), an * an * bd * h1
+        top = max(top, kd * h2 + kn * h1)
+    return (top.bit_length() + 9) // 8 * 8
 
 
 def transfer_step_at(t: tuple, q: JacobiPair, z) -> tuple:

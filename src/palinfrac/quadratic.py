@@ -67,6 +67,37 @@ it, and since gamma != 0, Q(ell) vanishes exactly when s(ell) does.
 The period is walked once for the tail and the cofactors and once for N_P;
 the product T3*T2(ell)*T1 is never formed, nor is gamma * s(ell) unless a
 caller reads `residual_Q`, and `verify` runs no polynomial product at all.
+
+Both walks run on packed integers (`orthopoly.packed_step`): a matrix is
+four integer numerator polynomials X over one shared denominator, each
+held as the single int X(2^w).  A step clears both rows to a new
+denominator and runs no gcd.  The verdict and both degrees are read off
+the packed values: P(ell) from the trace x11 + x22 of N_P, and s(ell)
+from kd*x21 + kn*x12 on the period walk, with ak^2 = kn/kd.  The exact
+polynomials are decoded only where they are read: T_P once, for the tail
+relation and for T1, and the residuals and cofactors when a caller asks
+for them, by walking again.  The proof that this is exact:
+
+- Packing is a ring homomorphism Z[z] -> Z, so the walk computes the
+  packed numerators exactly whatever w is.  Only reading them needs w.
+- If every coefficient c_i of a value v has |c_i| < 2^(w-2), then v plus
+  the sum of 2^(w-1) * 2^(w*i) has the unsigned base-2^w digits
+  c_i + 2^(w-1), each in [0, 2^w), so `exactalg.decode` returns the c_i.
+  For degree d the lower terms sum to less than
+  2^(w-2) * 2^(w*d) / (2^w - 1) <= 2^(w*d - 1) in absolute value, so
+  2^(w*d - 1) <= |v| < 2^(w*d + w - 1): bit_length(|v|) // w = d, and a
+  nonzero polynomial packs to a nonzero v.
+- With a = an/ad and b = bn/bd, a step's new coefficients are
+  ad^2 * (bd*X1[i-1] - bn*X1[i] + bd*X2[i]) in row 1 and
+  -an^2 * bd * X1[i] in row 2.  So if h1 and h2 bound the coefficients of
+  rows 1 and 2, ad^2 * ((bd + |bn|)*h1 + bd*h2) and an^2 * bd * h1
+  bound them after the step.  By induction from the start's bounds, this
+  scalar pre-pass (`orthopoly.packed_width`) bounds every coefficient of
+  every step.
+- An entry is bounded by h1 or h2, the trace by h1 + h2 and the cofactor
+  by kd*h2 + kn*h1, and since kn, kd >= 1 the last bounds all three.
+  `packed_width` takes the smallest multiple of 8 for w that puts its
+  largest value along the walk below 2^(w-2).
 """
 
 from __future__ import annotations
@@ -79,9 +110,11 @@ from typing import Iterator, Sequence
 
 from ._value import frozen
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
-from .exactalg import Mat2, Poly, poly_gcd, rational_content, shift_add
+from .exactalg import Mat2, Poly, decode, pack, packed_degree, poly_gcd, rational_content
+from .exactalg import shift_add
 from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
-from .orthopoly import column_step, conj_transfer, transfer_step, transfer_step_at
+from .orthopoly import column_step, conj_transfer, packed_step, packed_width, transfer_step
+from .orthopoly import transfer_step_at
 
 
 @frozen
@@ -126,30 +159,39 @@ class QuadraticRelation:
 class VerificationReport:
     """Outcome of the exact identity check at one candidate first length.
 
-    The Q residual is kept as its two factors, M's `gamma` and the cofactor
-    `cofactor_Q` = T2(ell)_21 + ak^2 * T2(ell)_12.  `residual_Q`, their
-    product, is formed on first access only; `residual_Q_degree` needs no
-    product.  `holds` is true exactly when `residual_P` and `cofactor_Q`
-    both vanish, which is when `residual_Q` does too, since gamma != 0.
+    A report keeps the degrees of the residuals P(ell) and Q(ell), -1 for
+    zero, and the `Prepared` sequence they were read from.  `holds` is true
+    exactly when both vanish.  The residual polynomials themselves are
+    formed on first access only: `residual_P` by walking N_P again up to
+    ell, `cofactor_Q` = T2(ell)_21 + ak^2 * T2(ell)_12 from
+    `Prepared.cofactors`, and `residual_Q` = gamma * cofactor_Q.
     """
 
     ell: int
-    residual_P: Poly
-    gamma: Poly
-    cofactor_Q: Poly
-    holds: bool
+    residual_P_degree: int
+    residual_Q_degree: int
+    prep: "Prepared"
+
+    @property
+    def holds(self) -> bool:
+        return self.residual_P_degree < 0 and self.residual_Q_degree < 0
+
+    @cached_property
+    def residual_P(self) -> Poly:
+        """P(ell) = tr(T2(ell) * L_P^T), exact."""
+        w, kernels = _kernels(self.prep)
+        x11, _, _, x22, den = next(islice(kernels, self.ell - 1, None))
+        return decode(x11 + x22, den, w)
+
+    @cached_property
+    def cofactor_Q(self) -> Poly:
+        """T2(ell)_21 + ak^2 * T2(ell)_12, exact."""
+        return self.prep.cofactors[self.ell - 1]
 
     @cached_property
     def residual_Q(self) -> Poly:
         """Q(ell) = gamma * cofactor_Q, exact."""
-        return self.gamma * self.cofactor_Q
-
-    @property
-    def residual_Q_degree(self) -> int:
-        """The degree of `residual_Q`, -1 when it is zero, without the product."""
-        if self.cofactor_Q.is_zero():
-            return -1
-        return self.gamma.degree + self.cofactor_Q.degree
+        return self.prep.relation.gamma * self.cofactor_Q
 
 
 def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
@@ -212,19 +254,21 @@ def second_solution_value(relation: QuadraticRelation, m_val, z):
 class Prepared:
     """What the identity checks need of one sequence, built once.
 
-    `cofactors[ell - 1]` is the Q cofactor T2(ell)_21 + ak2 * T2(ell)_12,
-    ell = 1 .. p-2, for the transfer T2(ell) over ell+1 periodic pairs.
-    `t1` is the transfer matrix over the preperiodic block, `relation` the
-    canonical relation for M, `scaled_tail` the canonical tail scaled so
-    that it pulls back to `relation` exactly (through the whole block,
-    trailing periods included), `t3` = D*t1^T*D^-1 with D = diag(1, -ak2),
-    the transfer matrix over the index-reversed preperiodic block, and
-    `ak2` the squared a-entry of the pair before the tail (with no
-    preperiodic block: t1 = t3 = identity, last periodic pair).
+    `cofactor_degrees[ell - 1]` is the degree (-1 for zero) of the Q
+    cofactor T2(ell)_21 + ak2 * T2(ell)_12, ell = 1 .. p-2, for the
+    transfer T2(ell) over ell+1 periodic pairs; `cofactors` forms the
+    cofactors themselves on first access.  `t1` is the transfer matrix
+    over the preperiodic block, `relation` the canonical relation for M,
+    `scaled_tail` the canonical tail scaled so that it pulls back to
+    `relation` exactly (through the whole block, trailing periods
+    included), `t3` = D*t1^T*D^-1 with D = diag(1, -ak2), the transfer
+    matrix over the index-reversed preperiodic block, and `ak2` the
+    squared a-entry of the pair before the tail (with no preperiodic
+    block: t1 = t3 = identity, last periodic pair).
     """
 
     seq: JacobiSequence
-    cofactors: tuple[Poly, ...]
+    cofactor_degrees: tuple[int, ...]
     t1: Mat2
     relation: QuadraticRelation
     scaled_tail: QuadraticRelation
@@ -235,6 +279,15 @@ class Prepared:
     def float_ak2(self) -> float:
         """`ak2` converted to float on first use; OverflowError where it has none."""
         return float(self.ak2)
+
+    @cached_property
+    def cofactors(self) -> tuple[Poly, ...]:
+        """The Q cofactors for ell = 1 .. p-2, from a second packed period walk."""
+        kn, kd = self.ak2.numerator, self.ak2.denominator
+        periodic = self.seq.periodic
+        w, walk = _packed_walk(Mat2.identity(), periodic[: len(periodic) - 1], self.ak2)
+        states = islice(walk, 1, None)
+        return tuple(decode(kd * x21 + kn * x12, kd * den, w) for _, x12, x21, _, den in states)
 
     def product(self, ell: int) -> Mat2:
         """T3*T2(ell)*T1, with T2(ell) over the first ell+1 periodic pairs."""
@@ -256,10 +309,11 @@ def prepare(seq: JacobiSequence) -> Prepared:
     T_P^T * Q * T_P = Q exactly: pulling back through a period returns the
     relation unchanged.  `t1`, `t3` and `ak2` still span the whole block.
 
-    The period is walked once, one transfer step per pair, keeping the Q
-    cofactor of each prefix T2(ell), ell = 1 .. p-2, but no prefix.  When
-    the block ends with one whole period (as `normalize_kp` appends to
-    every input it changes), T1 = T_P * T_pre for the pairs before that
+    The period is walked once on packed integers, one `packed_step` per
+    pair, keeping the degree of the Q cofactor of each prefix T2(ell),
+    ell = 1 .. p-2, but no cofactor and no prefix; only T_P is decoded.
+    When the block ends with one whole period (as `normalize_kp` appends
+    to every input it changes), T1 = T_P * T_pre for the pairs before that
     period, and `column_step` right-multiplies T_P by their steps, last
     pair first; a block of exactly one period takes T1 = T_P.  Any other
     block is walked pair by pair.  Neither forms a polynomial product.
@@ -267,11 +321,13 @@ def prepare(seq: JacobiSequence) -> Prepared:
     block, periodic, p = seq.preperiodic, seq.periodic, seq.p
     ak = (block or periodic)[-1].a
     ak2 = ak * ak
-    t_p, cofactors = Mat2.identity(), []
-    for ell, q in enumerate(periodic):
-        t_p = transfer_step(t_p, q)  # T2(ell)
+    kn, kd = ak2.numerator, ak2.denominator
+    w, walk = _packed_walk(Mat2.identity(), periodic, ak2)
+    cofactor_degrees = []
+    for ell, (x11, x12, x21, x22, den) in enumerate(walk):  # T2(ell)
         if 0 < ell < p - 1:
-            cofactors.append(t_p.a21 + t_p.a12.scale(ak2))
+            cofactor_degrees.append(packed_degree(kd * x21 + kn * x12, w))
+    t_p = Mat2(*(decode(x, den, w) for x in (x11, x12, x21, x22)))
     if block[-p:] == periodic:
         t1 = reduce(column_step, reversed(block[:-p]), t_p)
     else:
@@ -282,26 +338,36 @@ def prepare(seq: JacobiSequence) -> Prepared:
         block = block[:-p]
     relation, content = pullback_quadratic(canonical_tail, block).primitive()
     scaled_tail = canonical_tail.scale(1 / content)
-    return Prepared(seq, tuple(cofactors), t1, relation, scaled_tail, t3, ak2)
+    return Prepared(seq, tuple(cofactor_degrees), t1, relation, scaled_tail, t3, ak2)
 
 
-def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
-    """The reports for ell = 1, 2, ..., p-2, one transfer step per ell.
+def _packed_walk(
+    start: Mat2, pairs: Sequence[JacobiPair], ak2: Fraction
+) -> tuple[int, Iterator[tuple]]:
+    """The width w and the packed T_j * start after each of the first j pairs.
+
+    `start` is brought over the lcm of its denominators and packed at 2^w,
+    with w from `packed_width` over the same pairs; the walk is lazy.
+    """
+    den = math.lcm(*(e.den for e in start.entries()))
+    nums = [[n * (den // e.den) for n in e.num] for e in start.entries()]
+    h1, h2 = (max(map(abs, nums[i] + nums[i + 1]), default=0) for i in (0, 2))
+    w = packed_width(pairs, h1, h2, ak2)
+    first = (*(pack(num, w) for num in nums), den)
+    steps = accumulate(pairs, lambda t, q: packed_step(t, q, w), initial=first)
+    return w, islice(steps, 1, None)
+
+
+def _kernels(prep: Prepared) -> tuple[int, Iterator[tuple]]:
+    """The width w and the packed N_P = T2(ell)*L_P^T for ell = 1 .. p-2.
 
     N_P starts at L_P^T = T1*W_P*T3, read off M's beta and the scaled tail
     (alpha', beta', gamma') as [[-ak2*gamma', -(beta' + beta)/2],
-    [-ak2*(beta - beta')/2, alpha']].  It follows the transfer recurrence
-    over the periodic pairs, and after the first ell+1 pairs it is
-    T2(ell)*L_P^T, whose trace is P(ell).  The Q cofactor
-    T2(ell)_21 + ak2*T2(ell)_12 is read off `prep.cofactors`.  No step
-    runs over the preperiodic pairs.
-
-    Raises:
-        NotNormalized: the sequence is not in canonical form.
+    [-ak2*(beta - beta')/2, alpha']], and follows the transfer recurrence
+    over the periodic pairs before the last.  No step runs over the
+    preperiodic pairs.
     """
-    require_kp_normalized(prep.seq)
-    be, ga, ak2 = prep.relation.beta, prep.relation.gamma, prep.ak2
-    tail = prep.scaled_tail
+    be, ak2, tail = prep.relation.beta, prep.ak2, prep.scaled_tail
     l_p = Mat2(
         tail.gamma.scale(-ak2),
         (tail.beta + be).scale(Fraction(-1, 2)),
@@ -309,13 +375,28 @@ def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
         tail.alpha,
     )
     periodic = prep.seq.periodic
-    # element j is T2(j-1)*L_P^T, over the first j periodic pairs
-    steps = accumulate(periodic[: len(periodic) - 1], transfer_step, initial=l_p)
-    kernels = zip(islice(steps, 2, None), prep.cofactors)
-    for ell, (n_p, cofactor_q) in enumerate(kernels, start=1):
-        residual_p = n_p.a11 + n_p.a22
-        holds = residual_p.is_zero() and cofactor_q.is_zero()
-        yield VerificationReport(ell, residual_p, ga, cofactor_q, holds)
+    w, walk = _packed_walk(l_p, periodic[: len(periodic) - 1], ak2)
+    return w, islice(walk, 1, None)
+
+
+def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
+    """The reports for ell = 1, 2, ..., p-2, one packed step per ell.
+
+    P(ell) is the trace of the packed N_P after the first ell+1 periodic
+    pairs, and only its degree is read.  The degree of Q(ell) is
+    deg gamma + deg s(ell) for the Q cofactor s(ell), read off
+    `prep.cofactor_degrees`, or -1 where s(ell) vanishes.
+
+    Raises:
+        NotNormalized: the sequence is not in canonical form.
+    """
+    require_kp_normalized(prep.seq)
+    w, kernels = _kernels(prep)
+    gamma_degree = prep.relation.gamma.degree
+    reads = zip(kernels, prep.cofactor_degrees)
+    for ell, ((x11, _, _, x22, _), q_degree) in enumerate(reads, start=1):
+        q_degree = gamma_degree + q_degree if q_degree >= 0 else -1
+        yield VerificationReport(ell, packed_degree(x11 + x22, w), q_degree, prep)
 
 
 def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
@@ -340,9 +421,9 @@ def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
 def verify_splits(prep: Prepared) -> dict[int, VerificationReport]:
     """The verify_main_identity reports for every ell in 1 .. p-2.
 
-    One sweep: each ell costs one fused transfer step of N_P and one read
-    of the Q cofactor that `prepare` formed; neither
-    forms a polynomial product, and `residual_Q` is formed only when read.
+    One sweep: each ell costs one packed step of N_P and one read of the Q
+    cofactor degree that `prepare` kept; the residual polynomials are
+    formed only when read.
     Returns reports keyed by ell in ascending order.
     """
     return {report.ell: report for report in _sweep(prep)}

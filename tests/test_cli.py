@@ -363,11 +363,12 @@ def test_verify_walks_the_period_once(tmp_path, capsys, monkeypatch):
     import palinfrac.quadratic as quadratic
     from palinfrac import load_sequence
 
-    # verify --all walks the period once for the tail and the Q cofactors,
-    # steps N_P once per periodic pair before the last (ell = 1 reads two
-    # pairs), walks a block that does not end with a whole period, and
-    # right-multiplies the period transfer by the pairs before an appended one
-    calls = {"transfer_step": 0, "column_step": 0, "transfer_step_at": 0}
+    # verify --all walks the period once on packed integers for the tail and
+    # the Q cofactors, steps the packed N_P once per periodic pair before the
+    # last (ell = 1 reads two pairs), walks a block that does not end with a
+    # whole period, and right-multiplies the period transfer by the pairs
+    # before an appended one
+    calls = {"packed_step": 0, "transfer_step": 0, "column_step": 0, "transfer_step_at": 0}
     for name in calls:
         step = getattr(orthopoly, name)
 
@@ -385,7 +386,8 @@ def test_verify_walks_the_period_once(tmp_path, capsys, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert main(["verify", "--input", source, "--all", "--json"]) == 1
         assert calls == {
-            "transfer_step": p + (p - 1) + walked,
+            "packed_step": p + (p - 1),
+            "transfer_step": walked,
             "column_step": before,
             "transfer_step_at": p - 1,
         }
@@ -610,8 +612,11 @@ def test_verify_report_bytes_are_pinned(capsys):
     # the polynomial kernel became fraction-free: the Moebius pole fixture,
     # and a p = 24, k = 2 sequence whose identity holds at ell = 9 only;
     # and captured while `poly_gcd` ran a remainder sequence: a p = 96
-    # sequence that `normalize_kp` extends to k = 98
-    for name in ("verify_moebius_pole", "verify_p24", "verify_p96"):
+    # sequence that `normalize_kp` extends to k = 98; and captured while the
+    # period walks ran on `Poly`: a p = 12 sequence whose entries are 50- and
+    # 200-digit numerators over 200- and 50-digit denominators, near
+    # MAX_ENTRY_DIGITS, whose packed walks run at widths of over 20,000 bits
+    for name in ("verify_moebius_pole", "verify_p24", "verify_p96", "verify_hiheight"):
         path = str(DATA / f"{name}.json")
         cases = json.loads((DATA / f"{name}.golden.json").read_text(encoding="utf-8"))
         assert len(cases) == 2

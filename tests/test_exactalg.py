@@ -16,6 +16,9 @@ from palinfrac import (
 )
 from palinfrac.exactalg import (
     _poly_sqrt,
+    decode,
+    pack,
+    packed_degree,
     poly_is_square,
     rational_content,
     rational_sqrt,
@@ -430,3 +433,29 @@ def test_kernel_matches_the_fraction_reference(xs, ys, ws, factor):
     assert (p == q) == (rp == rq)
     assert rational_content([p, q, w]) == _ref_content([rp, rq, rw])
     assert rational_content([p]) == _ref_content([rp])
+
+
+def _packed_case(w: int):
+    """A width and integer coefficients below 2^(w-2), the extremes included."""
+    top = 2 ** (w - 2) - 1
+    coefficient = st.one_of(st.integers(-top, top), st.sampled_from([-top, top, 0]))
+    return st.tuples(st.just(w), st.lists(coefficient, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda k: _packed_case(8 * k)), st.integers(1, 10**40))
+@example((8, []), 1)
+@example((8, [0, 0, 0]), 7)
+@example((16, [-(2**14 - 1), 2**14 - 1, -(2**14 - 1)]), 3)
+def test_packed_codec_round_trips(case, den):
+    # pack is the value at 2^w; decode gives back the canonical polynomial
+    # num/den, and packed_degree its degree, -1 for zero, trailing zeros
+    # dropped
+    w, num = case
+    v = pack(num, w)
+    assert v == sum(n * 2 ** (w * i) for i, n in enumerate(num))
+    expected = Poly.from_coeffs([Fraction(n, den) for n in num])
+    poly = decode(v, den, w)
+    _assert_canonical(poly)
+    assert poly == expected
+    assert packed_degree(v, w) == expected.degree

@@ -23,7 +23,8 @@ from palinfrac import (
     pair,
     sequence,
 )
-from palinfrac.orthopoly import column_step, transfer_step
+from palinfrac.exactalg import decode, pack
+from palinfrac.orthopoly import column_step, packed_step, packed_width, transfer_step
 from conftest import det, random_periodic, scalar_first_kind, scalar_second_kind
 
 
@@ -236,3 +237,43 @@ def test_column_steps_on_the_period_transfer_give_the_block_transfer(seed, m, p,
     assert reduce(column_step, reversed(block[:-p]), t_p) == block_transfer
     x = conj_transfer(random_periodic(rng, 2, max_mag=5), 2)
     assert reduce(column_step, reversed(block), x) == x @ block_transfer
+
+
+def _big_rational(rng: random.Random, digits: int, positive: bool) -> Fraction:
+    num = rng.randint(1, 10 ** rng.randint(1, digits))
+    den = rng.randint(1, 10 ** rng.randint(1, digits))
+    return Fraction(num if positive or rng.random() < 0.5 else -num, den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 24), st.integers(1, 200))
+def test_packed_walk_matches_the_transfer_prefixes(seed, p, digits):
+    # from the identity, the packed matrix after n steps is T_n over den:
+    # every raw coefficient (the exact coefficient times den) of the
+    # entries, the trace and the Q cofactor kd*x21 + kn*x12 stays below
+    # 2^(w-2) for the width that the pre-pass picks, and decoding gives T_n
+    rng = random.Random(seed)
+    pairs = [
+        pair(_big_rational(rng, digits, True), _big_rational(rng, digits, False))
+        for _ in range(p)
+    ]
+    ak2 = rng.choice(pairs).a ** 2
+    kn, kd = ak2.numerator, ak2.denominator
+    w = packed_width(pairs, 1, 1, ak2)
+    assert w % 8 == 0
+    t = (1, 0, 0, 1, 1)
+    for q, reference in zip(pairs, transfer_prefixes(pairs, p)[1:]):
+        t = packed_step(t, q, w)
+        den = t[4]
+        raw = []
+        for x, entry in zip(t[:4], reference.entries()):
+            assert den % entry.den == 0
+            raw.append([n * (den // entry.den) for n in entry.num])
+            assert pack(raw[-1], w) == x
+        assert Mat2(*(decode(x, den, w) for x in t[:4])) == reference
+        pad = max(map(len, raw))
+        r11, r12, r21, r22 = ([*r, *[0] * (pad - len(r))] for r in raw)
+        combined = [*r11, *r12, *r21, *r22]
+        combined += [x + y for x, y in zip(r11, r22)]
+        combined += [kd * x + kn * y for x, y in zip(r21, r12)]
+        assert max(map(abs, combined), default=0) < 2 ** (w - 2)

@@ -385,25 +385,25 @@ def test_prepare_walks_a_one_period_block_once(monkeypatch):
     import palinfrac.orthopoly as orthopoly
     import palinfrac.quadratic as quadratic
 
-    # the period is walked once; the pairs before an appended period are
-    # column steps on its transfer matrix
-    calls = {"transfer_step": [], "column_step": []}
+    # the period is walked once, on packed integers; the pairs before an
+    # appended period are column steps on its transfer matrix
+    calls = {"packed_step": [], "transfer_step": [], "column_step": []}
     for name, log in calls.items():
         step = getattr(orthopoly, name)
 
-        def counting(t, q, step=step, log=log):
+        def counting(t, q, *width, step=step, log=log):
             log.append(q)
-            return step(t, q)
+            return step(t, q, *width)
 
         monkeypatch.setattr(orthopoly, name, counting)
         monkeypatch.setattr(quadratic, name, counting)
     periodic = tuple(random_periodic(random.Random(15), 24))
     prepare(normalize_kp(JacobiSequence((), periodic)))
-    assert (len(calls["transfer_step"]), len(calls["column_step"])) == (24, 0)
+    assert [len(log) for log in calls.values()] == [24, 0, 0]
     for log in calls.values():
         log.clear()
     prepare(JacobiSequence(periodic[:2] + periodic, periodic))
-    assert (len(calls["transfer_step"]), len(calls["column_step"])) == (24, 2)
+    assert [len(log) for log in calls.values()] == [24, 0, 2]
 
 
 @settings(max_examples=100, deadline=None)
@@ -434,6 +434,34 @@ def test_q_residual_is_formed_only_when_read(seed, p, k, normalized, kind):
         assert report.residual_Q_degree == report.residual_Q.degree
         assert report.holds == (report.residual_P.is_zero() and report.residual_Q.is_zero())
     assert [ell for ell, r in reports.items() if r.holds] == brute_splits(periodic)
+
+
+def test_reports_hold_degrees_and_form_residuals_when_read():
+    # after the sweep, neither the reports nor `Prepared` hold a polynomial
+    # per ell; the residuals and cofactors read afterwards are the product
+    # route's
+    path = Path(__file__).parent / "data" / "verify_p24.json"
+    seq = normalize_kp(load_sequence(path.read_bytes()))
+    assert seq.p == 24
+    prep = prepare(seq)
+    reports = verify_splits(prep)
+    formed = ("residual_P", "cofactor_Q", "residual_Q")
+    assert not any(name in vars(r) for r in reports.values() for name in formed)
+    assert "cofactors" not in vars(prep)
+    assert not any(
+        isinstance(value, tuple) and any(isinstance(x, Poly) for x in value)
+        for value in vars(prep).values()
+    )
+    assert all(type(d) is int for d in prep.cofactor_degrees)
+    reference = product_route_reports(prep)
+    assert [ell for ell, r in reports.items() if r.holds] == [9]
+    for ell, report in reports.items():
+        residual_p, residual_q, holds = reference[ell]
+        assert (report.residual_P, report.residual_Q, report.holds) == (
+            residual_p, residual_q, holds)
+        assert report.cofactor_Q == prep.cofactors[ell - 1]
+        assert (report.residual_P_degree, report.residual_Q_degree) == (
+            residual_p.degree, residual_q.degree)
 
 
 def multi_split_period(rng: random.Random, p: int) -> list:

@@ -42,13 +42,13 @@ CASES = [
     (QuadraticRelation, {"alpha": _ONE, "beta": _X, "gamma": -_ONE}),
     (
         VerificationReport,
-        {"ell": 1, "residual_P": Poly.zero(), "gamma": _ONE, "cofactor_Q": _X, "holds": False},
+        {"ell": 1, "residual_P_degree": -1, "residual_Q_degree": 2, "prep": _PREP},
     ),
     (
         Prepared,
         {
             name: getattr(_PREP, name)
-            for name in ("seq", "cofactors", "t1", "relation", "scaled_tail", "t3", "ak2")
+            for name in ("seq", "cofactor_degrees", "t1", "relation", "scaled_tail", "t3", "ak2")
         },
     ),
     (LaurentSeries, {"coefficients": (Fraction(1), Fraction(0), Fraction(2))}),
