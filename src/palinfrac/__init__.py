@@ -38,7 +38,6 @@ from .jacobi import (
     load_sequence,
     normalize_kp,
     pair,
-    reversed_periodic,
     sequence,
     strip,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "pullback_quadratic",
     "recover_coefficients",
     "reverse_asymptotics",
-    "reversed_periodic",
     "second_solution_value",
     "sequence",
     "strip",

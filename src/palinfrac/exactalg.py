@@ -8,8 +8,8 @@ Gerhard, *Modern Computer Algebra*, ch. 6).  It is kept in one canonical
 form, so equal polynomials have equal fields: no trailing zero numerator,
 the denominator coprime to all numerators together, and the zero
 polynomial is ((), 1).  Sums, products and `shift_add`, the fused step
-((z - b)*x + y)/a of the transfer recurrence, work on the integer numerators
-and end in one gcd reduction, instead of one Fraction per coefficient; a
+((z - b)*x + y)/a that pulls a quadratic relation back by one pair, work on
+the integer numerators and end in one gcd reduction, instead of one Fraction per coefficient; a
 scaling reads its common factor off two small gcds and needs no reduction
 at all; division is integer pseudo-division, and `poly_gcd` is the
 heuristic gcd of Char, Geddes and Gonnet, which reads a candidate off one
@@ -17,7 +17,8 @@ integer gcd and certifies it by exact pseudo-division.  Degrees stay small
 here (bounded by the coefficient block lengths), so the dense
 representation is the simplest thing that works.
 
-The verifier's period walks use a second form, Kronecker substitution
+The exact transfer walks (`orthopoly.packed_walk`) use a second form,
+Kronecker substitution
 (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44, 2009): an integer polynomial is one
 Python int, its value at 2^w.  `pack` and `decode` convert between the two

@@ -254,14 +254,3 @@ def strip(seq: JacobiSequence, count: int) -> JacobiSequence:
         return JacobiSequence(seq.preperiodic[count:], seq.periodic)
     r = (count - seq.k) % seq.p
     return JacobiSequence((), seq.periodic[r:] + seq.periodic[:r])
-
-
-def reversed_periodic(periodic: Sequence[JacobiPair]) -> list[JacobiPair]:
-    """One period of the index-reversed stream.
-
-    The j-th output pair (1-based) is (a_{p-j}, b_{p-j+1}), reading the a
-    index modulo p so that a_0 means a_p.  For p = 1 this degenerates to
-    the single pair (a_1, b_1).
-    """
-    p = len(periodic)
-    return [JacobiPair(periodic[(p - j - 1) % p].a, periodic[p - j].b) for j in range(1, p + 1)]

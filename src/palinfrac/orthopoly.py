@@ -17,71 +17,35 @@ cancellation.  The Moebius action of T_n removes the first n pairs of a
 stream: if s has a coefficient stream starting with those pairs, the
 stripped function s_n equals f_T(s).  Its determinant is identically 1.
 
-One step is fused, fraction-free: each new first-row entry is one
-`exactalg.shift_add` on the integer numerators and each second-row entry a
-`Poly.scale`, so a step forms no polynomial product and each result is
-reduced once.  Started at any matrix X instead of the identity, n steps
-give T_n * X; the verifier steps its P kernel that way.  `column_step` is
-the same step from the right, X -> X * S(a, b), again with no product.
+Every exact transfer matrix comes from one walk, `packed_walk`, on packed
+integers: the start matrix's entries are integer numerator polynomials over
+one shared denominator, each held as the single int X(2^w) (see
+`exactalg`), and `packed_step` applies S(a, b) by integer products and one
+shift, with no gcd and no polynomial product.  `packed_width` picks w by a
+scalar pre-pass that bounds every coefficient of the walk (the proof is in
+`quadratic`), so every value read decodes exactly.  Started at any matrix X
+instead of the identity, n steps give T_n * X; `transfer` decodes that end
+once, and the verifier reads degrees straight off the packed values.
+`transfer_step_at` is the same step at a point.  The fused `Poly` step
+`exactalg.shift_add` is the pullback's step in `quadratic`, not a transfer.
 
-The verifier walks the period with `packed_step` instead: the same step on
-integer numerator polynomials packed at 2^w (see `exactalg`) over one shared
-denominator, with no gcd.  `packed_width` picks w by a scalar pre-pass that
-bounds every coefficient of the walk (the proof is in `quadratic`).
-
-The verifier's T2(ell) are the prefixes of the recurrence over the period,
-and its T1 the recurrence over the preperiodic block: when that block ends
-with one whole period, T1 = T_P * T_pre, which `column_step` builds by
-right-multiplying the period transfer T_P.  Its T3 is D * T1^T * D^-1 (see
-`quadratic`), which `build_T3` rebuilds from the reversed pairs.
+The verifier's T2(ell) are the prefixes of the recurrence over the period
+and its T1 the recurrence over the preperiodic block.  Its T3, the transfer
+over the index-reversed block, is D * T1^T * D^-1 with D = diag(1, -ak^2)
+(`reversed_transfer`; the proof is in `quadratic`).
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from fractions import Fraction
-from functools import reduce
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 from .errors import IndexOutOfRange, InsufficientCoefficients
-from .exactalg import Mat2, shift_add
-from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized, reversed_periodic
-
-
-def transfer_step(t: Mat2, q: JacobiPair) -> Mat2:
-    """S(q.a, q.b) * t, one step of the recurrence.
-
-    Applied row by row: the new first row is ((z - b)*row1 + row2)/a, each
-    entry one fused `shift_add` on the integer numerators, and the new
-    second row is -a*row1, a `scale` whose common factor is read off two
-    small gcds.  No polynomial product is formed, so a step costs O(deg)
-    big-integer operations where a general 2x2 product costs O(deg^2).
-    """
-    neg_a = -q.a
-    return Mat2(
-        shift_add(t.a11, t.a21, q.a, q.b),
-        shift_add(t.a12, t.a22, q.a, q.b),
-        t.a11.scale(neg_a),
-        t.a12.scale(neg_a),
-    )
-
-
-def column_step(t: Mat2, q: JacobiPair) -> Mat2:
-    """t * S(q.a, q.b), one step of the recurrence applied from the right.
-
-    Applied column by column: the new first column is
-    ((z - b)*col1 - a^2*col2)/a, one fused `shift_add` per entry over a
-    scaled second column, and the new second column is col1/a, a `scale`.
-    Folding it over reversed pairs right-multiplies t by their transfer
-    matrix, still without a polynomial product.
-    """
-    neg_a2 = -q.a * q.a
-    inv_a = 1 / q.a
-    return Mat2(
-        shift_add(t.a11, t.a12.scale(neg_a2), q.a, q.b),
-        t.a11.scale(inv_a),
-        shift_add(t.a21, t.a22.scale(neg_a2), q.a, q.b),
-        t.a21.scale(inv_a),
-    )
+from .exactalg import Mat2, decode, pack
+from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
 
 
 def packed_step(t: tuple, q: JacobiPair, w: int) -> tuple:
@@ -122,8 +86,42 @@ def packed_width(pairs: Sequence[JacobiPair], h1: int, h2: int, ak2: Fraction) -
     return (top.bit_length() + 9) // 8 * 8
 
 
+def packed_walk(
+    start: Mat2, pairs: Sequence[JacobiPair], ak2: Fraction = Fraction(1)
+) -> tuple[int, Iterator[tuple]]:
+    """The width w and the packed T_j * start for j = 0, 1, ..., len(pairs).
+
+    `start` is brought over the lcm of its denominators and packed at 2^w,
+    with w from `packed_width` over the same pairs; the walk is lazy.  The
+    default ak2 = 1 makes w bound the entries and the trace only; a caller
+    that reads the Q cofactor passes its own.
+    """
+    den = math.lcm(*(e.den for e in start.entries()))
+    nums = [[n * (den // e.den) for n in e.num] for e in start.entries()]
+    h1, h2 = (max(map(abs, nums[i] + nums[i + 1]), default=0) for i in (0, 2))
+    w = packed_width(pairs, h1, h2, ak2)
+    first = (*(pack(num, w) for num in nums), den)
+    return w, accumulate(pairs, lambda t, q: packed_step(t, q, w), initial=first)
+
+
+def transfer(pairs: Sequence[JacobiPair], start: Mat2 = Mat2.identity()) -> Mat2:
+    """T * start for the transfer matrix T over `pairs`, decoded once at the end."""
+    w, walk = packed_walk(start, pairs)
+    *entries, den = deque(walk, maxlen=1).pop()
+    return Mat2(*(decode(x, den, w) for x in entries))
+
+
+def reversed_transfer(t1: Mat2, ak2: Fraction) -> Mat2:
+    """D * t1^T * D^-1 with D = diag(1, -ak2).
+
+    For the transfer t1 over a block whose last pair has a^2 = ak2, this is
+    the transfer over the index-reversed block (see `quadratic`).
+    """
+    return Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
+
+
 def transfer_step_at(t: tuple, q: JacobiPair, z) -> tuple:
-    """transfer_step at the point z, on the values (a11, a12, a21, a22).
+    """One step of the recurrence at the point z, on the values (a11, a12, a21, a22).
 
     The pair enters as floats at a builtin float or complex point, so the
     values follow double precision there, and exactly at any other point.
@@ -140,7 +138,7 @@ def conj_transfer(coeffs: Sequence[JacobiPair], n: int) -> Mat2:
         raise IndexOutOfRange(f"transfer matrix needs n >= 1, got {n}")
     if len(coeffs) < n:
         raise InsufficientCoefficients(f"need {n} pairs, have {len(coeffs)}")
-    return reduce(transfer_step, coeffs[:n], Mat2.identity())
+    return transfer(coeffs[:n])
 
 
 def build_T1(seq: JacobiSequence) -> Mat2:
@@ -169,9 +167,7 @@ def build_T2(periodic: Sequence[JacobiPair], ell: int) -> Mat2:
 def build_T3(seq: JacobiSequence) -> Mat2:
     """Transfer matrix over the index-reversed preperiodic block.
 
-    The pair list is materialized explicitly: its j-th pair (1-based) is
-    (alpha_{k-j}, beta_{k-j+1}) with alpha_0 read as alpha_k, which is
-    exactly one period of the reversed stream of the preperiodic block.
+    Its j-th pair (1-based) is (alpha_{k-j}, beta_{k-j+1}) with alpha_0 read
+    as alpha_k; the matrix is read off T1 by `reversed_transfer`.
     """
-    require_kp_normalized(seq)
-    return conj_transfer(reversed_periodic(seq.preperiodic), seq.k)
+    return reversed_transfer(build_T1(seq), seq.preperiodic[-1].a ** 2)

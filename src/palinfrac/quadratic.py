@@ -10,7 +10,8 @@ which is the quadratic relation (alpha, beta, gamma) = (C, D - A, -B).
 Pulling it back through the preperiodic transfer matrix T1 gives the
 relation for the full eventually periodic function M: as quadratic forms
 Q = [[alpha, beta/2], [beta/2, gamma]], the congruence T1^T * Q * T1, one
-det-1 step per preperiodic pair, which keeps the polynomial gcd.
+det-1 step per preperiodic pair, which keeps the polynomial gcd.  That
+step runs on `Poly` through `exactalg.shift_add`, which serves nothing else.
 
 The verifier decides, by exact polynomial arithmetic alone, whether
 
@@ -68,15 +69,16 @@ The period is walked once for the tail and the cofactors and once for N_P;
 the product T3*T2(ell)*T1 is never formed, nor is gamma * s(ell) unless a
 caller reads `residual_Q`, and `verify` runs no polynomial product at all.
 
-Both walks run on packed integers (`orthopoly.packed_step`): a matrix is
-four integer numerator polynomials X over one shared denominator, each
+Every transfer here is one packed walk (`orthopoly.packed_walk`): a matrix
+is four integer numerator polynomials X over one shared denominator, each
 held as the single int X(2^w).  A step clears both rows to a new
 denominator and runs no gcd.  The verdict and both degrees are read off
 the packed values: P(ell) from the trace x11 + x22 of N_P, and s(ell)
 from kd*x21 + kn*x12 on the period walk, with ak^2 = kn/kd.  The exact
 polynomials are decoded only where they are read: T_P once, for the tail
-relation and for T1, and the residuals and cofactors when a caller asks
-for them, by walking again.  The proof that this is exact:
+relation, T1 at the end of the block walk, and the residuals and
+cofactors when a caller asks for them, by walking again.  The proof that
+this is exact:
 
 - Packing is a ring homomorphism Z[z] -> Z, so the walk computes the
   packed numerators exactly whatever w is.  Only reading them needs w.
@@ -104,17 +106,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, islice
 from typing import Iterator, Sequence
 
 from ._value import frozen
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
-from .exactalg import Mat2, Poly, decode, pack, packed_degree, poly_gcd, rational_content
-from .exactalg import shift_add
+from .exactalg import Mat2, Poly, decode, packed_degree, poly_gcd, rational_content, shift_add
 from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
-from .orthopoly import column_step, conj_transfer, packed_step, packed_width, transfer_step
-from .orthopoly import transfer_step_at
+from .orthopoly import conj_transfer, packed_walk, reversed_transfer, transfer, transfer_step_at
 
 
 @frozen
@@ -285,13 +285,13 @@ class Prepared:
         """The Q cofactors for ell = 1 .. p-2, from a second packed period walk."""
         kn, kd = self.ak2.numerator, self.ak2.denominator
         periodic = self.seq.periodic
-        w, walk = _packed_walk(Mat2.identity(), periodic[: len(periodic) - 1], self.ak2)
-        states = islice(walk, 1, None)
+        w, walk = packed_walk(Mat2.identity(), periodic[: len(periodic) - 1], self.ak2)
+        states = islice(walk, 2, None)
         return tuple(decode(kd * x21 + kn * x12, kd * den, w) for _, x12, x21, _, den in states)
 
     def product(self, ell: int) -> Mat2:
         """T3*T2(ell)*T1, with T2(ell) over the first ell+1 periodic pairs."""
-        return self.t3 @ reduce(transfer_step, self.seq.periodic[: ell + 1], self.t1)
+        return self.t3 @ transfer(self.seq.periodic[: ell + 1], self.t1)
 
 
 def prepare(seq: JacobiSequence) -> Prepared:
@@ -312,50 +312,29 @@ def prepare(seq: JacobiSequence) -> Prepared:
     The period is walked once on packed integers, one `packed_step` per
     pair, keeping the degree of the Q cofactor of each prefix T2(ell),
     ell = 1 .. p-2, but no cofactor and no prefix; only T_P is decoded.
-    When the block ends with one whole period (as `normalize_kp` appends
-    to every input it changes), T1 = T_P * T_pre for the pairs before that
-    period, and `column_step` right-multiplies T_P by their steps, last
-    pair first; a block of exactly one period takes T1 = T_P.  Any other
-    block is walked pair by pair.  Neither forms a polynomial product.
+    A block of exactly one period (what `normalize_kp` makes of a purely
+    periodic input) takes T1 = T_P; any other block is one more packed
+    walk, decoded once by `orthopoly.transfer`.  T3 is read off T1 by
+    `orthopoly.reversed_transfer`.  None of this forms a polynomial product.
     """
     block, periodic, p = seq.preperiodic, seq.periodic, seq.p
     ak = (block or periodic)[-1].a
     ak2 = ak * ak
     kn, kd = ak2.numerator, ak2.denominator
-    w, walk = _packed_walk(Mat2.identity(), periodic, ak2)
+    w, walk = packed_walk(Mat2.identity(), periodic, ak2)
     cofactor_degrees = []
-    for ell, (x11, x12, x21, x22, den) in enumerate(walk):  # T2(ell)
+    for ell, (x11, x12, x21, x22, den) in enumerate(walk, start=-1):  # T2(ell)
         if 0 < ell < p - 1:
             cofactor_degrees.append(packed_degree(kd * x21 + kn * x12, w))
     t_p = Mat2(*(decode(x, den, w) for x in (x11, x12, x21, x22)))
-    if block[-p:] == periodic:
-        t1 = reduce(column_step, reversed(block[:-p]), t_p)
-    else:
-        t1 = reduce(transfer_step, block, Mat2.identity())
-    t3 = Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
+    t1 = t_p if block == periodic else transfer(block)
+    t3 = reversed_transfer(t1, ak2)
     canonical_tail = _fixed_point_relation(t_p).canonical()
     while block[-p:] == periodic:
         block = block[:-p]
     relation, content = pullback_quadratic(canonical_tail, block).primitive()
     scaled_tail = canonical_tail.scale(1 / content)
     return Prepared(seq, tuple(cofactor_degrees), t1, relation, scaled_tail, t3, ak2)
-
-
-def _packed_walk(
-    start: Mat2, pairs: Sequence[JacobiPair], ak2: Fraction
-) -> tuple[int, Iterator[tuple]]:
-    """The width w and the packed T_j * start after each of the first j pairs.
-
-    `start` is brought over the lcm of its denominators and packed at 2^w,
-    with w from `packed_width` over the same pairs; the walk is lazy.
-    """
-    den = math.lcm(*(e.den for e in start.entries()))
-    nums = [[n * (den // e.den) for n in e.num] for e in start.entries()]
-    h1, h2 = (max(map(abs, nums[i] + nums[i + 1]), default=0) for i in (0, 2))
-    w = packed_width(pairs, h1, h2, ak2)
-    first = (*(pack(num, w) for num in nums), den)
-    steps = accumulate(pairs, lambda t, q: packed_step(t, q, w), initial=first)
-    return w, islice(steps, 1, None)
 
 
 def _kernels(prep: Prepared) -> tuple[int, Iterator[tuple]]:
@@ -375,8 +354,8 @@ def _kernels(prep: Prepared) -> tuple[int, Iterator[tuple]]:
         tail.alpha,
     )
     periodic = prep.seq.periodic
-    w, walk = _packed_walk(l_p, periodic[: len(periodic) - 1], ak2)
-    return w, islice(walk, 1, None)
+    w, walk = packed_walk(l_p, periodic[: len(periodic) - 1], ak2)
+    return w, islice(walk, 2, None)
 
 
 def _sweep(prep: Prepared) -> Iterator[VerificationReport]:

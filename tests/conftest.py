@@ -36,6 +36,33 @@ def det(m: Mat2) -> Poly:
     return m.a11 * m.a22 - m.a12 * m.a21
 
 
+def composed_step(t: Mat2, q: JacobiPair) -> Mat2:
+    """S(q.a, q.b) @ t as a general 2x2 product of polynomial matrices.
+
+    The reference transfer step: it shares no code with the packed walk.
+    """
+    inv_a = 1 / q.a
+    s = Mat2(
+        Poly.from_coeffs([-q.b * inv_a, inv_a]),
+        Poly.const(inv_a),
+        Poly.const(-q.a),
+        Poly.zero(),
+    )
+    return s @ t
+
+
+def reversed_periodic(periodic) -> list[JacobiPair]:
+    """One period of the index-reversed stream, by index arithmetic.
+
+    The j-th output pair (1-based) is (a_{p-j}, b_{p-j+1}), reading the a
+    index modulo p so that a_0 means a_p.  For p = 1 this degenerates to
+    the single pair (a_1, b_1).  Folded by `composed_step` over a
+    preperiodic block, it is the reference for T3.
+    """
+    p = len(periodic)
+    return [JacobiPair(periodic[(p - j - 1) % p].a, periodic[p - j].b) for j in range(1, p + 1)]
+
+
 def mirror(values: list[Fraction]) -> list[Fraction]:
     """Overwrite the second half of a list with the reversal of the first."""
     n = len(values)

@@ -10,7 +10,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import accumulate
+from itertools import islice
 
 import pytest
 
@@ -27,14 +27,13 @@ from palinfrac import (
     prepare,
     recover_coefficients,
     reverse_asymptotics,
-    reversed_periodic,
     strip_identity_check,
     verify_main_identity,
     verify_splits,
 )
 from palinfrac.cli import main as cli_main
-from palinfrac.exactalg import Mat2, Poly
-from palinfrac.orthopoly import transfer_step
+from palinfrac.exactalg import Mat2, Poly, decode
+from palinfrac.orthopoly import packed_walk
 from conftest import (
     brute_splits,
     det,
@@ -42,6 +41,7 @@ from conftest import (
     purely_periodic,
     random_periodic,
     random_rational,
+    reversed_periodic,
 )
 from test_jacobi import paper_example_periodic
 
@@ -139,9 +139,10 @@ def test_criterion_5_determinant_invariant():
     one = Poly.const(1)
     for _ in range(50):
         coeffs = random_periodic(rng, 50, max_mag=9)
-        # the n-th prefix of the fold is conj_transfer(coeffs, n)
-        for t in list(accumulate(coeffs, transfer_step, initial=Mat2.identity()))[1:]:
-            assert det(t) == one
+        # the n-th state of the packed walk, decoded, is conj_transfer(coeffs, n)
+        w, walk = packed_walk(Mat2.identity(), coeffs)
+        for *entries, den in islice(walk, 1, None):
+            assert det(Mat2(*(decode(x, den, w) for x in entries))) == one
 
 
 @criterion(6, "constant-stream evaluation matches the closed form to 1e-12")

@@ -365,32 +365,26 @@ def test_verify_walks_the_period_once(tmp_path, capsys, monkeypatch):
 
     # verify --all walks the period once on packed integers for the tail and
     # the Q cofactors, steps the packed N_P once per periodic pair before the
-    # last (ell = 1 reads two pairs), walks a block that does not end with a
-    # whole period, and right-multiplies the period transfer by the pairs
-    # before an appended one
-    calls = {"packed_step": 0, "transfer_step": 0, "column_step": 0, "transfer_step_at": 0}
-    for name in calls:
-        step = getattr(orthopoly, name)
+    # last (ell = 1 reads two pairs), and walks the normalized block unless
+    # it is exactly one period; the pointwise values take one step per pair
+    calls = {"packed_step": 0, "transfer_step_at": 0}
+    for module, name in ((orthopoly, "packed_step"), (quadratic, "transfer_step_at")):
+        step = getattr(module, name)
 
         def counting(*args, step=step, name=name):
             calls[name] += 1
             return step(*args)
 
-        monkeypatch.setattr(orthopoly, name, counting)
-        monkeypatch.setattr(quadratic, name, counting)
+        monkeypatch.setattr(module, name, counting)
     path = str(DATA / "verify_p24.json")
     seq = load_sequence((DATA / "verify_p24.json").read_bytes())
     p = seq.p
     appended = write_input(tmp_path, seq.periodic, seq.preperiodic[:-1] + seq.periodic[:1])
-    for source, walked, before in ((path, 2, 0), (appended, 0, 2)):
+    pure = write_input(tmp_path, seq.periodic, name="pure.json")
+    for source, block in ((path, 2), (appended, 2 + p), (pure, 0)):
         calls.update(dict.fromkeys(calls, 0))
         assert main(["verify", "--input", source, "--all", "--json"]) == 1
-        assert calls == {
-            "packed_step": p + (p - 1),
-            "transfer_step": walked,
-            "column_step": before,
-            "transfer_step_at": p - 1,
-        }
+        assert calls == {"packed_step": p + (p - 1) + block, "transfer_step_at": p - 1}
     # one --ell forms the pointwise values only up to that ell
     calls.update(dict.fromkeys(calls, 0))
     assert main(["verify", "--input", path, "--ell", "9"]) == 0

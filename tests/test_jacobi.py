@@ -17,11 +17,16 @@ from palinfrac import (
     load_sequence,
     normalize_kp,
     pair,
-    reversed_periodic,
     sequence,
     strip,
 )
-from conftest import brute_splits, doubly_palindromic_period, random_periodic, unrolled
+from conftest import (
+    brute_splits,
+    doubly_palindromic_period,
+    random_periodic,
+    reversed_periodic,
+    unrolled,
+)
 
 
 # the period-doubling example shape: a = (a1 a2 a2 a1 t1) repeated, b = (b1 b2 b3 b2 b1) repeated

@@ -34,7 +34,6 @@ from palinfrac import (
     periodic_quadratic,
     prepare,
     recover_coefficients,
-    reversed_periodic,
     second_solution_value,
     sequence,
     strip_identity_check,
@@ -45,6 +44,7 @@ from conftest import (
     doubly_palindromic_period,
     purely_periodic,
     random_periodic,
+    reversed_periodic,
 )
 
 CHEBYSHEV = [pair(1, 0)]

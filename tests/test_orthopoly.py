@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from math import gcd, prod
 
@@ -24,8 +23,8 @@ from palinfrac import (
     sequence,
 )
 from palinfrac.exactalg import decode, pack
-from palinfrac.orthopoly import column_step, packed_step, packed_width, transfer_step
-from conftest import det, random_periodic, scalar_first_kind, scalar_second_kind
+from palinfrac.orthopoly import packed_step, packed_width, transfer
+from conftest import composed_step, det, random_periodic, scalar_first_kind, scalar_second_kind
 
 
 CONSTANT = [pair(1, 0)] * 6
@@ -33,7 +32,7 @@ CONSTANT = [pair(1, 0)] * 6
 
 def transfer_prefixes(coeffs, n):
     """T_0 = identity, T_1, ..., T_n over the first n pairs of `coeffs`."""
-    return list(accumulate(coeffs[:n], transfer_step, initial=Mat2.identity()))
+    return list(accumulate(coeffs[:n], composed_step, initial=Mat2.identity()))
 
 
 def test_first_kind_base_case():
@@ -206,8 +205,9 @@ _B = st.one_of(st.just(Fraction(0)), _ENTRIES)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_ENTRY_POLYS, min_size=4, max_size=4), _A, _B)
 def test_transfer_step_matches_the_composed_step(entries, a, b):
-    # the fused step against general products, sums and scalings: the new
-    # first row is ((z - b)*row1 + row2)/a and the new second row -a*row1
+    # one packed step from a start whose entries have unequal denominators,
+    # decoded, against general products, sums and scalings: the new first
+    # row is ((z - b)*row1 + row2)/a and the new second row -a*row1
     t = Mat2(*entries)
     shift = Poly.from_coeffs([-b, 1])
     expected = Mat2(
@@ -216,27 +216,11 @@ def test_transfer_step_matches_the_composed_step(entries, a, b):
         t.a11.scale(-a),
         t.a12.scale(-a),
     )
-    result = transfer_step(t, pair(a, b))
+    result = transfer([pair(a, b)], t)
     assert result == expected
     for poly in result.entries():
         assert poly.den > 0 and gcd(poly.den, *poly.num) == 1
         assert not poly.num or poly.num[-1] != 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32), st.integers(0, 5), st.integers(1, 6), st.integers(1, 2))
-def test_column_steps_on_the_period_transfer_give_the_block_transfer(seed, m, p, copies):
-    # T1 = T_P * T_pre for a block of m pairs and then whole periods, by
-    # right-multiplying the period transfer over the reversed pairs before
-    # the last period; the pair-by-pair walk is the reference
-    rng = random.Random(seed)
-    periodic = random_periodic(rng, p, max_mag=5)
-    block = random_periodic(rng, m, max_mag=5) + periodic * copies
-    block_transfer = reduce(transfer_step, block, Mat2.identity())
-    t_p = conj_transfer(periodic, p)
-    assert reduce(column_step, reversed(block[:-p]), t_p) == block_transfer
-    x = conj_transfer(random_periodic(rng, 2, max_mag=5), 2)
-    assert reduce(column_step, reversed(block), x) == x @ block_transfer
 
 
 def _big_rational(rng: random.Random, digits: int, positive: bool) -> Fraction:
@@ -251,7 +235,8 @@ def test_packed_walk_matches_the_transfer_prefixes(seed, p, digits):
     # from the identity, the packed matrix after n steps is T_n over den:
     # every raw coefficient (the exact coefficient times den) of the
     # entries, the trace and the Q cofactor kd*x21 + kn*x12 stays below
-    # 2^(w-2) for the width that the pre-pass picks, and decoding gives T_n
+    # 2^(w-2) for the width that the pre-pass picks, and decoding gives T_n,
+    # as does `conj_transfer`, which picks its own width
     rng = random.Random(seed)
     pairs = [
         pair(_big_rational(rng, digits, True), _big_rational(rng, digits, False))
@@ -262,7 +247,7 @@ def test_packed_walk_matches_the_transfer_prefixes(seed, p, digits):
     w = packed_width(pairs, 1, 1, ak2)
     assert w % 8 == 0
     t = (1, 0, 0, 1, 1)
-    for q, reference in zip(pairs, transfer_prefixes(pairs, p)[1:]):
+    for n, (q, reference) in enumerate(zip(pairs, transfer_prefixes(pairs, p)[1:]), start=1):
         t = packed_step(t, q, w)
         den = t[4]
         raw = []
@@ -271,6 +256,7 @@ def test_packed_walk_matches_the_transfer_prefixes(seed, p, digits):
             raw.append([n * (den // entry.den) for n in entry.num])
             assert pack(raw[-1], w) == x
         assert Mat2(*(decode(x, den, w) for x in t[:4])) == reference
+        assert conj_transfer(pairs, n) == reference
         pad = max(map(len, raw))
         r11, r12, r21, r22 = ([*r, *[0] * (pad - len(r))] for r in raw)
         combined = [*r11, *r12, *r21, *r22]

@@ -28,7 +28,6 @@ from palinfrac import (
     prepare,
     pullback_quadratic,
     reverse_asymptotics,
-    reversed_periodic,
     second_solution_value,
     sequence,
     verify_main_identity,
@@ -36,14 +35,15 @@ from palinfrac import (
 )
 from palinfrac.exactalg import poly_is_square
 from palinfrac.jacobi import require_kp_normalized
-from palinfrac.orthopoly import transfer_step
 from palinfrac.quadratic import numeric_identity_check, product_values
 from conftest import (
     brute_splits,
+    composed_step,
     doubly_palindromic_period,
     purely_periodic,
     random_periodic,
     random_rational,
+    reversed_periodic,
 )
 from test_jacobi import paper_example_periodic
 
@@ -229,26 +229,14 @@ def test_verify_splits_agrees_with_single_calls():
                 assert single.residual_Q == report.residual_Q
 
 
-def composed_step(t: Mat2, q) -> Mat2:
-    """S(q.a, q.b) @ t as a general 2x2 product of polynomial matrices."""
-    inv_a = 1 / q.a
-    s = Mat2(
-        Poly.from_coeffs([-q.b * inv_a, inv_a]),
-        Poly.const(inv_a),
-        Poly.const(-q.a),
-        Poly.zero(),
-    )
-    return s @ t
-
-
 def product_route_reports(prep) -> dict:
     """The reference sweep: form T3*T2(ell)*T1 for every ell, then collect.
 
     P = alpha*D - beta*C - ak^2*gamma*A and Q = gamma*(C + ak^2*B) with
     [[A, B], [C, D]] the product, T2(ell)*T1 extended one step per ell.
-    Every block comes from `composed_step`, not from `transfer_step`, and
+    Every block comes from `composed_step`, not from the packed walk, and
     T3 from the index-reversed preperiodic block, not from `prep.t3`, so the
-    reference shares neither the fused step nor the similarity.
+    reference shares neither the packed step nor the similarity.
     """
     require_kp_normalized(prep.seq)
     al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
@@ -376,7 +364,7 @@ def test_prepare_t1_is_the_transfer_over_the_block(seed, k, p, block):
         preperiodic += periodic
     prep = prepare(JacobiSequence(preperiodic, periodic))
     assert prep.scaled_tail.canonical() == periodic_quadratic(periodic).canonical()
-    assert prep.t1 == reduce(transfer_step, preperiodic, Mat2.identity())
+    assert prep.t1 == reduce(composed_step, preperiodic, Mat2.identity())
     prefixes = [conj_transfer(periodic, ell + 1) for ell in range(1, p - 1)]
     assert prep.cofactors == tuple(t.a21 + t.a12.scale(prep.ak2) for t in prefixes)
 
@@ -385,25 +373,28 @@ def test_prepare_walks_a_one_period_block_once(monkeypatch):
     import palinfrac.orthopoly as orthopoly
     import palinfrac.quadratic as quadratic
 
-    # the period is walked once, on packed integers; the pairs before an
-    # appended period are column steps on its transfer matrix
-    calls = {"packed_step": [], "transfer_step": [], "column_step": []}
-    for name, log in calls.items():
-        step = getattr(orthopoly, name)
+    # the period is walked once, on packed integers; a block of exactly one
+    # period takes its transfer from that walk, any other block is walked
+    # pair by pair, and nothing is evaluated at a point
+    calls = {"packed_step": 0, "transfer_step_at": 0}
+    for module, name in ((orthopoly, "packed_step"), (quadratic, "transfer_step_at")):
+        step = getattr(module, name)
 
-        def counting(t, q, *width, step=step, log=log):
-            log.append(q)
-            return step(t, q, *width)
+        def counting(*args, step=step, name=name):
+            calls[name] += 1
+            return step(*args)
 
-        monkeypatch.setattr(orthopoly, name, counting)
-        monkeypatch.setattr(quadratic, name, counting)
-    periodic = tuple(random_periodic(random.Random(15), 24))
-    prepare(normalize_kp(JacobiSequence((), periodic)))
-    assert [len(log) for log in calls.values()] == [24, 0, 0]
-    for log in calls.values():
-        log.clear()
-    prepare(JacobiSequence(periodic[:2] + periodic, periodic))
-    assert [len(log) for log in calls.values()] == [24, 0, 2]
+        monkeypatch.setattr(module, name, counting)
+    p = 24
+    periodic = tuple(random_periodic(random.Random(15), p))
+    seq = normalize_kp(JacobiSequence((), periodic))
+    assert seq.preperiodic == seq.periodic
+    prepare(seq)
+    assert calls == {"packed_step": p, "transfer_step_at": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    block = periodic[:2] + periodic
+    prepare(JacobiSequence(block, periodic))
+    assert calls == {"packed_step": p + len(block), "transfer_step_at": 0}
 
 
 @settings(max_examples=100, deadline=None)
