@@ -6,7 +6,7 @@ arithmetic whether the period is doubly palindromic at a given first length
 (equivalently, whether the function and the second root of its quadratic
 relation satisfy the corresponding Moebius identity), and provides a numeric
 layer for evaluating these functions and recovering coefficients from
-expansions at infinity.
+their quadratic relations.
 """
 
 from .errors import (

@@ -5,7 +5,7 @@ Four subcommands drive the library over the JSON input format:
     analyze  - period/preperiod layout and palindrome splits
     verify   - exact identity verdicts at one or all first lengths
     eval     - numeric values of M, m, Mtilde and identity residuals
-    recover  - Laurent round trip from the quadratic back to coefficients
+    recover  - round trip from the tail's quadratic back to coefficients
 
 Exit codes: 0 everything requested holds, 1 some requested check fails,
 2 input error, 3 inconclusive (the library raised DegenerateRelation; no
@@ -51,7 +51,6 @@ from .mfun import (
     eval_periodic_m,
     eval_truncated,
     fold_preperiodic,
-    laurent_of_quadratic,
     recover_coefficients,
 )
 from .quadratic import (
@@ -70,12 +69,11 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 # Largest --depth (eval) and --order (recover) accepted.  The truncation
-# unrolls `depth` levels at every point.  Exact Laurent expansion and
-# recovery take O(order^2) integer operations on entries that grow with the
-# order, and one reduction per coefficient or row: about 0.007 s at order 64
-# and 0.04 s at order 129 for a p = 16 period of rationals with numerators
-# and denominators up to 9, and 0.01 s and 0.11 s for the larger entries of
-# tests/data/recover_p16.json (2-vCPU x86 container, Python 3.11).
+# unrolls `depth` levels at every point.  `recover` peels (order-1)//2 pairs
+# at O(p) integer operations each: 0.8 ms at order 64 and 1.7 ms at order
+# 129 for a p = 16 period of rationals with numerators and denominators up
+# to 9, 0.9 ms and 1.9 ms for tests/data/recover_p16.json (best of 7,
+# 2-vCPU x86 container, Python 3.11).
 MAX_DEPTH = 100_000
 MAX_ORDER = 64
 
@@ -354,9 +352,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         raise InsufficientOrder(
             f"order {order} cannot recover any pairs (need order >= 3)"
         )
-    relation = periodic_quadratic(seq.periodic)
-    series = laurent_of_quadratic(relation, order)
-    recovered = recover_coefficients(series, count)
+    recovered = recover_coefficients(periodic_quadratic(seq.periodic), count)
     expected = JacobiSequence((), seq.periodic).pairs(count)
     matches = all(
         rec.a_sq == exp.a * exp.a and rec.b == exp.b

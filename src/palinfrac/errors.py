@@ -40,8 +40,8 @@ class BranchAmbiguity(PalinfracError):
 
 
 class NotAnMFunction(PalinfracError):
-    """A Laurent series violates the normalization or positivity of m-functions."""
+    """The decaying branch has c_1 != 1 or a peeled a^2 <= 0, or an a^2 has no rational root."""
 
 
 class InsufficientOrder(PalinfracError):
-    """The Laurent series is too short for the requested recovery depth."""
+    """A pair count, recover order, series order or truncation depth is too small."""

@@ -9,24 +9,15 @@ of a shifted stream against the Moebius image of the original.
 `reverse_asymptotics` decides exactly, from the leading coefficients of M's
 relation, whether 1/(ak^2 * Mtilde) decays like an m-function at infinity.
 
-Series side: expansions at infinity are written as
-
-    m(z) = -c_1/z - c_2/z^2 - ... - c_N/z^N + O(z^-(N+1))
-
-with exact rational c_j.  `laurent_of_quadratic` extracts the decaying
-branch of a quadratic relation by solving the triangular coefficient system
-in one forward pass, and `recover_coefficients` reads the continued-fraction
-pairs back with Chebyshev's algorithm, since c_j is the (j-1)-th moment of
-the spectral measure.  Both take O(N^2) operations, and both are
-fraction-free in the way `Poly` is (von zur Gathen and Gerhard, *Modern
-Computer Algebra*, ch. 6): the inner sums run on Python ints over one
-shared denominator, and only the result is reduced, once per coefficient
-c_n or once per row of mixed moments, instead of one gcd per rational
-operation.  Each recovered pair consumes two orders of the expansion, so n
-pairs need order at least 2n+1.
-
-All series arithmetic is exact; the only approximation is the float square
-root reported for an a^2 that is not a rational square.
+Series side: the decaying branch of a quadratic relation expands as
+m(z) = -c_1/z - c_2/z^2 - ... at infinity, with exact rational c_j.
+`laurent_of_quadratic` finds the c_j by one forward pass over the
+triangular coefficient system.  `recover_coefficients` peels the
+continued-fraction pairs off the relation one level at a time, without
+the c_j.  Both are exact and fraction-free in the way `Poly` is (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 6): integer lists over
+one denominator, reduced once per c_n or per pair.  The only approximation
+is the float square root of an a^2 that is not a rational square.
 """
 
 from __future__ import annotations
@@ -362,77 +353,69 @@ class RecoveredPair:
         return JacobiPair(self.a, self.b)
 
 
-def recover_coefficients(series: LaurentSeries, count: int) -> list[RecoveredPair]:
-    """Read the first `count` coefficient pairs off an m-function expansion.
+def recover_coefficients(relation: QuadraticRelation, count: int) -> list[RecoveredPair]:
+    """Peel the first `count` coefficient pairs off the decaying branch m.
 
-    The c_j are the moments of the spectral measure, mu_k = c_(k+1), and
-    the pairs are the recurrence coefficients of its monic orthogonal
-    polynomials, p_(k+1) = (x - alpha_k) p_k - beta_k p_(k-1): pair j is
-    b_j = alpha_(j-1) and a_j^2 = beta_j.  Chebyshev's algorithm (Gautschi,
-    SIAM J. Sci. Stat. Comput. 1982) computes them from the mixed moments
-    sigma_(k,l) = <p_k, x^l>, with sigma_(0,l) = mu_l and sigma_(-1,l) = 0:
+    The pairs are the J-fraction of a quadratic function (Wall, *Analytic
+    Theory of Continued Fractions*, 1948).  With u = -1/m the relation reads
+    gamma*u^2 - beta*u + alpha = 0, and u = (z - b) + a^2*m_1, where m_1
+    drops the first pair.  With d = deg beta, c_1 = gamma_(d-1)/beta_d must
+    be 1, and then
 
-        sigma_(k,l) = sigma_(k-1,l+1) - alpha_(k-1) sigma_(k-1,l)
-                      - beta_(k-1) sigma_(k-2,l),
-        alpha_k = sigma_(k,k+1)/sigma_(k,k) - sigma_(k-1,k)/sigma_(k-1,k-1),
-        beta_k = sigma_(k,k)/sigma_(k-1,k-1).
+        b = (gamma_(d-2) - beta_(d-1) + alpha_d)/gamma_(d-1),
+        a^2 = e_(d-1)/L_d,   L = 2*gamma*(z - b) - beta,
+                             e = gamma*(z - b)^2 - beta*(z - b) + alpha.
 
-    That is O(count^2) operations, and pair `count` reads mu_(2 count), so
-    the series needs order >= 2*count + 1.  Each a^2 is checked before
-    anything divides by it.
-
-    Each row of sigma is held as integer numerators over one positive
-    denominator.  With b = alpha_(k-1) and beta = beta_(k-1) as reduced
-    fractions, the next row's numerators over the lcm of the two products
-    of denominators take three integer multipliers, as in
-    `exactalg.shift_add`, and the row is reduced once by the gcd of its
-    denominator and numerators.  Only a^2 and the next b are formed as
-    Fractions, two per row.
+    m_1 satisfies (gamma*a^2, L, e/a^2), whose c_1 is 1 and whose beta has
+    degree d.  A step is O(d) operations on integer lists: with b = bn/bd
+    and a^2 = an/ad, the next relation is scaled by an*ad*bd^2 to stay
+    integral and divided by the gcd of its coefficients, its only reduction.
+    The pairs and errors are those Chebyshev's algorithm reads off m's
+    Laurent expansion to order 2*count + 1.
 
     Raises:
-        InsufficientOrder: the series is too short for `count` pairs.
+        DegenerateRelation: no unique decaying branch (`laurent_of_quadratic`'s guard).
+        InsufficientOrder: count < 1.
         NotAnMFunction: c_1 != 1, or some recovered a^2 <= 0.
     """
+    al, be, ga = relation.alpha, relation.beta, relation.gamma
+    if be.is_zero() or be.degree < al.degree or ga.degree > be.degree - 1:
+        raise DegenerateRelation(
+            "leading balance failed: no unique branch decaying at infinity"
+        )
     if count < 1:
         raise InsufficientOrder(f"count must be at least 1, got {count}")
-    width = 2 * count + 1
-    if series.order < width:
-        raise InsufficientOrder(
-            f"recovering {count} pairs needs order >= {width}, have {series.order}"
-        )
-    mu = series.coefficients
-    if mu[0] != 1:
-        raise NotAnMFunction(f"leading coefficient c_1 = {mu[0]} != 1")
-    # rows of sigma indexed by l, as integer numerators over one positive
-    # denominator; row k is only read at l = k..width-1-k
-    pd = math.lcm(*(m.denominator for m in mu[:width]))
-    prev = [m.numerator * (pd // m.denominator) for m in mu[:width]]
-    older, od = [0] * width, 1
-    b, beta = mu[1], Fraction(0)  # alpha_0 = mu_1/mu_0 with mu_0 = 1
+    d = be.degree
+    den = math.lcm(al.den, be.den, ga.den)
+    A, B, G = (
+        [n * (den // t.den) for n in t.num] + [0] * (d + 1 - len(t.num))
+        for t in (al, be, ga)
+    )
+    # index -1 reads G[d] = 0 (deg gamma < d) and h[d] = 0 below (c_1 = 1)
+    c1 = Fraction(G[d - 1], B[d])
+    if c1 != 1:
+        raise NotAnMFunction(f"leading coefficient c_1 = {c1} != 1")
     out: list[RecoveredPair] = []
-    for k in range(1, count + 1):
-        # prev[l+1] - b*prev[l] - beta*older[l] over lcm(bd*pd, ed*od)
-        bn, bd, en, ed = b.numerator, b.denominator, beta.numerator, beta.denominator
-        left, right = bd * pd, ed * od
-        g = math.gcd(left, right)
-        up, keep, drop = right // g * bd, right // g * bn, left // g * en
-        nums = [
-            up * prev[l + 1] - keep * prev[l] - drop * older[l]
-            for l in range(k, width - k)
-        ]
-        cd = left // g * right
-        g = math.gcd(cd, *nums)
-        cd //= g
-        cur = [0] * k + [n // g for n in nums]
-        a_sq = Fraction(cur[k] * pd, cd * prev[k - 1])
+    while True:
+        b = Fraction(G[d - 2] - B[d - 1] + A[d], G[d - 1])
+        bn, bd = b.numerator, b.denominator
+        # with w = bd*z - bn: gamma*w, h = gamma*w - bd*beta, L*bd = gamma*w + h,
+        # and e*bd^2 = h*w + bd^2*alpha below its two vanishing top terms
+        gw = [bd * G[i - 1] - bn * G[i] for i in range(d + 1)]
+        h = [x - bd * y for x, y in zip(gw, B)]
+        L = [x + y for x, y in zip(gw, h)]
+        e = [bd * h[i - 1] - bn * h[i] + bd * bd * A[i] for i in range(d)]
+        a_sq = Fraction(e[d - 1], bd * L[d])
         if a_sq <= 0:
             raise NotAnMFunction(f"recovered a^2 = {a_sq} is not positive")
         root = rational_sqrt(a_sq)
         a = math.sqrt(a_sq.numerator / a_sq.denominator) if root is None else root
         out.append(RecoveredPair(a_sq, b, a, root is not None))
-        if k < count:
-            b = Fraction(
-                cur[k + 1] * prev[k - 1] - prev[k] * cur[k], cur[k] * prev[k - 1]
-            )
-        older, od, prev, pd, beta = prev, pd, cur, cd, a_sq
-    return out
+        if len(out) == count:
+            return out
+        an, ad = a_sq.numerator, a_sq.denominator
+        A = [an * an * bd * bd * x for x in G]
+        B = [an * ad * bd * x for x in L]
+        G = [ad * ad * x for x in e] + [0]
+        g = math.gcd(*A, *B, *G)
+        A, B, G = ([x // g for x in row] for row in (A, B, G))

@@ -15,12 +15,10 @@ from itertools import islice
 import pytest
 
 from palinfrac import (
-    InsufficientOrder,
     JacobiSequence,
     eval_m,
     eval_periodic_m,
     eval_truncated,
-    laurent_of_quadratic,
     normalize_kp,
     pair,
     periodic_quadratic,
@@ -219,34 +217,31 @@ def test_criterion_8_stripping_identities():
 
 
 @criterion(9, "Laurent round trip recovers (a_j^2, b_j) exactly for j <= 2p")
-def test_criterion_9_roundtrip_recovery():
+def test_criterion_9_roundtrip_recovery(tmp_path, capsys):
     # Determining 2p pairs takes 4p+1 expansion coefficients (two per pair
-    # plus the normalization), which is what the recovery precondition
-    # demands; the nominal default order 2p+6 supports p+2 pairs and is
-    # checked at that depth alongside.
+    # plus the normalization); the peel reads them off the relation
+    # directly.  `recover --order N` reports (N-1)//2 pairs, so the default
+    # order 2p+6 reports p+2 of them, and order 2 none: an input error.
     rng = random.Random(20260815)
+    path = tmp_path / "period.json"
     for _ in range(50):
         p = rng.randint(1, 6)
         periodic = random_periodic(rng, p, max_mag=6)
-        relation = periodic_quadratic(periodic)
+        recovered = recover_coefficients(periodic_quadratic(periodic), 2 * p)
         stream = purely_periodic(periodic).pairs(2 * p)
-
-        series = laurent_of_quadratic(relation, 4 * p + 1)
-        recovered = recover_coefficients(series, 2 * p)
+        assert len(recovered) == 2 * p
         for rec, exp in zip(recovered, stream):
             assert rec.a_sq == exp.a * exp.a
             assert rec.b == exp.b
 
-        default_series = laurent_of_quadratic(relation, 2 * p + 6)
-        capacity = (default_series.order - 1) // 2
-        assert capacity == p + 2
-        if 2 * p > capacity:
-            with pytest.raises(InsufficientOrder):
-                recover_coefficients(default_series, 2 * p)
-        partial = recover_coefficients(default_series, capacity)
-        for rec, exp in zip(partial, purely_periodic(periodic).pairs(capacity)):
-            assert rec.a_sq == exp.a * exp.a
-            assert rec.b == exp.b
+        path.write_text(json.dumps({"periodic": [[str(q.a), str(q.b)] for q in periodic]}))
+        assert cli_main(["recover", "--input", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["order"] == 2 * p + 6
+        assert report["compared_pairs"] == len(report["pairs_recovered"]) == p + 2
+        assert report["roundtrip_matches"]
+    assert cli_main(["recover", "--input", str(path), "--order", "2"]) == 2
+    capsys.readouterr()
 
 
 @criterion(10, "reverse probe: mismatched graft fails with the predicted decay")

@@ -488,15 +488,14 @@ def test_eval_report_bytes_are_pinned(capsys):
 def test_recover_report_bytes_are_pinned(capsys):
     # stdout and exit code of the fixed-point expansion and iterated stripping
     # on a p = 8 rational period, text and --json, at the default order and
-    # at order 33; the triangular solve and Chebyshev's algorithm must
-    # reproduce them
+    # at order 33; the peel of the relation must reproduce them
     assert_recover_golden(capsys, "recover_p8", 4)
 
 
 def test_recover_report_bytes_are_pinned_at_the_order_cap(capsys):
     # a p = 16 period whose a are rational squares over mixed denominators,
-    # at --order 64, where the series integers are largest; pinned from the
-    # Fraction-per-operation series layer that the fraction-free one replaced
+    # at --order 64, the cap; pinned from the Fraction-per-operation series
+    # layer, which the peel must reproduce
     assert_recover_golden(capsys, "recover_p16", 2)
 
 

@@ -355,8 +355,7 @@ def test_laurent_truncation_residual_order_chebyshev():
 
 
 def test_recover_constant_stream():
-    series = laurent_of_quadratic(periodic_quadratic(CHEBYSHEV), 11)
-    for rec in recover_coefficients(series, 5):
+    for rec in recover_coefficients(periodic_quadratic(CHEBYSHEV), 5):
         assert rec.a_sq == 1 and rec.b == 0 and rec.a == 1 and rec.a_exact
 
 
@@ -366,11 +365,8 @@ def test_recover_roundtrip_two_periods():
     rng = random.Random(513)
     for p in range(1, 17):
         periodic = random_periodic(rng, p, max_mag=5)
-        relation = periodic_quadratic(periodic)
-        order = min(4 * p + 1, MAX_ORDER)
-        count = (order - 1) // 2
-        series = laurent_of_quadratic(relation, order)
-        recovered = recover_coefficients(series, count)
+        count = (min(4 * p + 1, MAX_ORDER) - 1) // 2
+        recovered = recover_coefficients(periodic_quadratic(periodic), count)
         expected = purely_periodic(periodic).pairs(count)
         assert len(recovered) == count
         for rec, exp in zip(recovered, expected):
@@ -378,32 +374,38 @@ def test_recover_roundtrip_two_periods():
             assert rec.b == exp.b
 
 
+def _relation(alpha, beta, gamma):
+    """A quadratic relation from three ascending coefficient lists."""
+    return QuadraticRelation(*(Poly.from_coeffs(c) for c in (alpha, beta, gamma)))
+
+
 def test_recover_rejects_wrong_normalization():
-    series = LaurentSeries((Fraction(2), Fraction(0), Fraction(1)))
-    with pytest.raises(NotAnMFunction):
-        recover_coefficients(series, 1)
+    # 2m for the m of z*m + 1 = 0: the expansion starts -2/z
+    with pytest.raises(NotAnMFunction, match="c_1 = 2 != 1"):
+        recover_coefficients(_relation([], [0, 1], [2]), 1)
 
 
 def test_recover_rejects_nonpositive_a_sq():
-    # c = (1, 0, 0): a_1^2 = c_3 - c_2^2 = 0
-    series = LaurentSeries((Fraction(1), Fraction(0), Fraction(0)))
-    with pytest.raises(NotAnMFunction):
-        recover_coefficients(series, 1)
+    # m = -1/z ends the stream after one level (a_1^2 = 0), and
+    # -m^2 + z*m + 1 = 0 has u = -1/m = z - 1/u, so a_1^2 = -1.  A prepared
+    # relation never gets here: where the guard passes, its decaying branch
+    # is M, whose pairs are the stream's.
+    with pytest.raises(NotAnMFunction, match="a\\^2 = 0 is not positive"):
+        recover_coefficients(_relation([], [0, 1], [1]), 1)
+    with pytest.raises(NotAnMFunction, match="a\\^2 = -1 is not positive"):
+        recover_coefficients(_relation([-1], [0, 1], [1]), 1)
 
 
 def test_recover_insufficient_order():
-    series = laurent_of_quadratic(periodic_quadratic(CHEBYSHEV), 6)
-    with pytest.raises(InsufficientOrder):
-        recover_coefficients(series, 3)
+    with pytest.raises(InsufficientOrder, match="count must be at least 1, got 0"):
+        recover_coefficients(periodic_quadratic(CHEBYSHEV), 0)
 
 
 def test_recovered_pair_exactness_flag():
-    # a^2 = 2 is not a rational square: a is reported as a float approximation
-    series = LaurentSeries(
-        (Fraction(1), Fraction(0), Fraction(2), Fraction(0), Fraction(6))
-    )
-    rec = recover_coefficients(series, 1)[0]
-    assert rec.a_sq == 2 and not rec.a_exact
+    # (2, z - b, 1) peels to b and a^2 = 2, which is not a rational square:
+    # a is reported as a float approximation
+    rec = recover_coefficients(_relation([2], [Fraction(-1, 3), 1], [1]), 1)[0]
+    assert rec.a_sq == 2 and rec.b == Fraction(1, 3) and not rec.a_exact
     assert abs(rec.a - 2**0.5) < 1e-12
     with pytest.raises(NotAnMFunction):
         _ = rec.pair
@@ -529,12 +531,12 @@ def test_fold_preperiodic_keeps_mpmath_precision():
             assert abs(got - expected) <= mpmath.mpf(10) ** -35 * abs(expected)
 
 
-# laurent_of_quadratic solves the triangular coefficient system in one pass
-# and recover_coefficients runs Chebyshev's algorithm on the moments.  The
-# algorithms they replaced stay here as the reference: fixed-point
-# substitution y <- -(gamma + alpha*y^2)/beta and iterated stripping
-# m -> (b - z - 1/m)/a^2, in truncated series arithmetic that tracks its own
-# validity floor.  They cost O(N^3) to O(N^4), so orders stay at most 17.
+# laurent_of_quadratic solves the triangular coefficient system in one pass,
+# and recover_coefficients peels the relation.  The references work on the
+# expansion instead: fixed-point substitution y <- -(gamma + alpha*y^2)/beta
+# finds it, and iterated stripping m -> (b - z - 1/m)/a^2 reads the pairs
+# off it, in truncated series arithmetic that tracks its own validity
+# floor.  They cost O(N^3) to O(N^4), so orders stay below 20.
 
 
 class _RefSeries:
@@ -690,29 +692,48 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _stream_series(pairs, order, edit):
-    """c_1..c_order of the finite stream of (b, a^2) `pairs`, one c_j edited.
+def _finite_stream(levels, scale=1):
+    """The linear relation (0, D, -scale*N) of a finite J-fraction m = N/D.
 
-    c_j is the moment e_0' J^(j-1) e_0 of the stream's Jacobi matrix J.  With
-    a^2 above the diagonal and 1 below it, J keeps its moments and stays
-    rational, so a non-square a^2 is allowed.  Past the last pair the stream
-    stops, and recovery meets a^2 = 0 there.  `edit`, an (index, value) pair
-    or None, overwrites one coefficient, which can break c_1 = 1 or a later
-    a^2 > 0.
+    m = 1/(b_1 - z - a_1^2/(b_2 - z - ...)) over the (b, a^2) `levels`,
+    where an a^2 may be negative or no rational square.  Peeling reads the
+    levels back up to the first a^2 <= 0, and past the last one it meets
+    a^2 = 0.  A `scale` other than 1 breaks c_1 = 1.
     """
-    w = [Fraction(1)] + [Fraction(0)] * (len(pairs) - 1)
-    coefficients = []
-    for _ in range(order):
-        coefficients.append(w[0])
-        w = [
-            b * w[i]
-            + (a_sq * w[i + 1] if i + 1 < len(w) else 0)
-            + (w[i - 1] if i else 0)
-            for i, (b, a_sq) in enumerate(pairs)
-        ]
-    if edit is not None and edit[0] < order:
-        coefficients[edit[0]] = edit[1]
-    return LaurentSeries(tuple(coefficients))
+    num, den = Poly.zero(), Poly.const(1)
+    for b, a_sq in reversed(levels):
+        num, den = den, (Poly.const(b) - Poly.x()) * den - a_sq * num
+    return QuadraticRelation(Poly.zero(), den, -(scale * num))
+
+
+def _finite_streams(max_levels):
+    levels = st.tuples(_RATIONALS, st.one_of(_POSITIVE, _RATIONALS.filter(bool)))
+    return st.builds(
+        _finite_stream,
+        st.lists(levels, min_size=1, max_size=max_levels),
+        st.just(1) | _RATIONALS,
+    )
+
+
+# k = 1 over p = 2 with a_1 = a_p: deg alpha = deg beta, the guard passes,
+# and the peel reads the preperiodic pair and then the period
+_K1_READS_BACK = JacobiSequence(
+    (pair(Fraction(2, 3), Fraction(-3, 4)),),
+    (pair(Fraction(3, 7), Fraction(-5, 6)), pair(Fraction(2, 3), Fraction(-1, 3))),
+)
+# k = 1 with a_1 != a_p: deg alpha = deg beta + 1, and the guard rejects it
+_K1_GUARD_FAILS = JacobiSequence(
+    (pair(Fraction(8, 5), Fraction(7, 3)),), (pair(Fraction(3, 4), Fraction(4, 9)),)
+)
+
+
+def test_recover_reads_a_preperiodic_pair_back():
+    relation = prepare(_K1_READS_BACK).relation
+    assert relation.alpha.degree == relation.beta.degree
+    recovered = recover_coefficients(relation, 5)
+    assert [(r.a_sq, r.b) for r in recovered] == [
+        (q.a * q.a, q.b) for q in _K1_READS_BACK.pairs(5)
+    ]
 
 
 _SERIES_CASES = st.one_of(
@@ -721,56 +742,40 @@ _SERIES_CASES = st.one_of(
         st.integers(1, 17),
     ),
     st.tuples(st.builds(lambda seq: prepare(seq).relation, _SEQUENCES), st.integers(1, 17)),
-    # order 2*count, one short of what `count` pairs need, up to 2*count + 3
-    st.integers(1, 5).flatmap(
-        lambda count: st.tuples(
-            st.builds(
-                _stream_series,
-                st.lists(st.tuples(_RATIONALS, _POSITIVE), min_size=1, max_size=5),
-                st.integers(2 * count, 2 * count + 3),
-                st.none() | st.tuples(st.integers(0, 4), st.integers(-2, 2).map(Fraction)),
-            ),
-            st.just(count),
-        )
-    ),
+    st.tuples(_finite_streams(5), st.integers(1, 13)),
 )
 
 
 @settings(max_examples=100, deadline=None)
 @given(_SERIES_CASES)
-@example((LaurentSeries((Fraction(2), Fraction(0), Fraction(1))), 1))
-@example((_stream_series([(Fraction(1), Fraction(2))], 5, None), 2))
+@example((_finite_stream([(Fraction(0), Fraction(1))], 2), 3))
+@example((_finite_stream([(Fraction(1), Fraction(2))]), 5))
+@example((prepare(_K1_READS_BACK).relation, 9))
+@example((prepare(_K1_GUARD_FAILS).relation, 9))
 def test_series_layer_matches_the_reference(case):
-    _assert_series_layer_matches(case, _reference_laurent, _reference_recover)
+    _assert_peel_matches(case, _reference_laurent, _reference_recover)
 
 
-def _assert_series_layer_matches(case, laurent_ref, recover_ref):
-    """Compare the series layer with reference versions, errors included.
+def _assert_peel_matches(case, laurent_ref, recover_ref):
+    """Compare the expansion and the peel with references, errors included.
 
-    A relation is expanded to the given order and recovered at full
-    capacity and one pair past it; a raw series is recovered at the given
-    count.
+    The relation is expanded to the given order n.  The peel takes the
+    order's capacity (n - 1)//2 pairs, at least one, and one pair more; the
+    reference recovers as many from the expansion to order 2*count + 1.
     """
-    source, n = case
-    if isinstance(source, LaurentSeries):
-        series, counts = source, [n]
-    else:
-        series = _outcome(laurent_of_quadratic, source, n)
-        assert series == _outcome(laurent_ref, source, n)
-        if not isinstance(series, LaurentSeries):
-            return
-        capacity = (n - 1) // 2
-        counts = [max(1, capacity), capacity + 1]
-    for count in counts:
-        assert _outcome(recover_coefficients, series, count) == _outcome(
-            recover_ref, series, count
-        )
+    relation, n = case
+    assert _outcome(laurent_of_quadratic, relation, n) == _outcome(laurent_ref, relation, n)
+    for count in {max(1, (n - 1) // 2), (n - 1) // 2 + 1}:
+        expected = _outcome(laurent_of_quadratic, relation, 2 * count + 1)
+        if isinstance(expected, LaurentSeries):
+            expected = _outcome(recover_ref, expected, count)
+        assert _outcome(recover_coefficients, relation, count) == expected
 
 
-# laurent_of_quadratic and recover_coefficients run on integer numerators
-# over one denominator.  The Fraction-per-operation loops they replaced are
-# O(N^2) as well, so they serve as references at the CLI's order cap and
-# beyond.
+# laurent_of_quadratic runs on integer numerators over one denominator.  The
+# Fraction-per-operation loops below are O(N^2) as well, so they serve as
+# references at the CLI's order cap and beyond: the triangular solve, and
+# Chebyshev's algorithm, which reads the pairs off the expansion.
 
 
 def _fraction_laurent(relation, order):
@@ -798,6 +803,17 @@ def _fraction_laurent(relation, order):
 
 
 def _fraction_recover(series, count):
+    """Chebyshev's algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 1982).
+
+    c_j is the (j-1)-th moment of the spectral measure, and pair j is
+    (a_j^2, b_j) = (beta_j, alpha_(j-1)) of its monic orthogonal
+    polynomials, found from the mixed moments sigma_(k,l) = <p_k, x^l>:
+
+        sigma_(k,l) = sigma_(k-1,l+1) - alpha_(k-1) sigma_(k-1,l)
+                      - beta_(k-1) sigma_(k-2,l),
+        alpha_k = sigma_(k,k+1)/sigma_(k,k) - sigma_(k-1,k)/sigma_(k-1,k-1),
+        beta_k = sigma_(k,k)/sigma_(k-1,k-1).
+    """
     if count < 1:
         raise InsufficientOrder(f"count must be at least 1, got {count}")
     width = 2 * count + 1
@@ -831,11 +847,7 @@ def _fraction_recover(series, count):
 
 def _random_relation(alpha_low, alpha_lead, beta_low, beta_lead, gamma):
     """alpha and beta of one degree, unless alpha's leading term is zero."""
-    return QuadraticRelation(
-        Poly.from_coeffs(alpha_low + [alpha_lead]),
-        Poly.from_coeffs(beta_low + [beta_lead]),
-        Poly.from_coeffs(gamma),
-    )
+    return _relation(alpha_low + [alpha_lead], beta_low + [beta_lead], gamma)
 
 
 _P16_PERIOD = [
@@ -844,6 +856,12 @@ _P16_PERIOD = [
         (Path(__file__).parent / "data" / "recover_p16.json").read_text(encoding="utf-8")
     )["periodic"]
 ]
+# a block of three pairs, three times over: the relation's gcd has degree 6
+_REPEATED_BLOCK = [
+    pair(Fraction(2, 7), Fraction(1, 5)),
+    pair(1, Fraction(2, 9)),
+    pair(Fraction(2, 9), Fraction(3, 4)),
+] * 3
 _ORDERS = st.integers(1, MAX_ORDER)
 _CAP_CASES = st.one_of(
     st.tuples(
@@ -873,20 +891,7 @@ _CAP_CASES = st.one_of(
         ),
         _ORDERS,
     ),
-    st.integers(1, (MAX_ORDER - 1) // 2).flatmap(
-        lambda count: st.tuples(
-            st.builds(
-                _stream_series,
-                st.lists(st.tuples(_RATIONALS, _POSITIVE), min_size=1, max_size=16),
-                st.integers(2 * count, 2 * count + 3),
-                st.none()
-                | st.tuples(
-                    st.integers(0, 2 * count + 2), st.integers(-2, 2).map(Fraction)
-                ),
-            ),
-            st.just(count),
-        )
-    ),
+    st.tuples(_finite_streams(16), _ORDERS),
 )
 
 
@@ -894,5 +899,8 @@ _CAP_CASES = st.one_of(
 @given(_CAP_CASES)
 @example((periodic_quadratic(_P16_PERIOD), MAX_ORDER))
 @example((periodic_quadratic(_P16_PERIOD), 129))
+@example((periodic_quadratic(_REPEATED_BLOCK), MAX_ORDER))
+@example((prepare(_K1_READS_BACK).relation, MAX_ORDER))
+@example((prepare(_K1_GUARD_FAILS).relation, MAX_ORDER))
 def test_series_layer_matches_the_fraction_loops(case):
-    _assert_series_layer_matches(case, _fraction_laurent, _fraction_recover)
+    _assert_peel_matches(case, _fraction_laurent, _fraction_recover)
