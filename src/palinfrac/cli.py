@@ -26,7 +26,6 @@ import json
 import math
 import random
 import sys
-from itertools import islice
 
 from .errors import (
     BranchAmbiguity,
@@ -47,7 +46,6 @@ from .jacobi import (
     normalize_kp,
 )
 from .mfun import (
-    eval_m,
     eval_periodic_m,
     eval_truncated,
     fold_preperiodic,
@@ -57,8 +55,9 @@ from .quadratic import (
     numeric_identity_check,
     periodic_quadratic,
     prepare,
-    product_values,
+    reversed_fold,
     second_solution_value,
+    stripped_tails,
     verify_main_identity,
     verify_splits,
 )
@@ -103,9 +102,12 @@ def _check_limit(option: str, value: int | None, limit: int) -> None:
 
 
 def _check_tolerance(value: float) -> None:
-    # nan and inf have no JSON form, and inf would pass every check
+    # nan and inf have no JSON form, and inf would pass every check; a
+    # residual is never negative, so a negative value would fail every check
     if not math.isfinite(value):
         raise ParseError(f"--tolerance must be finite, got {value}")
+    if value < 0:
+        raise ParseError(f"--tolerance must be nonnegative, got {value}")
 
 
 def _format_complex(value: complex) -> str:
@@ -197,19 +199,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = verify_splits(prep) if args.all else {args.ell: verify_main_identity(prep, args.ell)}
     z0 = complex(0.37, 1.31)
     try:
-        m0 = eval_m(normalized, z0)
-        second0 = second_solution_value(prep.relation, m0, z0)
-        values = dict(
-            enumerate(islice(product_values(prep, z0), max(requested, default=0)), start=1)
+        m0 = eval_periodic_m(normalized, z0)
+        second0 = second_solution_value(
+            prep.relation, fold_preperiodic(normalized, m0, z0), z0
         )
+        folded = reversed_fold(normalized, second0, z0)
+        stripped = stripped_tails(normalized, m0, z0)
     except (BranchAmbiguity, ZeroDivisionError, OverflowError):
         # the cross-check only annotates: every ell reports it unavailable
-        m0 = second0 = None
-        values = {}
+        folded, stripped = None, [None] * (p - 2)
     all_hold = True
     for ell in requested:
         result = results[ell]
-        check = numeric_identity_check(prep, values.get(ell), m0, second0, args.tolerance)
+        check = numeric_identity_check(stripped[ell - 1], folded, args.tolerance)
         numeric = check["residual"]
         verdicts.append(
             {
@@ -269,7 +271,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     splits = [s.ell for s in find_palindrome_splits(normalized.periodic)]
     ell = splits[0] if splits else None
     prep = prepare(normalized)
-    entries = prep.product(ell).entries() if ell is not None else ()
 
     report = _base_report("eval", digest)
     rows = []
@@ -280,9 +281,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for z in points:
         m_tail = eval_periodic_m(normalized, z)
         m_full = fold_preperiodic(normalized, m_tail, z)
-        # Mtilde and the identity's matrix values are Horner values of exact
-        # polynomials, which overflow on huge rationals or at extreme heights;
-        # they are then reported unavailable, and M, m and the gap still are
+        # Mtilde is the Horner value of exact polynomials, which overflows on
+        # huge rationals or at extreme heights; it and the identity residual
+        # are then reported unavailable, and M, m and the gap still are
         try:
             second = second_solution_value(prep.relation, m_full, z)
             second = second if cmath.isfinite(second) else None
@@ -292,16 +293,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not math.isfinite(truncation_gap):
             # the float fold overflows at subnormal heights; nan is not JSON
             truncation_gap = None
+        residual = residual_ok = None
         if ell is not None:
             try:
-                values = [e(z) for e in entries]
-            except OverflowError:
-                values = None
-            check = numeric_identity_check(prep, values, m_full, second, args.tolerance)
-            residual = check["residual"]
-            residual_ok = check["ok"]
-        else:
-            residual = residual_ok = None
+                folded = None if second is None else reversed_fold(normalized, second, z)
+            except ZeroDivisionError:
+                folded = None
+            stripped = stripped_tails(normalized, m_tail, z)[ell - 1]
+            check = numeric_identity_check(stripped, folded, args.tolerance)
+            residual, residual_ok = check["residual"], check["ok"]
         row = {
             "z": _format_complex(z),
             "M": _format_complex(m_full),

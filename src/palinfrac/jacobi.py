@@ -87,6 +87,16 @@ class JacobiSequence:
         lent = self.preperiodic[-p:] == self.periodic
         return block + (block[-p:] if lent else _float_pairs(self.periodic))
 
+    def levels(self, z, periodic: bool) -> tuple:
+        """(b, a^2) of the period's or the block's pairs, in the arithmetic of z.
+
+        A builtin float or complex point reads the float tables, which have
+        the bits and OverflowErrors of the exact pairs; others, the exact pairs.
+        """
+        if type(z) in (float, complex):
+            return self.float_pairs[self.k :] if periodic else self.float_preperiodic
+        return tuple((q.b, q.a * q.a) for q in (self.periodic if periodic else self.preperiodic))
+
     def pairs(self, n: int) -> list[JacobiPair]:
         """Unroll the first n pairs of the stream."""
         return list(islice(chain(self.preperiodic, cycle(self.periodic)), n))

@@ -85,7 +85,7 @@ def _tail_roots(seq: JacobiSequence, z) -> tuple:
     """
     floats, near = type(z) in (float, complex), abs(z) < 1e90
     A, B, C, D = 1, 0, 0, 1
-    for b, a2 in _levels(seq, z, periodic=True):
+    for b, a2 in seq.levels(z, periodic=True):
         if floats and not (
             near and 1e-90 < a2 < 1e90 and -1e90 < b < 1e90 and 1e-100 < abs(B) + abs(D) < 1e100
         ):
@@ -106,18 +106,6 @@ def _tail_roots(seq: JacobiSequence, z) -> tuple:
     return (r1, r2) if r1.imag >= r2.imag else (r2, r1)
 
 
-def _levels(seq: JacobiSequence, z, periodic: bool) -> tuple:
-    """(b, a^2) of the period's or the block's pairs, in the arithmetic of z.
-
-    A builtin float or complex point reads the sequence's float table, with
-    the bits and OverflowErrors of the exact pairs (mixed Fraction
-    arithmetic converts through float() too); other points, the exact pairs.
-    """
-    if type(z) in (float, complex):
-        return seq.float_pairs[seq.k :] if periodic else seq.float_preperiodic
-    return tuple((q.b, q.a * q.a) for q in (seq.periodic if periodic else seq.preperiodic))
-
-
 def eval_m(seq: JacobiSequence, z):
     """The eventually periodic function at z (Im z > 0): the tail, folded."""
     return fold_preperiodic(seq, eval_periodic_m(seq, z), z)
@@ -129,7 +117,7 @@ def fold_preperiodic(seq: JacobiSequence, value, z):
     A caller that holds the periodic tail's value gets M(z) without solving
     the tail again.
     """
-    for b, a2 in reversed(_levels(seq, z, periodic=False)):
+    for b, a2 in reversed(seq.levels(z, periodic=False)):
         den = b - z - a2 * value
         if den == 0:
             raise DivisionByZero(f"continued fraction level vanished at z={z}")
@@ -261,6 +249,26 @@ class LaurentSeries:
         return self.coefficients[j - 1]
 
 
+def _decaying_relation(relation: QuadraticRelation) -> tuple[int, list, list, list]:
+    """d = deg beta, and (alpha, beta, gamma) cleared to integer lists of length d + 1.
+
+    The decaying branch exists and is unique when deg beta >= deg alpha and
+    deg gamma <= deg beta - 1; anything else fails the leading balance and
+    raises DegenerateRelation.
+    """
+    al, be, ga = relation.alpha, relation.beta, relation.gamma
+    if be.is_zero() or be.degree < al.degree or ga.degree > be.degree - 1:
+        raise DegenerateRelation(
+            "leading balance failed: no unique branch decaying at infinity"
+        )
+    d = be.degree
+    den = math.lcm(al.den, be.den, ga.den)
+    return d, *(
+        [n * (den // t.den) for n in t.num] + [0] * (d + 1 - len(t.num))
+        for t in (al, be, ga)
+    )
+
+
 def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> LaurentSeries:
     """Expansion of the decaying branch of the quadratic at infinity.
 
@@ -289,23 +297,13 @@ def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> LaurentSeri
     stay near the size of the c_j themselves; scaling by a fixed power of
     lc(B) instead would let them grow with lc(B)^(2n).
 
-    The decaying branch exists and is unique when deg beta >= deg alpha
-    and deg gamma <= deg beta - 1; anything else fails the leading balance.
-
     Raises:
         InsufficientOrder: order < 1.
-        DegenerateRelation: no unique decaying branch.
+        DegenerateRelation: no unique decaying branch (`_decaying_relation`).
     """
     if order < 1:
         raise InsufficientOrder(f"order must be at least 1, got {order}")
-    al, be, ga = relation.alpha, relation.beta, relation.gamma
-    if be.is_zero() or be.degree < al.degree or ga.degree > be.degree - 1:
-        raise DegenerateRelation(
-            "leading balance failed: no unique branch decaying at infinity"
-        )
-    d = be.degree
-    den = math.lcm(al.den, be.den, ga.den)
-    A, B, G = ([n * (den // t.den) for n in t.num] for t in (al, be, ga))
+    d, A, B, G = _decaying_relation(relation)
     D = 1  # lcm of the denominators of c_1 .. c_(n-1)
     X = [0]  # X[j] = c_j * D; index 0 pads the 1-based numbering
     Y = [0]  # Y[m] = (c^2)_m * D^2
@@ -313,12 +311,9 @@ def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> LaurentSeri
     for n in range(1, order + 1):
         Y.append(sum(X[i] * X[n - i] for i in range(1, n)))
         low = max(1, n - d)  # B[d-n+j] and A[d-n+m] vanish below
-        total = G[d - n] * D * D if 0 <= d - n < len(G) else 0
+        total = G[d - n] * D * D if n <= d else 0
         total -= D * sum(B[d - n + j] * X[j] for j in range(low, n))
-        total += sum(
-            A[d - n + m] * Y[m]
-            for m in range(max(2, low), min(n, n - d + al.degree) + 1)
-        )
+        total += sum(A[d - n + m] * Y[m] for m in range(max(2, low), n + 1))
         cn = Fraction(total, B[d] * D * D)
         c.append(cn)
         grow = cn.denominator // math.gcd(D, cn.denominator)
@@ -374,23 +369,13 @@ def recover_coefficients(relation: QuadraticRelation, count: int) -> list[Recove
     Laurent expansion to order 2*count + 1.
 
     Raises:
-        DegenerateRelation: no unique decaying branch (`laurent_of_quadratic`'s guard).
+        DegenerateRelation: no unique decaying branch (`_decaying_relation`).
         InsufficientOrder: count < 1.
         NotAnMFunction: c_1 != 1, or some recovered a^2 <= 0.
     """
-    al, be, ga = relation.alpha, relation.beta, relation.gamma
-    if be.is_zero() or be.degree < al.degree or ga.degree > be.degree - 1:
-        raise DegenerateRelation(
-            "leading balance failed: no unique branch decaying at infinity"
-        )
+    d, A, B, G = _decaying_relation(relation)
     if count < 1:
         raise InsufficientOrder(f"count must be at least 1, got {count}")
-    d = be.degree
-    den = math.lcm(al.den, be.den, ga.den)
-    A, B, G = (
-        [n * (den // t.den) for n in t.num] + [0] * (d + 1 - len(t.num))
-        for t in (al, be, ga)
-    )
     # index -1 reads G[d] = 0 (deg gamma < d) and h[d] = 0 below (c_1 = 1)
     c1 = Fraction(G[d - 1], B[d])
     if c1 != 1:

@@ -24,15 +24,17 @@ one shared denominator, each held as the single int X(2^w) (see
 shift, with no gcd and no polynomial product.  `packed_width` picks w by a
 scalar pre-pass that bounds every coefficient of the walk (the proof is in
 `quadratic`), so every value read decodes exactly.  Started at any matrix X
-instead of the identity, n steps give T_n * X; `transfer` decodes that end
-once, and the verifier reads degrees straight off the packed values.
-`transfer_step_at` is the same step at a point.  The fused `Poly` step
-`exactalg.shift_add` is the pullback's step in `quadratic`, not a transfer.
+instead of the identity, n steps give T_n * X: the verifier starts at its
+kernel and reads degrees straight off the packed values, and `conj_transfer`
+decodes the end of a walk from the identity once.  No transfer is evaluated
+at a point: the numeric cross-check folds levels instead (see `quadratic`).
+The fused `Poly` step `exactalg.shift_add` is the pullback's step in
+`quadratic`, not a transfer.
 
-The verifier's T2(ell) are the prefixes of the recurrence over the period
-and its T1 the recurrence over the preperiodic block.  Its T3, the transfer
-over the index-reversed block, is D * T1^T * D^-1 with D = diag(1, -ak^2)
-(`reversed_transfer`; the proof is in `quadratic`).
+The verifier's T2(ell) are the prefixes of the recurrence over the period.
+T1, the recurrence over the preperiodic block, and T3, the transfer over the
+index-reversed block, are `build_T1` and `build_T3`; T3 is
+D * T1^T * D^-1 with D = diag(1, -ak^2) (the proof is in `quadratic`).
 """
 
 from __future__ import annotations
@@ -104,41 +106,18 @@ def packed_walk(
     return w, accumulate(pairs, lambda t, q: packed_step(t, q, w), initial=first)
 
 
-def transfer(pairs: Sequence[JacobiPair], start: Mat2 = Mat2.identity()) -> Mat2:
-    """T * start for the transfer matrix T over `pairs`, decoded once at the end."""
-    w, walk = packed_walk(start, pairs)
-    *entries, den = deque(walk, maxlen=1).pop()
-    return Mat2(*(decode(x, den, w) for x in entries))
-
-
-def reversed_transfer(t1: Mat2, ak2: Fraction) -> Mat2:
-    """D * t1^T * D^-1 with D = diag(1, -ak2).
-
-    For the transfer t1 over a block whose last pair has a^2 = ak2, this is
-    the transfer over the index-reversed block (see `quadratic`).
-    """
-    return Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
-
-
-def transfer_step_at(t: tuple, q: JacobiPair, z) -> tuple:
-    """One step of the recurrence at the point z, on the values (a11, a12, a21, a22).
-
-    The pair enters as floats at a builtin float or complex point, so the
-    values follow double precision there, and exactly at any other point.
-    """
-    t11, t12, t21, t22 = t
-    a, b = (float(q.a), float(q.b)) if type(z) in (float, complex) else (q.a, q.b)
-    shift = z - b
-    return ((shift * t11 + t21) / a, (shift * t12 + t22) / a, -a * t11, -a * t12)
-
-
 def conj_transfer(coeffs: Sequence[JacobiPair], n: int) -> Mat2:
-    """The conjugated transfer matrix over the first n pairs (n >= 1)."""
+    """The conjugated transfer matrix over the first n pairs (n >= 1).
+
+    One packed walk from the identity, decoded once at its end.
+    """
     if n < 1:
         raise IndexOutOfRange(f"transfer matrix needs n >= 1, got {n}")
     if len(coeffs) < n:
         raise InsufficientCoefficients(f"need {n} pairs, have {len(coeffs)}")
-    return transfer(coeffs[:n])
+    w, walk = packed_walk(Mat2.identity(), coeffs[:n])
+    *entries, den = deque(walk, maxlen=1).pop()
+    return Mat2(*(decode(x, den, w) for x in entries))
 
 
 def build_T1(seq: JacobiSequence) -> Mat2:
@@ -168,6 +147,8 @@ def build_T3(seq: JacobiSequence) -> Mat2:
     """Transfer matrix over the index-reversed preperiodic block.
 
     Its j-th pair (1-based) is (alpha_{k-j}, beta_{k-j+1}) with alpha_0 read
-    as alpha_k; the matrix is read off T1 by `reversed_transfer`.
+    as alpha_k.  The matrix is read off T1 as D * T1^T * D^-1 with
+    D = diag(1, -alpha_k^2) (the proof is in `quadratic`).
     """
-    return reversed_transfer(build_T1(seq), seq.preperiodic[-1].a ** 2)
+    t1, ak2 = build_T1(seq), seq.preperiodic[-1].a ** 2
+    return Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)

@@ -76,8 +76,8 @@ denominator and runs no gcd.  The verdict and both degrees are read off
 the packed values: P(ell) from the trace x11 + x22 of N_P, and s(ell)
 from kd*x21 + kn*x12 on the period walk, with ak^2 = kn/kd.  The exact
 polynomials are decoded only where they are read: T_P once, for the tail
-relation, T1 at the end of the block walk, and the residuals and
-cofactors when a caller asks for them, by walking again.  The proof that
+relation, and the residuals and cofactors when a caller asks for them, by
+walking again.  The proof that
 this is exact:
 
 - Packing is a ring homomorphism Z[z] -> Z, so the walk computes the
@@ -100,6 +100,15 @@ this is exact:
   by kd*h2 + kn*h1, and since kn, kd >= 1 the last bounds all three.
   `packed_width` takes the smallest multiple of 8 for w that puts its
   largest value along the walk below 2^(w-2).
+
+The numeric cross-check needs no transfer matrix at a point.  A transfer's
+Moebius action strips its pairs, so f_{T1}(M) = m and f_{T2(ell)}(m) =
+m_{ell+1}, the tail without its first ell+1 pairs, and the identity reads
+fold_R(1/(ak^2 * Mtilde(z))) = m_{ell+1}(z) for the index-reversed block R.
+Both sides are backward folds of levels v -> 1/(b - z - a^2 v), which map
+the upper half plane into itself and so contract there (Wall, *Analytic
+Theory of Continued Fractions*, 1948), where forward transport of M through
+T3*T2(ell)*T1 loses digits like the squared transfer norm.
 """
 
 from __future__ import annotations
@@ -107,14 +116,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Iterator, Sequence
 
 from ._value import frozen
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
 from .exactalg import Mat2, Poly, decode, packed_degree, poly_gcd, rational_content, shift_add
 from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
-from .orthopoly import conj_transfer, packed_walk, reversed_transfer, transfer, transfer_step_at
+from .orthopoly import conj_transfer, packed_walk
 
 
 @frozen
@@ -257,28 +266,18 @@ class Prepared:
     `cofactor_degrees[ell - 1]` is the degree (-1 for zero) of the Q
     cofactor T2(ell)_21 + ak2 * T2(ell)_12, ell = 1 .. p-2, for the
     transfer T2(ell) over ell+1 periodic pairs; `cofactors` forms the
-    cofactors themselves on first access.  `t1` is the transfer matrix
-    over the preperiodic block, `relation` the canonical relation for M,
-    `scaled_tail` the canonical tail scaled so that it pulls back to
-    `relation` exactly (through the whole block, trailing periods
-    included), `t3` = D*t1^T*D^-1 with D = diag(1, -ak2), the transfer
-    matrix over the index-reversed preperiodic block, and `ak2` the
-    squared a-entry of the pair before the tail (with no preperiodic
-    block: t1 = t3 = identity, last periodic pair).
+    cofactors themselves on first access.  `relation` is the canonical
+    relation for M, `scaled_tail` the canonical tail scaled so that it
+    pulls back to `relation` exactly (through the whole block, trailing
+    periods included), and `ak2` the squared a-entry of the pair before
+    the tail (the last periodic pair when there is no preperiodic block).
     """
 
     seq: JacobiSequence
     cofactor_degrees: tuple[int, ...]
-    t1: Mat2
     relation: QuadraticRelation
     scaled_tail: QuadraticRelation
-    t3: Mat2
     ak2: Fraction
-
-    @cached_property
-    def float_ak2(self) -> float:
-        """`ak2` converted to float on first use; OverflowError where it has none."""
-        return float(self.ak2)
 
     @cached_property
     def cofactors(self) -> tuple[Poly, ...]:
@@ -289,13 +288,9 @@ class Prepared:
         states = islice(walk, 2, None)
         return tuple(decode(kd * x21 + kn * x12, kd * den, w) for _, x12, x21, _, den in states)
 
-    def product(self, ell: int) -> Mat2:
-        """T3*T2(ell)*T1, with T2(ell) over the first ell+1 periodic pairs."""
-        return self.t3 @ transfer(self.seq.periodic[: ell + 1], self.t1)
-
 
 def prepare(seq: JacobiSequence) -> Prepared:
-    """Build the relations and block matrices of `seq` once.
+    """Build the relations of `seq` once.
 
     The representation is used as given: nothing is normalized here.  The
     verifier checks normalization itself, and the reverse test relies on
@@ -307,15 +302,12 @@ def prepare(seq: JacobiSequence) -> Prepared:
     Q = sym(K*T_P) for the period transfer T_P = [[A, B], [C, D]] and
     K = [[0, 1], [-1, 0]], and T_P^T * K * T_P = det(T_P) * K = K, so
     T_P^T * Q * T_P = Q exactly: pulling back through a period returns the
-    relation unchanged.  `t1`, `t3` and `ak2` still span the whole block.
+    relation unchanged.  `ak2` still belongs to the whole block's last pair.
 
     The period is walked once on packed integers, one `packed_step` per
     pair, keeping the degree of the Q cofactor of each prefix T2(ell),
     ell = 1 .. p-2, but no cofactor and no prefix; only T_P is decoded.
-    A block of exactly one period (what `normalize_kp` makes of a purely
-    periodic input) takes T1 = T_P; any other block is one more packed
-    walk, decoded once by `orthopoly.transfer`.  T3 is read off T1 by
-    `orthopoly.reversed_transfer`.  None of this forms a polynomial product.
+    The block is never walked, and nothing here forms a polynomial product.
     """
     block, periodic, p = seq.preperiodic, seq.periodic, seq.p
     ak = (block or periodic)[-1].a
@@ -327,14 +319,12 @@ def prepare(seq: JacobiSequence) -> Prepared:
         if 0 < ell < p - 1:
             cofactor_degrees.append(packed_degree(kd * x21 + kn * x12, w))
     t_p = Mat2(*(decode(x, den, w) for x in (x11, x12, x21, x22)))
-    t1 = t_p if block == periodic else transfer(block)
-    t3 = reversed_transfer(t1, ak2)
     canonical_tail = _fixed_point_relation(t_p).canonical()
     while block[-p:] == periodic:
         block = block[:-p]
     relation, content = pullback_quadratic(canonical_tail, block).primitive()
     scaled_tail = canonical_tail.scale(1 / content)
-    return Prepared(seq, tuple(cofactor_degrees), t1, relation, scaled_tail, t3, ak2)
+    return Prepared(seq, tuple(cofactor_degrees), relation, scaled_tail, ak2)
 
 
 def _kernels(prep: Prepared) -> tuple[int, Iterator[tuple]]:
@@ -408,69 +398,53 @@ def verify_splits(prep: Prepared) -> dict[int, VerificationReport]:
     return {report.ell: report for report in _sweep(prep)}
 
 
-def product_values(prep: Prepared, z) -> Iterator[tuple]:
-    """The entries of T3*T2(ell)*T1 at z, for ell = 1, 2, ..., p-2.
+def stripped_tails(seq: JacobiSequence, m_val, z) -> list:
+    """m_{ell+1}(z) for ell = 1 .. p-2, from the tail value m_val = m(z).
 
-    T1(z) and T3(z) are evaluated once; T2(ell)(z) follows the transfer
-    recurrence pointwise from the identity, one step per ell, so each ell
-    costs O(1) operations and no exact product is formed.
+    m_j = 1/(b_{j+1} - z - a_{j+1}^2 * m_{j+1}) and m_p = m, so one backward
+    pass over the period's levels p, p-1, ..., 3 gives them all.
     """
-    t1 = [e(z) for e in prep.t1.entries()]
-    t3 = [e(z) for e in prep.t3.entries()]
-    periodic = prep.seq.periodic
-    steps = accumulate(
-        periodic[: len(periodic) - 1],
-        lambda t, q: transfer_step_at(t, q, z),
-        initial=(1, 0, 0, 1),
-    )
-    for t2 in islice(steps, 2, None):
-        yield _mat_values(t3, _mat_values(t2, t1))
+    values = []
+    for b, a2 in reversed(seq.levels(z, periodic=True)[2:]):
+        m_val = 1 / (b - z - a2 * m_val)
+        values.append(m_val)
+    return values[::-1]
 
 
-def _mat_values(x: Sequence, y: Sequence) -> tuple:
-    """The product of two 2x2 matrices given as (a11, a12, a21, a22) values."""
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
+def reversed_fold(seq: JacobiSequence, second, z):
+    """fold_R(1/(ak^2 * second)) at z, for the index-reversed block R.
 
+    With second = Mtilde(z), this equals m_{ell+1}(z) where the identity
+    holds.  Innermost first, R's levels are the block's (b_i, a_{i-1}^2),
+    i = 1 .. k, with a_0 = a_k; the block must be nonempty.
 
-def numeric_identity_check(
-    prep: Prepared, values: Sequence | None, m_val, second, tolerance: float = 1e-8
-) -> dict:
-    """Pointwise cross-check of the identity with a conditioning budget.
-
-    `values` = (A, B, C, D) are the entries of T3*T2(ell)*T1 at a point z
-    (from `product_values`, or from the exact product's entries evaluated
-    at z), `m_val` = M(z) and `second` = Mtilde(z) from
-    `second_solution_value`, which the caller forms once per point.  Compares
-    1/(ak^2 * Mtilde(z)) with (A*M + B)/(C*M + D), with ak^2 as the float
-    `prep.float_ak2`, so no exact arithmetic is done here; the residual
-    polynomials stay the source of truth.  Returns a dict with the forward
-    residual, the Moebius derivative magnitude 1/|C*M + D|^2 (the error
-    amplification of the right side), and `ok`: residual within `tolerance`
-    or within the double-precision budget that the conditioning allows.  If
-    `values` or `second` is None (not formed), a denominator vanishes, a
-    value overflows or the residual is not finite, the residual is None and
-    `ok` is False.
+    Raises:
+        ZeroDivisionError: second or a level vanishes at z.
     """
-    residual, condition = None, float("inf")
-    if values is not None and second is not None:
-        a, b, c, d = values
-        try:
-            den = c * m_val + d
-            residual = abs(1 / (prep.float_ak2 * second) - (a * m_val + b) / den)
-            if not math.isfinite(residual):
-                residual = None
-            condition = float(1 / abs(den) ** 2)
-        except (ZeroDivisionError, OverflowError):
-            residual = None
-    budget = max(tolerance, 1e-13 * (1.0 + condition))
+    levels = seq.levels(z, periodic=False)
+    a2 = levels[-1][1]
+    value = 1 / (a2 * second)
+    for b, next_a2 in levels:
+        value = 1 / (b - z - a2 * value)
+        a2 = next_a2
+    return value
+
+
+def numeric_identity_check(stripped, folded, tolerance: float = 1e-8) -> dict:
+    """Pointwise cross-check of the identity at one ell; it decides no verdict.
+
+    `stripped` comes from `stripped_tails` and `folded` from `reversed_fold`.
+    Returns the relative residual |stripped - folded| / |stripped|, the
+    tolerance, and `ok`: residual at most `tolerance`.  Where a side is
+    None (not formed) or the residual is not finite, the residual is None
+    and `ok` is False.
+    """
+    residual = None
+    if stripped is not None and folded is not None and stripped != 0:
+        residual = abs(stripped - folded) / abs(stripped)
+        residual = residual if math.isfinite(residual) else None
     return {
         "residual": residual,
-        "moebius_condition": condition,
         "tolerance": tolerance,
-        "ok": residual is not None and bool(residual <= budget),
+        "ok": residual is not None and bool(residual <= tolerance),
     }

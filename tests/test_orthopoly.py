@@ -23,7 +23,7 @@ from palinfrac import (
     sequence,
 )
 from palinfrac.exactalg import decode, pack
-from palinfrac.orthopoly import packed_step, packed_width, transfer
+from palinfrac.orthopoly import packed_step, packed_walk, packed_width
 from conftest import composed_step, det, random_periodic, scalar_first_kind, scalar_second_kind
 
 
@@ -205,9 +205,10 @@ _B = st.one_of(st.just(Fraction(0)), _ENTRIES)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_ENTRY_POLYS, min_size=4, max_size=4), _A, _B)
 def test_transfer_step_matches_the_composed_step(entries, a, b):
-    # one packed step from a start whose entries have unequal denominators,
-    # decoded, against general products, sums and scalings: the new first
-    # row is ((z - b)*row1 + row2)/a and the new second row -a*row1
+    # one packed step of the walk from a start whose entries have unequal
+    # denominators (as the verifier starts at its kernel), decoded, against
+    # general products, sums and scalings: the new first row is
+    # ((z - b)*row1 + row2)/a and the new second row -a*row1
     t = Mat2(*entries)
     shift = Poly.from_coeffs([-b, 1])
     expected = Mat2(
@@ -216,7 +217,10 @@ def test_transfer_step_matches_the_composed_step(entries, a, b):
         t.a11.scale(-a),
         t.a12.scale(-a),
     )
-    result = transfer([pair(a, b)], t)
+    w, walk = packed_walk(t, [pair(a, b)])
+    start, (*packed, den) = walk
+    assert Mat2(*(decode(x, start[4], w) for x in start[:4])) == t
+    result = Mat2(*(decode(x, den, w) for x in packed))
     assert result == expected
     for poly in result.entries():
         assert poly.den > 0 and gcd(poly.den, *poly.num) == 1

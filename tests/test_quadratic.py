@@ -17,6 +17,8 @@ from palinfrac import (
     PalinfracError,
     Poly,
     QuadraticRelation,
+    build_T1,
+    build_T3,
     conj_transfer,
     eval_m,
     eval_periodic_m,
@@ -35,7 +37,7 @@ from palinfrac import (
 )
 from palinfrac.exactalg import poly_is_square
 from palinfrac.jacobi import require_kp_normalized
-from palinfrac.quadratic import numeric_identity_check, product_values
+from palinfrac.quadratic import numeric_identity_check, reversed_fold, stripped_tails
 from conftest import (
     brute_splits,
     composed_step,
@@ -235,8 +237,8 @@ def product_route_reports(prep) -> dict:
     P = alpha*D - beta*C - ak^2*gamma*A and Q = gamma*(C + ak^2*B) with
     [[A, B], [C, D]] the product, T2(ell)*T1 extended one step per ell.
     Every block comes from `composed_step`, not from the packed walk, and
-    T3 from the index-reversed preperiodic block, not from `prep.t3`, so the
-    reference shares neither the packed step nor the similarity.
+    T3 from the index-reversed preperiodic block, not from `build_T3`, so
+    the reference shares neither the packed step nor the similarity.
     """
     require_kp_normalized(prep.seq)
     al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
@@ -324,24 +326,22 @@ def test_m_is_never_rational(seed, p, k, repeated, copies, normalized):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32), st.integers(0, 6), st.integers(1, 5), st.booleans())
-def test_t3_is_t1_under_the_diagonal_similarity(seed, k, p, normalized):
+@given(st.integers(0, 2**32), st.integers(1, 6), st.integers(1, 5))
+def test_t3_is_t1_under_the_diagonal_similarity(seed, k, p):
     # T3 = D*T1^T*D^-1 with D = diag(1, -ak^2) is the recurrence over the
-    # reversed block, whether or not the block ends with the last periodic
-    # pair, and it makes T1*W_Q*T3 = W_Q
+    # reversed block of random pairs, and it makes T1*W_Q*T3 = W_Q for the
+    # gamma of M's relation
     rng = random.Random(seed)
     periodic = random_periodic(rng, p, max_mag=5)
     preperiodic = random_periodic(rng, k, max_mag=5)
-    if normalized and k:
-        preperiodic[-1] = periodic[-1]
-    prep = prepare(JacobiSequence(tuple(preperiodic), tuple(periodic)))
-    if k == 0:
-        assert prep.t3 == Mat2.identity()
-    else:
-        assert prep.t3 == conj_transfer(reversed_periodic(preperiodic), k)
+    periodic[-1] = preperiodic[-1]
+    seq = JacobiSequence(tuple(preperiodic), tuple(periodic))
+    t1, t3 = build_T1(seq), build_T3(seq)
+    assert t3 == conj_transfer(reversed_periodic(preperiodic), k)
+    prep = prepare(seq)
     ga, zero = prep.relation.gamma, Poly.zero()
     w_q = Mat2(zero, ga, ga.scale(prep.ak2), zero)
-    assert prep.t1 @ w_q @ prep.t3 == w_q
+    assert t1 @ w_q @ t3 == w_q
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,10 +351,11 @@ def test_t3_is_t1_under_the_diagonal_similarity(seed, k, p, normalized):
     st.integers(1, 5),
     st.sampled_from(["one period", "pairs + one period", "random"]),
 )
-def test_prepare_t1_is_the_transfer_over_the_block(seed, k, p, block):
-    # a block of exactly one period takes T1 from the period transfer that
-    # the tail is built from; every block gets the pair-by-pair walk's matrix,
-    # and the walk leaves the Q cofactor of every prefix T2(ell)
+def test_build_T1_is_the_transfer_over_the_block(seed, k, p, block):
+    # T1 is the composed steps' product over a block of exactly one period,
+    # of pairs + one period, or of random pairs ending with the last
+    # periodic pair; whatever the block, `prepare` reads the tail off the
+    # period walk, and the walk leaves the Q cofactor of every prefix T2(ell)
     rng = random.Random(seed)
     periodic = tuple(random_periodic(rng, p, max_mag=5))
     preperiodic = tuple(random_periodic(rng, k, max_mag=5))
@@ -362,39 +363,37 @@ def test_prepare_t1_is_the_transfer_over_the_block(seed, k, p, block):
         preperiodic = periodic
     elif block == "pairs + one period":
         preperiodic += periodic
-    prep = prepare(JacobiSequence(preperiodic, periodic))
+    else:
+        preperiodic += periodic[-1:]
+    seq = JacobiSequence(preperiodic, periodic)
+    prep = prepare(seq)
     assert prep.scaled_tail.canonical() == periodic_quadratic(periodic).canonical()
-    assert prep.t1 == reduce(composed_step, preperiodic, Mat2.identity())
+    assert build_T1(seq) == reduce(composed_step, preperiodic, Mat2.identity())
     prefixes = [conj_transfer(periodic, ell + 1) for ell in range(1, p - 1)]
     assert prep.cofactors == tuple(t.a21 + t.a12.scale(prep.ak2) for t in prefixes)
 
 
 def test_prepare_walks_a_one_period_block_once(monkeypatch):
     import palinfrac.orthopoly as orthopoly
-    import palinfrac.quadratic as quadratic
 
-    # the period is walked once, on packed integers; a block of exactly one
-    # period takes its transfer from that walk, any other block is walked
-    # pair by pair, and nothing is evaluated at a point
-    calls = {"packed_step": 0, "transfer_step_at": 0}
-    for module, name in ((orthopoly, "packed_step"), (quadratic, "transfer_step_at")):
-        step = getattr(module, name)
+    # the period is walked once, on packed integers, and the preperiodic
+    # block is not walked at all, whether it is exactly one period or not
+    calls = []
+    step = orthopoly.packed_step
 
-        def counting(*args, step=step, name=name):
-            calls[name] += 1
-            return step(*args)
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
 
-        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(orthopoly, "packed_step", counting)
     p = 24
     periodic = tuple(random_periodic(random.Random(15), p))
     seq = normalize_kp(JacobiSequence((), periodic))
     assert seq.preperiodic == seq.periodic
-    prepare(seq)
-    assert calls == {"packed_step": p, "transfer_step_at": 0}
-    calls.update(dict.fromkeys(calls, 0))
-    block = periodic[:2] + periodic
-    prepare(JacobiSequence(block, periodic))
-    assert calls == {"packed_step": p + len(block), "transfer_step_at": 0}
+    for block in (seq.preperiodic, periodic[:2] + periodic):
+        calls.clear()
+        prepare(JacobiSequence(block, periodic))
+        assert len(calls) == p
 
 
 @settings(max_examples=100, deadline=None)
@@ -528,58 +527,100 @@ def test_sweep_matches_the_product_reference(seed, p, k, kind, fault):
         assert fault != "none"
 
 
-def test_product_values_keep_mpmath_precision():
-    # at an mpmath point the pointwise steps read the exact pairs, so the
-    # values are the exact product's entries to the working precision; pairs
-    # converted to floats would be off by about 1e-16
+Z0 = complex(0.37, 1.31)
+
+
+def cross_check(seq, z=Z0) -> dict:
+    """The cross-check of every ell at z, as `verify` runs it, keyed by ell."""
+    prep = prepare(seq)
+    m = eval_periodic_m(seq, z)
+    second = second_solution_value(prep.relation, fold_preperiodic(seq, m, z), z)
+    folded = reversed_fold(seq, second, z)
+    return {
+        ell: numeric_identity_check(stripped, folded)
+        for ell, stripped in enumerate(stripped_tails(seq, m, z), start=1)
+    }
+
+
+def test_identity_residual_keeps_mpmath_precision():
+    # at an mpmath point the folds read the exact pairs, so both sides keep
+    # the working precision: a holding identity leaves a residual near
+    # 10^-50, and a failing one stays far above it
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(1701)
+    holding = failing = 0
     with mpmath.workdps(50):
-        for _ in range(10):
-            seq = normalize_kp(
-                JacobiSequence(
-                    tuple(random_periodic(rng, rng.randint(0, 3))),
-                    tuple(random_periodic(rng, rng.randint(3, 8))),
-                )
+        for trial in range(24):
+            p = rng.randint(3, 10)
+            periodic = (
+                doubly_palindromic_period(rng, p, rng.randint(1, p - 2))
+                if trial % 3
+                else random_periodic(rng, p)
             )
-            prep = prepare(seq)
+            preperiodic = random_periodic(rng, rng.randint(0, 3))
+            seq = normalize_kp(JacobiSequence(tuple(preperiodic), tuple(periodic)))
             z = mpmath.mpc(rng.uniform(-2, 2), rng.uniform(0.5, 2))
-            for ell, values in enumerate(product_values(prep, z), start=1):
-                exact = [e(z) for e in prep.product(ell).entries()]
-                for got, want in zip(values, exact):
-                    assert abs(got - want) <= 1e-40 * max(1, abs(want)), (seq, ell)
+            splits = brute_splits(periodic)
+            for ell, check in cross_check(seq, z).items():
+                if ell in splits:
+                    holding += 1
+                    assert check["residual"] <= 1e-40 and check["ok"], (seq, ell)
+                else:
+                    failing += 1
+                    assert check["residual"] >= 1e-6 and not check["ok"], (seq, ell)
+    assert holding >= 16 and failing >= 40
 
 
 def test_numeric_identity_agreement_when_holds():
-    # Forward Moebius transport loses digits like the squared transfer-matrix
-    # norm, so the cross-check runs at extended precision; the identity is
-    # exact, the precision only affects how faithfully floats witness it.
-    mpmath = pytest.importorskip("mpmath")
+    # both sides are backward level folds, which contract in the upper half
+    # plane, so double precision witnesses a holding identity to about 1e-15
     rng = random.Random(405)
-    with mpmath.workdps(40):
-        for _ in range(4):
-            p = rng.randint(3, 6)
-            ell = rng.randint(1, p - 2)
-            periodic = doubly_palindromic_period(rng, p, ell, max_mag=3)
-            prep = prepare(normalize_kp(purely_periodic(periodic)))
-            entries = prep.product(ell).entries()
-            for _ in range(5):
-                z = mpmath.mpc(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2.5))
-                values = [e(z) for e in entries]
-                m = eval_m(prep.seq, z)
-                second = second_solution_value(prep.relation, m, z)
-                check = numeric_identity_check(prep, values, m, second)
-                assert check["residual"] < 1e-8
+    for _ in range(12):
+        p = rng.randint(3, 12)
+        ell = rng.randint(1, p - 2)
+        periodic = doubly_palindromic_period(rng, p, ell, max_mag=3)
+        preperiodic = random_periodic(rng, rng.randint(0, 2), max_mag=3)
+        seq = normalize_kp(JacobiSequence(tuple(preperiodic), tuple(periodic)))
+        for _ in range(5):
+            z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.6, 2.5))
+            check = cross_check(seq, z)[ell]
+            assert check["residual"] <= 1e-10 and check["ok"]
 
 
 def test_numeric_identity_disagreement_when_fails():
     periodic = [pair(1, 0), pair(1, 0), pair(2, 3), pair(1, 3)]
-    prep = prepare(normalize_kp(purely_periodic(periodic)))
-    z = 0.3 + 1.1j
-    values = [e(z) for e in prep.product(2).entries()]
-    m = eval_m(prep.seq, z)
-    second = second_solution_value(prep.relation, m, z)
-    assert numeric_identity_check(prep, values, m, second)["residual"] > 1e-3
+    checks = cross_check(normalize_kp(purely_periodic(periodic)), 0.3 + 1.1j)
+    assert checks[1]["ok"] and checks[1]["residual"] < 1e-12
+    assert checks[2]["residual"] > 1e-3 and not checks[2]["ok"]
+
+
+def test_cross_check_flags_planted_faults():
+    # at a holding ell the check stays ok, and it flags the neighbouring
+    # ell - 1 and ell + 1 where those fail; moving b_{ell+2}, the first level
+    # of the stripped tail, by 1e-6 * max(|b|, 1) is flagged too, unless
+    # ell = p - 2, where b_{ell+2} = b_p is a one-pair palindrome and the
+    # moved sequence still holds
+    rng = random.Random(2201)
+    flagged = moved_flagged = 0
+    for trial in range(64):
+        p = rng.randint(3, 24)
+        ell = rng.randint(1, p - 2)
+        periodic = doubly_palindromic_period(rng, p, ell)
+        preperiodic = tuple(random_periodic(rng, rng.randint(0, 3)))
+        checks = cross_check(normalize_kp(JacobiSequence(preperiodic, tuple(periodic))))
+        assert checks[ell]["ok"], (trial, ell)
+        splits = brute_splits(periodic)
+        for near in (ell - 1, ell + 1):
+            if 1 <= near <= p - 2 and near not in splits:
+                assert not checks[near]["ok"], (trial, near)
+                flagged += 1
+        i = (ell + 1) % p
+        b = periodic[i].b
+        periodic[i] = pair(periodic[i].a, b + max(abs(b), 1) / 10**6)
+        moved = cross_check(normalize_kp(JacobiSequence(preperiodic, tuple(periodic))))
+        assert moved[ell]["ok"] == (ell == p - 2) == (ell in brute_splits(periodic)), trial
+        moved_flagged += ell < p - 2
+    assert flagged >= 60 and moved_flagged >= 50
 
 
 def test_reverse_true_for_purely_periodic_palindromic():

@@ -48,7 +48,7 @@ CASES = [
         Prepared,
         {
             name: getattr(_PREP, name)
-            for name in ("seq", "cofactor_degrees", "t1", "relation", "scaled_tail", "t3", "ak2")
+            for name in ("seq", "cofactor_degrees", "relation", "scaled_tail", "ak2")
         },
     ),
     (LaurentSeries, {"coefficients": (Fraction(1), Fraction(0), Fraction(2))}),
@@ -96,9 +96,14 @@ def test_poly_repr_is_the_dataclass_format():
     [
         (Poly((1, 2), 3), "coeffs", (Fraction(1, 3), Fraction(2, 3))),
         (_SEQ, "float_pairs", ((0.0, 1.0), (1.0, 4.0), (0.0, 1.0))),
-        (_PREP, "float_ak2", float(_PREP.ak2)),
+        # ell = 1: S(1, 0)*S(2, 1) has T2_21 = (1 - z)/2 and T2_12 = z/2, ak2 = 1
+        (
+            prepare(sequence([(1, 0)], [(2, 1), (1, 0), (1, 0)])),
+            "cofactors",
+            (Poly.const(Fraction(1, 2)),),
+        ),
     ],
-    ids=["Poly.coeffs", "JacobiSequence.float_pairs", "Prepared.float_ak2"],
+    ids=["Poly.coeffs", "JacobiSequence.float_pairs", "Prepared.cofactors"],
 )
 def test_cached_property_fills_on_a_frozen_instance(obj, name, expected):
     fresh = type(obj)(*(getattr(obj, field) for field in type(obj).__match_args__))
