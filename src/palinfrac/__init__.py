@@ -39,7 +39,6 @@ from .jacobi import (
     normalize_kp,
     pair,
     sequence,
-    strip,
 )
 from .mfun import (
     LaurentSeries,
@@ -52,7 +51,6 @@ from .mfun import (
     laurent_of_quadratic,
     recover_coefficients,
     reverse_asymptotics,
-    strip_identity_check,
 )
 from .orthopoly import (
     build_T1,
@@ -121,8 +119,6 @@ __all__ = [
     "reverse_asymptotics",
     "second_solution_value",
     "sequence",
-    "strip",
-    "strip_identity_check",
     "verify_main_identity",
     "verify_splits",
 ]

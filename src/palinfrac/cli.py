@@ -180,6 +180,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     normalized = normalize_kp(seq)
     p = normalized.p
     if args.all:
+        if args.ell is not None:
+            raise ParseError("verify takes --ell N or --all, not both")
         requested = list(range(1, p - 1))
     else:
         if args.ell is None:
@@ -254,6 +256,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_limit("--depth", args.depth, MAX_DEPTH)
+    if args.depth < 1:
+        raise ParseError(f"depth must be at least 1, got {args.depth}")
     _check_tolerance(args.tolerance)
     seq, digest = _read_input(args.input)
     normalized = normalize_kp(seq)

@@ -222,21 +222,6 @@ class Poly:
             acc = acc * z + c
         return acc
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*z" if c != 1 else "z")
-            else:
-                parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
-        return " + ".join(reversed(parts))
-
 
 def shift_add(x: Poly, y: Poly, a: Fraction, b: Fraction) -> Poly:
     """((z - b)*x + y)/a, from the integer numerators in one pass.

@@ -250,17 +250,3 @@ def find_palindrome_splits(periodic: Sequence[JacobiPair]) -> list[PalindromeSpl
         if _is_palindrome(a[:ell]) and _is_palindrome(a[ell:])
         and _is_palindrome(b[: ell + 1]) and _is_palindrome(b[ell + 1 :])
     ]
-
-
-def strip(seq: JacobiSequence, count: int) -> JacobiSequence:
-    """Remove the first `count` pairs of the stream.
-
-    When the cut lands inside the periodic part, the representation becomes
-    purely periodic with a rotated period.
-    """
-    if count < 0:
-        raise IndexOutOfRange(f"strip count must be nonnegative, got {count}")
-    if count <= seq.k:
-        return JacobiSequence(seq.preperiodic[count:], seq.periodic)
-    r = (count - seq.k) % seq.p
-    return JacobiSequence((), seq.periodic[r:] + seq.periodic[:r])

@@ -4,8 +4,7 @@ Evaluation side: everything is read off the pairs.  A purely periodic
 function is the fixed point of its period's product of level maps that
 lies in the upper half plane, and an eventually periodic function wraps
 it in its preperiodic levels.  A depth-limited truncation evaluator
-cross-checks them, and `strip_identity_check` compares direct evaluation
-of a shifted stream against the Moebius image of the original.
+cross-checks them.
 `reverse_asymptotics` decides exactly, from the leading coefficients of M's
 relation, whether 1/(ak^2 * Mtilde) decays like an m-function at infinity.
 
@@ -35,9 +34,8 @@ from .errors import (
     InsufficientOrder,
     NotAnMFunction,
 )
-from .exactalg import mobius_apply, rational_sqrt
-from .jacobi import JacobiPair, JacobiSequence, normalize_kp, strip
-from .orthopoly import conj_transfer
+from .exactalg import rational_sqrt
+from .jacobi import JacobiPair, JacobiSequence, normalize_kp
 from .quadratic import QuadraticRelation, prepare
 
 
@@ -166,21 +164,6 @@ def eval_truncated(seq: JacobiSequence, z, depth: int):
 def _bits(value) -> bytes:
     """The IEEE bits of a float or complex value (signed zeros differ)."""
     return struct.pack("<dd", value.real, value.imag)
-
-
-def strip_identity_check(seq: JacobiSequence, count: int, z) -> float:
-    """|direct - Moebius| for the stripped function at z.
-
-    The stream with its first `count` pairs removed is evaluated two ways:
-    directly via `eval_m` on the stripped sequence, and as the Moebius image
-    of eval_m(seq, z) under the transfer matrix of the removed pairs.
-    """
-    if count < 1:
-        raise InsufficientOrder(f"strip count must be at least 1, got {count}")
-    removed = seq.pairs(count)
-    direct = eval_m(strip(seq, count), z)
-    image = mobius_apply(conj_transfer(removed, count), eval_m(seq, z), z)
-    return abs(direct - image)
 
 
 @frozen

@@ -63,22 +63,20 @@ same transfer recurrence, started at N_P = L_P^T.  The sweep over ell
 therefore advances N_P by one transfer step per ell and reads P(ell) off as
 a trace.  Q needs no walk of its own: T2(ell) is the (ell+1)-th prefix of
 the period walk that builds the tail, so Q(ell) = gamma * s(ell) with the
-cofactor s(ell) = T2(ell)_21 + ak^2 * T2(ell)_12 formed as the walk passes
+cofactor s(ell) = T2(ell)_21 + ak^2 * T2(ell)_12 read as the walk passes
 it, and since gamma != 0, Q(ell) vanishes exactly when s(ell) does.
 The period is walked once for the tail and the cofactors and once for N_P;
-the product T3*T2(ell)*T1 is never formed, nor is gamma * s(ell) unless a
-caller reads `residual_Q`, and `verify` runs no polynomial product at all.
+the product T3*T2(ell)*T1 is never formed, and `verify` runs no polynomial
+product at all.
 
 Every transfer here is one packed walk (`orthopoly.packed_walk`): a matrix
 is four integer numerator polynomials X over one shared denominator, each
 held as the single int X(2^w).  A step clears both rows to a new
 denominator and runs no gcd.  The verdict and both degrees are read off
 the packed values: P(ell) from the trace x11 + x22 of N_P, and s(ell)
-from kd*x21 + kn*x12 on the period walk, with ak^2 = kn/kd.  The exact
-polynomials are decoded only where they are read: T_P once, for the tail
-relation, and the residuals and cofactors when a caller asks for them, by
-walking again.  The proof that
-this is exact:
+from kd*x21 + kn*x12 on the period walk, with ak^2 = kn/kd.  Only T_P is
+decoded, for the tail relation; no residual or cofactor polynomial is
+formed.  The proof that this is exact:
 
 - Packing is a ring homomorphism Z[z] -> Z, so the walk computes the
   packed numerators exactly whatever w is.  Only reading them needs w.
@@ -99,7 +97,9 @@ this is exact:
 - An entry is bounded by h1 or h2, the trace by h1 + h2 and the cofactor
   by kd*h2 + kn*h1, and since kn, kd >= 1 the last bounds all three.
   `packed_width` takes the smallest multiple of 8 for w that puts its
-  largest value along the walk below 2^(w-2).
+  largest value along the walk below 2^(w-2): the period walk, which reads
+  the cofactor, passes ak^2, and the N_P walk, which reads only the trace,
+  runs at the default ak^2 = 1, where the bound is h1 + h2.
 
 The numeric cross-check needs no transfer matrix at a point.  A transfer's
 Moebius action strips its pairs, so f_{T1}(M) = m and f_{T2(ell)}(m) =
@@ -115,7 +115,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -159,48 +158,22 @@ class QuadraticRelation:
     def scale(self, factor: Fraction) -> "QuadraticRelation":
         return QuadraticRelation(*(t.scale(factor) for t in (self.alpha, self.beta, self.gamma)))
 
-    def residual(self, y, z):
-        """Evaluate alpha(z)*y^2 + beta(z)*y + gamma(z)."""
-        return self.alpha(z) * y * y + self.beta(z) * y + self.gamma(z)
-
 
 @frozen
 class VerificationReport:
     """Outcome of the exact identity check at one candidate first length.
 
     A report keeps the degrees of the residuals P(ell) and Q(ell), -1 for
-    zero, and the `Prepared` sequence they were read from.  `holds` is true
-    exactly when both vanish.  The residual polynomials themselves are
-    formed on first access only: `residual_P` by walking N_P again up to
-    ell, `cofactor_Q` = T2(ell)_21 + ak^2 * T2(ell)_12 from
-    `Prepared.cofactors`, and `residual_Q` = gamma * cofactor_Q.
+    zero, and `holds` is true exactly when both vanish.
     """
 
     ell: int
     residual_P_degree: int
     residual_Q_degree: int
-    prep: "Prepared"
 
     @property
     def holds(self) -> bool:
         return self.residual_P_degree < 0 and self.residual_Q_degree < 0
-
-    @cached_property
-    def residual_P(self) -> Poly:
-        """P(ell) = tr(T2(ell) * L_P^T), exact."""
-        w, kernels = _kernels(self.prep)
-        x11, _, _, x22, den = next(islice(kernels, self.ell - 1, None))
-        return decode(x11 + x22, den, w)
-
-    @cached_property
-    def cofactor_Q(self) -> Poly:
-        """T2(ell)_21 + ak^2 * T2(ell)_12, exact."""
-        return self.prep.cofactors[self.ell - 1]
-
-    @cached_property
-    def residual_Q(self) -> Poly:
-        """Q(ell) = gamma * cofactor_Q, exact."""
-        return self.prep.relation.gamma * self.cofactor_Q
 
 
 def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
@@ -265,8 +238,7 @@ class Prepared:
 
     `cofactor_degrees[ell - 1]` is the degree (-1 for zero) of the Q
     cofactor T2(ell)_21 + ak2 * T2(ell)_12, ell = 1 .. p-2, for the
-    transfer T2(ell) over ell+1 periodic pairs; `cofactors` forms the
-    cofactors themselves on first access.  `relation` is the canonical
+    transfer T2(ell) over ell+1 periodic pairs.  `relation` is the canonical
     relation for M, `scaled_tail` the canonical tail scaled so that it
     pulls back to `relation` exactly (through the whole block, trailing
     periods included), and `ak2` the squared a-entry of the pair before
@@ -278,15 +250,6 @@ class Prepared:
     relation: QuadraticRelation
     scaled_tail: QuadraticRelation
     ak2: Fraction
-
-    @cached_property
-    def cofactors(self) -> tuple[Poly, ...]:
-        """The Q cofactors for ell = 1 .. p-2, from a second packed period walk."""
-        kn, kd = self.ak2.numerator, self.ak2.denominator
-        periodic = self.seq.periodic
-        w, walk = packed_walk(Mat2.identity(), periodic[: len(periodic) - 1], self.ak2)
-        states = islice(walk, 2, None)
-        return tuple(decode(kd * x21 + kn * x12, kd * den, w) for _, x12, x21, _, den in states)
 
 
 def prepare(seq: JacobiSequence) -> Prepared:
@@ -305,9 +268,10 @@ def prepare(seq: JacobiSequence) -> Prepared:
     relation unchanged.  `ak2` still belongs to the whole block's last pair.
 
     The period is walked once on packed integers, one `packed_step` per
-    pair, keeping the degree of the Q cofactor of each prefix T2(ell),
-    ell = 1 .. p-2, but no cofactor and no prefix; only T_P is decoded.
-    The block is never walked, and nothing here forms a polynomial product.
+    pair, at a width that bounds the Q cofactor kd*x21 + kn*x12 of each
+    prefix T2(ell) (ak2 = kn/kd).  Only the cofactors' degrees are kept,
+    ell = 1 .. p-2, and only T_P is decoded.  The block is never walked,
+    and nothing here forms a polynomial product.
     """
     block, periodic, p = seq.preperiodic, seq.periodic, seq.p
     ak = (block or periodic)[-1].a
@@ -327,15 +291,23 @@ def prepare(seq: JacobiSequence) -> Prepared:
     return Prepared(seq, tuple(cofactor_degrees), relation, scaled_tail, ak2)
 
 
-def _kernels(prep: Prepared) -> tuple[int, Iterator[tuple]]:
-    """The width w and the packed N_P = T2(ell)*L_P^T for ell = 1 .. p-2.
+def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
+    """The reports for ell = 1, 2, ..., p-2, one packed step per ell.
 
-    N_P starts at L_P^T = T1*W_P*T3, read off M's beta and the scaled tail
-    (alpha', beta', gamma') as [[-ak2*gamma', -(beta' + beta)/2],
-    [-ak2*(beta - beta')/2, alpha']], and follows the transfer recurrence
-    over the periodic pairs before the last.  No step runs over the
-    preperiodic pairs.
+    N_P = T2(ell)*L_P^T starts at L_P^T = T1*W_P*T3, read off M's beta
+    and the scaled tail (alpha', beta', gamma') as
+    [[-ak2*gamma', -(beta' + beta)/2], [-ak2*(beta - beta')/2, alpha']],
+    and follows the transfer recurrence over the periodic pairs before the
+    last; no step runs over the preperiodic pairs.  P(ell) is the trace of
+    N_P after the first ell+1 periodic pairs, and only its degree is read,
+    so the walk runs at the default width, which bounds the trace.  The
+    degree of Q(ell) is deg gamma + deg s(ell) for the Q cofactor s(ell),
+    read off `prep.cofactor_degrees`, or -1 where s(ell) vanishes.
+
+    Raises:
+        NotNormalized: the sequence is not in canonical form.
     """
+    require_kp_normalized(prep.seq)
     be, ak2, tail = prep.relation.beta, prep.ak2, prep.scaled_tail
     l_p = Mat2(
         tail.gamma.scale(-ak2),
@@ -344,28 +316,12 @@ def _kernels(prep: Prepared) -> tuple[int, Iterator[tuple]]:
         tail.alpha,
     )
     periodic = prep.seq.periodic
-    w, walk = packed_walk(l_p, periodic[: len(periodic) - 1], ak2)
-    return w, islice(walk, 2, None)
-
-
-def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
-    """The reports for ell = 1, 2, ..., p-2, one packed step per ell.
-
-    P(ell) is the trace of the packed N_P after the first ell+1 periodic
-    pairs, and only its degree is read.  The degree of Q(ell) is
-    deg gamma + deg s(ell) for the Q cofactor s(ell), read off
-    `prep.cofactor_degrees`, or -1 where s(ell) vanishes.
-
-    Raises:
-        NotNormalized: the sequence is not in canonical form.
-    """
-    require_kp_normalized(prep.seq)
-    w, kernels = _kernels(prep)
+    w, walk = packed_walk(l_p, periodic[: len(periodic) - 1])
     gamma_degree = prep.relation.gamma.degree
-    reads = zip(kernels, prep.cofactor_degrees)
+    reads = zip(islice(walk, 2, None), prep.cofactor_degrees)
     for ell, ((x11, _, _, x22, _), q_degree) in enumerate(reads, start=1):
         q_degree = gamma_degree + q_degree if q_degree >= 0 else -1
-        yield VerificationReport(ell, packed_degree(x11 + x22, w), q_degree, prep)
+        yield VerificationReport(ell, packed_degree(x11 + x22, w), q_degree)
 
 
 def verify_main_identity(prep: Prepared, ell: int) -> VerificationReport:
@@ -391,9 +347,8 @@ def verify_splits(prep: Prepared) -> dict[int, VerificationReport]:
     """The verify_main_identity reports for every ell in 1 .. p-2.
 
     One sweep: each ell costs one packed step of N_P and one read of the Q
-    cofactor degree that `prepare` kept; the residual polynomials are
-    formed only when read.
-    Returns reports keyed by ell in ascending order.
+    cofactor degree that `prepare` kept.  Returns reports keyed by ell in
+    ascending order.
     """
     return {report.ell: report for report in _sweep(prep)}
 
@@ -434,10 +389,9 @@ def numeric_identity_check(stripped, folded, tolerance: float = 1e-8) -> dict:
     """Pointwise cross-check of the identity at one ell; it decides no verdict.
 
     `stripped` comes from `stripped_tails` and `folded` from `reversed_fold`.
-    Returns the relative residual |stripped - folded| / |stripped|, the
-    tolerance, and `ok`: residual at most `tolerance`.  Where a side is
-    None (not formed) or the residual is not finite, the residual is None
-    and `ok` is False.
+    Returns the relative residual |stripped - folded| / |stripped| and
+    `ok`: residual at most `tolerance`.  Where a side is None (not formed)
+    or the residual is not finite, the residual is None and `ok` is False.
     """
     residual = None
     if stripped is not None and folded is not None and stripped != 0:
@@ -445,6 +399,5 @@ def numeric_identity_check(stripped, folded, tolerance: float = 1e-8) -> dict:
         residual = residual if math.isfinite(residual) else None
     return {
         "residual": residual,
-        "tolerance": tolerance,
         "ok": residual is not None and bool(residual <= tolerance),
     }

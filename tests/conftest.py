@@ -11,7 +11,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from palinfrac import JacobiPair, JacobiSequence, Mat2, Poly, pair
+from palinfrac import (
+    IndexOutOfRange,
+    InsufficientOrder,
+    JacobiPair,
+    JacobiSequence,
+    Mat2,
+    Poly,
+    conj_transfer,
+    eval_m,
+    mobius_apply,
+    pair,
+)
 
 
 def brute_splits(periodic) -> list[int]:
@@ -100,6 +111,35 @@ def doubly_palindromic_period(
 def purely_periodic(periodic) -> JacobiSequence:
     """A purely periodic sequence (empty preperiodic block)."""
     return JacobiSequence((), tuple(periodic))
+
+
+def strip(seq: JacobiSequence, count: int) -> JacobiSequence:
+    """Remove the first `count` pairs of the stream.
+
+    When the cut lands inside the periodic part, the representation becomes
+    purely periodic with a rotated period.
+    """
+    if count < 0:
+        raise IndexOutOfRange(f"strip count must be nonnegative, got {count}")
+    if count <= seq.k:
+        return JacobiSequence(seq.preperiodic[count:], seq.periodic)
+    r = (count - seq.k) % seq.p
+    return JacobiSequence((), seq.periodic[r:] + seq.periodic[:r])
+
+
+def strip_identity_check(seq: JacobiSequence, count: int, z) -> float:
+    """|direct - Moebius| for the stripped function at z.
+
+    The stream with its first `count` pairs removed is evaluated two ways:
+    directly via `eval_m` on the stripped sequence, and as the Moebius image
+    of eval_m(seq, z) under the transfer matrix of the removed pairs.
+    """
+    if count < 1:
+        raise InsufficientOrder(f"strip count must be at least 1, got {count}")
+    removed = seq.pairs(count)
+    direct = eval_m(strip(seq, count), z)
+    image = mobius_apply(conj_transfer(removed, count), eval_m(seq, z), z)
+    return abs(direct - image)
 
 
 def unrolled(seq: JacobiSequence, n: int) -> list[tuple[Fraction, Fraction]]:

@@ -622,6 +622,29 @@ def test_depth_and_order_are_capped(tmp_path, capsys, monkeypatch):
             assert err.startswith("input error:") and argv[-2] in err
 
 
+def test_depth_below_one_is_an_input_error_at_any_point(tmp_path, capsys):
+    # --depth is checked before any point is evaluated, so the exit code
+    # does not depend on whether the tail can be solved at the point: at
+    # 1e200 + 1i no root of this tail is off the real axis
+    from palinfrac import pair
+
+    path = write_input(tmp_path, [pair(1, 0), pair(2, 1), pair(2, -1)])
+    for points in ("0,1", "1e200,1"):
+        assert main(["eval", "--input", path, "--points", points, "--depth", "0"]) == 2, points
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: depth must be at least 1, got 0\n"
+
+
+def test_verify_rejects_ell_with_all(tmp_path, capsys):
+    path = write_input(tmp_path, paper_example_periodic())
+    for argv in (["--all", "--ell", "4"], ["--ell", "4", "--all", "--json"]):
+        assert main(["verify", "--input", path, *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: verify takes --ell N or --all, not both\n"
+
+
 def test_verify_report_bytes_are_pinned(capsys):
     # stdout and exit code of verify --all, text and --json, captured before
     # the polynomial kernel became fraction-free: the Moebius pole fixture,

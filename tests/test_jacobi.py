@@ -18,13 +18,13 @@ from palinfrac import (
     normalize_kp,
     pair,
     sequence,
-    strip,
 )
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
     random_periodic,
     reversed_periodic,
+    strip,
     unrolled,
 )
 

@@ -36,7 +36,6 @@ from palinfrac import (
     recover_coefficients,
     second_solution_value,
     sequence,
-    strip_identity_check,
 )
 from palinfrac.cli import MAX_ORDER, main
 from conftest import (
@@ -45,6 +44,7 @@ from conftest import (
     purely_periodic,
     random_periodic,
     reversed_periodic,
+    strip_identity_check,
 )
 
 CHEBYSHEV = [pair(1, 0)]

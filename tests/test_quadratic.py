@@ -54,6 +54,11 @@ def chebyshev_relation() -> QuadraticRelation:
     return periodic_quadratic([pair(1, 0)])
 
 
+def residual(relation: QuadraticRelation, y, z):
+    """alpha(z)*y^2 + beta(z)*y + gamma(z), in the arithmetic of y and z."""
+    return relation.alpha(z) * y * y + relation.beta(z) * y + relation.gamma(z)
+
+
 def proportional(r: QuadraticRelation, s: QuadraticRelation) -> bool:
     """Exact cross-multiplication test for projective equality."""
     return (
@@ -77,7 +82,7 @@ def test_periodic_quadratic_numeric_residual():
         relation = periodic_quadratic(periodic)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2.5))
         m = eval_periodic_m(purely_periodic(periodic), z)
-        assert abs(relation.residual(m, z)) < 1e-9
+        assert abs(residual(relation, m, z)) < 1e-9
 
 
 def test_doubled_period_relation_is_proportional():
@@ -151,7 +156,7 @@ def test_pullback_relation_annihilates_M_numerically():
     for _ in range(10):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
         m_val = eval_m(seq, z)
-        assert abs(relation.residual(m_val, z)) < 1e-9
+        assert abs(residual(relation, m_val, z)) < 1e-9
 
 
 def test_second_solution_vieta():
@@ -160,7 +165,7 @@ def test_second_solution_vieta():
     m = eval_periodic_m(purely_periodic([pair(1, 0)]), z)
     second = second_solution_value(relation, m, z)
     assert abs(second - 1 / m) < 1e-12
-    assert abs(relation.residual(second, z)) < 1e-10
+    assert abs(residual(relation, second, z)) < 1e-10
     alpha_z, beta_z = relation.alpha(z), relation.beta(z)
     assert abs((m + second) - (-beta_z / alpha_z)) < 1e-10
 
@@ -169,17 +174,24 @@ def test_verify_holds_at_valid_split():
     periodic = [pair(1, 0), pair(1, 0), pair(2, 3), pair(1, 3)]
     assert brute_splits(periodic) == [1]
     seq = normalize_kp(purely_periodic(periodic))
-    report = verify_main_identity(prepare(seq), 1)
+    prep = prepare(seq)
+    report = verify_main_identity(prep, 1)
     assert report.holds
-    assert report.residual_P.is_zero() and report.residual_Q.is_zero()
+    assert (report.residual_P_degree, report.residual_Q_degree) == (-1, -1)
+    residual_p, residual_q, holds = product_route_reports(prep)[1]
+    assert holds and residual_p.is_zero() and residual_q.is_zero()
 
 
 def test_verify_fails_at_invalid_split():
     periodic = [pair(1, 0), pair(1, 0), pair(2, 3), pair(1, 3)]
     seq = normalize_kp(purely_periodic(periodic))
-    report = verify_main_identity(prepare(seq), 2)
+    prep = prepare(seq)
+    report = verify_main_identity(prep, 2)
     assert not report.holds
-    assert not (report.residual_P.is_zero() and report.residual_Q.is_zero())
+    assert (report.residual_P_degree, report.residual_Q_degree) != (-1, -1)
+    residual_p, residual_q, _ = product_route_reports(prep)[2]
+    assert (report.residual_P_degree, report.residual_Q_degree) == (
+        residual_p.degree, residual_q.degree)
 
 
 def test_verify_paper_example():
@@ -226,16 +238,15 @@ def test_verify_splits_agrees_with_single_calls():
             for ell, report in batch.items():
                 single = verify_main_identity(prep, ell)
                 assert single.ell == report.ell == ell
-                assert single.holds == report.holds
-                assert single.residual_P == report.residual_P
-                assert single.residual_Q == report.residual_Q
+                assert single == report
 
 
 def product_route_reports(prep) -> dict:
     """The reference sweep: form T3*T2(ell)*T1 for every ell, then collect.
 
     P = alpha*D - beta*C - ak^2*gamma*A and Q = gamma*(C + ak^2*B) with
-    [[A, B], [C, D]] the product, T2(ell)*T1 extended one step per ell.
+    [[A, B], [C, D]] the product, T2(ell)*T1 extended one step per ell;
+    returns (P, Q, holds) by ell.
     Every block comes from `composed_step`, not from the packed walk, and
     T3 from the index-reversed preperiodic block, not from `build_T3`, so
     the reference shares neither the packed step nor the similarity.
@@ -355,7 +366,8 @@ def test_build_T1_is_the_transfer_over_the_block(seed, k, p, block):
     # T1 is the composed steps' product over a block of exactly one period,
     # of pairs + one period, or of random pairs ending with the last
     # periodic pair; whatever the block, `prepare` reads the tail off the
-    # period walk, and the walk leaves the Q cofactor of every prefix T2(ell)
+    # period walk, and the walk leaves the degree of the Q cofactor of every
+    # prefix T2(ell)
     rng = random.Random(seed)
     periodic = tuple(random_periodic(rng, p, max_mag=5))
     preperiodic = tuple(random_periodic(rng, k, max_mag=5))
@@ -370,7 +382,8 @@ def test_build_T1_is_the_transfer_over_the_block(seed, k, p, block):
     assert prep.scaled_tail.canonical() == periodic_quadratic(periodic).canonical()
     assert build_T1(seq) == reduce(composed_step, preperiodic, Mat2.identity())
     prefixes = [conj_transfer(periodic, ell + 1) for ell in range(1, p - 1)]
-    assert prep.cofactors == tuple(t.a21 + t.a12.scale(prep.ak2) for t in prefixes)
+    cofactors = [t.a21 + t.a12.scale(prep.ak2) for t in prefixes]
+    assert prep.cofactor_degrees == tuple(s.degree for s in cofactors)
 
 
 def test_prepare_walks_a_one_period_block_once(monkeypatch):
@@ -404,9 +417,12 @@ def test_prepare_walks_a_one_period_block_once(monkeypatch):
     st.booleans(),
     st.sampled_from(["doubly", "random", "multi"]),
 )
-def test_q_residual_is_formed_only_when_read(seed, p, k, normalized, kind):
-    # the Q residual is kept as gamma and its cofactor; its degree and the
-    # verdict need no product, and they agree with the product when formed
+def test_residual_degrees_match_the_product_route(seed, p, k, normalized, kind):
+    # the degree of Q(ell) is deg gamma + deg s(ell) for the cofactor s(ell)
+    # of the period walk, and that of P(ell) the packed trace's; neither
+    # needs a product, and both are the degrees of the polynomials the
+    # product route forms, also where `normalize_kp` ends the block with a
+    # whole period that the pullback skips
     rng = random.Random(seed)
     if kind == "doubly":
         periodic = doubly_palindromic_period(rng, p, rng.randint(1, p - 2))
@@ -418,26 +434,29 @@ def test_q_residual_is_formed_only_when_read(seed, p, k, normalized, kind):
     if normalized and k:
         preperiodic[-1] = periodic[-1]
     seq = normalize_kp(JacobiSequence(tuple(preperiodic), tuple(periodic)))
-    reports = verify_splits(prepare(seq))
-    assert not any("residual_Q" in vars(r) for r in reports.values())
-    for report in reports.values():
-        assert report.residual_Q_degree == report.residual_Q.degree
-        assert report.holds == (report.residual_P.is_zero() and report.residual_Q.is_zero())
+    prep = prepare(seq)
+    reports = verify_splits(prep)
+    reference = product_route_reports(prep)
+    assert list(reports) == list(reference)
+    for ell, (residual_p, residual_q, holds) in reference.items():
+        report = reports[ell]
+        assert (report.residual_P_degree, report.residual_Q_degree, report.holds) == (
+            residual_p.degree, residual_q.degree, holds)
     assert [ell for ell, r in reports.items() if r.holds] == brute_splits(periodic)
 
 
-def test_reports_hold_degrees_and_form_residuals_when_read():
+def test_reports_hold_verdicts_and_degrees_only():
     # after the sweep, neither the reports nor `Prepared` hold a polynomial
-    # per ell; the residuals and cofactors read afterwards are the product
-    # route's
+    # per ell: a report is its ell and two degrees, and its degrees and
+    # verdict are the product route's
     path = Path(__file__).parent / "data" / "verify_p24.json"
     seq = normalize_kp(load_sequence(path.read_bytes()))
     assert seq.p == 24
     prep = prepare(seq)
     reports = verify_splits(prep)
-    formed = ("residual_P", "cofactor_Q", "residual_Q")
-    assert not any(name in vars(r) for r in reports.values() for name in formed)
-    assert "cofactors" not in vars(prep)
+    for report in reports.values():
+        assert list(vars(report)) == ["ell", "residual_P_degree", "residual_Q_degree"]
+        assert all(type(value) is int for value in vars(report).values())
     assert not any(
         isinstance(value, tuple) and any(isinstance(x, Poly) for x in value)
         for value in vars(prep).values()
@@ -447,11 +466,8 @@ def test_reports_hold_degrees_and_form_residuals_when_read():
     assert [ell for ell, r in reports.items() if r.holds] == [9]
     for ell, report in reports.items():
         residual_p, residual_q, holds = reference[ell]
-        assert (report.residual_P, report.residual_Q, report.holds) == (
-            residual_p, residual_q, holds)
-        assert report.cofactor_Q == prep.cofactors[ell - 1]
-        assert (report.residual_P_degree, report.residual_Q_degree) == (
-            residual_p.degree, residual_q.degree)
+        assert (report.residual_P_degree, report.residual_Q_degree, report.holds) == (
+            residual_p.degree, residual_q.degree, holds)
 
 
 def multi_split_period(rng: random.Random, p: int) -> list:
@@ -498,20 +514,20 @@ def _outcome(run):
     st.sampled_from(["none", "none", "unnormalized"]),
 )
 def test_sweep_matches_the_product_reference(seed, p, k, kind, fault):
-    # the residuals as traces of T2(ell)*L^T must be the very polynomials the
-    # product route collects, at every ell, and the normalization check must
-    # fire alike
+    # the degrees read off the traces of T2(ell)*L^T and the cofactors must
+    # be those of the polynomials the product route collects, at every ell,
+    # with the same verdicts, and the normalization check must fire alike
     prep, periodic, ell = sweep_case(seed, p, k, kind, fault)
 
     def residuals(reports):
         return {
-            ell: (r.residual_P.num, r.residual_P.den, r.residual_Q.num, r.residual_Q.den, r.holds)
+            ell: (r.residual_P_degree, r.residual_Q_degree, r.holds)
             for ell, r in reports.items()
         }
 
     def reference():
         return {
-            ell: (rp.num, rp.den, rq.num, rq.den, holds)
+            ell: (rp.degree, rq.degree, holds)
             for ell, (rp, rq, holds) in product_route_reports(prep).items()
         }
 
