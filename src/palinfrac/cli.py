@@ -13,7 +13,10 @@ valid input reaches this exit).
 
 Reports are plain text by default; --json emits a stable layout with a
 "schema": 1 field, carrying the same data.  All rationals are emitted as
-strings so the JSON round-trips exactly.
+strings so the JSON round-trips exactly.  Every report's "input_digest" is
+the SHA-256 hex digest of the raw input bytes, the value `sha256sum`
+prints.  It comes from CPython's built-in SHA-256 module, so the CLI loads
+no OpenSSL library; `hashlib` is the fallback where that module is absent.
 """
 
 from __future__ import annotations
@@ -21,11 +24,20 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import hashlib
 import json
 import math
 import random
 import sys
+
+# CPython's own SHA-256, as random.py takes sha512: hashlib would map
+# OpenSSL's libcrypto into every request's process to hash one input
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import (
     BranchAmbiguity,
@@ -89,7 +101,7 @@ _INPUT_ERRORS = (
 def _read_input(path: str) -> tuple[JacobiSequence, str]:
     with open(path, "rb") as handle:
         raw = handle.read()
-    return load_sequence(raw), hashlib.sha256(raw).hexdigest()
+    return load_sequence(raw), sha256(raw).hexdigest()
 
 
 def _base_report(command: str, digest: str) -> dict:
@@ -200,20 +212,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     prep = prepare(normalized)
     results = verify_splits(prep) if args.all else {args.ell: verify_main_identity(prep, args.ell)}
     z0 = complex(0.37, 1.31)
+    # the stripped tails from the lowest requested ell up, no level below it
+    lowest = 1 if args.all else args.ell
     try:
         m0 = eval_periodic_m(normalized, z0)
         second0 = second_solution_value(
             prep.relation, fold_preperiodic(normalized, m0, z0), z0
         )
         folded = reversed_fold(normalized, second0, z0)
-        stripped = stripped_tails(normalized, m0, z0)
+        stripped = stripped_tails(normalized, m0, z0, lowest)
     except (BranchAmbiguity, ZeroDivisionError, OverflowError):
         # the cross-check only annotates: every ell reports it unavailable
-        folded, stripped = None, [None] * (p - 2)
+        folded, stripped = None, [None] * (p - 1 - lowest)
     all_hold = True
     for ell in requested:
         result = results[ell]
-        check = numeric_identity_check(stripped[ell - 1], folded, args.tolerance)
+        check = numeric_identity_check(stripped[ell - lowest], folded, args.tolerance)
         numeric = check["residual"]
         verdicts.append(
             {
@@ -303,7 +317,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 folded = None if second is None else reversed_fold(normalized, second, z)
             except ZeroDivisionError:
                 folded = None
-            stripped = stripped_tails(normalized, m_tail, z)[ell - 1]
+            stripped = stripped_tails(normalized, m_tail, z, ell)[0]
             check = numeric_identity_check(stripped, folded, args.tolerance)
             residual, residual_ok = check["residual"], check["ok"]
         row = {

@@ -150,7 +150,9 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # also integers past the interpreter's digit limit
+    # ValueError also covers integers past the interpreter's digit limit, and
+    # RecursionError arrays or objects nested past the decoder's depth
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")

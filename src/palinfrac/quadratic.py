@@ -353,14 +353,15 @@ def verify_splits(prep: Prepared) -> dict[int, VerificationReport]:
     return {report.ell: report for report in _sweep(prep)}
 
 
-def stripped_tails(seq: JacobiSequence, m_val, z) -> list:
-    """m_{ell+1}(z) for ell = 1 .. p-2, from the tail value m_val = m(z).
+def stripped_tails(seq: JacobiSequence, m_val, z, lowest: int = 1) -> list:
+    """m_{ell+1}(z) for ell = lowest .. p-2, from the tail value m_val = m(z).
 
     m_j = 1/(b_{j+1} - z - a_{j+1}^2 * m_{j+1}) and m_p = m, so one backward
-    pass over the period's levels p, p-1, ..., 3 gives them all.
+    pass over the period's levels p, p-1, ..., lowest+2 gives them all; a
+    caller that reads one ell passes it as `lowest` and folds no level below.
     """
     values = []
-    for b, a2 in reversed(seq.levels(z, periodic=True)[2:]):
+    for b, a2 in reversed(seq.levels(z, periodic=True)[lowest + 1 :]):
         m_val = 1 / (b - z - a2 * m_val)
         values.append(m_val)
     return values[::-1]

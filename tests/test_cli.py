@@ -1,13 +1,18 @@
 """Command-line surface: reports, exit codes, JSON round trips."""
 
+import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import palinfrac
 from palinfrac.cli import main
 from conftest import brute_splits, doubly_palindromic_period, random_periodic
 from test_jacobi import paper_example_periodic
@@ -263,6 +268,17 @@ def test_text_output_mentions_verdict(tmp_path, capsys):
 
 def test_missing_input_file_exit_2(tmp_path):
     assert main(["analyze", "--input", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["verify", "--all", "--json"]])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv):
+    # past its depth the decoder raises RecursionError, not ValueError
+    path = tmp_path / "deep.json"
+    path.write_text('{"periodic": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: invalid JSON: ")
 
 
 DATA = Path(__file__).parent / "data"
@@ -549,6 +565,29 @@ def test_eval_solves_the_tail_once_per_point(tmp_path, capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_cross_check_folds_no_level_below_the_lowest_ell(tmp_path, capsys, monkeypatch):
+    import palinfrac.cli as cli
+
+    # verify --ell N and eval read one stripped tail; the fold stops at it
+    calls = []
+    original = cli.stripped_tails
+
+    def counting(seq, m_val, z, lowest=1):
+        values = original(seq, m_val, z, lowest)
+        calls.append((seq.p, lowest, len(values)))
+        return values
+
+    monkeypatch.setattr(cli, "stripped_tails", counting)
+    assert main(["verify", "--ell", "9", "--input", str(DATA / "verify_p24.json")]) == 0
+    assert calls == [(24, 9, 14)]
+    calls.clear()
+    capsys.readouterr()
+    path = write_input(tmp_path, paper_example_periodic())
+    assert main(["eval", "--input", path, "--points", "0.3,1.5;-1,0.5", "--json"]) == 0
+    ell, p = json.loads(capsys.readouterr().out)["ell"], len(paper_example_periodic())
+    assert ell > 1 and calls == [(p, ell, p - 1 - ell)] * 2
+
+
 def test_eval_converts_each_pair_to_float_once_per_request(tmp_path, capsys, monkeypatch):
     from fractions import Fraction
 
@@ -661,6 +700,67 @@ def test_verify_report_bytes_are_pinned(capsys):
         for case in cases:
             assert main(["verify", "--input", path, *case["args"]]) == case["exit_code"]
             assert capsys.readouterr().out == case["stdout"], (name, case["args"])
+
+
+# One request in a fresh interpreter: its stdout, exit code, which OpenSSL
+# modules it loaded, and which of CPython's built-in SHA-256 modules import
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from palinfrac.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["verify", "--all", "--json", "--input", sys.argv[1]])
+loaded = sorted({"_hashlib", "_ssl"} & set(sys.modules))
+builtin = []
+for name in ("_sha2", "_sha256"):
+    try:
+        __import__(name)
+        builtin.append(name)
+    except ImportError:
+        pass
+json.dump({"code": code, "stdout": out.getvalue(), "loaded": loaded, "builtin": builtin},
+          sys.stdout)
+"""
+
+
+def test_cli_loads_no_openssl_and_digests_the_raw_bytes():
+    # -S keeps site hooks out of the child's modules: what it loads is the CLI's
+    path = DATA / "verify_p24.json"
+    src = str(Path(palinfrac.__file__).parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT, str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(child.stdout)
+    if sys.implementation.name == "cpython":
+        # a CPython that lost or renamed its built-in SHA-256 would fall back
+        # to hashlib unseen; it must fail here instead
+        assert result["builtin"]
+    if result["builtin"]:
+        assert result["loaded"] == []
+    report = json.loads(result["stdout"])
+    assert report["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    golden = json.loads((DATA / "verify_p24.golden.json").read_text(encoding="utf-8"))
+    case = next(c for c in golden if c["args"] == ["--all", "--json"])
+    assert (result["code"], result["stdout"]) == (case["exit_code"], case["stdout"])
+
+
+def test_cli_falls_back_to_hashlib_without_a_builtin_sha256():
+    # a None entry in sys.modules makes the import raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib, palinfrac.cli as cli\n"
+        "print(cli.sha256 is hashlib.sha256, cli.sha256(b'abc').hexdigest())\n"
+    )
+    src = str(Path(palinfrac.__file__).parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert child.stdout.split() == ["True", hashlib.sha256(b"abc").hexdigest()]
 
 
 _CROSS_CHECK_FIELDS = (

@@ -558,6 +558,24 @@ def cross_check(seq, z=Z0) -> dict:
     }
 
 
+def test_stripped_tails_from_a_lowest_ell_keep_the_bits():
+    # eval and verify --ell fold only the levels above the ell they read; the
+    # same operations in the same order must give the same bits as the full
+    # backward pass
+    rng = random.Random(2417)
+    for trial in range(60):
+        p = rng.randint(3, 12)
+        block = random_periodic(rng, rng.randint(0, 3))
+        seq = normalize_kp(JacobiSequence(tuple(block), tuple(random_periodic(rng, p))))
+        for _ in range(4):
+            z = complex(rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-3.0, 4.0))
+            m = eval_periodic_m(seq, z)
+            tails = stripped_tails(seq, m, z)
+            for lowest in range(1, p - 1):
+                assert repr(stripped_tails(seq, m, z, lowest)) == repr(tails[lowest - 1 :]), (
+                    trial, z, lowest)
+
+
 def test_identity_residual_keeps_mpmath_precision():
     # at an mpmath point the folds read the exact pairs, so both sides keep
     # the working precision: a holding identity leaves a residual near
