@@ -28,6 +28,7 @@ import json
 import math
 import random
 import sys
+from typing import Callable, Iterator
 
 # CPython's own SHA-256, as random.py takes sha512: hashlib would map
 # OpenSSL's libcrypto into every request's process to hash one input
@@ -78,6 +79,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+
+# The point at which `verify` cross-checks the identity numerically
+_Z0 = complex(0.37, 1.31)
 
 # Largest --depth (eval) and --order (recover) accepted.  The truncation
 # unrolls `depth` levels at every point.  `recover` peels (order-1)//2 pairs
@@ -147,11 +151,12 @@ def _parse_points(text: str) -> list[complex]:
     return points
 
 
-def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
+def _emit(report: dict, as_json: bool, text: Callable[[dict], Iterator[str]]) -> None:
+    """Print the report as JSON, or as the lines `text(report)` formats."""
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for line in lines:
+        for line in text(report):
             print(line)
 
 
@@ -174,16 +179,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "exit_status": EXIT_OK,
         }
     )
-    lines = [
-        f"period p = {normalized.p}, preperiodic length k = {normalized.k}"
-        + (" (normalization applied)" if report["normalization_applied"] else ""),
-        f"palindrome splits: {splits if splits else 'none'}",
-        f"splits after period doubling (p = {2 * normalized.p}): {doubled_splits if doubled_splits else 'none'}",
-    ]
-    if reveals:
-        lines.append(f"doubling reveals additional splits: {reveals}")
-    _emit(report, args.json, lines)
+    _emit(report, args.json, _analyze_text)
     return EXIT_OK
+
+
+def _analyze_text(report: dict) -> Iterator[str]:
+    p, reveals = report["p"], report["doubling_reveals_splits"]
+    yield f"period p = {p}, preperiodic length k = {report['k']}" + (
+        " (normalization applied)" if report["normalization_applied"] else "")
+    yield f"palindrome splits: {report['splits'] or 'none'}"
+    yield f"splits after period doubling (p = {2 * p}): {report['doubled_period_splits'] or 'none'}"
+    if reveals:
+        yield f"doubling reveals additional splits: {reveals}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -208,19 +215,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     report = _base_report("verify", digest)
     verdicts = []
-    lines = [f"period p = {p}, preperiodic length k = {normalized.k}"]
     prep = prepare(normalized)
     results = verify_splits(prep) if args.all else {args.ell: verify_main_identity(prep, args.ell)}
-    z0 = complex(0.37, 1.31)
     # the stripped tails from the lowest requested ell up, no level below it
     lowest = 1 if args.all else args.ell
     try:
-        m0 = eval_periodic_m(normalized, z0)
+        m0 = eval_periodic_m(normalized, _Z0)
         second0 = second_solution_value(
-            prep.relation, fold_preperiodic(normalized, m0, z0), z0
+            prep.relation, fold_preperiodic(normalized, m0, _Z0), _Z0
         )
-        folded = reversed_fold(normalized, second0, z0)
-        stripped = stripped_tails(normalized, m0, z0, lowest)
+        folded = reversed_fold(normalized, second0, _Z0)
+        stripped = stripped_tails(normalized, m0, _Z0, lowest)
     except (BranchAmbiguity, ZeroDivisionError, OverflowError):
         # the cross-check only annotates: every ell reports it unavailable
         folded, stripped = None, [None] * (p - 1 - lowest)
@@ -228,30 +233,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for ell in requested:
         result = results[ell]
         check = numeric_identity_check(stripped[ell - lowest], folded, args.tolerance)
-        numeric = check["residual"]
         verdicts.append(
             {
                 "ell": ell,
                 "holds": result.holds,
                 "residual_P_degree": result.residual_P_degree,
                 "residual_Q_degree": result.residual_Q_degree,
-                "numeric_residual": numeric,
+                "numeric_residual": check["residual"],
                 # a numeric claim is only meaningful when the identity holds;
                 # the exact residual polynomials carry the negative verdicts
                 "numeric_ok": check["ok"] if result.holds else None,
             }
         )
         all_hold = all_hold and result.holds
-        numeric_text = "unavailable" if numeric is None else f"{numeric:.3e}"
-        budget_note = ""
-        if result.holds and numeric is not None:
-            budget_note = ", within fp budget" if check["ok"] else ", EXCEEDS fp budget"
-        lines.append(
-            f"ell = {ell}: {'HOLDS' if result.holds else 'fails'} "
-            f"(deg residual_P = {result.residual_P_degree}, "
-            f"deg residual_Q = {result.residual_Q_degree}, "
-            f"numeric residual at {_format_complex(z0)} = {numeric_text}{budget_note})"
-        )
     status = EXIT_OK if all_hold else EXIT_FAIL
     report.update(
         {
@@ -263,9 +257,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "exit_status": status,
         }
     )
-    lines.append(f"holds for ell in {report['holds_set']}")
-    _emit(report, args.json, lines)
+    _emit(report, args.json, _verify_text)
     return status
+
+
+def _verify_text(report: dict) -> Iterator[str]:
+    yield f"period p = {report['p']}, preperiodic length k = {report['k']}"
+    at = _format_complex(_Z0)
+    for v in report["verdicts"]:
+        numeric = v["numeric_residual"]
+        numeric_text = "unavailable" if numeric is None else f"{numeric:.3e}"
+        budget_note = ""
+        if v["holds"] and numeric is not None:
+            budget_note = ", within fp budget" if v["numeric_ok"] else ", EXCEEDS fp budget"
+        yield (
+            f"ell = {v['ell']}: {'HOLDS' if v['holds'] else 'fails'} "
+            f"(deg residual_P = {v['residual_P_degree']}, "
+            f"deg residual_Q = {v['residual_Q_degree']}, "
+            f"numeric residual at {at} = {numeric_text}{budget_note})"
+        )
+    yield f"holds for ell in {report['holds_set']}"
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -292,10 +303,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     report = _base_report("eval", digest)
     rows = []
-    lines = [
-        f"period p = {normalized.p}, preperiodic length k = {normalized.k}, "
-        f"identity checked at ell = {ell if ell is not None else 'none (no splits)'}"
-    ]
     for z in points:
         m_tail = eval_periodic_m(normalized, z)
         m_full = fold_preperiodic(normalized, m_tail, z)
@@ -331,22 +338,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "within_tolerance": residual_ok,
         }
         rows.append(row)
-        if residual is not None:
-            note = " (within fp budget)" if residual_ok else " (EXCEEDS fp budget)"
-            residual_text = f", identity residual = {residual:.3e}{note}"
-        elif ell is not None:
-            residual_text = ", identity residual unavailable"
-        else:
-            residual_text = ""
-        gap_text = (
-            "truncation gap unavailable"
-            if truncation_gap is None
-            else f"truncation gap = {truncation_gap:.3e}"
-        )
-        lines.append(
-            f"z = {row['z']}: M = {row['M']}, m = {row['m']}, "
-            f"Mtilde = {row['Mtilde'] or 'unavailable'}, {gap_text}{residual_text}"
-        )
     report.update(
         {
             "ell": ell,
@@ -356,8 +347,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "exit_status": EXIT_OK,
         }
     )
-    _emit(report, args.json, lines)
+    _emit(report, args.json, functools.partial(_eval_text, normalized))
     return EXIT_OK
+
+
+def _eval_text(seq: JacobiSequence, report: dict) -> Iterator[str]:
+    ell = report["ell"]
+    yield (
+        f"period p = {seq.p}, preperiodic length k = {seq.k}, "
+        f"identity checked at ell = {ell if ell is not None else 'none (no splits)'}"
+    )
+    for row in report["points"]:
+        residual = row["identity_residual"]
+        if residual is not None:
+            note = " (within fp budget)" if row["within_tolerance"] else " (EXCEEDS fp budget)"
+            residual_text = f", identity residual = {residual:.3e}{note}"
+        elif ell is not None:
+            residual_text = ", identity residual unavailable"
+        else:
+            residual_text = ""
+        gap = row["truncation_gap"]
+        gap_text = "truncation gap unavailable" if gap is None else f"truncation gap = {gap:.3e}"
+        yield (
+            f"z = {row['z']}: M = {row['M']}, m = {row['m']}, "
+            f"Mtilde = {row['Mtilde'] or 'unavailable'}, {gap_text}{residual_text}"
+        )
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
@@ -395,18 +409,22 @@ def cmd_recover(args: argparse.Namespace) -> int:
             "exit_status": status,
         }
     )
-    lines = [
-        f"Laurent order {order} of the periodic tail relation, recovering {count} pairs"
-    ]
-    for j, rec in enumerate(recovered, start=1):
-        lines.append(f"  pair {j}: a^2 = {rec.a_sq}, b = {rec.b}, a = {rec.a}")
-    lines.append(
-        "round trip matches the periodic stream"
-        if matches
-        else "ROUND TRIP MISMATCH (implementation bug)"
-    )
-    _emit(report, args.json, lines)
+    _emit(report, args.json, _recover_text)
     return status
+
+
+def _recover_text(report: dict) -> Iterator[str]:
+    # str and repr of a float agree, so "a" is the text's a either way
+    yield (
+        f"Laurent order {report['order']} of the periodic tail relation, "
+        f"recovering {report['compared_pairs']} pairs"
+    )
+    for j, rec in enumerate(report["pairs_recovered"], start=1):
+        yield f"  pair {j}: a^2 = {rec['a_sq']}, b = {rec['b']}, a = {rec['a']}"
+    if report["roundtrip_matches"]:
+        yield "round trip matches the periodic stream"
+    else:
+        yield "ROUND TRIP MISMATCH (implementation bug)"
 
 
 @functools.cache

@@ -365,11 +365,17 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _eval_int(num: Sequence[int], xi: int) -> int:
-    """The integer polynomial with ascending coefficients `num` at xi (Horner)."""
-    acc = 0
-    for n in reversed(num):
-        acc = acc * xi + n
-    return acc
+    """The integer polynomial with ascending coefficients `num` at xi.
+
+    Adjacent values fold to lo + hi*xi while xi squares: Horner's integer
+    from balanced products, not one product by xi per coefficient.
+    """
+    values = list(num) or [0]
+    while True:
+        values = [lo + hi * xi for lo, hi in zip_longest(values[::2], values[1::2], fillvalue=0)]
+        if len(values) == 1:
+            return values[0]
+        xi *= xi
 
 
 def rational_content(polys: Sequence[Poly]) -> Fraction:

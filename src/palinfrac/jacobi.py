@@ -107,7 +107,10 @@ class JacobiSequence:
 
 
 def _float_pairs(pairs: Sequence[JacobiPair]) -> tuple[tuple[float, float], ...]:
-    return tuple((float(q.b), float(q.a * q.a)) for q in pairs)
+    # int true division, as in Fraction.__float__: its bits and OverflowErrors, no a*a
+    return tuple(
+        (q.b.numerator / q.b.denominator, q.a.numerator**2 / q.a.denominator**2) for q in pairs
+    )
 
 
 def sequence(

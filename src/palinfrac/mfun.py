@@ -351,6 +351,10 @@ def recover_coefficients(relation: QuadraticRelation, count: int) -> list[Recove
     The pairs and errors are those Chebyshev's algorithm reads off m's
     Laurent expansion to order 2*count + 1.
 
+    A step is a fixed map of the content-reduced lists, the start's too, so
+    if step j gives back the start, the stream is j-periodic: the peel stops
+    there and repeats the first j pairs.
+
     Raises:
         DegenerateRelation: no unique decaying branch (`_decaying_relation`).
         InsufficientOrder: count < 1.
@@ -363,6 +367,8 @@ def recover_coefficients(relation: QuadraticRelation, count: int) -> list[Recove
     c1 = Fraction(G[d - 1], B[d])
     if c1 != 1:
         raise NotAnMFunction(f"leading coefficient c_1 = {c1} != 1")
+    g = math.gcd(*A, *B, *G)
+    A, B, G = start = tuple([x // g for x in row] for row in (A, B, G))
     out: list[RecoveredPair] = []
     while True:
         b = Fraction(G[d - 2] - B[d - 1] + A[d], G[d - 1])
@@ -387,3 +393,5 @@ def recover_coefficients(relation: QuadraticRelation, count: int) -> list[Recove
         G = [ad * ad * x for x in e] + [0]
         g = math.gcd(*A, *B, *G)
         A, B, G = ([x // g for x in row] for row in (A, B, G))
+        if (A, B, G) == start:
+            return [out[i % len(out)] for i in range(count)]

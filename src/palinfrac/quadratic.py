@@ -74,9 +74,9 @@ is four integer numerator polynomials X over one shared denominator, each
 held as the single int X(2^w).  A step clears both rows to a new
 denominator and runs no gcd.  The verdict and both degrees are read off
 the packed values: P(ell) from the trace x11 + x22 of N_P, and s(ell)
-from kd*x21 + kn*x12 on the period walk, with ak^2 = kn/kd.  Only T_P is
-decoded, for the tail relation; no residual or cofactor polynomial is
-formed.  The proof that this is exact:
+from kd*x21 + kn*x12 on the period walk, with ak^2 = kn/kd.  Only one
+prefix is decoded, for the tail relation (below); no residual or cofactor
+polynomial is formed.  The proof that this is exact:
 
 - Packing is a ring homomorphism Z[z] -> Z, so the walk computes the
   packed numerators exactly whatever w is.  Only reading them needs w.
@@ -101,6 +101,20 @@ formed.  The proof that this is exact:
   the cofactor, passes ak^2, and the N_P walk, which reads only the trace,
   runs at the default ak^2 = 1, where the bound is h1 + h2.
 
+The tail relation comes from the period's primitive root.  If the period
+is r copies of a block of q pairs, T_P = T^r for the block's transfer T,
+and Cayley-Hamilton for det T = 1 gives T^r = U_{r-1}(t)*T - U_{r-2}(t)*I
+with t = tr(T)/2 and U the Chebyshev polynomials of the second kind.  The
+multiple of I cancels from (C, D - A, -B), so T_P's tail relation is
+U_{r-1}(t) times T's.  `canonical` divides out the monic gcd, which holds
+monic(U_{r-1}(t)) times the gcd of T's relation, and `primitive` then
+divides out the leading coefficient (2*lc(t))^(r-1) of U_{r-1}(t) with the
+content.  tr T is the first-kind polynomial p_q plus an entry of degree
+q - 2, so lc(t) = 1/(2*a_1*...*a_q) > 0, no sign flips, and the canonical
+tail of T_P is that of T.  `prepare` decodes T for the smallest such q,
+whose relation has the smallest gcd, and walks on over the rest of the
+period only for the Q cofactors.
+
 The numeric cross-check needs no transfer matrix at a point.  A transfer's
 Moebius action strips its pairs, so f_{T1}(M) = m and f_{T2(ell)}(m) =
 m_{ell+1}, the tail without its first ell+1 pairs, and the identity reads
@@ -114,6 +128,7 @@ T3*T2(ell)*T1 loses digits like the squared transfer norm.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
@@ -122,7 +137,7 @@ from ._value import frozen
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
 from .exactalg import Mat2, Poly, decode, packed_degree, poly_gcd, rational_content, shift_add
 from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
-from .orthopoly import conj_transfer, packed_walk
+from .orthopoly import packed_walk
 
 
 @frozen
@@ -185,12 +200,17 @@ def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
     """
     if len(periodic) < 1:
         raise IndexOutOfRange("period must be nonempty")
-    return _fixed_point_relation(conj_transfer(periodic, len(periodic)))
+    w, walk = packed_walk(Mat2.identity(), periodic)
+    return _tail_relation(deque(walk, maxlen=1).pop(), w)
 
 
-def _fixed_point_relation(t: Mat2) -> QuadraticRelation:
-    """(C, D - A, -B) for the period transfer matrix t = [[A, B], [C, D]]."""
-    return QuadraticRelation(t.a21, t.a22 - t.a11, -t.a12)
+def _tail_relation(t: tuple, w: int) -> QuadraticRelation:
+    """(C, D - A, -B) for a packed period transfer t = [[A, B], [C, D]].
+
+    Packing is a ring homomorphism, so D - A is one integer subtraction.
+    """
+    x11, x12, x21, x22, den = t
+    return QuadraticRelation(*(decode(x, den, w) for x in (x21, x22 - x11, -x12)))
 
 
 def pullback_quadratic(
@@ -270,20 +290,24 @@ def prepare(seq: JacobiSequence) -> Prepared:
     The period is walked once on packed integers, one `packed_step` per
     pair, at a width that bounds the Q cofactor kd*x21 + kn*x12 of each
     prefix T2(ell) (ak2 = kn/kd).  Only the cofactors' degrees are kept,
-    ell = 1 .. p-2, and only T_P is decoded.  The block is never walked,
+    ell = 1 .. p-2, and only the tail relation of T_q is decoded, for the
+    smallest q the period repeats with (its canonical tail is T_P's, with a
+    smaller gcd; see the module docstring).  The block is never walked,
     and nothing here forms a polynomial product.
     """
     block, periodic, p = seq.preperiodic, seq.periodic, seq.p
     ak = (block or periodic)[-1].a
     ak2 = ak * ak
     kn, kd = ak2.numerator, ak2.denominator
+    q = next(q for q in range(1, p + 1) if p % q == 0 and periodic[q:] == periodic[:-q])
     w, walk = packed_walk(Mat2.identity(), periodic, ak2)
     cofactor_degrees = []
-    for ell, (x11, x12, x21, x22, den) in enumerate(walk, start=-1):  # T2(ell)
-        if 0 < ell < p - 1:
-            cofactor_degrees.append(packed_degree(kd * x21 + kn * x12, w))
-    t_p = Mat2(*(decode(x, den, w) for x in (x11, x12, x21, x22)))
-    canonical_tail = _fixed_point_relation(t_p).canonical()
+    for j, t in enumerate(walk):  # T_j = T2(j - 1), packed as (x11, x12, x21, x22, den)
+        if 1 < j < p:
+            cofactor_degrees.append(packed_degree(kd * t[2] + kn * t[1], w))
+        if j == q:
+            root = t
+    canonical_tail = _tail_relation(root, w).canonical()
     while block[-p:] == periodic:
         block = block[:-p]
     relation, content = pullback_quadratic(canonical_tail, block).primitive()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate, islice
 
 from palinfrac import (
     IndexOutOfRange,
@@ -18,10 +19,13 @@ from palinfrac import (
     JacobiSequence,
     Mat2,
     Poly,
+    Prepared,
     conj_transfer,
     eval_m,
     mobius_apply,
     pair,
+    periodic_quadratic,
+    pullback_quadratic,
 )
 
 
@@ -60,6 +64,21 @@ def composed_step(t: Mat2, q: JacobiPair) -> Mat2:
         Poly.zero(),
     )
     return s @ t
+
+
+def whole_period_prepared(seq: JacobiSequence) -> Prepared:
+    """What `prepare` builds, from the whole period and by the definitions.
+
+    The tail is the whole period's relation, canonicalised, and it is
+    pulled back through the whole block, trailing periods included; each Q
+    cofactor comes from its own prefix of `composed_step`s.
+    """
+    tail = periodic_quadratic(seq.periodic).canonical()
+    relation, content = pullback_quadratic(tail, seq.preperiodic).primitive()
+    ak2 = (seq.preperiodic or seq.periodic)[-1].a ** 2
+    prefixes = accumulate(seq.periodic, composed_step, initial=Mat2.identity())
+    degrees = tuple((t.a21 + t.a12.scale(ak2)).degree for t in islice(prefixes, 2, seq.p))
+    return Prepared(seq, degrees, relation, tail.scale(1 / content), ak2)
 
 
 def reversed_periodic(periodic) -> list[JacobiPair]:

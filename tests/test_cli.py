@@ -589,24 +589,24 @@ def test_cross_check_folds_no_level_below_the_lowest_ell(tmp_path, capsys, monke
 
 
 def test_eval_converts_each_pair_to_float_once_per_request(tmp_path, capsys, monkeypatch):
-    from fractions import Fraction
-
+    import palinfrac.jacobi as jacobi
     from palinfrac import load_sequence
 
     # the pairs become floats once per request, not at every point, and the
     # cross-check reads a_k^2 off the block's table; normalize_kp turns a
     # purely periodic input into a block of one period, which lends its
-    # float pairs to the period: 2p conversions
+    # float pairs to the period: 2p conversions, a pair's b and a^2 each
     calls = []
-    to_float = Fraction.__float__
+    convert = jacobi._float_pairs
 
-    def counting(self):
-        calls.append(self)
-        return to_float(self)
+    def counting(pairs):
+        table = convert(pairs)
+        calls.extend(value for row in table for value in row)
+        return table
 
     periodic = load_sequence((DATA / "verify_p24.json").read_text(encoding="utf-8")).periodic
     lone_period = write_input(tmp_path, periodic)
-    monkeypatch.setattr(Fraction, "__float__", counting)
+    monkeypatch.setattr(jacobi, "_float_pairs", counting)
     rng = random.Random(14)
     for path in (str(DATA / "verify_p24.json"), lone_period):
         counts = []
@@ -692,8 +692,13 @@ def test_verify_report_bytes_are_pinned(capsys):
     # sequence that `normalize_kp` extends to k = 98; and captured while the
     # period walks ran on `Poly`: a p = 12 sequence whose entries are 50- and
     # 200-digit numerators over 200- and 50-digit denominators, near
-    # MAX_ENTRY_DIGITS, whose packed walks run at widths of over 20,000 bits
-    for name in ("verify_moebius_pole", "verify_p24", "verify_p96", "verify_hiheight"):
+    # MAX_ENTRY_DIGITS, whose packed walks run at widths of over 20,000 bits;
+    # and captured while `prepare` decoded the whole period's transfer: a
+    # doubly palindromic block of 8 pairs three times over after one pair,
+    # whose tail is now read off the block's transfer
+    for name in (
+        "verify_moebius_pole", "verify_p24", "verify_p96", "verify_hiheight", "verify_repeated"
+    ):
         path = str(DATA / f"{name}.json")
         cases = json.loads((DATA / f"{name}.golden.json").read_text(encoding="utf-8"))
         assert len(cases) == 2

@@ -15,6 +15,7 @@ from palinfrac import (
     poly_gcd,
 )
 from palinfrac.exactalg import (
+    _eval_int,
     _poly_sqrt,
     decode,
     pack,
@@ -459,3 +460,25 @@ def test_packed_codec_round_trips(case, den):
     _assert_canonical(poly)
     assert poly == expected
     assert packed_degree(v, w) == expected.degree
+
+
+def _horner_int(num, xi):
+    acc = 0
+    for n in reversed(num):
+        acc = acc * xi + n
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**300), 2**300)), max_size=40),
+    st.one_of(st.integers(-3, 3), st.integers(-(2**310), 2**310)),
+)
+@example([], 5)
+@example([7], 0)
+@example([1, 2, 3], 0)
+@example([0, 0, 0, 0, 0], 2**64 + 1)
+def test_balanced_evaluation_matches_horner(num, xi):
+    # lo + hi*xi while xi squares gives Horner's integer at every length,
+    # odd and even, at zero and negative points
+    assert _eval_int(num, xi) == _horner_int(num, xi)

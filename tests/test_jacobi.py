@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from palinfrac import (
     IndexOutOfRange,
+    JacobiPair,
     JacobiSequence,
     PalindromeSplit,
     ParseError,
@@ -27,6 +29,7 @@ from conftest import (
     strip,
     unrolled,
 )
+from palinfrac.jacobi import _float_pairs
 
 
 # the period-doubling example shape: a = (a1 a2 a2 a1 t1) repeated, b = (b1 b2 b3 b2 b1) repeated
@@ -278,3 +281,36 @@ def test_load_caps_entry_length_and_exponent(monkeypatch):
     for entry in ('"1e5"', '"1E-5"', '"1e+1_0"', '"12345"', "12345", '"1/2345"'):
         with pytest.raises(ParseError):
             load_sequence('{"periodic": [[1, %s]]}' % entry)
+
+
+def _floats_or_error(convert) -> str:
+    """repr of the converted floats (signed zeros differ), or the error raised."""
+    try:
+        return repr(convert())
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+# up to 256 digits, the input format's longest entry, and a^2 to 10^512
+_MAGNITUDES = st.one_of(st.integers(1, 9), st.integers(1, 10**256))
+_FLOAT_CASES = st.lists(
+    st.builds(
+        JacobiPair,
+        st.builds(Fraction, _MAGNITUDES, _MAGNITUDES),
+        st.builds(Fraction, st.integers(-(10**256), 10**256), _MAGNITUDES),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FLOAT_CASES)
+@example([pair(10**155, 0)])  # a^2 = 1e310, beyond the double range
+@example([pair(3, Fraction(-1, 7)), pair(Fraction(1, 10**200), Fraction(-1, 10**256))])
+@example([pair(10**154, 10**255), pair(Fraction(10**256 - 1, 7), 1)])
+def test_float_pairs_have_the_bits_and_errors_of_the_fractions(pairs):
+    # each level's (b, a^2) comes from integer true division, without the
+    # Fraction a*a; it must be float() of the Fractions, overflow included
+    assert _floats_or_error(lambda: _float_pairs(pairs)) == _floats_or_error(
+        lambda: tuple((float(q.b), float(q.a * q.a)) for q in pairs)
+    )

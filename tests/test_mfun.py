@@ -38,6 +38,8 @@ from palinfrac import (
     sequence,
 )
 from palinfrac.cli import MAX_ORDER, main
+from palinfrac.exactalg import rational_sqrt
+from palinfrac.mfun import _decaying_relation
 from conftest import (
     brute_splits,
     doubly_palindromic_period,
@@ -904,3 +906,70 @@ _CAP_CASES = st.one_of(
 @example((prepare(_K1_GUARD_FAILS).relation, MAX_ORDER))
 def test_series_layer_matches_the_fraction_loops(case):
     _assert_peel_matches(case, _fraction_laurent, _fraction_recover)
+
+
+def _full_peel(relation, count):
+    """`recover_coefficients` without its first-return check: every step peeled."""
+    d, A, B, G = _decaying_relation(relation)
+    if count < 1:
+        raise InsufficientOrder(f"count must be at least 1, got {count}")
+    c1 = Fraction(G[d - 1], B[d])
+    if c1 != 1:
+        raise NotAnMFunction(f"leading coefficient c_1 = {c1} != 1")
+    out = []
+    while True:
+        b = Fraction(G[d - 2] - B[d - 1] + A[d], G[d - 1])
+        bn, bd = b.numerator, b.denominator
+        gw = [bd * G[i - 1] - bn * G[i] for i in range(d + 1)]
+        h = [x - bd * y for x, y in zip(gw, B)]
+        L = [x + y for x, y in zip(gw, h)]
+        e = [bd * h[i - 1] - bn * h[i] + bd * bd * A[i] for i in range(d)]
+        a_sq = Fraction(e[d - 1], bd * L[d])
+        if a_sq <= 0:
+            raise NotAnMFunction(f"recovered a^2 = {a_sq} is not positive")
+        root = rational_sqrt(a_sq)
+        a = math.sqrt(a_sq.numerator / a_sq.denominator) if root is None else root
+        out.append(RecoveredPair(a_sq, b, a, root is not None))
+        if len(out) == count:
+            return out
+        an, ad = a_sq.numerator, a_sq.denominator
+        A = [an * an * bd * bd * x for x in G]
+        B = [an * ad * bd * x for x in L]
+        G = [ad * ad * x for x in e] + [0]
+        g = math.gcd(*A, *B, *G)
+        A, B, G = ([x // g for x in row] for row in (A, B, G))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_PAIRS, min_size=1, max_size=6),
+    st.integers(1, 4),
+    st.lists(_PAIRS, max_size=3),
+    st.integers(1, MAX_ORDER),
+)
+@example(list(_REPEATED_BLOCK[:3]), 3, [], MAX_ORDER)
+@example(list(_K1_READS_BACK.periodic), 1, list(_K1_READS_BACK.preperiodic), MAX_ORDER)
+# the block ends with the last periodic pair, yet the preperiod is genuine
+@example(
+    [pair(Fraction(17, 2), Fraction(1, 2))],
+    1,
+    [pair(Fraction(17, 2), 0), pair(Fraction(17, 2), Fraction(1, 2))],
+    2,
+)
+def test_peel_stops_at_the_first_return_with_the_full_peels_pairs(block, r, pre, count):
+    # a relation of a purely periodic stream returns to its start, up to
+    # content, after q steps for the stream's primitive period q, and the
+    # peel then repeats its first q pairs, the same objects; a stream with
+    # a genuine preperiod, a block that is not the end of the periodic
+    # stream, never returns, and every pair is peeled
+    periodic = tuple(block * r)
+    p = len(periodic)
+    relation = prepare(JacobiSequence(tuple(pre), periodic)).relation if pre else (
+        periodic_quadratic(periodic))
+    expected = _outcome(_full_peel, relation, count)
+    got = _outcome(recover_coefficients, relation, count)
+    assert got == expected
+    if isinstance(got, list):
+        q = next(q for q in range(1, p + 1) if p % q == 0 and periodic[q:] == periodic[:-q])
+        genuine = tuple(pre) != (periodic * len(pre))[-len(pre) :]
+        assert len({id(rec) for rec in got}) == (count if genuine else min(count, q))

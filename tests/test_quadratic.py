@@ -46,6 +46,7 @@ from conftest import (
     random_periodic,
     random_rational,
     reversed_periodic,
+    whole_period_prepared,
 )
 from test_jacobi import paper_example_periodic
 
@@ -384,6 +385,41 @@ def test_build_T1_is_the_transfer_over_the_block(seed, k, p, block):
     prefixes = [conj_transfer(periodic, ell + 1) for ell in range(1, p - 1)]
     cofactors = [t.a21 + t.a12.scale(prep.ak2) for t in prefixes]
     assert prep.cofactor_degrees == tuple(s.degree for s in cofactors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.sampled_from(["doubly", "random"]),
+)
+def test_prepare_reads_the_tail_off_the_primitive_root(seed, q, r, k, kind):
+    # a period of r copies of a block of q pairs has r times the block's
+    # tail relation times U_{r-1}(tr T_q / 2), so both canonicalise alike,
+    # and `prepare`, which decodes T_q, builds what the whole period's
+    # canonical tail gives: relation, scaled tail, cofactor degrees, and
+    # the degrees of every report
+    rng = random.Random(seed)
+    if kind == "doubly" and q >= 3:
+        block = doubly_palindromic_period(rng, q, rng.randint(1, q - 2))
+    else:
+        block = random_periodic(rng, q, max_mag=5)
+    periodic = tuple(block * r)
+    assert periodic_quadratic(periodic).canonical() == periodic_quadratic(block).canonical()
+    preperiodic = tuple(random_periodic(rng, k, max_mag=5))
+    seq = normalize_kp(JacobiSequence(preperiodic, periodic))
+    prep, reference = prepare(seq), whole_period_prepared(seq)
+    assert prep.relation == reference.relation
+    assert prep.scaled_tail == reference.scaled_tail
+    assert prep.cofactor_degrees == reference.cofactor_degrees
+    degrees = {
+        ell: (report.residual_P_degree, report.residual_Q_degree)
+        for ell, report in verify_splits(prep).items()
+    }
+    expected = product_route_reports(reference)
+    assert degrees == {ell: (rp.degree, rq.degree) for ell, (rp, rq, _) in expected.items()}
 
 
 def test_prepare_walks_a_one_period_block_once(monkeypatch):
