@@ -24,16 +24,13 @@ from .errors import (
 from .exactalg import (
     Mat2,
     Poly,
-    as_rational,
     mobius_apply,
     poly_gcd,
 )
 from .jacobi import (
     JacobiPair,
     JacobiSequence,
-    PalindromeSplit,
     double_period,
-    dump_sequence,
     find_palindrome_splits,
     load_sequence,
     normalize_kp,
@@ -51,12 +48,6 @@ from .mfun import (
     laurent_of_quadratic,
     recover_coefficients,
     reverse_asymptotics,
-)
-from .orthopoly import (
-    build_T1,
-    build_T2,
-    build_T3,
-    conj_transfer,
 )
 from .quadratic import (
     Prepared,
@@ -86,7 +77,6 @@ __all__ = [
     "NotAnMFunction",
     "NotNormalized",
     "PalinfracError",
-    "PalindromeSplit",
     "ParseError",
     "Poly",
     "Prepared",
@@ -94,13 +84,7 @@ __all__ = [
     "RecoveredPair",
     "ReverseObstructionReport",
     "VerificationReport",
-    "as_rational",
-    "build_T1",
-    "build_T2",
-    "build_T3",
-    "conj_transfer",
     "double_period",
-    "dump_sequence",
     "eval_m",
     "eval_periodic_m",
     "eval_truncated",

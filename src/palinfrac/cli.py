@@ -163,9 +163,9 @@ def _emit(report: dict, as_json: bool, text: Callable[[dict], Iterator[str]]) ->
 def cmd_analyze(args: argparse.Namespace) -> int:
     seq, digest = _read_input(args.input)
     normalized = normalize_kp(seq)
-    splits = [s.ell for s in find_palindrome_splits(normalized.periodic)]
+    splits = find_palindrome_splits(normalized.periodic)
     doubled = double_period(normalized)
-    doubled_splits = [s.ell for s in find_palindrome_splits(doubled.periodic)]
+    doubled_splits = find_palindrome_splits(doubled.periodic)
     reveals = sorted(set(doubled_splits) - set(splits))
     report = _base_report("analyze", digest)
     report.update(
@@ -201,11 +201,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
         if args.ell is not None:
             raise ParseError("verify takes --ell N or --all, not both")
-        requested = list(range(1, p - 1))
     else:
         if args.ell is None:
             raise ParseError("verify needs --ell N or --all")
-        requested = [args.ell]
         if p < 3:
             raise IndexOutOfRange(
                 f"--ell needs p >= 3: a period of p = {p} has no first length to check"
@@ -230,8 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # the cross-check only annotates: every ell reports it unavailable
         folded, stripped = None, [None] * (p - 1 - lowest)
     all_hold = True
-    for ell in requested:
-        result = results[ell]
+    for ell, result in results.items():
         check = numeric_identity_check(stripped[ell - lowest], folded, args.tolerance)
         verdicts.append(
             {
@@ -297,8 +294,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if bad:
         raise ParseError(f"points must lie in the upper half plane, got {bad[0]}")
 
-    splits = [s.ell for s in find_palindrome_splits(normalized.periodic)]
-    ell = splits[0] if splits else None
+    ell = next(iter(find_palindrome_splits(normalized.periodic)), None)
     prep = prepare(normalized)
 
     report = _base_report("eval", digest)
@@ -458,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate M, m, Mtilde at points")
     add_common(p_eval)
-    p_eval.add_argument("--points", help='evaluation points as "re,im;re,im;..."')
+    p_eval.add_argument("--points", help='evaluation points as "re,im;re,im;...", written '
+                        '--points=... when the first one starts with "-"')
     p_eval.add_argument("--depth", type=int, default=2000,
                         help="truncation depth for the cross-check "
                         f"(default 2000, at most {MAX_DEPTH})")

@@ -40,7 +40,7 @@ class BranchAmbiguity(PalinfracError):
 
 
 class NotAnMFunction(PalinfracError):
-    """The decaying branch has c_1 != 1 or a peeled a^2 <= 0, or an a^2 has no rational root."""
+    """The decaying branch has c_1 != 1 or a peeled a^2 <= 0."""
 
 
 class InsufficientOrder(PalinfracError):

@@ -54,13 +54,6 @@ from .errors import DivisionByZero
 RationalLike = Union[Fraction, int, str]
 
 
-def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions, or strings like "3/2" to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
 def _canonical(num: list[int], den: int) -> "Poly":
     """The polynomial num/den in canonical form; `num` may be modified."""
     while num and num[-1] == 0:
@@ -93,7 +86,7 @@ class Poly:
     @staticmethod
     def from_coeffs(values: Iterable[RationalLike]) -> "Poly":
         """Build a polynomial from ascending coefficients, trimming zeros."""
-        cs = [as_rational(v) for v in values]
+        cs = [Fraction(v) for v in values]
         den = lcm(*(c.denominator for c in cs))
         return _canonical([c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -104,11 +97,6 @@ class Poly:
     @staticmethod
     def const(value: RationalLike) -> "Poly":
         return Poly.from_coeffs([value])
-
-    @staticmethod
-    def x() -> "Poly":
-        """The monomial z."""
-        return Poly((0, 1), 1)
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -157,7 +145,7 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly(tuple(-n for n in self.num), self.den)
 
-    def __mul__(self, other: "Poly | RationalLike") -> "Poly":
+    def __mul__(self, other: "Poly | int | Fraction") -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
         a, b = self.num, other.num
@@ -169,18 +157,17 @@ class Poly:
                 out[i + j] += ai * bj
         return _canonical(out, self.den * other.den)
 
-    def __rmul__(self, other: RationalLike) -> "Poly":
+    def __rmul__(self, other: int | Fraction) -> "Poly":
         return self.scale(other)
 
-    def scale(self, factor: RationalLike) -> "Poly":
+    def scale(self, factor: int | Fraction) -> "Poly":
         """Multiply every coefficient by an exact rational factor.
 
-        With f = fn/fd in lowest terms and self canonical, the common factor
-        of fn*num over den*fd is exactly gcd(fn, den) * gcd(fd, *num), so the
-        result needs no gcd sweep over the product numerators.
+        With factor = fn/fd in lowest terms and self canonical, the common
+        factor of fn*num over den*fd is exactly gcd(fn, den) * gcd(fd, *num),
+        so the result needs no gcd sweep over the product numerators.
         """
-        f = as_rational(factor)
-        fn, fd = f.numerator, f.denominator
+        fn, fd = factor.numerator, factor.denominator
         if fn == 0 or not self.num:
             return Poly((), 1)
         g_den = gcd(fn, self.den)

@@ -26,8 +26,8 @@ from itertools import chain, cycle, islice
 from typing import Sequence
 
 from ._value import frozen
-from .errors import IndexOutOfRange, NotNormalized, ParseError
-from .exactalg import RationalLike, as_rational
+from .errors import NotNormalized, ParseError
+from .exactalg import RationalLike
 
 # Longest entry, in characters, and largest decimal exponent that
 # load_sequence accepts.  Fraction would expand "1e999999999" into an
@@ -50,7 +50,7 @@ class JacobiPair:
 
 def pair(a: RationalLike, b: RationalLike) -> JacobiPair:
     """Convenience constructor accepting ints, Fractions, or rational strings."""
-    return JacobiPair(as_rational(a), as_rational(b))
+    return JacobiPair(Fraction(a), Fraction(b))
 
 
 @frozen
@@ -124,20 +124,6 @@ def sequence(
     )
 
 
-@frozen
-class PalindromeSplit:
-    """A valid double-palindrome split: period length p and first length ell."""
-
-    p: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.ell <= self.p - 2:
-            raise IndexOutOfRange(
-                f"first length must satisfy 1 <= ell <= p-2, got ell={self.ell}, p={self.p}"
-            )
-
-
 def load_sequence(text: str | bytes) -> JacobiSequence:
     """Parse the JSON document format into an exact sequence.
 
@@ -188,7 +174,7 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
                         "characters or a larger exponent"
                     )
                 try:
-                    values.append(as_rational(entry))
+                    values.append(Fraction(entry))
                 except (TypeError, ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f'"{name}"[{i}]: bad rational {entry!r}') from exc
             out.append(JacobiPair(values[0], values[1]))
@@ -199,14 +185,6 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
         raise ParseError("periodic part must be nonempty")
     preperiodic = parse_block("preperiodic", doc.get("preperiodic", []))
     return JacobiSequence(preperiodic, periodic)
-
-
-def dump_sequence(seq: JacobiSequence) -> dict:
-    """The JSON-ready document for a sequence (inverse of load_sequence)."""
-    return {
-        "preperiodic": [[str(q.a), str(q.b)] for q in seq.preperiodic],
-        "periodic": [[str(q.a), str(q.b)] for q in seq.periodic],
-    }
 
 
 def normalize_kp(seq: JacobiSequence) -> JacobiSequence:
@@ -239,7 +217,7 @@ def _is_palindrome(values: list[Fraction]) -> bool:
     return values == values[::-1]
 
 
-def find_palindrome_splits(periodic: Sequence[JacobiPair]) -> list[PalindromeSplit]:
+def find_palindrome_splits(periodic: Sequence[JacobiPair]) -> list[int]:
     """All first lengths ell making the period doubly palindromic, ascending.
 
     ell qualifies when the a-string splits into palindromes of lengths ell
@@ -250,7 +228,7 @@ def find_palindrome_splits(periodic: Sequence[JacobiPair]) -> list[PalindromeSpl
     a = [q.a for q in periodic]
     b = [q.b for q in periodic]
     return [
-        PalindromeSplit(p, ell)
+        ell
         for ell in range(1, p - 1)
         if _is_palindrome(a[:ell]) and _is_palindrome(a[ell:])
         and _is_palindrome(b[: ell + 1]) and _is_palindrome(b[ell + 1 :])

@@ -35,7 +35,7 @@ from .errors import (
     NotAnMFunction,
 )
 from .exactalg import rational_sqrt
-from .jacobi import JacobiPair, JacobiSequence, normalize_kp
+from .jacobi import JacobiSequence, normalize_kp
 from .quadratic import QuadraticRelation, prepare
 
 
@@ -321,14 +321,6 @@ class RecoveredPair:
     b: Fraction
     a: Fraction | float
     a_exact: bool
-
-    @property
-    def pair(self) -> JacobiPair:
-        if not self.a_exact:
-            raise NotAnMFunction(
-                f"a^2 = {self.a_sq} is not a rational square; no exact pair exists"
-            )
-        return JacobiPair(self.a, self.b)
 
 
 def recover_coefficients(relation: QuadraticRelation, count: int) -> list[RecoveredPair]:

@@ -20,13 +20,13 @@ from palinfrac import (
     Mat2,
     Poly,
     Prepared,
-    conj_transfer,
     eval_m,
     mobius_apply,
     pair,
     periodic_quadratic,
     pullback_quadratic,
 )
+from palinfrac.orthopoly import conj_transfer
 
 
 def brute_splits(periodic) -> list[int]:

@@ -526,22 +526,22 @@ def test_recover_report_bytes_are_pinned(capsys):
     # stdout and exit code of the fixed-point expansion and iterated stripping
     # on a p = 8 rational period, text and --json, at the default order and
     # at order 33; the peel of the relation must reproduce them
-    assert_recover_golden(capsys, "recover_p8", 4)
+    assert_golden(capsys, "recover", "recover_p8", 4)
 
 
 def test_recover_report_bytes_are_pinned_at_the_order_cap(capsys):
     # a p = 16 period whose a are rational squares over mixed denominators,
     # at --order 64, the cap; pinned from the Fraction-per-operation series
     # layer, which the peel must reproduce
-    assert_recover_golden(capsys, "recover_p16", 2)
+    assert_golden(capsys, "recover", "recover_p16", 2)
 
 
-def assert_recover_golden(capsys, name, count):
+def assert_golden(capsys, command, name, count):
     path = str(DATA / f"{name}.json")
     cases = json.loads((DATA / f"{name}.golden.json").read_text(encoding="utf-8"))
     assert len(cases) == count
     for case in cases:
-        assert main(["recover", "--input", path, *case["args"]]) == case["exit_code"]
+        assert main([command, "--input", path, *case["args"]]) == case["exit_code"]
         captured = capsys.readouterr()
         assert captured.out == case["stdout"], case["args"]
         assert captured.err == ""
@@ -682,6 +682,13 @@ def test_verify_rejects_ell_with_all(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "input error: verify takes --ell N or --all, not both\n"
+
+
+def test_analyze_report_bytes_are_pinned(capsys):
+    # stdout and exit code of analyze, text and --json, on the p = 5 half of
+    # the paper's period: purely periodic, so normalization applies, with no
+    # split of its own and the split ell = 4 revealed by doubling
+    assert_golden(capsys, "analyze", "analyze_reveals", 2)
 
 
 def test_verify_report_bytes_are_pinned(capsys):

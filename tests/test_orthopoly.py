@@ -14,16 +14,20 @@ from palinfrac import (
     Mat2,
     NotNormalized,
     Poly,
-    build_T1,
-    build_T2,
-    build_T3,
-    conj_transfer,
     normalize_kp,
     pair,
     sequence,
 )
 from palinfrac.exactalg import decode, pack
-from palinfrac.orthopoly import packed_step, packed_walk, packed_width
+from palinfrac.orthopoly import (
+    build_T1,
+    build_T2,
+    build_T3,
+    conj_transfer,
+    packed_step,
+    packed_walk,
+    packed_width,
+)
 from conftest import composed_step, det, random_periodic, scalar_first_kind, scalar_second_kind
 
 
@@ -40,7 +44,7 @@ def test_first_kind_base_case():
 
 
 def test_first_kind_single_step():
-    assert [t.a11 for t in transfer_prefixes([pair(1, 0)], 1)][1] == Poly.x()
+    assert [t.a11 for t in transfer_prefixes([pair(1, 0)], 1)][1] == Poly((0, 1), 1)
 
 
 def test_first_kind_chebyshev_like():
@@ -73,7 +77,7 @@ def test_first_kind_matches_scalar_recurrence():
 def test_second_kind_base_cases():
     assert [t.a12 for t in transfer_prefixes([], 0)] == [Poly.zero()]
     assert [t.a12 for t in transfer_prefixes([pair(1, 0)], 1)][1] == Poly.const(1)
-    assert [t.a12 for t in transfer_prefixes(CONSTANT, 2)][2] == Poly.x()
+    assert [t.a12 for t in transfer_prefixes(CONSTANT, 2)][2] == Poly((0, 1), 1)
 
 
 def test_second_kind_degree_and_leading():
@@ -105,7 +109,7 @@ def test_insufficient_coefficients():
 
 def test_conj_transfer_single_step():
     t = conj_transfer([pair(1, 0)], 1)
-    assert t == Mat2(Poly.x(), Poly.const(1), Poly.const(-1), Poly.zero())
+    assert t == Mat2(Poly((0, 1), 1), Poly.const(1), Poly.const(-1), Poly.zero())
     assert det(t) == Poly.const(1)
 
 
@@ -134,7 +138,7 @@ def test_conj_transfer_single_step_factorization():
 def test_build_T1_single_pair():
     seq = normalize_kp(sequence([], [(1, 0)]))
     t1 = build_T1(seq)
-    assert t1 == Mat2(Poly.x(), Poly.const(1), Poly.const(-1), Poly.zero())
+    assert t1 == Mat2(Poly((0, 1), 1), Poly.const(1), Poly.const(-1), Poly.zero())
     assert det(t1) == Poly.const(1)
 
 
@@ -151,7 +155,7 @@ def test_build_T2_boundary_and_example():
     t2 = build_T2(periodic, 1)
     assert t2 == Mat2(
         Poly.from_coeffs([-1, 0, 1]),
-        Poly.x(),
+        Poly((0, 1), 1),
         Poly.from_coeffs([0, -1]),
         Poly.const(-1),
     )

@@ -17,9 +17,6 @@ from palinfrac import (
     PalinfracError,
     Poly,
     QuadraticRelation,
-    build_T1,
-    build_T3,
-    conj_transfer,
     eval_m,
     eval_periodic_m,
     fold_preperiodic,
@@ -37,6 +34,7 @@ from palinfrac import (
 )
 from palinfrac.exactalg import poly_is_square
 from palinfrac.jacobi import require_kp_normalized
+from palinfrac.orthopoly import build_T1, build_T3, conj_transfer
 from palinfrac.quadratic import numeric_identity_check, reversed_fold, stripped_tails
 from conftest import (
     brute_splits,
@@ -114,7 +112,7 @@ def test_pullback_identity_is_noop():
 def test_pullback_one_pair_closed_form():
     # one congruence by S(a, b); with u = z - b the form maps to
     # (alpha*u^2/a^2 - beta*u + a^2*gamma, 2*alpha*u/a^2 - beta, alpha/a^2)
-    z = Poly.x()
+    z = Poly((0, 1), 1)
     al, be, ga = Poly.const(2), z, Poly.from_coeffs([1, 0, 3])
     q = pair(Fraction(3, 2), Fraction(-1, 3))
     u, a2 = z - Poly.const(q.b), q.a * q.a
