@@ -14,7 +14,6 @@ from .errors import (
     DegenerateRelation,
     DivisionByZero,
     IndexOutOfRange,
-    InsufficientCoefficients,
     InsufficientOrder,
     NotAnMFunction,
     NotNormalized,
@@ -38,7 +37,6 @@ from .jacobi import (
     sequence,
 )
 from .mfun import (
-    LaurentSeries,
     RecoveredPair,
     ReverseObstructionReport,
     eval_m,
@@ -68,11 +66,9 @@ __all__ = [
     "DegenerateRelation",
     "DivisionByZero",
     "IndexOutOfRange",
-    "InsufficientCoefficients",
     "InsufficientOrder",
     "JacobiPair",
     "JacobiSequence",
-    "LaurentSeries",
     "Mat2",
     "NotAnMFunction",
     "NotNormalized",

@@ -45,7 +45,6 @@ from .errors import (
     DegenerateRelation,
     DivisionByZero,
     IndexOutOfRange,
-    InsufficientCoefficients,
     InsufficientOrder,
     NotAnMFunction,
     NotNormalized,
@@ -96,7 +95,6 @@ _INPUT_ERRORS = (
     ParseError,
     InsufficientOrder,
     IndexOutOfRange,
-    InsufficientCoefficients,
     NotNormalized,
     OSError,
 )

@@ -15,10 +15,6 @@ class ParseError(PalinfracError):
     """Input document is malformed or violates a sequence invariant."""
 
 
-class InsufficientCoefficients(PalinfracError):
-    """More coefficient pairs are required than were supplied."""
-
-
 class NotNormalized(PalinfracError):
     """The sequence does not end its preperiodic block with the last periodic pair."""
 

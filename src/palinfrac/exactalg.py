@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, zip_longest
+from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
@@ -145,20 +145,16 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly(tuple(-n for n in self.num), self.den)
 
-    def __mul__(self, other: "Poly | int | Fraction") -> "Poly":
+    def __mul__(self, other: "Poly") -> "Poly":
+        """The product of two polynomials; a scalar multiplies through `scale`."""
         if not isinstance(other, Poly):
-            return self.scale(other)
+            return NotImplemented
         a, b = self.num, other.num
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
         return _canonical(out, self.den * other.den)
-
-    def __rmul__(self, other: int | Fraction) -> "Poly":
-        return self.scale(other)
 
     def scale(self, factor: int | Fraction) -> "Poly":
         """Multiply every coefficient by an exact rational factor.
@@ -379,19 +375,9 @@ def rational_content(polys: Sequence[Poly]) -> Fraction:
 def poly_is_square(poly: Poly) -> bool:
     """Exact test: is poly the square of a polynomial with rational coefficients?
 
-    A square s^2 takes a rational square value s(t)^2 at every rational t,
-    so the value at the first integer t = 0, 1, 2, ... where poly does not
-    vanish is tested first; a non-square value settles the answer without
-    the O(deg^2) square-root solve.
+    An odd degree settles it; otherwise the square-root solve decides.
     """
-    if poly.is_zero():
-        return True
-    if poly.degree % 2:
-        return False
-    value = next(v for v in (_eval_int(poly.num, t) for t in count()) if v)
-    if rational_sqrt(Fraction(value, poly.den)) is None:
-        return False
-    return _poly_sqrt(poly) is not None
+    return poly.is_zero() or (poly.degree % 2 == 0 and _poly_sqrt(poly) is not None)
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

@@ -35,7 +35,7 @@ from .errors import (
     NotAnMFunction,
 )
 from .exactalg import rational_sqrt
-from .jacobi import JacobiSequence, normalize_kp
+from .jacobi import JacobiSequence
 from .quadratic import QuadraticRelation, prepare
 
 
@@ -194,14 +194,12 @@ def reverse_asymptotics(seq: JacobiSequence) -> ReverseObstructionReport:
     stays bounded or decays like 1/z to one of the same three kinds.  Only
     the leading coefficients are read; no point is evaluated.
 
-    A purely periodic sequence is first rewritten with one explicit period
-    as its preperiodic block.  A nonempty preperiodic block is used exactly
-    as given, even when it does not end with the last periodic pair: the
-    whole point of the test is to detect such representations.  alpha and
-    gamma are never zero (the `quadratic` module docstring proves it).
+    The sequence goes to `prepare` as given.  An empty block gives the
+    relations of one explicit period, and a nonempty one is used even when
+    it does not end with the last periodic pair: the whole point of the
+    test is to detect such representations.  alpha and gamma are never zero
+    (the `quadratic` module docstring proves it).
     """
-    if seq.k == 0:
-        seq = normalize_kp(seq)
     prep = prepare(seq)
     al, ga = prep.relation.alpha, prep.relation.gamma
     gap = al.degree - ga.degree
@@ -213,23 +211,6 @@ def reverse_asymptotics(seq: JacobiSequence) -> ReverseObstructionReport:
 # ---------------------------------------------------------------------------
 # exact truncated Laurent series at infinity
 # ---------------------------------------------------------------------------
-
-
-@frozen
-class LaurentSeries:
-    """Expansion -c_1/z - c_2/z^2 - ... - c_N/z^N at infinity, exact c_j."""
-
-    coefficients: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
-    def c(self, j: int) -> Fraction:
-        """The j-th coefficient, 1-based."""
-        if not 1 <= j <= self.order:
-            raise InsufficientOrder(f"series has order {self.order}, asked for c_{j}")
-        return self.coefficients[j - 1]
 
 
 def _decaying_relation(relation: QuadraticRelation) -> tuple[int, list, list, list]:
@@ -252,8 +233,8 @@ def _decaying_relation(relation: QuadraticRelation) -> tuple[int, list, list, li
     )
 
 
-def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> LaurentSeries:
-    """Expansion of the decaying branch of the quadratic at infinity.
+def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> tuple[Fraction, ...]:
+    """(c_1, ..., c_order) of the decaying branch -c_1/z - c_2/z^2 - ... at infinity.
 
     Substituting y = -sum c_j z^-j into alpha*y^2 + beta*y + gamma = 0 gives
     alpha*c^2 - beta*c + gamma = 0 for c = sum c_j z^-j.  With d = deg beta,
@@ -306,7 +287,7 @@ def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> LaurentSeri
             grow *= grow
             Y = [y * grow for y in Y]
         X.append(cn.numerator * (D // cn.denominator))
-    return LaurentSeries(tuple(c))
+    return tuple(c)
 
 
 @frozen

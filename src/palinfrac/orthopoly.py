@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .errors import IndexOutOfRange, InsufficientCoefficients
+from .errors import IndexOutOfRange
 from .exactalg import Mat2, decode, pack
 from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
 
@@ -111,10 +111,8 @@ def conj_transfer(coeffs: Sequence[JacobiPair], n: int) -> Mat2:
 
     One packed walk from the identity, decoded once at its end.
     """
-    if n < 1:
-        raise IndexOutOfRange(f"transfer matrix needs n >= 1, got {n}")
-    if len(coeffs) < n:
-        raise InsufficientCoefficients(f"need {n} pairs, have {len(coeffs)}")
+    if not 1 <= n <= len(coeffs):
+        raise IndexOutOfRange(f"need 1 <= n <= {len(coeffs)} pairs, got n={n}")
     w, walk = packed_walk(Mat2.identity(), coeffs[:n])
     *entries, den = deque(walk, maxlen=1).pop()
     return Mat2(*(decode(x, den, w) for x in entries))
@@ -134,12 +132,9 @@ def build_T2(periodic: Sequence[JacobiPair], ell: int) -> Mat2:
     """Transfer matrix over the first ell+1 periodic pairs.
 
     Accepts any ell >= 0 with ell+1 <= p; the double-palindrome verifier
-    restricts ell further to 1 .. p-2.
+    restricts ell further to 1 .. p-2.  `conj_transfer` raises
+    IndexOutOfRange for any other ell.
     """
-    if ell < 0 or ell + 1 > len(periodic):
-        raise IndexOutOfRange(
-            f"need 0 <= ell <= p-1 = {len(periodic) - 1}, got ell={ell}"
-        )
     return conj_transfer(periodic, ell + 1)
 
 

@@ -691,6 +691,13 @@ def test_analyze_report_bytes_are_pinned(capsys):
     assert_golden(capsys, "analyze", "analyze_reveals", 2)
 
 
+def test_verify_ell_report_bytes_are_pinned(capsys):
+    # stdout and exit code of verify --ell, text and --json, on the paper's
+    # p = 10 period, purely periodic: the identity holds at ell = 4 and
+    # fails at ell = 3
+    assert_golden(capsys, "verify", "verify_paper", 4)
+
+
 def test_verify_report_bytes_are_pinned(capsys):
     # stdout and exit code of verify --all, text and --json, captured before
     # the polynomial kernel became fraction-free: the Moebius pole fixture,

@@ -15,7 +15,6 @@ from palinfrac import (
     DivisionByZero,
     InsufficientOrder,
     JacobiSequence,
-    LaurentSeries,
     NotAnMFunction,
     PalinfracError,
     Poly,
@@ -310,7 +309,7 @@ def test_step_three_identity():
 
 def test_laurent_catalan_series():
     series = laurent_of_quadratic(periodic_quadratic(CHEBYSHEV), 9)
-    assert series.coefficients == tuple(
+    assert series == tuple(
         Fraction(c) for c in (1, 0, 1, 0, 2, 0, 5, 0, 14)
     )
 
@@ -320,13 +319,13 @@ def test_laurent_leading_coefficient_is_one():
     for _ in range(15):
         periodic = random_periodic(rng, rng.randint(1, 5))
         series = laurent_of_quadratic(periodic_quadratic(periodic), 5)
-        assert series.c(1) == 1
+        assert series[0] == 1
 
 
 def _cleared_truncation_residual(relation, series) -> Poly:
     """z^2N * (alpha*y_N^2 + beta*y_N + gamma) as an exact polynomial."""
-    order = series.order
-    u = Poly.from_coeffs([-series.c(order - i) for i in range(order)])
+    order = len(series)
+    u = Poly.from_coeffs([-c for c in reversed(series)])
     z_n = Poly.from_coeffs([0] * order + [1])
     return relation.alpha * u * u + relation.beta * u * z_n + relation.gamma * z_n * z_n
 
@@ -649,19 +648,19 @@ def _reference_laurent(relation, order):
     top = y.top()
     if top is not None and top >= 0:
         raise DegenerateRelation("computed branch does not decay at infinity")
-    return LaurentSeries(tuple(-y.coeff(-j) for j in range(1, order + 1)))
+    return tuple(-y.coeff(-j) for j in range(1, order + 1))
 
 
 def _reference_recover(series, count):
     if count < 1:
         raise InsufficientOrder(f"count must be at least 1, got {count}")
-    if series.order < 2 * count + 1:
+    if len(series) < 2 * count + 1:
         raise InsufficientOrder(
-            f"recovering {count} pairs needs order >= {2 * count + 1}, have {series.order}"
+            f"recovering {count} pairs needs order >= {2 * count + 1}, have {len(series)}"
         )
     current = _RefSeries(
-        {-j: -c for j, c in enumerate(series.coefficients, start=1)},
-        -(series.order + 1),
+        {-j: -c for j, c in enumerate(series, start=1)},
+        -(len(series) + 1),
     )
     z_poly = _RefSeries({1: Fraction(1)}, current.floor_o)
     out = []
@@ -701,8 +700,8 @@ def _finite_stream(levels, scale=1):
     """
     num, den = Poly.zero(), Poly.const(1)
     for b, a_sq in reversed(levels):
-        num, den = den, (Poly.const(b) - Poly((0, 1), 1)) * den - a_sq * num
-    return QuadraticRelation(Poly.zero(), den, -(scale * num))
+        num, den = den, (Poly.const(b) - Poly((0, 1), 1)) * den - num.scale(a_sq)
+    return QuadraticRelation(Poly.zero(), den, -num.scale(scale))
 
 
 def _finite_streams(max_levels):
@@ -766,7 +765,7 @@ def _assert_peel_matches(case, laurent_ref, recover_ref):
     assert _outcome(laurent_of_quadratic, relation, n) == _outcome(laurent_ref, relation, n)
     for count in {max(1, (n - 1) // 2), (n - 1) // 2 + 1}:
         expected = _outcome(laurent_of_quadratic, relation, 2 * count + 1)
-        if isinstance(expected, LaurentSeries):
+        if not isinstance(expected[0], type):  # a series, not an error
             expected = _outcome(recover_ref, expected, count)
         assert _outcome(recover_coefficients, relation, count) == expected
 
@@ -798,7 +797,7 @@ def _fraction_laurent(relation, order):
             for m in range(max(2, low), min(n, n - d + al.degree) + 1)
         )
         c.append(total / be.coeffs[d])
-    return LaurentSeries(tuple(c[1:]))
+    return tuple(c[1:])
 
 
 def _fraction_recover(series, count):
@@ -816,11 +815,11 @@ def _fraction_recover(series, count):
     if count < 1:
         raise InsufficientOrder(f"count must be at least 1, got {count}")
     width = 2 * count + 1
-    if series.order < width:
+    if len(series) < width:
         raise InsufficientOrder(
-            f"recovering {count} pairs needs order >= {width}, have {series.order}"
+            f"recovering {count} pairs needs order >= {width}, have {len(series)}"
         )
-    mu = series.coefficients
+    mu = series
     if mu[0] != 1:
         raise NotAnMFunction(f"leading coefficient c_1 = {mu[0]} != 1")
     older = [Fraction(0)] * width

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from palinfrac import (
     IndexOutOfRange,
-    InsufficientCoefficients,
     Mat2,
     NotNormalized,
     Poly,
@@ -103,7 +102,7 @@ def test_second_kind_matches_scalar_recurrence():
 
 
 def test_insufficient_coefficients():
-    with pytest.raises(InsufficientCoefficients):
+    with pytest.raises(IndexOutOfRange):
         conj_transfer([pair(1, 0)], 2)
 
 

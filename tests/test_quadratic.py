@@ -40,6 +40,7 @@ from conftest import (
     brute_splits,
     composed_step,
     doubly_palindromic_period,
+    mirror,
     purely_periodic,
     random_periodic,
     random_rational,
@@ -717,6 +718,45 @@ def test_reverse_decay_constant_formula():
         expected = -1.0 / (1.0 - float(Fraction(alpha1) ** 2 / Fraction(ap) ** 2))
         assert not report.is_m_like
         assert abs(report.decay_constant - expected) < 1e-2 * abs(expected)
+
+
+_ENTRIES = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_A_ENTRIES = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+@st.composite
+def _empty_block_periods(draw):
+    """A period of p = 1..12 pairs: random, doubly palindromic, or one block
+    repeated two or more times."""
+    p = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("random", "doubly palindromic", "repeated")))
+    if kind == "doubly palindromic" and p >= 3:
+        ell = draw(st.integers(1, p - 2))
+
+        def palindromes(entries, n):  # of lengths n and p - n
+            return [mirror(draw(st.lists(entries, min_size=m, max_size=m))) for m in (n, p - n)]
+
+        (a1, a2), (b1, b2) = palindromes(_A_ENTRIES, ell), palindromes(_ENTRIES, ell + 1)
+        return tuple(map(pair, a1 + a2, b1 + b2))
+    q = p
+    if kind == "repeated" and p > 1:
+        q = draw(st.sampled_from([d for d in range(1, p) if p % d == 0]))
+    block = draw(st.lists(st.builds(pair, _A_ENTRIES, _ENTRIES), min_size=q, max_size=q))
+    return tuple(block * (p // q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_empty_block_periods())
+def test_prepare_treats_an_empty_block_as_one_period(periodic):
+    # `prepare` reads a_k off the period and strips appended periods before
+    # the pullback, so an empty block and the one period `normalize_kp`
+    # appends give the same relations, and `reverse_asymptotics` needs no
+    # normalization of its own
+    seq = JacobiSequence((), periodic)
+    got, want = prepare(seq), prepare(normalize_kp(seq))
+    for name in ("relation", "scaled_tail", "ak2", "cofactor_degrees"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert reverse_asymptotics(seq) == reverse_asymptotics(normalize_kp(seq))
 
 
 def test_reverse_on_a_graft_too_small_for_floats():

@@ -15,7 +15,6 @@ import palinfrac
 from palinfrac import (
     JacobiPair,
     JacobiSequence,
-    LaurentSeries,
     Mat2,
     Poly,
     Prepared,
@@ -47,7 +46,6 @@ CASES = [
             for name in ("seq", "cofactor_degrees", "relation", "scaled_tail", "ak2")
         },
     ),
-    (LaurentSeries, {"coefficients": (Fraction(1), Fraction(0), Fraction(2))}),
     (RecoveredPair, {"a_sq": Fraction(4), "b": Fraction(1), "a": Fraction(2), "a_exact": True}),
     (ReverseObstructionReport, {"is_m_like": False, "decay_constant": Fraction(-1, 3)}),
 ]
@@ -126,11 +124,11 @@ def test_all_lists_exactly_the_public_names():
 # calls it or README's library example and numerics section name it.
 PUBLIC_NAMES = {
     "BranchAmbiguity", "DegenerateRelation", "DivisionByZero", "IndexOutOfRange",
-    "InsufficientCoefficients", "InsufficientOrder", "JacobiPair", "JacobiSequence",
-    "LaurentSeries", "Mat2", "NotAnMFunction", "NotNormalized", "PalinfracError",
-    "ParseError", "Poly", "Prepared", "QuadraticRelation", "RecoveredPair",
-    "ReverseObstructionReport", "VerificationReport", "double_period", "eval_m",
-    "eval_periodic_m", "eval_truncated", "find_palindrome_splits", "fold_preperiodic",
+    "InsufficientOrder", "JacobiPair", "JacobiSequence", "Mat2", "NotAnMFunction",
+    "NotNormalized", "PalinfracError", "ParseError", "Poly", "Prepared",
+    "QuadraticRelation", "RecoveredPair", "ReverseObstructionReport",
+    "VerificationReport", "double_period", "eval_m", "eval_periodic_m",
+    "eval_truncated", "find_palindrome_splits", "fold_preperiodic",
     "laurent_of_quadratic", "load_sequence", "mobius_apply", "normalize_kp", "pair",
     "periodic_quadratic", "poly_gcd", "prepare", "pullback_quadratic",
     "recover_coefficients", "reverse_asymptotics", "second_solution_value", "sequence",
@@ -139,18 +137,26 @@ PUBLIC_NAMES = {
 
 
 def test_public_surface_is_pinned():
+    assert len(PUBLIC_NAMES) == 39
     assert set(palinfrac.__all__) == PUBLIC_NAMES
     for name in (
-        "PalindromeSplit", "as_rational", "dump_sequence",
-        "build_T1", "build_T2", "build_T3", "conj_transfer",
+        "PalindromeSplit", "as_rational", "dump_sequence", "LaurentSeries",
+        "InsufficientCoefficients", "build_T1", "build_T2", "build_T3", "conj_transfer",
     ):
         assert not hasattr(palinfrac, name), name
-    # the reference transfers stay defined in their module, where the
+    # a scalar multiplies a polynomial through `scale` only
+    assert not hasattr(Poly, "__rmul__")
+    for product in (lambda: _X * 3, lambda: 3 * _X, lambda: Fraction(1, 2) * _X):
+        with pytest.raises(TypeError):
+            product()
+    # the reference transfers and the traced names stay defined where the
     # benchmark's tracer looks them up
-    from palinfrac import orthopoly
+    from palinfrac import exactalg, mfun, orthopoly
 
     for name in ("build_T1", "build_T2", "build_T3", "conj_transfer"):
         assert callable(getattr(orthopoly, name)), name
+    assert callable(mfun.laurent_of_quadratic) and callable(exactalg.poly_is_square)
+    assert "__mul__" in Poly.__dict__
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
