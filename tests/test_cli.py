@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -292,6 +293,79 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def load_golden(stem):
+    """The cases of DATA/<stem>.golden.json: args, exit_code and stdout."""
+    return json.loads((DATA / f"{stem}.golden.json").read_text(encoding="utf-8"))
+
+
+# Every pinned output: <command>_<name>.golden.json lists the args, exit
+# code and stdout of `<command> --input <command>_<name>.json <args>`, text
+# and --json, captured from an earlier implementation that today's must
+# reproduce byte for byte:
+# - analyze_reveals: the p = 5 half of the paper's period, purely periodic
+#   (normalization applies), with no split of its own and ell = 4 revealed
+#   by doubling;
+# - eval_moebius_pole: the exact-arithmetic evaluators, which the float fast
+#   paths must reproduce, up to the 1e4*i probe height;
+# - recover_p8: the fixed-point expansion and iterated stripping on a p = 8
+#   rational period, at the default order and at order 33;
+# - recover_p16: a p = 16 period whose a are rational squares over mixed
+#   denominators, at --order 64 (the cap), from the Fraction-per-operation
+#   series layer; recover decodes the period transfer from packed integers;
+# - verify_paper: --ell on the paper's p = 10 period, holding at 4, failing at 3;
+# - verify_moebius_pole, verify_p24 (p = 24, k = 2, holds at ell = 9 only):
+#   before the polynomial kernel became fraction-free;
+# - verify_p96: while `poly_gcd` ran a remainder sequence; `normalize_kp`
+#   extends p = 96 to k = 98;
+# - verify_hiheight: while the period walks ran on `Poly`; p = 12 with 50-
+#   and 200-digit numerators over 200- and 50-digit denominators, near
+#   MAX_ENTRY_DIGITS, so packed walks run at widths over 20,000 bits.  It
+#   and recover_p16 rest on int.to_bytes and int.bit_length behaving alike
+#   on every Python;
+# - verify_repeated: while `prepare` decoded the whole period's transfer; a
+#   doubly palindromic 8-pair block three times over after one pair, whose
+#   tail is read off the primitive root's transfer.
+GOLDEN_CASES = {
+    "analyze_reveals": 2,
+    "eval_moebius_pole": 2,
+    "recover_p16": 2,
+    "recover_p8": 4,
+    "verify_hiheight": 2,
+    "verify_moebius_pole": 2,
+    "verify_p24": 2,
+    "verify_p96": 2,
+    "verify_paper": 4,
+    "verify_repeated": 2,
+}
+_GOLDENS = {
+    stem: load_golden(stem)
+    for stem in sorted(p.name.removesuffix(".golden.json") for p in DATA.glob("*.golden.json"))
+    if not stem.endswith(".product_route")
+}
+
+
+@pytest.mark.parametrize(
+    "name, case",
+    [
+        pytest.param(name, case, id=f"{name}-{index}")
+        for name, cases in _GOLDENS.items()
+        for index, case in enumerate(cases)
+    ],
+)
+def test_pinned_output(name, case, capsys, monkeypatch):
+    # a golden file left out of the table, or a case dropped from one, fails
+    assert {stem: len(cases) for stem, cases in _GOLDENS.items()} == GOLDEN_CASES
+    argv = [name.split("_", 1)[0], "--input", str(DATA / f"{name}.json"), *case["args"]]
+    assert main(argv) == case["exit_code"]
+    assert capsys.readouterr() == (case["stdout"], "")
+    # what `python -m palinfrac` runs: __main__.py and console_main's sys.exit
+    monkeypatch.setattr(sys, "argv", ["palinfrac", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("palinfrac", run_name="__main__")
+    assert exit_info.value.code == case["exit_code"]
+    assert capsys.readouterr() == (case["stdout"], "")
+
+
 def test_eval_survives_a_vanishing_moebius_denominator(capsys):
     # the identity holds at ell = 1; at this point the double-precision
     # Moebius denominator C(z)*M + D(z) of a forward transport of M through
@@ -507,46 +581,6 @@ def test_relation_is_built_once_per_request(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1, argv
 
 
-GOLDEN_POINTS = (
-    "--points=-0.8979579079625268,2.820635731159206;0.37,1.31;-1.5,0.5;"
-    "2,0.01;0,100;0,1000;0,10000"
-)
-
-
-def test_eval_report_bytes_are_pinned(capsys):
-    # the report of the exact-arithmetic evaluators, byte for byte; the float
-    # fast paths must reproduce it, including the 1e4*i probe height
-    path = str(DATA / "eval_moebius_pole.json")
-    assert main(["eval", "--input", path, GOLDEN_POINTS, "--json"]) == 0
-    expected = (DATA / "eval_moebius_pole.golden.json").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == expected
-
-
-def test_recover_report_bytes_are_pinned(capsys):
-    # stdout and exit code of the fixed-point expansion and iterated stripping
-    # on a p = 8 rational period, text and --json, at the default order and
-    # at order 33; the peel of the relation must reproduce them
-    assert_golden(capsys, "recover", "recover_p8", 4)
-
-
-def test_recover_report_bytes_are_pinned_at_the_order_cap(capsys):
-    # a p = 16 period whose a are rational squares over mixed denominators,
-    # at --order 64, the cap; pinned from the Fraction-per-operation series
-    # layer, which the peel must reproduce
-    assert_golden(capsys, "recover", "recover_p16", 2)
-
-
-def assert_golden(capsys, command, name, count):
-    path = str(DATA / f"{name}.json")
-    cases = json.loads((DATA / f"{name}.golden.json").read_text(encoding="utf-8"))
-    assert len(cases) == count
-    for case in cases:
-        assert main([command, "--input", path, *case["args"]]) == case["exit_code"]
-        captured = capsys.readouterr()
-        assert captured.out == case["stdout"], case["args"]
-        assert captured.err == ""
-
-
 def test_eval_solves_the_tail_once_per_point(tmp_path, capsys, monkeypatch):
     import palinfrac.cli as cli
     import palinfrac.mfun as mfun
@@ -625,8 +659,7 @@ def test_json_reports_have_no_nan_or_infinity(tmp_path, capsys):
 
     parsed = 0
     for golden in sorted(DATA.glob("*.golden.json")):
-        doc = strict_json(golden.read_text(encoding="utf-8"))
-        for case in doc if isinstance(doc, list) else []:
+        for case in strict_json(golden.read_text(encoding="utf-8")):
             if "--json" in case["args"]:
                 strict_json(case["stdout"])
                 parsed += 1
@@ -684,43 +717,6 @@ def test_verify_rejects_ell_with_all(tmp_path, capsys):
         assert captured.err == "input error: verify takes --ell N or --all, not both\n"
 
 
-def test_analyze_report_bytes_are_pinned(capsys):
-    # stdout and exit code of analyze, text and --json, on the p = 5 half of
-    # the paper's period: purely periodic, so normalization applies, with no
-    # split of its own and the split ell = 4 revealed by doubling
-    assert_golden(capsys, "analyze", "analyze_reveals", 2)
-
-
-def test_verify_ell_report_bytes_are_pinned(capsys):
-    # stdout and exit code of verify --ell, text and --json, on the paper's
-    # p = 10 period, purely periodic: the identity holds at ell = 4 and
-    # fails at ell = 3
-    assert_golden(capsys, "verify", "verify_paper", 4)
-
-
-def test_verify_report_bytes_are_pinned(capsys):
-    # stdout and exit code of verify --all, text and --json, captured before
-    # the polynomial kernel became fraction-free: the Moebius pole fixture,
-    # and a p = 24, k = 2 sequence whose identity holds at ell = 9 only;
-    # and captured while `poly_gcd` ran a remainder sequence: a p = 96
-    # sequence that `normalize_kp` extends to k = 98; and captured while the
-    # period walks ran on `Poly`: a p = 12 sequence whose entries are 50- and
-    # 200-digit numerators over 200- and 50-digit denominators, near
-    # MAX_ENTRY_DIGITS, whose packed walks run at widths of over 20,000 bits;
-    # and captured while `prepare` decoded the whole period's transfer: a
-    # doubly palindromic block of 8 pairs three times over after one pair,
-    # whose tail is now read off the block's transfer
-    for name in (
-        "verify_moebius_pole", "verify_p24", "verify_p96", "verify_hiheight", "verify_repeated"
-    ):
-        path = str(DATA / f"{name}.json")
-        cases = json.loads((DATA / f"{name}.golden.json").read_text(encoding="utf-8"))
-        assert len(cases) == 2
-        for case in cases:
-            assert main(["verify", "--input", path, *case["args"]]) == case["exit_code"]
-            assert capsys.readouterr().out == case["stdout"], (name, case["args"])
-
-
 # One request in a fresh interpreter: its stdout, exit code, which OpenSSL
 # modules it loaded, and which of CPython's built-in SHA-256 modules import
 _FOOTPRINT = """
@@ -760,8 +756,7 @@ def test_cli_loads_no_openssl_and_digests_the_raw_bytes():
         assert result["loaded"] == []
     report = json.loads(result["stdout"])
     assert report["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
-    golden = json.loads((DATA / "verify_p24.golden.json").read_text(encoding="utf-8"))
-    case = next(c for c in golden if c["args"] == ["--all", "--json"])
+    case = next(c for c in load_golden("verify_p24") if c["args"] == ["--all", "--json"])
     assert (result["code"], result["stdout"]) == (case["exit_code"], case["stdout"])
 
 
@@ -803,9 +798,7 @@ def test_verify_reports_match_the_product_route_outside_the_cross_check(capsys):
     # code must not
     for name in ("verify_moebius_pole", "verify_p24"):
         path = str(DATA / f"{name}.json")
-        cases = json.loads(
-            (DATA / f"{name}.product_route.golden.json").read_text(encoding="utf-8")
-        )
+        cases = load_golden(f"{name}.product_route")
         assert len(cases) == 2
         for case in cases:
             assert main(["verify", "--input", path, *case["args"]]) == case["exit_code"]

@@ -16,7 +16,6 @@ from palinfrac import (
 )
 from palinfrac.exactalg import (
     _eval_int,
-    _poly_sqrt,
     decode,
     pack,
     packed_degree,
@@ -215,31 +214,25 @@ _NON_SQUARES = st.sampled_from((Fraction(2), Fraction(-1), Fraction(3, 4), Fract
     st.integers(0, 8),
     st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
 )
+# moving the z coefficient of (z + 1)^2 by -4 lands on the square (z - 1)^2
+@example(Poly.from_coeffs([1, 1]), Fraction(2), 1, Fraction(-4))
 def test_poly_is_square_on_squares_and_near_squares(s, c, index, delta):
-    # the test is the square-root solve after the parity of the degree:
-    # squares and their products with squares are squares, and the answer
-    # agrees with the solve on non-square multiples of squares, on squares
-    # with one coefficient moved, and on products with z*(z - 1)*(z - 2)
-    # and with one more linear factor
+    # c is never a rational square, and z*(z - 1)*(z - 2) has three simple
+    # roots: a product with it has odd degree, and one more linear factor
+    # leaves a simple root whatever delta is
     z = Poly((0, 1), 1)
     vanishing = z * (z - Poly.const(1)) * (z - Poly.const(2))
     square = s * s
+    assert poly_is_square(square)
+    assert poly_is_square(square * vanishing * vanishing)
+    assert not poly_is_square(square.scale(c))
+    assert not poly_is_square(square.scale(c) * vanishing * vanishing)
+    assert not poly_is_square(square * vanishing)
+    assert not poly_is_square(square * vanishing * (z - Poly.const(delta)))
     perturbed = list(square.coeffs)
     perturbed[index % len(perturbed)] += delta
-    cases = [
-        square,
-        square.scale(c),
-        Poly.from_coeffs(perturbed),
-        square * vanishing,
-        square * vanishing * vanishing,
-        square.scale(c) * vanishing * vanishing,
-        square * vanishing * (z - Poly.const(delta)),
-    ]
-    for poly in cases:
-        plain = poly.is_zero() or (poly.degree % 2 == 0 and _poly_sqrt(poly) is not None)
-        assert poly_is_square(poly) == plain
-    assert poly_is_square(square) and poly_is_square(square * vanishing * vanishing)
-    assert not poly_is_square(square.scale(c))
+    poly = Poly.from_coeffs(perturbed)
+    assert poly_is_square(poly) == _ref_is_square(poly.coeffs)
 
 
 # Poly.__call__ runs Horner over float coefficients at builtin float and
@@ -345,6 +338,32 @@ def _ref_gcd(a, b):
     while b:
         a, b = b, _ref_monic(_ref_divmod(a, b)[1])
     return a
+
+
+def _ref_derivative(a):
+    return _trim(i * c for i, c in enumerate(a))[1:]
+
+
+def _ref_is_square(a):
+    """Yun's square-free decomposition: a square has a rational square as
+    its leading coefficient and no factor of odd multiplicity."""
+    if not a:
+        return True
+    if rational_sqrt(a[-1]) is None:
+        return False
+    f = _ref_monic(a)
+    df = _ref_derivative(f)
+    common = _ref_gcd(f, df)
+    b, c = _ref_divmod(f, common)[0], _ref_divmod(df, common)[0]
+    multiplicity = 1
+    while len(b) > 1:
+        d = _ref_combine(c, _ref_derivative(b), -1)
+        factor = _ref_gcd(b, d)
+        if multiplicity % 2 and len(factor) > 1:
+            return False
+        b, c = _ref_divmod(b, factor)[0], _ref_divmod(d, factor)[0]
+        multiplicity += 1
+    return True
 
 
 def _ref_content(family):

@@ -1,6 +1,5 @@
 """Numeric evaluation, Laurent expansions, and coefficient recovery."""
 
-import cmath
 import json
 import math
 import random
@@ -48,14 +47,6 @@ from conftest import (
 )
 
 CHEBYSHEV = [pair(1, 0)]
-
-
-def chebyshev_closed_form(z: complex) -> complex:
-    root = cmath.sqrt(z * z - 4)
-    value = (-z + root) / 2
-    if value.imag <= 0:
-        value = (-z - root) / 2
-    return value
 
 
 def test_periodic_m_closed_form_point():
