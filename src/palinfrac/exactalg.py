@@ -12,8 +12,9 @@ polynomial is ((), 1).  Sums, products and `shift_add`, the fused step
 the integer numerators and end in one gcd reduction, instead of one Fraction per coefficient; a
 scaling reads its common factor off two small gcds and needs no reduction
 at all; division is integer pseudo-division, and `poly_gcd` is the
-heuristic gcd of Char, Geddes and Gonnet, which reads a candidate off one
-integer gcd and certifies it by exact pseudo-division.  Degrees stay small
+heuristic gcd of Char, Geddes and Gonnet on any number of integer
+numerator lists, which reads a candidate off one integer gcd and certifies
+it by exact pseudo-division.  Degrees stay small
 here (bounded by the coefficient block lengths), so the dense
 representation is the simplest thing that works.
 
@@ -21,10 +22,11 @@ The exact transfer walks (`orthopoly.packed_walk`) use a second form,
 Kronecker substitution
 (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44, 2009): an integer polynomial is one
-Python int, its value at 2^w.  `pack` and `decode` convert between the two
-through `int.to_bytes`, and `packed_degree` reads the degree off
-`int.bit_length`; all three are exact while every coefficient stays below
-2^(w-2) in absolute value, which the caller's choice of w guarantees.
+Python int, its value at 2^w.  `pack` and `unpack` convert between the two
+through `int.to_bytes` (`decode` also divides by a denominator), and
+`packed_degree` reads the degree off `int.bit_length`; all are exact while
+every coefficient stays below 2^(w-2) in absolute value, which the
+caller's choice of w guarantees.
 
 Everything in this module is immutable and every operation is a pure
 function, so values can be shared freely between threads.
@@ -251,15 +253,17 @@ def packed_degree(v: int, w: int) -> int:
     return abs(v).bit_length() // w if v else -1
 
 
-def decode(v: int, den: int, w: int) -> Poly:
-    """The polynomial packed as v, over the denominator den, in canonical form."""
+def unpack(v: int, w: int) -> list[int]:
+    """The ascending integer coefficients packed as v, with no trailing zero."""
     n, size = packed_degree(v, w) + 1, w // 8
     digits = (v + _offset(n, w)).to_bytes(n * size, "little")
     half = 1 << (w - 1)
-    return _canonical(
-        [int.from_bytes(digits[i : i + size], "little") - half for i in range(0, n * size, size)],
-        den,
-    )
+    return [int.from_bytes(digits[i : i + size], "little") - half for i in range(0, n * size, size)]
+
+
+def decode(v: int, den: int, w: int) -> Poly:
+    """The polynomial packed as v, over the denominator den, in canonical form."""
+    return _canonical(unpack(v, w), den)
 
 
 def _offset(n: int, w: int) -> int:
@@ -304,34 +308,34 @@ def _primitive_part(num: Sequence[int]) -> list[int]:
     return [n // g for n in num]
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor over the rationals, by heuristic gcd.
+def poly_gcd(*nums: Sequence[int]) -> list[int]:
+    """Greatest common divisor over the rationals, by heuristic gcd.
 
-    The heuristic gcd of Char, Geddes and Gonnet ("GCDHEU: heuristic
-    polynomial GCD algorithm based on integer GCD computation", J. Symbolic
-    Comput. 7, 1989; Geddes, Czapor and Labahn, *Algorithms for Computer
-    Algebra*, sec. 7.7) on the primitive integer parts A and B of the
-    numerators.  At an integer xi > 2*min(|A|_inf, |B|_inf) + 2 it takes
-    h = gcd(A(xi), B(xi)) as Python ints and reads a candidate off h's
-    balanced xi-adic digits (each in (-xi/2, xi/2]).  The candidate's
-    primitive part G is the gcd exactly when it divides both A and B, which
-    holds trivially when G is constant and is otherwise certified by exact
-    pseudo-division; a rejected candidate grows xi geometrically.
+    Each argument is the ascending integer numerators of a polynomial, no
+    trailing zero; the gcd is primitive with a positive leading
+    coefficient, [] if all are zero.  The heuristic gcd of Char, Geddes and
+    Gonnet ("GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
+    computation", J. Symbolic Comput. 7, 1989; Geddes, Czapor and Labahn,
+    *Algorithms for Computer Algebra*, sec. 7.7) runs one pass over the
+    primitive parts A_i of the nonzero arguments.  At an integer
+    xi > 2*min_i |A_i|_inf + 2 it takes h = gcd(A_1(xi), A_2(xi), ...) as
+    Python ints and reads a candidate off h's balanced xi-adic digits (each
+    in (-xi/2, xi/2]).  The candidate's primitive part G is the gcd exactly
+    when it divides every A_i, which holds trivially when G is constant and
+    is otherwise certified by exact pseudo-division; a rejected candidate
+    grows xi geometrically.
 
-    The loop ends.  With D = gcd(A, B) and the coprime cofactors A' = A/D
-    and B' = B/D, h = |D(xi)*s| for s = gcd(A'(xi), B'(xi)), and s divides
-    the resultant of A' and B', a nonzero integer that does not depend on
-    xi.  Once xi > 2*|s*D|_inf the digits of h are those of +-s*D, and
-    G = D passes.
-
-    gcd(0, 0) is the zero polynomial and gcd(a, 0) is monic(a).
+    The loop ends.  With D = gcd(A_1, A_2, ...), Bezout with denominators
+    cleared gives sum U_i*A_i/D = N for integer polynomials U_i and a
+    nonzero integer N independent of xi.  h = |D(xi)*s| for an s dividing
+    N, and once xi > 2*|s*D|_inf the digits of h are those of +-s*D: G = D.
     """
-    if not (a.num and b.num):
-        return Poly(a.num or b.num, 1).monic()
-    x, y = _primitive_part(a.num), _primitive_part(b.num)
-    xi = 2 * min(max(map(abs, x)), max(map(abs, y))) + 29
+    parts = [_primitive_part(num) for num in nums if num]
+    if len(parts) < 2:
+        return parts[0] if parts else []
+    xi = 2 * min(max(map(abs, x)) for x in parts) + 29
     while True:
-        h = gcd(_eval_int(x, xi), _eval_int(y, xi))
+        h = gcd(*(_eval_int(x, xi) for x in parts))
         digits = []
         while h:
             d = h % xi
@@ -341,9 +345,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             h = (h - d) // xi
         g = _primitive_part(digits)
         if len(g) == 1:
-            return Poly((1,), 1)
-        if not any(_pseudo_divmod(x, g)[2]) and not any(_pseudo_divmod(y, g)[2]):
-            return Poly(tuple(g), 1).monic()
+            return [1]
+        if not any(any(_pseudo_divmod(x, g)[2]) for x in parts):
+            return g
         xi = xi * 73794 // 27011  # the growth factor of Geddes et al., about 2.73
 
 
@@ -414,11 +418,6 @@ class Mat2:
     a12: Poly
     a21: Poly
     a22: Poly
-
-    @staticmethod
-    def identity() -> "Mat2":
-        one, zero = Poly.const(1), Poly.zero()
-        return Mat2(one, zero, zero, one)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(

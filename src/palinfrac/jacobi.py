@@ -44,7 +44,7 @@ class JacobiPair:
     b: Fraction
 
     def __post_init__(self) -> None:
-        if self.a <= 0:
+        if self.a.numerator <= 0:
             raise ParseError(f"coefficient a must be positive, got {self.a}")
 
 
@@ -87,6 +87,11 @@ class JacobiSequence:
         lent = self.preperiodic[-p:] == self.periodic
         return block + (block[-p:] if lent else _float_pairs(self.periodic))
 
+    @cached_property
+    def int_periodic(self) -> tuple[tuple[int, int, int, int], ...]:
+        """`int_pairs` of the period, once per sequence: what exact walks read."""
+        return int_pairs(self.periodic)
+
     def levels(self, z, periodic: bool) -> tuple:
         """(b, a^2) of the period's or the block's pairs, in the arithmetic of z.
 
@@ -111,6 +116,11 @@ def _float_pairs(pairs: Sequence[JacobiPair]) -> tuple[tuple[float, float], ...]
     return tuple(
         (q.b.numerator / q.b.denominator, q.a.numerator**2 / q.a.denominator**2) for q in pairs
     )
+
+
+def int_pairs(pairs: Sequence[JacobiPair]) -> tuple[tuple[int, int, int, int], ...]:
+    """The numerators and denominators (an, ad, bn, bd) of each pair's a and b."""
+    return tuple((*q.a.as_integer_ratio(), *q.b.as_integer_ratio()) for q in pairs)
 
 
 def sequence(
@@ -165,7 +175,11 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
                         f'"{name}"[{i}]: entries must be rational strings or integers, got {entry!r}'
                     )
                 literal = str(entry)
-                exponent = _EXPONENT.search(literal)
+                # JSON ints and ASCII [-]digits[/digits] skip the exponent check and the regex
+                num, slash, den = literal.partition("/")
+                fast = literal.isascii() and num.removeprefix("-").isdigit()
+                fast = fast and (den.isdigit() or not slash)
+                exponent = not fast and _EXPONENT.search(literal)
                 if len(literal) > MAX_ENTRY_DIGITS or (
                     exponent and abs(int(exponent[1])) > MAX_ENTRY_DIGITS
                 ):
@@ -174,7 +188,7 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
                         "characters or a larger exponent"
                     )
                 try:
-                    values.append(Fraction(entry))
+                    values.append(Fraction(int(num), int(den or 1)) if fast else Fraction(entry))
                 except (TypeError, ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f'"{name}"[{i}]: bad rational {entry!r}') from exc
             out.append(JacobiPair(values[0], values[1]))

@@ -21,15 +21,16 @@ Every exact transfer matrix comes from one walk, `packed_walk`, on packed
 integers: the start matrix's entries are integer numerator polynomials over
 one shared denominator, each held as the single int X(2^w) (see
 `exactalg`), and `packed_step` applies S(a, b) by integer products and one
-shift, with no gcd and no polynomial product.  `packed_width` picks w by a
-scalar pre-pass that bounds every coefficient of the walk (the proof is in
-`quadratic`), so every value read decodes exactly.  Started at any matrix X
-instead of the identity, n steps give T_n * X: the verifier starts at its
-kernel and reads degrees straight off the packed values, and `conj_transfer`
-decodes the end of a walk from the identity once.  No transfer is evaluated
-at a point: the numeric cross-check folds levels instead (see `quadratic`).
-The fused `Poly` step `exactalg.shift_add` is the pullback's step in
-`quadratic`, not a transfer.
+shift, with no gcd and no polynomial product.  It and `packed_width`, the
+scalar pre-pass that picks w so that every value read decodes exactly (the
+proof is in `quadratic`), read each pair as (an, ad, bn, bd) off an integer
+table, `JacobiSequence.int_periodic` for the period.  A walk starts from
+packed ints, by default the identity's (1, 0, 0, 1, 1).  Started at a
+matrix X, n steps give T_n * X: the verifier starts at its kernel and reads
+degrees off the packed values, and `conj_transfer` decodes once.  No
+transfer is evaluated at a point: the numeric cross-check folds levels
+instead (see `quadratic`).  The fused `Poly` step `exactalg.shift_add` is
+the pullback's step in `quadratic`, not a transfer.
 
 The verifier's T2(ell) are the prefixes of the recurrence over the period.
 T1, the recurrence over the preperiodic block, and T3, the transfer over the
@@ -39,28 +40,27 @@ D * T1^T * D^-1 with D = diag(1, -ak^2) (the proof is in `quadratic`).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import IndexOutOfRange
-from .exactalg import Mat2, decode, pack
-from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
+from .exactalg import Mat2, decode
+from .jacobi import JacobiPair, JacobiSequence, int_pairs, require_kp_normalized
 
 
-def packed_step(t: tuple, q: JacobiPair, w: int) -> tuple:
-    """S(q.a, q.b) * t on a packed matrix t = (x11, x12, x21, x22, den).
+def packed_step(t: tuple, q: tuple, w: int) -> tuple:
+    """S(a, b) * t on a packed matrix t = (x11, x12, x21, x22, den).
 
-    Each x is an integer polynomial packed at 2^w over the shared den.  With
-    a = an/ad and b = bn/bd, and `<< w` multiplying by z:
+    Each x is an integer polynomial packed at 2^w over the shared den, and
+    q = (an, ad, bn, bd) a table row: a = an/ad, b = bn/bd.  With `<< w` as z:
 
         row 1 <- ad^2 * (bd * (row1 << w) - bn * row1 + bd * row2),
         row 2 <- -an^2 * bd * row1,        den <- den * an * bd * ad.
     """
     x11, x12, x21, x22, den = t
-    an, ad, bn, bd = q.a.numerator, q.a.denominator, q.b.numerator, q.b.denominator
+    an, ad, bn, bd = q
     up, keep, low = ad * ad * bd, ad * ad * bn, -an * an * bd
     return (
         up * ((x11 << w) + x21) - keep * x11,
@@ -71,39 +71,27 @@ def packed_step(t: tuple, q: JacobiPair, w: int) -> tuple:
     )
 
 
-def packed_width(pairs: Sequence[JacobiPair], h1: int, h2: int, ak2: Fraction) -> int:
-    """The width w, a multiple of 8, that the walk over `pairs` decodes at.
+def packed_width(pairs: Sequence[tuple], h1: int, h2: int, ak2: Fraction = Fraction(1)) -> int:
+    """The width w, a multiple of 8, that the walk over the table `pairs` decodes at.
 
-    h1 and h2 bound the coefficients of the start's rows.  Each pair steps
-    them to ad^2 * ((bd + |bn|)*h1 + bd*h2) and an^2 * bd * h1, and w
-    puts every kd*h2 + kn*h1 (ak2 = kn/kd) below 2^(w-2): that bounds the
-    entries, the trace and the Q cofactor (see `quadratic`).
+    h1 and h2 bound the coefficients of the start's rows (1 for the
+    identity).  Each (an, ad, bn, bd) steps them to ad^2 * ((bd + |bn|)*h1
+    + bd*h2) and an^2 * bd * h1, and w puts every kd*h2 + kn*h1 (ak2 =
+    kn/kd) below 2^(w-2): that bounds the entries, the trace and, for a
+    caller that passes its ak2, the Q cofactor (see `quadratic`).
     """
     kn, kd = ak2.numerator, ak2.denominator
     top = kd * h2 + kn * h1
-    for q in pairs:
-        an, ad, bn, bd = q.a.numerator, q.a.denominator, q.b.numerator, q.b.denominator
+    for an, ad, bn, bd in pairs:
         h1, h2 = ad * ad * ((bd + abs(bn)) * h1 + bd * h2), an * an * bd * h1
         top = max(top, kd * h2 + kn * h1)
     return (top.bit_length() + 9) // 8 * 8
 
 
-def packed_walk(
-    start: Mat2, pairs: Sequence[JacobiPair], ak2: Fraction = Fraction(1)
-) -> tuple[int, Iterator[tuple]]:
-    """The width w and the packed T_j * start for j = 0, 1, ..., len(pairs).
-
-    `start` is brought over the lcm of its denominators and packed at 2^w,
-    with w from `packed_width` over the same pairs; the walk is lazy.  The
-    default ak2 = 1 makes w bound the entries and the trace only; a caller
-    that reads the Q cofactor passes its own.
-    """
-    den = math.lcm(*(e.den for e in start.entries()))
-    nums = [[n * (den // e.den) for n in e.num] for e in start.entries()]
-    h1, h2 = (max(map(abs, nums[i] + nums[i + 1]), default=0) for i in (0, 2))
-    w = packed_width(pairs, h1, h2, ak2)
-    first = (*(pack(num, w) for num in nums), den)
-    return w, accumulate(pairs, lambda t, q: packed_step(t, q, w), initial=first)
+def packed_walk(pairs: Sequence[tuple], w: int, first: tuple = (1, 0, 0, 1, 1)) -> Iterator[tuple]:
+    """The packed T_j * start for j = 0, 1, ..., len(pairs), lazily, from
+    `first`, the start packed at 2^w, w from `packed_width` over `pairs`."""
+    return accumulate(pairs, lambda t, q: packed_step(t, q, w), initial=first)
 
 
 def conj_transfer(coeffs: Sequence[JacobiPair], n: int) -> Mat2:
@@ -113,8 +101,9 @@ def conj_transfer(coeffs: Sequence[JacobiPair], n: int) -> Mat2:
     """
     if not 1 <= n <= len(coeffs):
         raise IndexOutOfRange(f"need 1 <= n <= {len(coeffs)} pairs, got n={n}")
-    w, walk = packed_walk(Mat2.identity(), coeffs[:n])
-    *entries, den = deque(walk, maxlen=1).pop()
+    pairs = int_pairs(coeffs[:n])
+    w = packed_width(pairs, 1, 1)
+    *entries, den = deque(packed_walk(pairs, w), maxlen=1).pop()
     return Mat2(*(decode(x, den, w) for x in entries))
 
 

@@ -75,8 +75,8 @@ held as the single int X(2^w).  A step clears both rows to a new
 denominator and runs no gcd.  The verdict and both degrees are read off
 the packed values: P(ell) from the trace x11 + x22 of N_P, and s(ell)
 from kd*x21 + kn*x12 on the period walk, with ak^2 = kn/kd.  Only one
-prefix is decoded, for the tail relation (below); no residual or cofactor
-polynomial is formed.  The proof that this is exact:
+prefix is unpacked, to the tail relation's integer lists (below); no
+residual or cofactor polynomial is formed.  The proof that this is exact:
 
 - Packing is a ring homomorphism Z[z] -> Z, so the walk computes the
   packed numerators exactly whatever w is.  Only reading them needs w.
@@ -87,13 +87,13 @@ polynomial is formed.  The proof that this is exact:
   2^(w-2) * 2^(w*d) / (2^w - 1) <= 2^(w*d - 1) in absolute value, so
   2^(w*d - 1) <= |v| < 2^(w*d + w - 1): bit_length(|v|) // w = d, and a
   nonzero polynomial packs to a nonzero v.
-- With a = an/ad and b = bn/bd, a step's new coefficients are
-  ad^2 * (bd*X1[i-1] - bn*X1[i] + bd*X2[i]) in row 1 and
-  -an^2 * bd * X1[i] in row 2.  So if h1 and h2 bound the coefficients of
-  rows 1 and 2, ad^2 * ((bd + |bn|)*h1 + bd*h2) and an^2 * bd * h1
-  bound them after the step.  By induction from the start's bounds, this
-  scalar pre-pass (`orthopoly.packed_width`) bounds every coefficient of
-  every step.
+- With a = an/ad and b = bn/bd, off the table `JacobiSequence.int_periodic`,
+  a step's new coefficients are ad^2 * (bd*X1[i-1] - bn*X1[i] + bd*X2[i])
+  in row 1 and -an^2 * bd * X1[i] in row 2.  So if h1 and h2 bound the
+  coefficients of rows 1 and 2, ad^2 * ((bd + |bn|)*h1 + bd*h2) and
+  an^2 * bd * h1 bound them after the step.  By induction from the start's
+  bounds, this scalar pre-pass (`orthopoly.packed_width`) bounds every
+  coefficient of every step.
 - An entry is bounded by h1 or h2, the trace by h1 + h2 and the cofactor
   by kd*h2 + kn*h1, and since kn, kd >= 1 the last bounds all three.
   `packed_width` takes the smallest multiple of 8 for w that puts its
@@ -106,14 +106,15 @@ is r copies of a block of q pairs, T_P = T^r for the block's transfer T,
 and Cayley-Hamilton for det T = 1 gives T^r = U_{r-1}(t)*T - U_{r-2}(t)*I
 with t = tr(T)/2 and U the Chebyshev polynomials of the second kind.  The
 multiple of I cancels from (C, D - A, -B), so T_P's tail relation is
-U_{r-1}(t) times T's.  `canonical` divides out the monic gcd, which holds
-monic(U_{r-1}(t)) times the gcd of T's relation, and `primitive` then
-divides out the leading coefficient (2*lc(t))^(r-1) of U_{r-1}(t) with the
-content.  tr T is the first-kind polynomial p_q plus an entry of degree
-q - 2, so lc(t) = 1/(2*a_1*...*a_q) > 0, no sign flips, and the canonical
-tail of T_P is that of T.  `prepare` decodes T for the smallest such q,
-whose relation has the smallest gcd, and walks on over the rest of the
-period only for the Q cofactors.
+U_{r-1}(t) times T's.  `canonical_relation` divides the integer lists by
+their `poly_gcd`, which holds U_{r-1}(t) times the gcd of T's relation up
+to a constant, and then by their content, which takes the rest of the
+leading coefficient (2*lc(t))^(r-1) of U_{r-1}(t).  tr T is the
+first-kind polynomial p_q plus an entry of degree q - 2, so
+lc(t) = 1/(2*a_1*...*a_q) > 0, no sign flips, and the canonical tail of
+T_P is that of T.  `prepare` unpacks T for the smallest such q, whose
+relation has the smallest gcd, and walks on over the rest of the period
+only for the Q cofactors.
 
 The numeric cross-check needs no transfer matrix at a point.  A transfer's
 Moebius action strips its pairs, so f_{T1}(M) = m and f_{T2(ell)}(m) =
@@ -135,9 +136,10 @@ from typing import Iterator, Sequence
 
 from ._value import frozen
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
-from .exactalg import Mat2, Poly, decode, packed_degree, poly_gcd, rational_content, shift_add
-from .jacobi import JacobiPair, JacobiSequence, require_kp_normalized
-from .orthopoly import packed_walk
+from .exactalg import Poly, _pseudo_divmod, decode, pack, packed_degree, poly_gcd, rational_content
+from .exactalg import shift_add, unpack
+from .jacobi import JacobiPair, JacobiSequence, int_pairs, require_kp_normalized
+from .orthopoly import packed_walk, packed_width
 
 
 @frozen
@@ -153,17 +155,10 @@ class QuadraticRelation:
             raise DegenerateRelation("all three relation polynomials are zero")
 
     def canonical(self) -> "QuadraticRelation":
-        """Divide out the common polynomial factor and the rational content.
-
-        The monic polynomial gcd and a positive rational content are removed,
-        so proportional relations with the same signs become equal.  Signs
-        are never flipped.
-        """
-        g = poly_gcd(poly_gcd(self.alpha, self.beta), self.gamma)
-        triple = [self.alpha, self.beta, self.gamma]
-        if g.degree > 0:
-            triple = [divmod(t, g)[0] for t in triple]
-        return QuadraticRelation(*triple).primitive()[0]
+        """Divide out the common polynomial factor and the rational content,
+        so proportional relations with the same signs become equal."""
+        whole = self.primitive()[0]  # integer numerators over the denominator 1
+        return canonical_relation([whole.alpha.num, whole.beta.num, whole.gamma.num])
 
     def primitive(self) -> tuple["QuadraticRelation", Fraction]:
         """The relation over its positive rational content, and that content."""
@@ -172,6 +167,17 @@ class QuadraticRelation:
 
     def scale(self, factor: Fraction) -> "QuadraticRelation":
         return QuadraticRelation(*(t.scale(factor) for t in (self.alpha, self.beta, self.gamma)))
+
+
+def canonical_relation(nums: list[list[int]]) -> QuadraticRelation:
+    """The canonical relation of integer numerators (alpha, beta, gamma):
+    divided by their `poly_gcd`, exactly over the integers (Gauss's lemma),
+    then by their positive content.  Signs are never flipped."""
+    g = poly_gcd(*nums)
+    if len(g) > 1:
+        nums = [_pseudo_divmod(num, g)[1] for num in nums]
+    content = math.gcd(*(n for num in nums for n in num))
+    return QuadraticRelation(*(Poly(tuple([n // content for n in num]), 1) for num in nums))
 
 
 @frozen
@@ -200,16 +206,10 @@ def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
     """
     if len(periodic) < 1:
         raise IndexOutOfRange("period must be nonempty")
-    w, walk = packed_walk(Mat2.identity(), periodic)
-    return _tail_relation(deque(walk, maxlen=1).pop(), w)
-
-
-def _tail_relation(t: tuple, w: int) -> QuadraticRelation:
-    """(C, D - A, -B) for a packed period transfer t = [[A, B], [C, D]].
-
-    Packing is a ring homomorphism, so D - A is one integer subtraction.
-    """
-    x11, x12, x21, x22, den = t
+    pairs = int_pairs(periodic)
+    w = packed_width(pairs, 1, 1)
+    # packing is a ring homomorphism, so D - A is one integer subtraction
+    x11, x12, x21, x22, den = deque(packed_walk(pairs, w), maxlen=1).pop()
     return QuadraticRelation(*(decode(x, den, w) for x in (x21, x22 - x11, -x12)))
 
 
@@ -278,7 +278,7 @@ def prepare(seq: JacobiSequence) -> Prepared:
     The representation is used as given: nothing is normalized here.  The
     verifier checks normalization itself, and the reverse test relies on
     representations that are not normalized.  The pullback keeps the
-    polynomial gcd, so only the tail runs `poly_gcd`.
+    polynomial gcd, so only the tail runs `poly_gcd`, once.
 
     The pullback skips every whole period at the end of the preperiodic
     block, as `normalize_kp` appends one.  The tail form is
@@ -287,27 +287,26 @@ def prepare(seq: JacobiSequence) -> Prepared:
     T_P^T * Q * T_P = Q exactly: pulling back through a period returns the
     relation unchanged.  `ak2` still belongs to the whole block's last pair.
 
-    The period is walked once on packed integers, one `packed_step` per
-    pair, at a width that bounds the Q cofactor kd*x21 + kn*x12 of each
-    prefix T2(ell) (ak2 = kn/kd).  Only the cofactors' degrees are kept,
-    ell = 1 .. p-2, and only the tail relation of T_q is decoded, for the
-    smallest q the period repeats with (its canonical tail is T_P's, with a
-    smaller gcd; see the module docstring).  The block is never walked,
-    and nothing here forms a polynomial product.
+    The period is walked once off `seq.int_periodic`, at a width that
+    bounds the Q cofactor kd*x21 + kn*x12 of each prefix T2(ell) (ak2 =
+    kn/kd), keeping only their degrees, and only T_q's tail relation is
+    unpacked, for the smallest q the period repeats with (see the module
+    docstring).  The block is never walked; nothing forms a polynomial product.
     """
     block, periodic, p = seq.preperiodic, seq.periodic, seq.p
-    ak = (block or periodic)[-1].a
-    ak2 = ak * ak
+    ak2 = (block or periodic)[-1].a ** 2
     kn, kd = ak2.numerator, ak2.denominator
-    q = next(q for q in range(1, p + 1) if p % q == 0 and periodic[q:] == periodic[:-q])
-    w, walk = packed_walk(Mat2.identity(), periodic, ak2)
+    pairs = seq.int_periodic
+    q = next(q for q in range(1, p + 1) if p % q == 0 and pairs[q:] == pairs[:-q])
+    w = packed_width(pairs, 1, 1, ak2)
     cofactor_degrees = []
-    for j, t in enumerate(walk):  # T_j = T2(j - 1), packed as (x11, x12, x21, x22, den)
+    for j, t in enumerate(packed_walk(pairs, w)):  # T_j = T2(j - 1), packed
         if 1 < j < p:
             cofactor_degrees.append(packed_degree(kd * t[2] + kn * t[1], w))
         if j == q:
-            root = t
-    canonical_tail = _tail_relation(root, w).canonical()
+            x11, x12, x21, x22, _ = t
+    # T_q's (C, D - A, -B); their shared denominator cancels from a relation
+    canonical_tail = canonical_relation([unpack(x, w) for x in (x21, x22 - x11, -x12)])
     while block[-p:] == periodic:
         block = block[:-p]
     relation, content = pullback_quadratic(canonical_tail, block).primitive()
@@ -318,31 +317,30 @@ def prepare(seq: JacobiSequence) -> Prepared:
 def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     """The reports for ell = 1, 2, ..., p-2, one packed step per ell.
 
-    N_P = T2(ell)*L_P^T starts at L_P^T = T1*W_P*T3, read off M's beta
-    and the scaled tail (alpha', beta', gamma') as
-    [[-ak2*gamma', -(beta' + beta)/2], [-ak2*(beta - beta')/2, alpha']],
-    and follows the transfer recurrence over the periodic pairs before the
-    last; no step runs over the preperiodic pairs.  P(ell) is the trace of
-    N_P after the first ell+1 periodic pairs, and only its degree is read,
-    so the walk runs at the default width, which bounds the trace.  The
-    degree of Q(ell) is deg gamma + deg s(ell) for the Q cofactor s(ell),
-    read off `prep.cofactor_degrees`, or -1 where s(ell) vanishes.
+    N_P = T2(ell)*L_P^T starts at L_P^T = T1*W_P*T3, from M's beta and the
+    scaled tail (alpha', beta', gamma'): over 2*kd*d, d the lcm of their
+    denominators, [[-2kn*ga, -kd*(bt + be)], [-kn*(be - bt), 2kd*al]] for
+    their numerators times d over theirs, packed straight from them.  It
+    steps over the periodic pairs before the last, and P(ell) is its trace
+    after ell+1 of them, read only for its degree.  The degree of Q(ell) is
+    deg gamma + deg s(ell) for the Q cofactor s(ell), read off
+    `prep.cofactor_degrees`, or -1 where s(ell) vanishes.
 
     Raises:
         NotNormalized: the sequence is not in canonical form.
     """
     require_kp_normalized(prep.seq)
-    be, ak2, tail = prep.relation.beta, prep.ak2, prep.scaled_tail
-    l_p = Mat2(
-        tail.gamma.scale(-ak2),
-        (tail.beta + be).scale(Fraction(-1, 2)),
-        (be - tail.beta).scale(-ak2 / 2),
-        tail.alpha,
-    )
-    periodic = prep.seq.periodic
-    w, walk = packed_walk(l_p, periodic[: len(periodic) - 1])
+    kn, kd = prep.ak2.numerator, prep.ak2.denominator
+    tail = prep.scaled_tail
+    polys = (tail.alpha, tail.beta, tail.gamma, prep.relation.beta)
+    d = math.lcm(*(t.den for t in polys))
+    h = 2 * (kn + kd) * max(max(map(abs, t.num), default=0) * (d // t.den) for t in polys)
+    pairs = prep.seq.int_periodic[:-1]
+    w = packed_width(pairs, h, h)
+    al, bt, ga, be = (pack(t.num, w) * (d // t.den) for t in polys)
+    first = (-2 * kn * ga, -kd * (bt + be), -kn * (be - bt), 2 * kd * al, 2 * kd * d)
     gamma_degree = prep.relation.gamma.degree
-    reads = zip(islice(walk, 2, None), prep.cofactor_degrees)
+    reads = zip(islice(packed_walk(pairs, w, first), 2, None), prep.cofactor_degrees)
     for ell, ((x11, _, _, x22, _), q_degree) in enumerate(reads, start=1):
         q_degree = gamma_degree + q_degree if q_degree >= 0 else -1
         yield VerificationReport(ell, packed_degree(x11 + x22, w), q_degree)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import accumulate, islice
+from math import gcd, lcm
 
 from palinfrac import (
     IndexOutOfRange,
@@ -20,6 +21,7 @@ from palinfrac import (
     Mat2,
     Poly,
     Prepared,
+    QuadraticRelation,
     eval_m,
     mobius_apply,
     pair,
@@ -51,6 +53,9 @@ def det(m: Mat2) -> Poly:
     return m.a11 * m.a22 - m.a12 * m.a21
 
 
+IDENTITY = Mat2(Poly.const(1), Poly.zero(), Poly.zero(), Poly.const(1))
+
+
 def composed_step(t: Mat2, q: JacobiPair) -> Mat2:
     """S(q.a, q.b) @ t as a general 2x2 product of polynomial matrices.
 
@@ -66,17 +71,72 @@ def composed_step(t: Mat2, q: JacobiPair) -> Mat2:
     return s @ t
 
 
+# Fraction Euclid on plain tuples of Fractions in ascending degree, with no
+# trailing zero: the reference for `poly_gcd` and for canonical relations.
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_divmod(a, b):
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    rem = list(a)
+    for shift in range(len(a) - len(b), -1, -1):
+        factor = rem[shift + len(b) - 1] / b[-1]
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+    return trim(quot), trim(rem)
+
+
+def ref_monic(a):
+    return tuple(c / a[-1] for c in a) if a else ()
+
+
+def ref_gcd(*polys):
+    """The monic gcd of any number of polynomials, () when all are zero."""
+    a = ()
+    for b in polys:
+        a, b = ref_monic(a), ref_monic(b)
+        while b:
+            a, b = b, ref_monic(ref_divmod(a, b)[1])
+    return a
+
+
+def ref_content(family):
+    num, den = 0, 1
+    for cs in family:
+        for c in cs:
+            num = gcd(num, abs(c.numerator))
+            den = lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+def ref_canonical(relation: QuadraticRelation) -> QuadraticRelation:
+    """The relation over its monic gcd and then over its positive rational
+    content, by Fraction Euclid."""
+    triple = [t.coeffs for t in (relation.alpha, relation.beta, relation.gamma)]
+    g = ref_gcd(*triple)
+    triple = [ref_divmod(t, g)[0] for t in triple]
+    content = ref_content(triple)
+    return QuadraticRelation(*(Poly.from_coeffs([c / content for c in t]) for t in triple))
+
+
 def whole_period_prepared(seq: JacobiSequence) -> Prepared:
     """What `prepare` builds, from the whole period and by the definitions.
 
-    The tail is the whole period's relation, canonicalised, and it is
-    pulled back through the whole block, trailing periods included; each Q
-    cofactor comes from its own prefix of `composed_step`s.
+    The tail is the whole period's relation, canonicalised by Fraction
+    Euclid, and it is pulled back through the whole block, trailing periods
+    included; each Q cofactor comes from its own prefix of `composed_step`s.
     """
-    tail = periodic_quadratic(seq.periodic).canonical()
+    tail = ref_canonical(periodic_quadratic(seq.periodic))
     relation, content = pullback_quadratic(tail, seq.preperiodic).primitive()
     ak2 = (seq.preperiodic or seq.periodic)[-1].a ** 2
-    prefixes = accumulate(seq.periodic, composed_step, initial=Mat2.identity())
+    prefixes = accumulate(seq.periodic, composed_step, initial=IDENTITY)
     degrees = tuple((t.a21 + t.a12.scale(ak2)).degree for t in islice(prefixes, 2, seq.p))
     return Prepared(seq, degrees, relation, tail.scale(1 / content), ak2)
 

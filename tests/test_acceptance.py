@@ -30,7 +30,8 @@ from palinfrac import (
 )
 from palinfrac.cli import main as cli_main
 from palinfrac.exactalg import Mat2, Poly, decode
-from palinfrac.orthopoly import packed_walk
+from palinfrac.jacobi import int_pairs
+from palinfrac.orthopoly import packed_walk, packed_width
 from conftest import (
     brute_splits,
     det,
@@ -138,8 +139,9 @@ def test_criterion_5_determinant_invariant():
     for _ in range(50):
         coeffs = random_periodic(rng, 50, max_mag=9)
         # the n-th state of the packed walk, decoded, is conj_transfer(coeffs, n)
-        w, walk = packed_walk(Mat2.identity(), coeffs)
-        for *entries, den in islice(walk, 1, None):
+        pairs = int_pairs(coeffs)
+        w = packed_width(pairs, 1, 1)
+        for *entries, den in islice(packed_walk(pairs, w), 1, None):
             assert det(Mat2(*(decode(x, den, w) for x in entries))) == one
 
 

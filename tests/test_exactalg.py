@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +24,16 @@ from palinfrac.exactalg import (
     rational_sqrt,
     shift_add,
 )
-from conftest import det, random_rational
+from conftest import (
+    IDENTITY,
+    det,
+    random_rational,
+    ref_content,
+    ref_divmod,
+    ref_gcd,
+    ref_monic,
+    trim,
+)
 
 
 def rand_poly(rng: random.Random, max_deg: int, allow_zero: bool = True) -> Poly:
@@ -65,7 +74,7 @@ def test_degree_additivity_under_product():
 
 def test_matrix_identity_products():
     rng = random.Random(102)
-    eye = Mat2.identity()
+    eye = IDENTITY
     for _ in range(10):
         m = rand_mat(rng)
         assert eye @ m == m
@@ -80,14 +89,14 @@ def test_det_is_multiplicative():
 
 
 def test_det_identity_and_single_step():
-    assert det(Mat2.identity()) == Poly.const(1)
+    assert det(IDENTITY) == Poly.const(1)
     # one-step matrix for (a_1, b_1) = (1, 0)
     step = Mat2(Poly((0, 1), 1), Poly.const(1), Poly.const(-1), Poly.zero())
     assert det(step) == Poly.const(1)
 
 
 def test_mobius_identity_and_inversion():
-    eye = Mat2.identity()
+    eye = IDENTITY
     swap = Mat2(Poly.zero(), Poly.const(1), Poly.const(1), Poly.zero())
     w = 0.7 + 1.3j
     z = 0.2 + 0.9j
@@ -152,12 +161,22 @@ def test_divmod_roundtrip():
         assert r.degree < b.degree or r.is_zero()
 
 
+def monic_gcd(*polys: Poly) -> Poly:
+    """`poly_gcd` of the numerators, which is primitive with a positive
+    leading coefficient, as the monic gcd over the rationals."""
+    g = poly_gcd(*(poly.num for poly in polys))
+    assert not g or (g[-1] > 0 and gcd(*g) == 1)
+    return Poly(tuple(g), 1).monic()
+
+
 def test_poly_gcd_contains_common_factor():
     z = Poly((0, 1), 1)
     one = Poly.const(1)
-    g = poly_gcd((z - Poly.const(1)) * (z + Poly.const(2)),
-                 (z - Poly.const(1)) * (z + Poly.const(3)))
+    g = monic_gcd((z - Poly.const(1)) * (z + Poly.const(2)),
+                  (z - Poly.const(1)) * (z + Poly.const(3)))
     assert g == (z - Poly.const(1))
+    assert poly_gcd([-12, 6, 6], [-10, 10], [3, -3]) == [-1, 1]
+    assert poly_gcd([], [-4, 0, 6]) == [-2, 0, 3] and poly_gcd([], []) == []
     for a, b, expected in (
         # the first evaluation point, 35, gives the spurious candidate z + 3
         (z + Poly.const(3), Poly.from_coeffs([-2, 3, -3]), one),
@@ -170,13 +189,13 @@ def test_poly_gcd_contains_common_factor():
         (Poly.from_coeffs([-12, 6, 6]), Poly.from_coeffs([Fraction(-10, 3), Fraction(10, 3)]),
          z - one),
     ):
-        assert poly_gcd(a, b) == expected == poly_gcd(b, a)
+        assert monic_gcd(a, b) == expected == monic_gcd(b, a)
     rng = random.Random(108)
     for _ in range(20):
         common = rand_poly(rng, 3, allow_zero=False)
         u = rand_poly(rng, 3, allow_zero=False)
         v = rand_poly(rng, 3, allow_zero=False)
-        g = poly_gcd(common * u, common * v)
+        g = monic_gcd(common * u, common * v)
         _, rem = divmod(g, common.monic())
         assert rem.is_zero()
 
@@ -287,17 +306,10 @@ def test_poly_keeps_mpmath_precision():
 # for every operation, and every result must be in the canonical form.
 
 
-def _trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def _ref_combine(a, b, sign):
     zero = Fraction(0)
     n = max(len(a), len(b))
-    return _trim(
+    return trim(
         (a[i] if i < len(a) else zero) + sign * (b[i] if i < len(b) else zero)
         for i in range(n)
     )
@@ -310,7 +322,7 @@ def _ref_mul(a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _trim(out)
+    return trim(out)
 
 
 def _ref_shift_add(x, y, a, b):
@@ -318,30 +330,8 @@ def _ref_shift_add(x, y, a, b):
     return tuple(c / a for c in _ref_combine(shifted, y, 1))
 
 
-def _ref_divmod(a, b):
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    rem = list(a)
-    for shift in range(len(a) - len(b), -1, -1):
-        factor = rem[shift + len(b) - 1] / b[-1]
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-    return _trim(quot), _trim(rem)
-
-
-def _ref_monic(a):
-    return tuple(c / a[-1] for c in a) if a else ()
-
-
-def _ref_gcd(a, b):
-    a, b = _ref_monic(a), _ref_monic(b)
-    while b:
-        a, b = b, _ref_monic(_ref_divmod(a, b)[1])
-    return a
-
-
 def _ref_derivative(a):
-    return _trim(i * c for i, c in enumerate(a))[1:]
+    return trim(i * c for i, c in enumerate(a))[1:]
 
 
 def _ref_is_square(a):
@@ -351,28 +341,19 @@ def _ref_is_square(a):
         return True
     if rational_sqrt(a[-1]) is None:
         return False
-    f = _ref_monic(a)
+    f = ref_monic(a)
     df = _ref_derivative(f)
-    common = _ref_gcd(f, df)
-    b, c = _ref_divmod(f, common)[0], _ref_divmod(df, common)[0]
+    common = ref_gcd(f, df)
+    b, c = ref_divmod(f, common)[0], ref_divmod(df, common)[0]
     multiplicity = 1
     while len(b) > 1:
         d = _ref_combine(c, _ref_derivative(b), -1)
-        factor = _ref_gcd(b, d)
+        factor = ref_gcd(b, d)
         if multiplicity % 2 and len(factor) > 1:
             return False
-        b, c = _ref_divmod(b, factor)[0], _ref_divmod(d, factor)[0]
+        b, c = ref_divmod(b, factor)[0], ref_divmod(d, factor)[0]
         multiplicity += 1
     return True
-
-
-def _ref_content(family):
-    num, den = 0, 1
-    for cs in family:
-        for c in cs:
-            num = gcd(num, abs(c.numerator))
-            den = lcm(den, c.denominator)
-    return Fraction(num, den)
 
 
 def _assert_canonical(poly):
@@ -413,17 +394,22 @@ def _kernel_example(xs, ys, ws, factor):
 @_kernel_example([6, 12, 18], ["10/3", "20/3"], ["-14/5", 7], 3)
 def test_kernel_matches_the_fraction_reference(xs, ys, ws, factor):
     p, q, w = (Poly.from_coeffs(cs) for cs in (xs, ys, ws))
-    rp, rq, rw = (_trim(cs) for cs in (xs, ys, ws))
+    rp, rq, rw = (trim(cs) for cs in (xs, ys, ws))
     checks = [
         (p, rp),
         (p + q, _ref_combine(rp, rq, 1)),
         (p - q, _ref_combine(rp, rq, -1)),
         (-p, _ref_combine((), rp, -1)),
         (p * q, _ref_mul(rp, rq)),
-        (p.scale(factor), tuple(_trim(c * factor for c in rp))),
-        (p.monic(), _ref_monic(rp)),
-        (poly_gcd(p, q), _ref_gcd(rp, rq)),
-        (poly_gcd(p * w, q * w), _ref_gcd(_ref_mul(rp, rw), _ref_mul(rq, rw))),
+        (p.scale(factor), tuple(trim(c * factor for c in rp))),
+        (p.monic(), ref_monic(rp)),
+        (monic_gcd(p, q), ref_gcd(rp, rq)),
+        (monic_gcd(p * w, q * w), ref_gcd(_ref_mul(rp, rw), _ref_mul(rq, rw))),
+        # three arguments, one pass: w times the gcd of p, q and p + w
+        (
+            monic_gcd(p * w, q * w, (p + w) * w),
+            ref_gcd(*(_ref_mul(r, rw) for r in (rp, rq, _ref_combine(rp, rw, 1)))),
+        ),
     ]
     b = w.coefficient(0)
     if factor:
@@ -432,7 +418,7 @@ def test_kernel_matches_the_fraction_reference(xs, ys, ws, factor):
         with pytest.raises(DivisionByZero):
             shift_add(p, q, factor, b)
     if rq:
-        quot, rem = _ref_divmod(rp, rq)
+        quot, rem = ref_divmod(rp, rq)
         checks += list(zip(divmod(p, q), (quot, rem)))
         checks += list(zip(divmod(p * q, q), (rp, ())))
     else:
@@ -450,8 +436,8 @@ def test_kernel_matches_the_fraction_reference(xs, ys, ws, factor):
         same = Poly.from_coeffs(list(expected) + [0])
         assert poly == same and hash(poly) == hash(same)
     assert (p == q) == (rp == rq)
-    assert rational_content([p, q, w]) == _ref_content([rp, rq, rw])
-    assert rational_content([p]) == _ref_content([rp])
+    assert rational_content([p, q, w]) == ref_content([rp, rq, rw])
+    assert rational_content([p]) == ref_content([rp])
 
 
 def _packed_case(w: int):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from conftest import (
     strip,
     unrolled,
 )
+import palinfrac.jacobi as jacobi
 from palinfrac.jacobi import _float_pairs
 
 
@@ -272,6 +274,63 @@ def test_load_caps_entry_length_and_exponent(monkeypatch):
     for entry in ('"1e5"', '"1E-5"', '"1e+1_0"', '"12345"', "12345", '"1/2345"'):
         with pytest.raises(ParseError):
             load_sequence('{"periodic": [[1, %s]]}' % entry)
+
+
+def _reference_entry(entry, position: str):
+    """What `load_sequence` makes of one entry by `Fraction(entry)` alone: the
+    Fraction, or the ParseError text, the caps checked first on str(entry)."""
+    cap = jacobi.MAX_ENTRY_DIGITS
+    literal = str(entry)
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)", literal)
+    if len(literal) > cap or (exponent and abs(int(exponent[1])) > cap):
+        return f'"periodic"[0]: entry has more than {cap} characters or a larger exponent'
+    try:
+        value = Fraction(entry)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return f'"periodic"[0]: bad rational {entry!r}'
+    if position == "a" and value <= 0:
+        return f"coefficient a must be positive, got {value}"
+    return value
+
+
+def _loaded_entry(entry, position: str):
+    doc = {"periodic": [[entry, 0] if position == "a" else [1, entry]]}
+    try:
+        q = load_sequence(json.dumps(doc)).periodic[0]
+    except ParseError as exc:
+        return str(exc)
+    assert type(q.a) is Fraction and type(q.b) is Fraction
+    return q.a if position == "a" else q.b
+
+
+_AT_CAP = st.sampled_from(
+    [10**255, 10**256 - 1, 10**256, -(10**254), -(10**255 - 1), -(10**255), 10**257]
+)
+_LITERALS = st.one_of(
+    # JSON ints and their strings, around the 256-character cap, signed or not
+    st.integers(-(10**257), 10**257),
+    _AT_CAP,
+    st.one_of(st.integers(-(10**257), 10**257), _AT_CAP).map(str),
+    # "n/d", "n/0" and "-n/d"
+    st.builds("{}/{}".format, st.integers(-(10**130), 10**130), st.integers(0, 10**130)),
+    # spaces, signs, underscores, decimals, exponents and non-ASCII digits
+    st.text(" \t+-_/.eE0123456789\u0663\u00b2", max_size=10),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-300, 300)),
+    st.sampled_from(
+        ["\u0663", "\u00b2", "-\u0663/4", "3/\u0663", "1_000", "1__0", "_1", "1_",
+         " 3", "3 ", "3 / 4", "+3", "--3", "-", "", "3/", "/3", "3/-4", "1/2/3", ".5",
+         "5.", "-0.25e3", "1e256", "1e257", "1E-256", "1e+2_5_6", "0x10", "-0", "-0/5"]
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_LITERALS, st.sampled_from(["a", "b"]))
+def test_load_parses_like_fraction_of_the_literal(entry, position):
+    # ints and ASCII [-]digits[/digits] strings take a fast path through
+    # str.partition and int; it must accept, reject and word every entry as
+    # Fraction(str) after the caps does, in either position of a pair
+    assert _loaded_entry(entry, position) == _reference_entry(entry, position)
 
 
 def _floats_or_error(convert) -> str:

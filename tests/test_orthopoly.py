@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +18,7 @@ from palinfrac import (
     sequence,
 )
 from palinfrac.exactalg import decode, pack
+from palinfrac.jacobi import int_pairs
 from palinfrac.orthopoly import (
     build_T1,
     build_T2,
@@ -27,7 +28,14 @@ from palinfrac.orthopoly import (
     packed_walk,
     packed_width,
 )
-from conftest import composed_step, det, random_periodic, scalar_first_kind, scalar_second_kind
+from conftest import (
+    IDENTITY,
+    composed_step,
+    det,
+    random_periodic,
+    scalar_first_kind,
+    scalar_second_kind,
+)
 
 
 CONSTANT = [pair(1, 0)] * 6
@@ -35,7 +43,7 @@ CONSTANT = [pair(1, 0)] * 6
 
 def transfer_prefixes(coeffs, n):
     """T_0 = identity, T_1, ..., T_n over the first n pairs of `coeffs`."""
-    return list(accumulate(coeffs[:n], composed_step, initial=Mat2.identity()))
+    return list(accumulate(coeffs[:n], composed_step, initial=IDENTITY))
 
 
 def test_first_kind_base_case():
@@ -220,8 +228,14 @@ def test_transfer_step_matches_the_composed_step(entries, a, b):
         t.a11.scale(-a),
         t.a12.scale(-a),
     )
-    w, walk = packed_walk(t, [pair(a, b)])
-    start, (*packed, den) = walk
+    # the start over the lcm of its denominators, packed at the width that
+    # its rows' coefficient bounds give
+    common = lcm(*(e.den for e in t.entries()))
+    nums = [[n * (common // e.den) for n in e.num] for e in t.entries()]
+    h1, h2 = (max(map(abs, nums[i] + nums[i + 1]), default=0) for i in (0, 2))
+    table = int_pairs([pair(a, b)])
+    w = packed_width(table, h1, h2)
+    start, (*packed, den) = packed_walk(table, w, (*(pack(num, w) for num in nums), common))
     assert Mat2(*(decode(x, start[4], w) for x in start[:4])) == t
     result = Mat2(*(decode(x, den, w) for x in packed))
     assert result == expected
@@ -251,10 +265,11 @@ def test_packed_walk_matches_the_transfer_prefixes(seed, p, digits):
     ]
     ak2 = rng.choice(pairs).a ** 2
     kn, kd = ak2.numerator, ak2.denominator
-    w = packed_width(pairs, 1, 1, ak2)
+    table = int_pairs(pairs)
+    w = packed_width(table, 1, 1, ak2)
     assert w % 8 == 0
     t = (1, 0, 0, 1, 1)
-    for n, (q, reference) in enumerate(zip(pairs, transfer_prefixes(pairs, p)[1:]), start=1):
+    for n, (q, reference) in enumerate(zip(table, transfer_prefixes(pairs, p)[1:]), start=1):
         t = packed_step(t, q, w)
         den = t[4]
         raw = []
