@@ -7,16 +7,17 @@ ascending degree over one shared positive denominator (von zur Gathen and
 Gerhard, *Modern Computer Algebra*, ch. 6).  It is kept in one canonical
 form, so equal polynomials have equal fields: no trailing zero numerator,
 the denominator coprime to all numerators together, and the zero
-polynomial is ((), 1).  Sums, products and `shift_add`, the fused step
-((z - b)*x + y)/a that pulls a quadratic relation back by one pair, work on
-the integer numerators and end in one gcd reduction, instead of one Fraction per coefficient; a
-scaling reads its common factor off two small gcds and needs no reduction
-at all; division is integer pseudo-division, and `poly_gcd` is the
-heuristic gcd of Char, Geddes and Gonnet on any number of integer
+polynomial is ((), 1).  `_canonical` brings integer numerators over a
+denominator to that form by one gcd reduction; sums and products work on
+the integer numerators and end in it, instead of one Fraction per
+coefficient, and so does the pullback in `quadratic`, which runs on
+integer lists over one shared denominator.  A scaling reads its common
+factor off two small gcds and needs no reduction at all, and `poly_gcd` is
+the heuristic gcd of Char, Geddes and Gonnet on any number of integer
 numerator lists, which reads a candidate off one integer gcd and certifies
-it by exact pseudo-division.  Degrees stay small
-here (bounded by the coefficient block lengths), so the dense
-representation is the simplest thing that works.
+it by exact pseudo-division.  Degrees stay small here (bounded by the
+coefficient block lengths), so the dense representation is the simplest
+thing that works.
 
 The exact transfer walks (`orthopoly.packed_walk`) use a second form,
 Kronecker substitution
@@ -174,21 +175,6 @@ class Poly:
         fn //= g_den
         return Poly(tuple([n * fn for n in num]), (self.den // g_den) * (fd // g_num))
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        # num[i]/den divided by num[-1]/den is num[i]/num[-1]
-        return _canonical(list(self.num), self.num[-1])
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial long division, by integer pseudo-division."""
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        mult, quot, rem = _pseudo_divmod(self.num, other.num)
-        # mult*self.num = quot*other.num + rem, and other = other.num/other.den
-        den = mult * self.den
-        return _canonical([q * other.den for q in quot], den), _canonical(rem, den)
-
     @cached_property
     def _float_coeffs(self) -> tuple[float, ...]:
         """The coefficients converted to float, in ascending degree."""
@@ -206,35 +192,6 @@ class Poly:
         for c in reversed(coeffs):
             acc = acc * z + c
         return acc
-
-
-def shift_add(x: Poly, y: Poly, a: Fraction, b: Fraction) -> Poly:
-    """((z - b)*x + y)/a, from the integer numerators in one pass.
-
-    With b = bn/bd, (z - b)*x has the numerators bd*X[i-1] - bn*X[i] over
-    bd*x.den.  They and y's numerators are brought over the least common
-    denominator, with a's denominator folded into the same two integer
-    multipliers, so each coefficient costs three products of a big
-    numerator by a small factor, and the result a single gcd reduction.
-
-    Raises:
-        DivisionByZero: a is zero.
-    """
-    if a == 0:
-        raise DivisionByZero("shift_add by a zero divisor")
-    bn, bd = b.numerator, b.denominator
-    den_x = x.den * bd
-    g = gcd(den_x, y.den)
-    mx, my = y.den // g, den_x // g
-    # ad * (mx*((z - b)*X) + my*Y) over lcm(den_x, y.den) * an
-    cx, cy = mx * a.denominator, my * a.denominator
-    up, keep = cx * bd, cx * bn
-    xs = x.num
-    out = [
-        up * u - keep * v + cy * w
-        for u, v, w in zip_longest((0, *xs), xs, y.num, fillvalue=0)
-    ]
-    return _canonical(out, den_x * mx * a.numerator)
 
 
 def pack(num: Sequence[int], w: int) -> int:
@@ -363,17 +320,6 @@ def _eval_int(num: Sequence[int], xi: int) -> int:
         if len(values) == 1:
             return values[0]
         xi *= xi
-
-
-def rational_content(polys: Sequence[Poly]) -> Fraction:
-    """Positive rational content of a family of polynomials.
-
-    gcd of all numerators over lcm of all denominators; 0 if every
-    polynomial is zero.  In canonical form each denominator is coprime to
-    its numerators, so no coefficient needs reducing first.
-    """
-    num = gcd(*(n for poly in polys for n in poly.num))
-    return Fraction(num, lcm(*(poly.den for poly in polys)))
 
 
 def poly_is_square(poly: Poly) -> bool:

@@ -29,8 +29,8 @@ packed ints, by default the identity's (1, 0, 0, 1, 1).  Started at a
 matrix X, n steps give T_n * X: the verifier starts at its kernel and reads
 degrees off the packed values, and `conj_transfer` decodes once.  No
 transfer is evaluated at a point: the numeric cross-check folds levels
-instead (see `quadratic`).  The fused `Poly` step `exactalg.shift_add` is
-the pullback's step in `quadratic`, not a transfer.
+instead (see `quadratic`).  The pullback in `quadratic` steps a quadratic
+form by the congruence S^T * Q * S on integer lists, not a transfer.
 
 The verifier's T2(ell) are the prefixes of the recurrence over the period.
 T1, the recurrence over the preperiodic block, and T3, the transfer over the

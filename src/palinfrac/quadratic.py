@@ -10,8 +10,9 @@ which is the quadratic relation (alpha, beta, gamma) = (C, D - A, -B).
 Pulling it back through the preperiodic transfer matrix T1 gives the
 relation for the full eventually periodic function M: as quadratic forms
 Q = [[alpha, beta/2], [beta/2, gamma]], the congruence T1^T * Q * T1, one
-det-1 step per preperiodic pair, which keeps the polynomial gcd.  That
-step runs on `Poly` through `exactalg.shift_add`, which serves nothing else.
+det-1 step per preperiodic pair, which keeps the polynomial gcd.  Like
+the packed walks, the steps run fraction-free on integer lists over one
+shared denominator, with one gcd reduction per polynomial at the end.
 
 The verifier decides, by exact polynomial arithmetic alone, whether
 
@@ -131,13 +132,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 from typing import Iterator, Sequence
 
 from ._value import frozen
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
-from .exactalg import Poly, _pseudo_divmod, decode, pack, packed_degree, poly_gcd, rational_content
-from .exactalg import shift_add, unpack
+from .exactalg import Poly, _canonical, _pseudo_divmod, decode, pack, packed_degree, poly_gcd, unpack
 from .jacobi import JacobiPair, JacobiSequence, int_pairs, require_kp_normalized
 from .orthopoly import packed_walk, packed_width
 
@@ -153,20 +153,6 @@ class QuadraticRelation:
     def __post_init__(self) -> None:
         if self.alpha.is_zero() and self.beta.is_zero() and self.gamma.is_zero():
             raise DegenerateRelation("all three relation polynomials are zero")
-
-    def canonical(self) -> "QuadraticRelation":
-        """Divide out the common polynomial factor and the rational content,
-        so proportional relations with the same signs become equal."""
-        whole = self.primitive()[0]  # integer numerators over the denominator 1
-        return canonical_relation([whole.alpha.num, whole.beta.num, whole.gamma.num])
-
-    def primitive(self) -> tuple["QuadraticRelation", Fraction]:
-        """The relation over its positive rational content, and that content."""
-        content = rational_content([self.alpha, self.beta, self.gamma])
-        return self.scale(1 / content), content
-
-    def scale(self, factor: Fraction) -> "QuadraticRelation":
-        return QuadraticRelation(*(t.scale(factor) for t in (self.alpha, self.beta, self.gamma)))
 
 
 def canonical_relation(nums: list[list[int]]) -> QuadraticRelation:
@@ -220,22 +206,34 @@ def pullback_quadratic(
 
     T is the transfer matrix over `pairs`.  Returns the form T^T * Q * T of
     Q = [[alpha, beta/2], [beta/2, gamma]], exact and not canonicalized,
-    taken pair by pair from the last: with alpha' = alpha/a^2 and
-    v = (z - b)*alpha' - beta, the congruence by S(a, b) is
+    taken pair by pair from the last on integer lists (A, B, G) over one
+    shared denominator L.  With a = an/ad, b = bn/bd and w = bd*z - bn, the
+    congruence by S(a, b), (alpha*(z-b)^2/a^2 - beta*(z-b) + a^2*gamma,
+    2*alpha*(z-b)/a^2 - beta, alpha/a^2) over L*(an*ad*bd)^2, is
 
-        (alpha, beta, gamma) -> ((z - b)*v + a^2*gamma, (z - b)*alpha' + v, alpha'),
+        (ad^4*w^2*A - an^2*ad^2*bd*w*B + an^4*bd^2*G,
+         2*ad^4*bd*w*A - an^2*ad^2*bd^2*B,  ad^4*bd^2*A),
 
-    three `shift_add` calls and two scalings, no polynomial product.  Each
-    step has det 1, so the result keeps the polynomial gcd of `relation`.
+    with no polynomial product, and each result is reduced once at the
+    end.  Each step has det 1, so it keeps the polynomial gcd of `relation`.
     """
-    one = Fraction(1)
-    al, be, ga = relation.alpha, relation.beta, relation.gamma
-    for q in reversed(pairs):
-        a2 = q.a * q.a
-        al_q = al.scale(1 / a2)
-        v = shift_add(al_q, -be, one, q.b)
-        al, be, ga = shift_add(v, ga.scale(a2), one, q.b), shift_add(al_q, v, one, q.b), al_q
-    return QuadraticRelation(al, be, ga)
+    if not pairs:
+        return relation
+    polys = (relation.alpha, relation.beta, relation.gamma)
+    den = math.lcm(*(t.den for t in polys))
+    al, be, ga = ([n * (den // t.den) for n in t.num] for t in polys)
+    for an, ad, bn, bd in reversed(int_pairs(pairs)):
+        ad4, an2 = ad**4, an * an
+        up, keep, r, c = ad4 * bd, ad4 * bn, an2 * ad * ad * bd, an2 * an2 * bd * bd
+        p = [up * x - keep * y for x, y in zip_longest((0, *al), al, fillvalue=0)]  # ad^4*w*A
+        v = [x - r * y for x, y in zip_longest(p, be, fillvalue=0)]  # ad^4*w*A - an^2*ad^2*bd*B
+        al, be, ga = (
+            [bd * x - bn * y + c * g for x, y, g in zip_longest((0, *v), v, ga, fillvalue=0)],
+            [bd * (x + y) for x, y in zip_longest(p, v, fillvalue=0)],
+            [ad4 * bd * bd * x for x in al],
+        )
+        den *= (an * ad * bd) ** 2
+    return QuadraticRelation(*(_canonical(t, den) for t in (al, be, ga)))
 
 
 def second_solution_value(relation: QuadraticRelation, m_val, z):
@@ -292,6 +290,8 @@ def prepare(seq: JacobiSequence) -> Prepared:
     kn/kd), keeping only their degrees, and only T_q's tail relation is
     unpacked, for the smallest q the period repeats with (see the module
     docstring).  The block is never walked; nothing forms a polynomial product.
+    M's relation is the pullback times f = lcm(denominators)/gcd(numerators),
+    one over its rational content, and `scaled_tail` the canonical tail times f.
     """
     block, periodic, p = seq.preperiodic, seq.periodic, seq.p
     ak2 = (block or periodic)[-1].a ** 2
@@ -306,11 +306,14 @@ def prepare(seq: JacobiSequence) -> Prepared:
         if j == q:
             x11, x12, x21, x22, _ = t
     # T_q's (C, D - A, -B); their shared denominator cancels from a relation
-    canonical_tail = canonical_relation([unpack(x, w) for x in (x21, x22 - x11, -x12)])
+    tail = canonical_relation([unpack(x, w) for x in (x21, x22 - x11, -x12)])
     while block[-p:] == periodic:
         block = block[:-p]
-    relation, content = pullback_quadratic(canonical_tail, block).primitive()
-    scaled_tail = canonical_tail.scale(1 / content)
+    back = pullback_quadratic(tail, block)
+    polys = (back.alpha, back.beta, back.gamma)
+    f = Fraction(math.lcm(*(t.den for t in polys)), math.gcd(*(n for t in polys for n in t.num)))
+    relation = QuadraticRelation(*(t.scale(f) for t in polys))
+    scaled_tail = QuadraticRelation(*(t.scale(f) for t in (tail.alpha, tail.beta, tail.gamma)))
     return Prepared(seq, tuple(cofactor_degrees), relation, scaled_tail, ak2)
 
 

@@ -29,6 +29,7 @@ from palinfrac import (
     pullback_quadratic,
 )
 from palinfrac.orthopoly import conj_transfer
+from palinfrac.quadratic import canonical_relation
 
 
 def brute_splits(periodic) -> list[int]:
@@ -126,6 +127,14 @@ def ref_canonical(relation: QuadraticRelation) -> QuadraticRelation:
     return QuadraticRelation(*(Poly.from_coeffs([c / content for c in t]) for t in triple))
 
 
+def lists_canonical(relation: QuadraticRelation) -> QuadraticRelation:
+    """The library's `canonical_relation` of the relation's integer
+    numerators over their common denominator."""
+    polys = (relation.alpha, relation.beta, relation.gamma)
+    d = lcm(*(t.den for t in polys))
+    return canonical_relation([[n * (d // t.den) for n in t.num] for t in polys])
+
+
 def whole_period_prepared(seq: JacobiSequence) -> Prepared:
     """What `prepare` builds, from the whole period and by the definitions.
 
@@ -134,11 +143,16 @@ def whole_period_prepared(seq: JacobiSequence) -> Prepared:
     included; each Q cofactor comes from its own prefix of `composed_step`s.
     """
     tail = ref_canonical(periodic_quadratic(seq.periodic))
-    relation, content = pullback_quadratic(tail, seq.preperiodic).primitive()
+    relation = pullback_quadratic(tail, seq.preperiodic)
+    content = ref_content([t.coeffs for t in (relation.alpha, relation.beta, relation.gamma)])
     ak2 = (seq.preperiodic or seq.periodic)[-1].a ** 2
     prefixes = accumulate(seq.periodic, composed_step, initial=IDENTITY)
     degrees = tuple((t.a21 + t.a12.scale(ak2)).degree for t in islice(prefixes, 2, seq.p))
-    return Prepared(seq, degrees, relation, tail.scale(1 / content), ak2)
+    relation, tail = (
+        QuadraticRelation(*(t.scale(1 / content) for t in (r.alpha, r.beta, r.gamma)))
+        for r in (relation, tail)
+    )
+    return Prepared(seq, degrees, relation, tail, ak2)
 
 
 def reversed_periodic(periodic) -> list[JacobiPair]:

@@ -54,33 +54,10 @@ def test_analyze_constant_p4(tmp_path, capsys):
     assert report["splits"] == [1, 2]
 
 
-def test_analyze_reports_doubling_reveals(tmp_path, capsys):
-    from palinfrac import pair
-
-    # p=5 half of the doubling example: splits appear only at 2p
-    half_a = [1, 2, 2, 1, 3]
-    half_b = [0, 1, -1, 1, 0]
-    path = write_input(tmp_path, [pair(a, b) for a, b in zip(half_a, half_b)])
-    code, report = run_json(capsys, ["analyze", "--input", path, "--json"])
-    assert code == 0
-    assert report["splits"] == []
-    assert 4 in report["doubling_reveals_splits"]
-
-
 def test_analyze_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"periodic": []}')
     assert main(["analyze", "--input", str(path)]) == 2
-
-
-def test_verify_valid_split_exit_0(tmp_path, capsys):
-    path = write_input(tmp_path, paper_example_periodic())
-    assert main(["verify", "--input", path, "--ell", "4"]) == 0
-
-
-def test_verify_invalid_split_exit_1(tmp_path, capsys):
-    path = write_input(tmp_path, paper_example_periodic())
-    assert main(["verify", "--input", path, "--ell", "3"]) == 1
 
 
 def test_verify_out_of_range_ell_exit_2(tmp_path, capsys):

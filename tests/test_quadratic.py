@@ -41,10 +41,12 @@ from conftest import (
     brute_splits,
     composed_step,
     doubly_palindromic_period,
+    lists_canonical,
     mirror,
     purely_periodic,
     random_periodic,
     random_rational,
+    ref_canonical,
     ref_gcd,
     reversed_periodic,
     whole_period_prepared,
@@ -88,8 +90,8 @@ def test_periodic_quadratic_numeric_residual():
 
 
 def test_doubled_period_relation_is_proportional():
-    single = chebyshev_relation().canonical()
-    doubled = periodic_quadratic([pair(1, 0), pair(1, 0)]).canonical()
+    single = ref_canonical(chebyshev_relation())
+    doubled = ref_canonical(periodic_quadratic([pair(1, 0), pair(1, 0)]))
     assert proportional(doubled, single)
     assert doubled == single
 
@@ -145,8 +147,8 @@ def test_doubled_period_relation_proportional_general():
     rng = random.Random(409)
     for _ in range(10):
         periodic = random_periodic(rng, rng.randint(1, 4), max_mag=4)
-        single = periodic_quadratic(periodic).canonical()
-        doubled = periodic_quadratic(periodic + periodic).canonical()
+        single = ref_canonical(periodic_quadratic(periodic))
+        doubled = ref_canonical(periodic_quadratic(periodic + periodic))
         assert proportional(doubled, single)
 
 
@@ -282,8 +284,8 @@ def test_stepwise_pullback_matches_the_substitution_reference(
     seed, k, q, repeats, normalized, copies
 ):
     # a period repeated r times has the relation of one period times a
-    # polynomial of degree q*(r-1), so the gcd that `canonical` removes is
-    # nontrivial whenever repeats > 1; whole periods at the end of the
+    # polynomial of degree q*(r-1), so the gcd that `ref_canonical` removes
+    # is nontrivial whenever repeats > 1; whole periods at the end of the
     # block, which `prepare` does not pull back through, must not change
     # the relation
     rng = random.Random(seed)
@@ -297,7 +299,7 @@ def test_stepwise_pullback_matches_the_substitution_reference(
     reference = substitution_pullback(tail, t1)
     assert pullback_quadratic(tail, preperiodic) == reference
     prep = prepare(JacobiSequence(tuple(preperiodic), tuple(periodic)))
-    assert prep.relation == reference.canonical()
+    assert prep.relation == ref_canonical(reference)
     assert pullback_quadratic(prep.scaled_tail, preperiodic) == prep.relation
 
 
@@ -314,7 +316,7 @@ def test_m_is_never_rational(seed, p, k, repeated, copies, normalized):
     # the proof in the `quadratic` module docstring, which lets the verifier
     # run without a guard: the det-1 pullback keeps the discriminant, the
     # tail's is tr(T_P)^2 - 4, and that is no square, so neither alpha nor
-    # gamma can vanish; a repeated period makes `canonical` divide out a
+    # gamma can vanish; a repeated period gives the whole period's relation a
     # nontrivial gcd, and whole periods may end the block
     rng = random.Random(seed)
     q = rng.choice([d for d in range(1, p) if p % d == 0] or [p]) if repeated else p
@@ -381,7 +383,7 @@ def test_build_T1_is_the_transfer_over_the_block(seed, k, p, block):
         preperiodic += periodic[-1:]
     seq = JacobiSequence(preperiodic, periodic)
     prep = prepare(seq)
-    assert prep.scaled_tail.canonical() == periodic_quadratic(periodic).canonical()
+    assert ref_canonical(prep.scaled_tail) == ref_canonical(periodic_quadratic(periodic))
     assert build_T1(seq) == reduce(composed_step, preperiodic, IDENTITY)
     prefixes = [conj_transfer(periodic, ell + 1) for ell in range(1, p - 1)]
     cofactors = [t.a21 + t.a12.scale(prep.ak2) for t in prefixes]
@@ -394,8 +396,8 @@ def test_prepare_reads_the_tail_off_the_primitive_root():
     # and `prepare`, which decodes T_q, builds what the whole period's
     # canonical tail gives: relation, scaled tail, cofactor degrees, and
     # the degrees of every report; the whole period's tail, whose gcd has
-    # degree q*(r - 1), makes `canonical` certify a nonconstant candidate
-    # for some of the generated sequences
+    # degree q*(r - 1), makes `canonical_relation` certify a nonconstant
+    # candidate for some of the generated sequences
     gcd_degrees = []
 
     @settings(max_examples=100, deadline=None)
@@ -416,7 +418,7 @@ def test_prepare_reads_the_tail_off_the_primitive_root():
         tail = periodic_quadratic(periodic)
         triple = (tail.alpha, tail.beta, tail.gamma)
         gcd_degrees.append(len(ref_gcd(*(t.coeffs for t in triple))) - 1)
-        assert tail.canonical() == periodic_quadratic(block).canonical()
+        assert lists_canonical(tail) == ref_canonical(periodic_quadratic(block))
         preperiodic = tuple(random_periodic(rng, k, max_mag=5))
         seq = normalize_kp(JacobiSequence(preperiodic, periodic))
         prep, reference = prepare(seq), whole_period_prepared(seq)

@@ -3,6 +3,7 @@ list, and a CLI import that loads neither `dataclasses` nor `inspect`."""
 
 from __future__ import annotations
 
+import importlib
 import subprocess
 import sys
 import types
@@ -23,7 +24,9 @@ from palinfrac import (
     ReverseObstructionReport,
     VerificationReport,
     pair,
+    periodic_quadratic,
     prepare,
+    pullback_quadratic,
     sequence,
 )
 
@@ -149,14 +152,44 @@ def test_public_surface_is_pinned():
     for product in (lambda: _X * 3, lambda: 3 * _X, lambda: Fraction(1, 2) * _X):
         with pytest.raises(TypeError):
             product()
-    # the reference transfers and the traced names stay defined where the
-    # benchmark's tracer looks them up
-    from palinfrac import exactalg, mfun, orthopoly
+    # the pullback runs on integer lists: the rational rescalings are gone
+    from palinfrac import exactalg
 
-    for name in ("build_T1", "build_T2", "build_T3", "conj_transfer"):
-        assert callable(getattr(orthopoly, name)), name
-    assert callable(mfun.laurent_of_quadratic) and callable(exactalg.poly_is_square)
-    assert "__mul__" in Poly.__dict__
+    for owner, name in (
+        (exactalg, "shift_add"), (exactalg, "rational_content"), (QuadraticRelation, "primitive"),
+        (QuadraticRelation, "scale"), (QuadraticRelation, "canonical"), (Poly, "monic"),
+        (Poly, "__divmod__"),
+    ):
+        assert not hasattr(owner, name), name
+
+
+def _load_tracer() -> types.ModuleType:
+    """perfbench/tracer.py, compiled from its source text: nothing is written."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    module = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # each span binds what `Tracer.install` looks up: a module attribute,
+    # or a method in the class's own __dict__; a traced name that leaves
+    # the program fails here, not only in the benchmark
+    tracer = _load_tracer()
+    for _, module_name, attr in tracer.SPANS:
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert callable(getattr(module, cls_name).__dict__[method]), attr
+        else:
+            assert callable(getattr(module, attr)), attr
+    # the tracer's coefficient-size counter reads the pullback's result
+    # (-1, -z, -1) through (a, b) = (3/2, -1/3): alpha = -(4/9)*(z + 1/3)^2
+    # + z*(z + 1/3) - 9/4, whose constant -745/324 has the widest terms
+    q = pair(Fraction(3, 2), Fraction(-1, 3))
+    relation = pullback_quadratic(periodic_quadratic([pair(1, 0)]), [q])
+    assert relation.alpha.coeffs == (Fraction(-745, 324), Fraction(1, 27), Fraction(5, 9))
+    assert tracer._coeff_bits(relation) == (745).bit_length() == 10
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
