@@ -26,7 +26,6 @@ import cmath
 import functools
 import json
 import math
-import random
 import sys
 from typing import Callable, Iterator
 
@@ -284,6 +283,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.points:
         points = _parse_points(args.points)
     else:
+        import random  # only the default points need it
+
         rng = random.Random(args.seed)
         points = [
             complex(rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)) for _ in range(5)

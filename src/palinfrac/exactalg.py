@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
@@ -119,11 +119,6 @@ class Poly:
         if not self.num:
             return Fraction(0)
         return self.coeffs[-1]
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.num):
-            return self.coeffs[power]
-        return Fraction(0)
 
     def _combine(self, other: "Poly", sign: int) -> "Poly":
         """self + sign*other over the least common denominator."""
@@ -274,25 +269,27 @@ def poly_gcd(*nums: Sequence[int]) -> list[int]:
     Gonnet ("GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
     computation", J. Symbolic Comput. 7, 1989; Geddes, Czapor and Labahn,
     *Algorithms for Computer Algebra*, sec. 7.7) runs one pass over the
-    primitive parts A_i of the nonzero arguments.  At an integer
-    xi > 2*min_i |A_i|_inf + 2 it takes h = gcd(A_1(xi), A_2(xi), ...) as
-    Python ints and reads a candidate off h's balanced xi-adic digits (each
-    in (-xi/2, xi/2]).  The candidate's primitive part G is the gcd exactly
-    when it divides every A_i, which holds trivially when G is constant and
-    is otherwise certified by exact pseudo-division; a rejected candidate
-    grows xi geometrically.
+    primitive parts A_i of the nonzero arguments, by ascending max-norm.  At
+    an integer xi > 2*|A_1|_inf + 2 it folds h = gcd(A_1(xi), A_2(xi), ...)
+    as Python ints and reads a candidate off h's balanced xi-adic digits
+    (each in (-xi/2, xi/2]).  h only shrinks as values fold in, so the fold
+    stops at the constant candidate 1 once 2h <= xi.  Any other candidate's
+    primitive part G is the gcd exactly when it divides every A_i, which
+    exact pseudo-division certifies; a rejected candidate grows xi geometrically.
 
     The loop ends.  With D = gcd(A_1, A_2, ...), Bezout with denominators
     cleared gives sum U_i*A_i/D = N for integer polynomials U_i and a
     nonzero integer N independent of xi.  h = |D(xi)*s| for an s dividing
     N, and once xi > 2*|s*D|_inf the digits of h are those of +-s*D: G = D.
     """
-    parts = [_primitive_part(num) for num in nums if num]
+    parts = sorted((_primitive_part(num) for num in nums if num), key=lambda x: max(map(abs, x)))
     if len(parts) < 2:
         return parts[0] if parts else []
-    xi = 2 * min(max(map(abs, x)) for x in parts) + 29
+    xi = 2 * max(map(abs, parts[0])) + 29
     while True:
-        h = gcd(*(_eval_int(x, xi) for x in parts))
+        for h in accumulate((abs(_eval_int(x, xi)) for x in parts), gcd):
+            if 2 * h <= xi:
+                return [1]
         digits = []
         while h:
             d = h % xi
@@ -301,8 +298,6 @@ def poly_gcd(*nums: Sequence[int]) -> list[int]:
             digits.append(d)
             h = (h - d) // xi
         g = _primitive_part(digits)
-        if len(g) == 1:
-            return [1]
         if not any(any(_pseudo_divmod(x, g)[2]) for x in parts):
             return g
         xi = xi * 73794 // 27011  # the growth factor of Geddes et al., about 2.73
@@ -346,7 +341,7 @@ def _poly_sqrt(poly: Poly) -> Poly | None:
         return None
     s = [Fraction(0)] * half + [lead]
     for i in range(half - 1, -1, -1):
-        acc = poly.coefficient(i + half)
+        acc = poly.coeffs[i + half]
         for j in range(i + 1, half):
             acc -= s[j] * s[i + half - j]
         s[i] = acc / (2 * s[half])

@@ -41,7 +41,6 @@ D * T1^T * D^-1 with D = diag(1, -ak^2) (the proof is in `quadratic`).
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -71,20 +70,19 @@ def packed_step(t: tuple, q: tuple, w: int) -> tuple:
     )
 
 
-def packed_width(pairs: Sequence[tuple], h1: int, h2: int, ak2: Fraction = Fraction(1)) -> int:
+def packed_width(pairs: Sequence[tuple], h1: int, h2: int) -> int:
     """The width w, a multiple of 8, that the walk over the table `pairs` decodes at.
 
     h1 and h2 bound the coefficients of the start's rows (1 for the
     identity).  Each (an, ad, bn, bd) steps them to ad^2 * ((bd + |bn|)*h1
-    + bd*h2) and an^2 * bd * h1, and w puts every kd*h2 + kn*h1 (ak2 =
-    kn/kd) below 2^(w-2): that bounds the entries, the trace and, for a
-    caller that passes its ak2, the Q cofactor (see `quadratic`).
+    + bd*h2) and an^2 * bd * h1, and w puts every h1 + h2 below 2^(w-2):
+    that bounds the entries and the trace, and a caller that reads a
+    combination c1*x21 + c2*x12 scales the start by c1 + c2 (see `quadratic`).
     """
-    kn, kd = ak2.numerator, ak2.denominator
-    top = kd * h2 + kn * h1
+    top = h1 + h2
     for an, ad, bn, bd in pairs:
         h1, h2 = ad * ad * ((bd + abs(bn)) * h1 + bd * h2), an * an * bd * h1
-        top = max(top, kd * h2 + kn * h1)
+        top = max(top, h1 + h2)
     return (top.bit_length() + 9) // 8 * 8
 
 

@@ -96,11 +96,11 @@ residual or cofactor polynomial is formed.  The proof that this is exact:
   bounds, this scalar pre-pass (`orthopoly.packed_width`) bounds every
   coefficient of every step.
 - An entry is bounded by h1 or h2, the trace by h1 + h2 and the cofactor
-  by kd*h2 + kn*h1, and since kn, kd >= 1 the last bounds all three.
-  `packed_width` takes the smallest multiple of 8 for w that puts its
-  largest value along the walk below 2^(w-2): the period walk, which reads
-  the cofactor, passes ak^2, and the N_P walk, which reads only the trace,
-  runs at the default ak^2 = 1, where the bound is h1 + h2.
+  by kd*h2 + kn*h1 <= (kn + kd)*(h1 + h2), and the bounds are linear in the
+  start's.  `packed_width` puts every h1 + h2 along the walk below 2^(w-2),
+  w a multiple of 8, from (kn + kd, kn + kd) for the period walk; the N_P
+  walk, a prefix of it from rows at most (kn + kd)*h, decodes at that w
+  plus 8*ceil(bits(h)/8) with no pre-pass of its own.
 
 The tail relation comes from the period's primitive root.  If the period
 is r copies of a block of q pairs, T_P = T^r for the block's transfer T,
@@ -259,8 +259,9 @@ class Prepared:
     transfer T2(ell) over ell+1 periodic pairs.  `relation` is the canonical
     relation for M, `scaled_tail` the canonical tail scaled so that it
     pulls back to `relation` exactly (through the whole block, trailing
-    periods included), and `ak2` the squared a-entry of the pair before
-    the tail (the last periodic pair when there is no preperiodic block).
+    periods included), `ak2` the squared a-entry of the pair before the
+    tail (the last periodic pair when there is no preperiodic block), and
+    `width` the packed width of the period walk.
     """
 
     seq: JacobiSequence
@@ -268,6 +269,7 @@ class Prepared:
     relation: QuadraticRelation
     scaled_tail: QuadraticRelation
     ak2: Fraction
+    width: int
 
 
 def prepare(seq: JacobiSequence) -> Prepared:
@@ -285,8 +287,8 @@ def prepare(seq: JacobiSequence) -> Prepared:
     T_P^T * Q * T_P = Q exactly: pulling back through a period returns the
     relation unchanged.  `ak2` still belongs to the whole block's last pair.
 
-    The period is walked once off `seq.int_periodic`, at a width that
-    bounds the Q cofactor kd*x21 + kn*x12 of each prefix T2(ell) (ak2 =
+    The period is walked once off `seq.int_periodic`, at the width sized from
+    (kn + kd, kn + kd) for each prefix's Q cofactor kd*x21 + kn*x12 (ak2 =
     kn/kd), keeping only their degrees, and only T_q's tail relation is
     unpacked, for the smallest q the period repeats with (see the module
     docstring).  The block is never walked; nothing forms a polynomial product.
@@ -298,7 +300,7 @@ def prepare(seq: JacobiSequence) -> Prepared:
     kn, kd = ak2.numerator, ak2.denominator
     pairs = seq.int_periodic
     q = next(q for q in range(1, p + 1) if p % q == 0 and pairs[q:] == pairs[:-q])
-    w = packed_width(pairs, 1, 1, ak2)
+    w = packed_width(pairs, kn + kd, kn + kd)
     cofactor_degrees = []
     for j, t in enumerate(packed_walk(pairs, w)):  # T_j = T2(j - 1), packed
         if 1 < j < p:
@@ -314,7 +316,7 @@ def prepare(seq: JacobiSequence) -> Prepared:
     f = Fraction(math.lcm(*(t.den for t in polys)), math.gcd(*(n for t in polys for n in t.num)))
     relation = QuadraticRelation(*(t.scale(f) for t in polys))
     scaled_tail = QuadraticRelation(*(t.scale(f) for t in (tail.alpha, tail.beta, tail.gamma)))
-    return Prepared(seq, tuple(cofactor_degrees), relation, scaled_tail, ak2)
+    return Prepared(seq, tuple(cofactor_degrees), relation, scaled_tail, ak2, w)
 
 
 def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
@@ -323,8 +325,10 @@ def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     N_P = T2(ell)*L_P^T starts at L_P^T = T1*W_P*T3, from M's beta and the
     scaled tail (alpha', beta', gamma'): over 2*kd*d, d the lcm of their
     denominators, [[-2kn*ga, -kd*(bt + be)], [-kn*(be - bt), 2kd*al]] for
-    their numerators times d over theirs, packed straight from them.  It
-    steps over the periodic pairs before the last, and P(ell) is its trace
+    their numerators times d over theirs, packed straight from them, with
+    rows at most (kn + kd)*h for h twice the largest of those.  It steps
+    over the periodic pairs before the last at `prep.width` plus
+    8*ceil(bits(h)/8) (see the module docstring), and P(ell) is its trace
     after ell+1 of them, read only for its degree.  The degree of Q(ell) is
     deg gamma + deg s(ell) for the Q cofactor s(ell), read off
     `prep.cofactor_degrees`, or -1 where s(ell) vanishes.
@@ -337,9 +341,9 @@ def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     tail = prep.scaled_tail
     polys = (tail.alpha, tail.beta, tail.gamma, prep.relation.beta)
     d = math.lcm(*(t.den for t in polys))
-    h = 2 * (kn + kd) * max(max(map(abs, t.num), default=0) * (d // t.den) for t in polys)
+    h = 2 * max(max(map(abs, t.num), default=0) * (d // t.den) for t in polys)
     pairs = prep.seq.int_periodic[:-1]
-    w = packed_width(pairs, h, h)
+    w = prep.width + (h.bit_length() + 7) // 8 * 8
     al, bt, ga, be = (pack(t.num, w) * (d // t.den) for t in polys)
     first = (-2 * kn * ga, -kd * (bt + be), -kn * (be - bt), 2 * kd * al, 2 * kd * d)
     gamma_degree = prep.relation.gamma.degree

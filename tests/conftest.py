@@ -28,7 +28,7 @@ from palinfrac import (
     periodic_quadratic,
     pullback_quadratic,
 )
-from palinfrac.orthopoly import conj_transfer
+from palinfrac.orthopoly import conj_transfer, packed_width
 from palinfrac.quadratic import canonical_relation
 
 
@@ -141,6 +141,8 @@ def whole_period_prepared(seq: JacobiSequence) -> Prepared:
     The tail is the whole period's relation, canonicalised by Fraction
     Euclid, and it is pulled back through the whole block, trailing periods
     included; each Q cofactor comes from its own prefix of `composed_step`s.
+    The width, which only a sweep reads, is `packed_width`'s from the
+    cofactor bound (kn + kd, kn + kd).
     """
     tail = ref_canonical(periodic_quadratic(seq.periodic))
     relation = pullback_quadratic(tail, seq.preperiodic)
@@ -152,7 +154,9 @@ def whole_period_prepared(seq: JacobiSequence) -> Prepared:
         QuadraticRelation(*(t.scale(1 / content) for t in (r.alpha, r.beta, r.gamma)))
         for r in (relation, tail)
     )
-    return Prepared(seq, degrees, relation, tail, ak2)
+    kn, kd = ak2.numerator, ak2.denominator
+    width = packed_width(seq.int_periodic, kn + kd, kn + kd)
+    return Prepared(seq, degrees, relation, tail, ak2, width)
 
 
 def reversed_periodic(periodic) -> list[JacobiPair]:

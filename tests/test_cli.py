@@ -480,6 +480,27 @@ def test_verify_walks_the_period_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_verify_runs_the_width_pre_pass_once(capsys, monkeypatch):
+    import palinfrac.orthopoly as orthopoly
+    import palinfrac.quadratic as quadratic
+
+    # `prepare` sizes the period walk, and the sweep over N_P, which walks a
+    # prefix of the same table, widens that width instead of running the
+    # pre-pass again
+    calls = []
+    width = orthopoly.packed_width
+
+    def counting(*args):
+        calls.append(args)
+        return width(*args)
+
+    for module in (orthopoly, quadratic):
+        monkeypatch.setattr(module, "packed_width", counting)
+    assert main(["verify", "--input", str(DATA / "verify_p24.json"), "--all", "--json"]) == 1
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_verify_ell_on_a_period_shorter_than_three(tmp_path, capsys, p):
     from palinfrac import pair

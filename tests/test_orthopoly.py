@@ -266,7 +266,7 @@ def test_packed_walk_matches_the_transfer_prefixes(seed, p, digits):
     ak2 = rng.choice(pairs).a ** 2
     kn, kd = ak2.numerator, ak2.denominator
     table = int_pairs(pairs)
-    w = packed_width(table, 1, 1, ak2)
+    w = packed_width(table, kn + kd, kn + kd)
     assert w % 8 == 0
     t = (1, 0, 0, 1, 1)
     for n, (q, reference) in enumerate(zip(table, transfer_prefixes(pairs, p)[1:]), start=1):

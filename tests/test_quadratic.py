@@ -3,7 +3,8 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -518,6 +519,138 @@ def test_reports_hold_verdicts_and_degrees_only():
         residual_p, residual_q, holds = reference[ell]
         assert (report.residual_P_degree, report.residual_Q_degree, report.holds) == (
             residual_p.degree, residual_q.degree, holds)
+
+
+def _largest_mismatch_gap(values) -> int:
+    """The largest gap j - i - 1 of a mirror pair (i, j) of `values` whose
+    entries differ, -1 if it is a palindrome."""
+    n = len(values)
+    gaps = (n - 2 * i - 2 for i in range(n // 2) if values[i] != values[n - 1 - i])
+    return max(gaps, default=-1)
+
+
+def test_residual_degrees_follow_the_palindromic_mismatch():
+    # the oracle for one class: a doubly palindromic period split at ell,
+    # with 1-3 entries moved by 1/7 (never the last pair, never a_{ell+1},
+    # so a_{ell+1} = a_p), under 0-2 random pairs and the last periodic
+    # pair.  At ell, deg s(ell) = deg Q(ell) - deg gamma (-1 where Q
+    # vanishes) is the largest gap of a mismatched mirror pair in the first
+    # palindromes a_1..a_ell and b_1..b_{ell+1}, and where s(ell) vanishes,
+    # deg P(ell) is the same over the second ones, a_{ell+1}..a_p and
+    # b_{ell+2}..b_p; p reaches 96, beyond the product route's reach
+    rng = random.Random(3211)
+    sizes = [rng.randint(5, 14) for _ in range(450)] + [24, 48, 96] * 20
+    vanished = []
+    for p in sizes:
+        ell = rng.randint(1, p - 2)
+        periodic = doubly_palindromic_period(rng, p, ell)
+        a, b = [q.a for q in periodic], [q.b for q in periodic]
+        movable = [(a, i) for i in range(p - 1) if i != ell] + [(b, i) for i in range(p - 1)]
+        for values, i in rng.sample(movable, rng.randint(1, 3)):
+            values[i] += Fraction(1, 7)
+        periodic = tuple(map(pair, a, b))
+        block = (*random_periodic(rng, rng.randint(0, 2)), periodic[-1])
+        prep = prepare(JacobiSequence(block, periodic))
+        report = verify_splits(prep)[ell]
+        q_degree = report.residual_Q_degree
+        s_degree = q_degree - prep.relation.gamma.degree if q_degree >= 0 else -1
+        first = max(_largest_mismatch_gap(a[:ell]), _largest_mismatch_gap(b[: ell + 1]))
+        assert s_degree == first, (p, ell)
+        if s_degree < 0:
+            second = max(_largest_mismatch_gap(a[ell:]), _largest_mismatch_gap(b[ell + 1 :]))
+            assert report.residual_P_degree == second, (p, ell)
+            vanished.append(p)
+    assert len(sizes) >= 500 and 96 in vanished and len(vanished) >= 100
+
+
+def _add(x, y, cx=1, cy=1) -> list:
+    """cx*x + cy*y on ascending coefficient lists."""
+    return [cx * s + cy * t for s, t in zip_longest(x, y, fillvalue=0)]
+
+
+def _list_walk(start, table) -> list:
+    """Every prefix of the walk from `start` = (x11, x12, x21, x22), integer
+    coefficient lists, stepped on the lists: row 1 <- ad^2 * (bd*z*row1 -
+    bn*row1 + bd*row2) and row 2 <- -an^2 * bd * row1."""
+    prefixes = [start]
+    for an, ad, bn, bd in table:
+        x11, x12, x21, x22 = prefixes[-1]
+        a2, low = ad * ad, -an * an * bd
+        prefixes.append((
+            _add(_add([0, *x11], x11, bd, -bn), x21, a2, a2 * bd),
+            _add(_add([0, *x12], x12, bd, -bn), x22, a2, a2 * bd),
+            _add(x11, [], low),
+            _add(x12, [], low),
+        ))
+    return prefixes
+
+
+def _at(num, w: int) -> int:
+    """The integer polynomial `num` at 2^w."""
+    return sum(c << (w * i) for i, c in enumerate(num))
+
+
+def test_walks_decode_at_the_widths_that_prepare_and_the_sweep_take(monkeypatch):
+    # `prepare` sizes the period walk from (kn + kd, kn + kd) and keeps the
+    # width; the sweep widens it by the bits of its start's bound instead of
+    # running the pre-pass again.  Along both walks, stepped on lists as the
+    # reference, every coefficient read stays below 2^(w-2): the entries and
+    # the traces, and on the period walk the Q cofactors kd*x21 + kn*x12, on
+    # periods whose ak^2 = kn/kd reaches 10^6 in kn or kd and sweeps whose
+    # start coefficients reach 2^200
+    import palinfrac.quadratic as quadratic
+
+    walks, seen = [], []
+    walk = quadratic.packed_walk
+
+    def recording(pairs, w, first=(1, 0, 0, 1, 1)):
+        walks.append((pairs, w, first))
+        return walk(pairs, w, first)
+
+    monkeypatch.setattr(quadratic, "packed_walk", recording)
+
+    def below(w, *nums):
+        return max((abs(c) for num in nums for c in num), default=0) < 2 ** (w - 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(3, 10), st.integers(0, 3), st.integers(1, 30))
+    def check(seed, p, k, digits):
+        rng = random.Random(seed)
+        big = 10**digits
+
+        def draw(top=big):
+            return pair(random_rational(rng, 1, top, top), random_rational(rng, -big, big, big))
+
+        # the last pair's a^2 is ak^2 = kn/kd, with kn and kd up to 10^6
+        periodic = [draw() for _ in range(p - 1)] + [draw(1000)]
+        block = [draw() for _ in range(k)]
+        seq = normalize_kp(JacobiSequence(tuple(block), tuple(periodic)))
+        walks.clear()
+        prep = prepare(seq)
+        verify_splits(prep)
+        (table, w, _), (prefix, sweep_w, first) = walks
+        assert table == seq.int_periodic and prefix == table[:-1]
+        kn, kd = prep.ak2.numerator, prep.ak2.denominator
+        packed = list(walk(table, w))
+        for j, (x11, x12, x21, x22) in enumerate(_list_walk(([1], [], [], [1]), table)):
+            assert [_at(x, w) for x in (x11, x12, x21, x22)] == list(packed[j][:4])
+            assert below(w, x11, x12, x21, x22, _add(x11, x22), _add(x21, x12, kd, kn)), j
+        tail = prep.scaled_tail
+        polys = (tail.alpha, tail.beta, tail.gamma, prep.relation.beta)
+        d = lcm(*(t.den for t in polys))
+        al, bt, ga, be = ([n * (d // t.den) for n in t.num] for t in polys)
+        start = (_add(ga, [], -2 * kn), _add(bt, be, -kd, -kd),
+                 _add(be, bt, -kn, kn), _add(al, [], 2 * kd))
+        assert [_at(x, sweep_w) for x in start] == list(first[:4])
+        seen.append((max(kn, kd), max(abs(c) for x in start for c in x).bit_length()))
+        packed = list(walk(prefix, sweep_w, first))
+        for j, (x11, x12, x21, x22) in enumerate(_list_walk(start, prefix)):
+            assert [_at(x, sweep_w) for x in (x11, x12, x21, x22)] == list(packed[j][:4])
+            assert below(sweep_w, x11, x12, x21, x22, _add(x11, x22)), j
+
+    check()
+    assert max(kmax for kmax, _ in seen) > 10**5
+    assert max(bits for _, bits in seen) > 200
 
 
 def multi_split_period(rng: random.Random, p: int) -> list:
