@@ -12,22 +12,22 @@ denominator to that form by one gcd reduction; sums and products work on
 the integer numerators and end in it, instead of one Fraction per
 coefficient, and so does the pullback in `quadratic`, which runs on
 integer lists over one shared denominator.  A scaling reads its common
-factor off two small gcds and needs no reduction at all, and `poly_gcd` is
-the heuristic gcd of Char, Geddes and Gonnet on any number of integer
-numerator lists, which reads a candidate off one integer gcd and certifies
-it by exact pseudo-division.  Degrees stay small here (bounded by the
-coefficient block lengths), so the dense representation is the simplest
-thing that works.
+factor off two small gcds and needs no reduction at all.  Degrees stay
+small here (bounded by the coefficient block lengths), so the dense
+representation is the simplest thing that works.
 
-The exact transfer walks (`orthopoly.packed_walk`) use a second form,
-Kronecker substitution
+The exact transfer walks (`orthopoly.packed_walk`) and `poly_gcd` use a
+second form, Kronecker substitution
 (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44, 2009): an integer polynomial is one
 Python int, its value at 2^w.  `pack` and `unpack` convert between the two
 through `int.to_bytes` (`decode` also divides by a denominator), and
 `packed_degree` reads the degree off `int.bit_length`; all are exact while
-every coefficient stays below 2^(w-2) in absolute value, which the
-caller's choice of w guarantees.
+every coefficient stays below 2^(w-2) in absolute value, which the walks'
+choice of w guarantees.  `poly_gcd` is the heuristic gcd of Char, Geddes
+and Gonnet on any number of integer numerator lists at a point 2^w: it
+packs every list, reads a candidate off one integer gcd with `unpack`,
+and certifies it by exact pseudo-division.
 
 Everything in this module is immutable and every operation is a pure
 function, so values can be shared freely between threads.
@@ -269,52 +269,39 @@ def poly_gcd(*nums: Sequence[int]) -> list[int]:
     Gonnet ("GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
     computation", J. Symbolic Comput. 7, 1989; Geddes, Czapor and Labahn,
     *Algorithms for Computer Algebra*, sec. 7.7) runs one pass over the
-    primitive parts A_i of the nonzero arguments, by ascending max-norm.  At
-    an integer xi > 2*|A_1|_inf + 2 it folds h = gcd(A_1(xi), A_2(xi), ...)
-    as Python ints and reads a candidate off h's balanced xi-adic digits
-    (each in (-xi/2, xi/2]).  h only shrinks as values fold in, so the fold
-    stops at the constant candidate 1 once 2h <= xi.  Any other candidate's
-    primitive part G is the gcd exactly when it divides every A_i, which
-    exact pseudo-division certifies; a rejected candidate grows xi geometrically.
+    primitive parts A_i of the nonzero arguments, by ascending max-norm, at
+    xi = 2^w, w a multiple of 8 with xi > 2*|A_i|_inf + 2 for every i, so
+    that every A_i packs.  It folds h = gcd(pack(A_1, w), pack(A_2, w), ...)
+    as Python ints and reads a candidate off h's balanced digits with
+    `unpack`.  h only shrinks as values fold in, so the fold stops at the
+    constant candidate 1 once 2h <= xi.  Any other candidate's primitive
+    part G is the gcd exactly when it divides every A_i, which exact
+    pseudo-division certifies.  An h whose balanced digits need one digit
+    more than its bit length shows makes `unpack` raise OverflowError; that
+    candidate is rejected too, and a rejected candidate retries at w + 8.
 
     The loop ends.  With D = gcd(A_1, A_2, ...), Bezout with denominators
     cleared gives sum U_i*A_i/D = N for integer polynomials U_i and a
     nonzero integer N independent of xi.  h = |D(xi)*s| for an s dividing
-    N, and once xi > 2*|s*D|_inf the digits of h are those of +-s*D: G = D.
+    N, and once xi > 4*|s*D|_inf the digits of h are those of +-s*D, whose
+    bit length shows their number (see `quadratic`): G = D.
     """
     parts = sorted((_primitive_part(num) for num in nums if num), key=lambda x: max(map(abs, x)))
     if len(parts) < 2:
         return parts[0] if parts else []
-    xi = 2 * max(map(abs, parts[0])) + 29
+    w = ((2 * max(map(abs, parts[-1])) + 2).bit_length() + 7) // 8 * 8
     while True:
-        for h in accumulate((abs(_eval_int(x, xi)) for x in parts), gcd):
-            if 2 * h <= xi:
+        for h in accumulate((abs(pack(x, w)) for x in parts), gcd):
+            if 2 * h <= 1 << w:
                 return [1]
-        digits = []
-        while h:
-            d = h % xi
-            if 2 * d > xi:
-                d -= xi
-            digits.append(d)
-            h = (h - d) // xi
-        g = _primitive_part(digits)
-        if not any(any(_pseudo_divmod(x, g)[2]) for x in parts):
-            return g
-        xi = xi * 73794 // 27011  # the growth factor of Geddes et al., about 2.73
-
-
-def _eval_int(num: Sequence[int], xi: int) -> int:
-    """The integer polynomial with ascending coefficients `num` at xi.
-
-    Adjacent values fold to lo + hi*xi while xi squares: Horner's integer
-    from balanced products, not one product by xi per coefficient.
-    """
-    values = list(num) or [0]
-    while True:
-        values = [lo + hi * xi for lo, hi in zip_longest(values[::2], values[1::2], fillvalue=0)]
-        if len(values) == 1:
-            return values[0]
-        xi *= xi
+        try:
+            g = _primitive_part(unpack(h, w))
+        except OverflowError:
+            pass
+        else:
+            if not any(any(_pseudo_divmod(x, g)[2]) for x in parts):
+                return g
+        w += 8
 
 
 def poly_is_square(poly: Poly) -> bool:

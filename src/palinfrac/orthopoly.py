@@ -70,16 +70,18 @@ def packed_step(t: tuple, q: tuple, w: int) -> tuple:
     )
 
 
-def packed_width(pairs: Sequence[tuple], h1: int, h2: int) -> int:
+def packed_width(pairs: Sequence[tuple], h: int) -> int:
     """The width w, a multiple of 8, that the walk over the table `pairs` decodes at.
 
-    h1 and h2 bound the coefficients of the start's rows (1 for the
-    identity).  Each (an, ad, bn, bd) steps them to ad^2 * ((bd + |bn|)*h1
-    + bd*h2) and an^2 * bd * h1, and w puts every h1 + h2 below 2^(w-2):
-    that bounds the entries and the trace, and a caller that reads a
-    combination c1*x21 + c2*x12 scales the start by c1 + c2 (see `quadratic`).
+    h bounds the coefficients of both of the start's rows (1 for the
+    identity).  With h1 = h2 = h at the start, each (an, ad, bn, bd) steps
+    the row bounds to ad^2 * ((bd + |bn|)*h1 + bd*h2) and an^2 * bd * h1,
+    and w puts every h1 + h2 below 2^(w-2): that bounds the entries and the
+    trace, and a caller that reads a combination c1*x21 + c2*x12 scales the
+    start by c1 + c2 (see `quadratic`).
     """
-    top = h1 + h2
+    h1 = h2 = h
+    top = 2 * h
     for an, ad, bn, bd in pairs:
         h1, h2 = ad * ad * ((bd + abs(bn)) * h1 + bd * h2), an * an * bd * h1
         top = max(top, h1 + h2)
@@ -100,7 +102,7 @@ def conj_transfer(coeffs: Sequence[JacobiPair], n: int) -> Mat2:
     if not 1 <= n <= len(coeffs):
         raise IndexOutOfRange(f"need 1 <= n <= {len(coeffs)} pairs, got n={n}")
     pairs = int_pairs(coeffs[:n])
-    w = packed_width(pairs, 1, 1)
+    w = packed_width(pairs, 1)
     *entries, den = deque(packed_walk(pairs, w), maxlen=1).pop()
     return Mat2(*(decode(x, den, w) for x in entries))
 

@@ -98,7 +98,7 @@ residual or cofactor polynomial is formed.  The proof that this is exact:
 - An entry is bounded by h1 or h2, the trace by h1 + h2 and the cofactor
   by kd*h2 + kn*h1 <= (kn + kd)*(h1 + h2), and the bounds are linear in the
   start's.  `packed_width` puts every h1 + h2 along the walk below 2^(w-2),
-  w a multiple of 8, from (kn + kd, kn + kd) for the period walk; the N_P
+  w a multiple of 8, from rows at most kn + kd for the period walk; the N_P
   walk, a prefix of it from rows at most (kn + kd)*h, decodes at that w
   plus 8*ceil(bits(h)/8) with no pre-pass of its own.
 
@@ -193,7 +193,7 @@ def periodic_quadratic(periodic: Sequence[JacobiPair]) -> QuadraticRelation:
     if len(periodic) < 1:
         raise IndexOutOfRange("period must be nonempty")
     pairs = int_pairs(periodic)
-    w = packed_width(pairs, 1, 1)
+    w = packed_width(pairs, 1)
     # packing is a ring homomorphism, so D - A is one integer subtraction
     x11, x12, x21, x22, den = deque(packed_walk(pairs, w), maxlen=1).pop()
     return QuadraticRelation(*(decode(x, den, w) for x in (x21, x22 - x11, -x12)))
@@ -288,7 +288,7 @@ def prepare(seq: JacobiSequence) -> Prepared:
     relation unchanged.  `ak2` still belongs to the whole block's last pair.
 
     The period is walked once off `seq.int_periodic`, at the width sized from
-    (kn + kd, kn + kd) for each prefix's Q cofactor kd*x21 + kn*x12 (ak2 =
+    rows at most kn + kd for each prefix's Q cofactor kd*x21 + kn*x12 (ak2 =
     kn/kd), keeping only their degrees, and only T_q's tail relation is
     unpacked, for the smallest q the period repeats with (see the module
     docstring).  The block is never walked; nothing forms a polynomial product.
@@ -300,7 +300,7 @@ def prepare(seq: JacobiSequence) -> Prepared:
     kn, kd = ak2.numerator, ak2.denominator
     pairs = seq.int_periodic
     q = next(q for q in range(1, p + 1) if p % q == 0 and pairs[q:] == pairs[:-q])
-    w = packed_width(pairs, kn + kd, kn + kd)
+    w = packed_width(pairs, kn + kd)
     cofactor_degrees = []
     for j, t in enumerate(packed_walk(pairs, w)):  # T_j = T2(j - 1), packed
         if 1 < j < p:

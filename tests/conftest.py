@@ -142,7 +142,7 @@ def whole_period_prepared(seq: JacobiSequence) -> Prepared:
     Euclid, and it is pulled back through the whole block, trailing periods
     included; each Q cofactor comes from its own prefix of `composed_step`s.
     The width, which only a sweep reads, is `packed_width`'s from the
-    cofactor bound (kn + kd, kn + kd).
+    cofactor bound kn + kd on both start rows.
     """
     tail = ref_canonical(periodic_quadratic(seq.periodic))
     relation = pullback_quadratic(tail, seq.preperiodic)
@@ -155,7 +155,7 @@ def whole_period_prepared(seq: JacobiSequence) -> Prepared:
         for r in (relation, tail)
     )
     kn, kd = ak2.numerator, ak2.denominator
-    width = packed_width(seq.int_periodic, kn + kd, kn + kd)
+    width = packed_width(seq.int_periodic, kn + kd)
     return Prepared(seq, degrees, relation, tail, ak2, width)
 
 

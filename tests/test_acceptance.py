@@ -140,7 +140,7 @@ def test_criterion_5_determinant_invariant():
         coeffs = random_periodic(rng, 50, max_mag=9)
         # the n-th state of the packed walk, decoded, is conj_transfer(coeffs, n)
         pairs = int_pairs(coeffs)
-        w = packed_width(pairs, 1, 1)
+        w = packed_width(pairs, 1)
         for *entries, den in islice(packed_walk(pairs, w), 1, None):
             assert det(Mat2(*(decode(x, den, w) for x in entries))) == one
 

@@ -343,6 +343,48 @@ def test_pinned_output(name, case, capsys, monkeypatch):
     assert capsys.readouterr() == (case["stdout"], "")
 
 
+def test_pinned_requests_call_no_reference_code(capsys):
+    # the definitions that only tests, README and the tracer use, which can
+    # move to tests/ as references: no pinned request calls one
+    from palinfrac import exactalg, mfun, orthopoly
+
+    unused = {
+        id(f.__code__): f.__qualname__
+        for f in (
+            orthopoly.build_T1,
+            orthopoly.build_T2,
+            orthopoly.build_T3,
+            orthopoly.conj_transfer,
+            exactalg.Mat2.__matmul__,
+            exactalg.mobius_apply,
+            exactalg.poly_is_square,
+            exactalg._poly_sqrt,
+            exactalg.Poly.__mul__,
+            exactalg.Poly._combine,
+            mfun.laurent_of_quadratic,
+            mfun.eval_m,
+        )
+    }
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and id(frame.f_code) in unused:
+            called.add(unused[id(frame.f_code)])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for name, cases in _GOLDENS.items():
+            for case in cases:
+                argv = [name.split("_", 1)[0], "--input", str(DATA / f"{name}.json"), *case["args"]]
+                assert main(argv) == case["exit_code"]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert sum(map(len, _GOLDENS.values())) == 24
+    assert called == set()
+
+
 def test_eval_survives_a_vanishing_moebius_denominator(capsys):
     # the identity holds at ell = 1; at this point the double-precision
     # Moebius denominator C(z)*M + D(z) of a forward transport of M through

@@ -7,15 +7,20 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import palinfrac.exactalg as exactalg
+import palinfrac.quadratic as quadratic
 from palinfrac import (
     DivisionByZero,
+    JacobiSequence,
     Mat2,
     Poly,
     mobius_apply,
+    normalize_kp,
+    pair,
     poly_gcd,
+    prepare,
 )
 from palinfrac.exactalg import (
-    _eval_int,
     decode,
     pack,
     packed_degree,
@@ -165,7 +170,7 @@ def test_poly_gcd_contains_common_factor():
     assert poly_gcd([-12, 6, 6], [-10, 10], [3, -3]) == [-1, 1]
     assert poly_gcd([], [-4, 0, 6]) == [-2, 0, 3] and poly_gcd([], []) == []
     for a, b, expected in (
-        # the first evaluation point, 35, gives the spurious candidate z + 3
+        # the constant candidate at the first point, 2^8
         (z + Poly.const(3), Poly.from_coeffs([-2, 3, -3]), one),
         (Poly.zero(), Poly.zero(), Poly.zero()),
         (Poly.zero(), Poly.from_coeffs([-3, 6]), Poly.from_coeffs([Fraction(-1, 2), 1])),
@@ -184,6 +189,59 @@ def test_poly_gcd_contains_common_factor():
         v = rand_poly(rng, 3, allow_zero=False)
         g = monic_gcd(common * u, common * v)
         assert ref_divmod(g.coeffs, common.coeffs)[1] == ()
+
+
+def test_poly_gcd_runs_every_exit(monkeypatch):
+    # each input takes the exits that its comment names: the constant
+    # candidate, a candidate that fails pseudo-division and then one that
+    # passes, a value gcd whose balanced digits `unpack` cannot read (h =
+    # 2^15 - 1 needs three digits at 2^8, its bit length shows two), and a
+    # closed-gap tail, whose gcd is z, certified through `prepare`
+    events, results = [], []
+    unpack, pseudo_divmod, canonical_gcd = exactalg.unpack, exactalg._pseudo_divmod, poly_gcd
+
+    def counting_unpack(v, w):
+        try:
+            digits = unpack(v, w)
+        except OverflowError:
+            events.append(f"overflow at {w}")
+            raise
+        events.append(f"candidate at {w}")
+        return digits
+
+    def counting_divmod(a, b):
+        result = pseudo_divmod(a, b)
+        if any(result[2]):
+            events.append("rejected")
+        return result
+
+    def recording_gcd(*nums):
+        results.append(canonical_gcd(*nums))
+        return results[-1]
+
+    monkeypatch.setattr(exactalg, "unpack", counting_unpack)
+    monkeypatch.setattr(exactalg, "_pseudo_divmod", counting_divmod)
+    monkeypatch.setattr(quadratic, "poly_gcd", recording_gcd)
+    cases = [
+        # the constant candidate, from the first value gcd
+        (([3, 1], [-2, 3, -3]), [1], []),
+        # rejected at 2^8, certified at 2^16: 24z^2 - 33z + 2
+        (
+            ([-2, 35, -55, -9, 24], [2, -31, -11, 57, -22, -31, -9, 24]),
+            [2, -33, 24],
+            ["candidate at 8", "rejected", "candidate at 16"],
+        ),
+        # unreadable at 2^8, then the constant candidate at 2^16
+        (([-2, 0, 1], [125, 126, -63, 1]), [1], ["overflow at 8"]),
+    ]
+    for nums, expected, exits in cases:
+        events.clear()
+        assert poly_gcd(*nums) == expected
+        assert events == exits
+    events.clear()
+    period = tuple(pair(1, b) for b in (-1, 0, 1, 0))
+    prepare(normalize_kp(JacobiSequence((), period)))
+    assert results == [[0, 1]] and events == ["candidate at 8"]
 
 
 def test_rational_sqrt_is_exact_or_none():
@@ -365,10 +423,13 @@ def _kernel_example(xs, ys, ws, factor):
 
 @settings(max_examples=300, deadline=None)
 @given(_KERNEL_LISTS, _KERNEL_LISTS, _KERNEL_LISTS, _FACTORS)
-# gcd inputs: a spurious first candidate of the heuristic gcd (z + 3 at the
-# evaluation point 35), a zero argument, constants, negative leading
-# coefficients, and numerators with a nontrivial content
+# gcd inputs: the heuristic gcd's constant candidate at 2^8, a candidate
+# rejected at 2^8 and certified at 2^16, a value gcd at 2^8 that `unpack`
+# cannot read, a zero argument, constants, negative leading coefficients,
+# and numerators with a nontrivial content
 @_kernel_example([3, 1], [-2, 3, -3], [1], 1)
+@_kernel_example([-2, 35, -55, -9, 24], [2, -31, -11, 57, -22, -31, -9, 24], [1], 1)
+@_kernel_example([-2, 0, 1], [125, 126, -63, 1], [1], 1)
 @_kernel_example([], ["-3/4", "3/2"], [-1, 1], 2)
 @_kernel_example(["-3/2"], [5], [7], 1)
 @_kernel_example([1, 0, -4], [1, -2], [0, -1], -1)
@@ -429,25 +490,3 @@ def test_packed_codec_round_trips(case, den):
     _assert_canonical(poly)
     assert poly == expected
     assert packed_degree(v, w) == expected.degree
-
-
-def _horner_int(num, xi):
-    acc = 0
-    for n in reversed(num):
-        acc = acc * xi + n
-    return acc
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**300), 2**300)), max_size=40),
-    st.one_of(st.integers(-3, 3), st.integers(-(2**310), 2**310)),
-)
-@example([], 5)
-@example([7], 0)
-@example([1, 2, 3], 0)
-@example([0, 0, 0, 0, 0], 2**64 + 1)
-def test_balanced_evaluation_matches_horner(num, xi):
-    # lo + hi*xi while xi squares gives Horner's integer at every length,
-    # odd and even, at zero and negative points
-    assert _eval_int(num, xi) == _horner_int(num, xi)

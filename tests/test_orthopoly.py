@@ -229,12 +229,12 @@ def test_transfer_step_matches_the_composed_step(entries, a, b):
         t.a12.scale(-a),
     )
     # the start over the lcm of its denominators, packed at the width that
-    # its rows' coefficient bounds give
+    # one bound on the coefficients of both its rows gives
     common = lcm(*(e.den for e in t.entries()))
     nums = [[n * (common // e.den) for n in e.num] for e in t.entries()]
-    h1, h2 = (max(map(abs, nums[i] + nums[i + 1]), default=0) for i in (0, 2))
+    h = max(map(abs, sum(nums, [])), default=0)
     table = int_pairs([pair(a, b)])
-    w = packed_width(table, h1, h2)
+    w = packed_width(table, h)
     start, (*packed, den) = packed_walk(table, w, (*(pack(num, w) for num in nums), common))
     assert Mat2(*(decode(x, start[4], w) for x in start[:4])) == t
     result = Mat2(*(decode(x, den, w) for x in packed))
@@ -266,7 +266,7 @@ def test_packed_walk_matches_the_transfer_prefixes(seed, p, digits):
     ak2 = rng.choice(pairs).a ** 2
     kn, kd = ak2.numerator, ak2.denominator
     table = int_pairs(pairs)
-    w = packed_width(table, kn + kd, kn + kd)
+    w = packed_width(table, kn + kd)
     assert w % 8 == 0
     t = (1, 0, 0, 1, 1)
     for n, (q, reference) in enumerate(zip(table, transfer_prefixes(pairs, p)[1:]), start=1):

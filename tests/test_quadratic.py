@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice, zip_longest
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -391,6 +391,22 @@ def test_build_T1_is_the_transfer_over_the_block(seed, k, p, block):
     assert prep.cofactor_degrees == tuple(s.degree for s in cofactors)
 
 
+def assert_integral_and_primitive(relation):
+    """M's relation has denominator 1 and content 1: three integer lists
+    with no common factor."""
+    polys = (relation.alpha, relation.beta, relation.gamma)
+    assert [t.den for t in polys] == [1, 1, 1]
+    assert gcd(*(n for t in polys for n in t.num)) == 1
+
+
+def test_every_data_input_has_an_integral_primitive_relation():
+    data = Path(__file__).parent / "data"
+    paths = sorted(p for p in data.glob("*.json") if not p.name.endswith(".golden.json"))
+    assert len(paths) == 13
+    for path in paths:
+        assert_integral_and_primitive(prepare(normalize_kp(load_sequence(path.read_bytes()))).relation)
+
+
 def test_prepare_reads_the_tail_off_the_primitive_root():
     # a period of r copies of a block of q pairs has r times the block's
     # tail relation times U_{r-1}(tr T_q / 2), so both canonicalise alike,
@@ -423,6 +439,7 @@ def test_prepare_reads_the_tail_off_the_primitive_root():
         preperiodic = tuple(random_periodic(rng, k, max_mag=5))
         seq = normalize_kp(JacobiSequence(preperiodic, periodic))
         prep, reference = prepare(seq), whole_period_prepared(seq)
+        assert_integral_and_primitive(prep.relation)
         assert prep.relation == reference.relation
         assert prep.scaled_tail == reference.scaled_tail
         assert prep.cofactor_degrees == reference.cofactor_degrees
