@@ -9,7 +9,8 @@ Four subcommands drive the library over the JSON input format:
 
 Exit codes: 0 everything requested holds, 1 some requested check fails,
 2 input error, 3 inconclusive (the library raised DegenerateRelation; no
-valid input reaches this exit).
+valid input reaches this exit).  `main` alone prints a report, and returns
+its "exit_status"; an input error, inconclusive or failed run prints none.
 
 Reports are plain text by default; --json emits a stable layout with a
 "schema": 1 field, carrying the same data.  All rationals are emitted as
@@ -17,6 +18,9 @@ strings so the JSON round-trips exactly.  Every report's "input_digest" is
 the SHA-256 hex digest of the raw input bytes, the value `sha256sum`
 prints.  It comes from CPython's built-in SHA-256 module, so the CLI loads
 no OpenSSL library; `hashlib` is the fallback where that module is absent.
+`verify` and `eval` check a point through one helper, `_at_point`, so one
+rule decides when Mtilde is unavailable (null, with the residuals that need
+it); it decides no verdict or exit code.
 """
 
 from __future__ import annotations
@@ -99,14 +103,15 @@ _INPUT_ERRORS = (
 )
 
 
-def _read_input(path: str) -> tuple[JacobiSequence, str]:
-    with open(path, "rb") as handle:
+Formatter = Callable[[dict], Iterator[str]]
+
+
+def _read_input(args: argparse.Namespace) -> tuple[JacobiSequence, dict]:
+    """The sequence in --input, and the fields that open every report."""
+    with open(args.input, "rb") as handle:
         raw = handle.read()
-    return load_sequence(raw), sha256(raw).hexdigest()
-
-
-def _base_report(command: str, digest: str) -> dict:
-    return {"schema": 1, "command": command, "input_digest": digest}
+    seq = load_sequence(raw)
+    return seq, {"schema": 1, "command": args.command, "input_digest": sha256(raw).hexdigest()}
 
 
 def _check_limit(option: str, value: int | None, limit: int) -> None:
@@ -142,29 +147,44 @@ def _parse_points(text: str) -> list[complex]:
             raise ParseError(f"bad point {chunk!r}: {exc}") from exc
         if not cmath.isfinite(point):
             raise ParseError(f"bad point {chunk!r}: coordinates must be finite")
+        if point.imag <= 0:
+            raise ParseError(f"points must lie in the upper half plane, got {point}")
         points.append(point)
     if not points:
         raise ParseError("no evaluation points given")
     return points
 
 
-def _emit(report: dict, as_json: bool, text: Callable[[dict], Iterator[str]]) -> None:
-    """Print the report as JSON, or as the lines `text(report)` formats."""
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in text(report):
-            print(line)
+def _at_point(seq: JacobiSequence, relation, m_tail, z, lowest: int | None) -> tuple:
+    """M(z), Mtilde(z) and the identity's two level folds at z, from m_tail = m(z).
+
+    Mtilde is None where alpha(z)*M vanishes or its Horner value overflows
+    or is not finite (huge rationals, extreme heights).  With `lowest` None
+    nothing is folded; else the folds are fold_R(1/(ak^2 * Mtilde)), None
+    with Mtilde or where a level vanishes, and m_{ell+1}, ell = lowest .. p-2.
+    """
+    m_full = fold_preperiodic(seq, m_tail, z)
+    try:
+        second = second_solution_value(relation, m_full, z)
+        second = second if cmath.isfinite(second) else None
+    except (DivisionByZero, OverflowError):
+        second = None
+    if lowest is None:
+        return m_full, second, None, None
+    try:
+        folded = None if second is None else reversed_fold(seq, second, z)
+    except ZeroDivisionError:
+        folded = None
+    return m_full, second, folded, stripped_tails(seq, m_tail, z, lowest)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    seq, digest = _read_input(args.input)
+def cmd_analyze(args: argparse.Namespace) -> tuple[dict, Formatter]:
+    seq, report = _read_input(args)
     normalized = normalize_kp(seq)
     splits = find_palindrome_splits(normalized.periodic)
     doubled = double_period(normalized)
     doubled_splits = find_palindrome_splits(doubled.periodic)
     reveals = sorted(set(doubled_splits) - set(splits))
-    report = _base_report("analyze", digest)
     report.update(
         {
             "p": normalized.p,
@@ -176,8 +196,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "exit_status": EXIT_OK,
         }
     )
-    _emit(report, args.json, _analyze_text)
-    return EXIT_OK
+    return report, _analyze_text
 
 
 def _analyze_text(report: dict) -> Iterator[str]:
@@ -190,9 +209,9 @@ def _analyze_text(report: dict) -> Iterator[str]:
         yield f"doubling reveals additional splits: {reveals}"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, Formatter]:
     _check_tolerance(args.tolerance)
-    seq, digest = _read_input(args.input)
+    seq, report = _read_input(args)
     normalized = normalize_kp(seq)
     p = normalized.p
     if args.all:
@@ -208,7 +227,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not 1 <= args.ell <= p - 2:
             raise IndexOutOfRange(f"--ell must lie in 1 .. p-2 = {p - 2}, got {args.ell}")
 
-    report = _base_report("verify", digest)
     verdicts = []
     prep = prepare(normalized)
     results = verify_splits(prep) if args.all else {args.ell: verify_main_identity(prep, args.ell)}
@@ -216,11 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lowest = 1 if args.all else args.ell
     try:
         m0 = eval_periodic_m(normalized, _Z0)
-        second0 = second_solution_value(
-            prep.relation, fold_preperiodic(normalized, m0, _Z0), _Z0
-        )
-        folded = reversed_fold(normalized, second0, _Z0)
-        stripped = stripped_tails(normalized, m0, _Z0, lowest)
+        _, _, folded, stripped = _at_point(normalized, prep.relation, m0, _Z0, lowest)
     except (BranchAmbiguity, ZeroDivisionError, OverflowError):
         # the cross-check only annotates: every ell reports it unavailable
         folded, stripped = None, [None] * (p - 1 - lowest)
@@ -240,7 +254,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
         )
         all_hold = all_hold and result.holds
-    status = EXIT_OK if all_hold else EXIT_FAIL
     report.update(
         {
             "p": p,
@@ -248,11 +261,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "verdicts": verdicts,
             "holds_set": [v["ell"] for v in verdicts if v["holds"]],
             "tolerance": args.tolerance,
-            "exit_status": status,
+            "exit_status": EXIT_OK if all_hold else EXIT_FAIL,
         }
     )
-    _emit(report, args.json, _verify_text)
-    return status
+    return report, _verify_text
 
 
 def _verify_text(report: dict) -> Iterator[str]:
@@ -273,14 +285,14 @@ def _verify_text(report: dict) -> Iterator[str]:
     yield f"holds for ell in {report['holds_set']}"
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> tuple[dict, Formatter]:
     _check_limit("--depth", args.depth, MAX_DEPTH)
     if args.depth < 1:
         raise ParseError(f"depth must be at least 1, got {args.depth}")
     _check_tolerance(args.tolerance)
-    seq, digest = _read_input(args.input)
+    seq, report = _read_input(args)
     normalized = normalize_kp(seq)
-    if args.points:
+    if args.points is not None:
         points = _parse_points(args.points)
     else:
         import random  # only the default points need it
@@ -289,40 +301,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
         points = [
             complex(rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)) for _ in range(5)
         ]
-    bad = [z for z in points if z.imag <= 0]
-    if bad:
-        raise ParseError(f"points must lie in the upper half plane, got {bad[0]}")
 
     ell = next(iter(find_palindrome_splits(normalized.periodic)), None)
     prep = prepare(normalized)
-
-    report = _base_report("eval", digest)
     rows = []
     for z in points:
         m_tail = eval_periodic_m(normalized, z)
-        m_full = fold_preperiodic(normalized, m_tail, z)
-        # Mtilde is the Horner value of exact polynomials, which overflows on
-        # huge rationals or at extreme heights; it and the identity residual
-        # are then reported unavailable, and M, m and the gap still are
-        try:
-            second = second_solution_value(prep.relation, m_full, z)
-            second = second if cmath.isfinite(second) else None
-        except OverflowError:
-            second = None
+        m_full, second, folded, stripped = _at_point(normalized, prep.relation, m_tail, z, ell)
         truncation_gap = abs(m_full - eval_truncated(normalized, z, args.depth))
         if not math.isfinite(truncation_gap):
             # the float fold overflows at subnormal heights; nan is not JSON
             truncation_gap = None
         residual = residual_ok = None
         if ell is not None:
-            try:
-                folded = None if second is None else reversed_fold(normalized, second, z)
-            except ZeroDivisionError:
-                folded = None
-            stripped = stripped_tails(normalized, m_tail, z, ell)[0]
-            check = numeric_identity_check(stripped, folded, args.tolerance)
+            check = numeric_identity_check(stripped[0], folded, args.tolerance)
             residual, residual_ok = check["residual"], check["ok"]
-        row = {
+        rows.append({
             "z": _format_complex(z),
             "M": _format_complex(m_full),
             "m": _format_complex(m_tail),
@@ -331,8 +325,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "truncation_gap": truncation_gap,
             "identity_residual": residual,
             "within_tolerance": residual_ok,
-        }
-        rows.append(row)
+        })
     report.update(
         {
             "ell": ell,
@@ -342,8 +335,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "exit_status": EXIT_OK,
         }
     )
-    _emit(report, args.json, functools.partial(_eval_text, normalized))
-    return EXIT_OK
+    return report, functools.partial(_eval_text, normalized)
 
 
 def _eval_text(seq: JacobiSequence, report: dict) -> Iterator[str]:
@@ -369,9 +361,9 @@ def _eval_text(seq: JacobiSequence, report: dict) -> Iterator[str]:
         )
 
 
-def cmd_recover(args: argparse.Namespace) -> int:
+def cmd_recover(args: argparse.Namespace) -> tuple[dict, Formatter]:
     _check_limit("--order", args.order, MAX_ORDER)
-    seq, digest = _read_input(args.input)
+    seq, report = _read_input(args)
     p = seq.p
     order = args.order if args.order is not None else min(2 * p + 6, MAX_ORDER)
     count = (order - 1) // 2
@@ -385,8 +377,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
         rec.a_sq == exp.a * exp.a and rec.b == exp.b
         for rec, exp in zip(recovered, expected)
     )
-    status = EXIT_OK if matches else EXIT_FAIL
-    report = _base_report("recover", digest)
     report.update(
         {
             "order": order,
@@ -401,11 +391,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
             ],
             "compared_pairs": count,
             "roundtrip_matches": matches,
-            "exit_status": status,
+            "exit_status": EXIT_OK if matches else EXIT_FAIL,
         }
     )
-    _emit(report, args.json, _recover_text)
-    return status
+    return report, _recover_text
 
 
 def _recover_text(report: dict) -> Iterator[str]:
@@ -475,10 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one request: print its report and return its "exit_status"."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, text = args.func(args)
     except DegenerateRelation as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -488,6 +477,11 @@ def main(argv: list[str] | None = None) -> int:
     except (BranchAmbiguity, DivisionByZero, NotAnMFunction, OverflowError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(*text(report), sep="\n")
+    return report["exit_status"]
 
 
 def console_main() -> None:

@@ -32,10 +32,9 @@ transfer is evaluated at a point: the numeric cross-check folds levels
 instead (see `quadratic`).  The pullback in `quadratic` steps a quadratic
 form by the congruence S^T * Q * S on integer lists, not a transfer.
 
-The verifier's T2(ell) are the prefixes of the recurrence over the period.
-T1, the recurrence over the preperiodic block, and T3, the transfer over the
-index-reversed block, are `build_T1` and `build_T3`; T3 is
-D * T1^T * D^-1 with D = diag(1, -ak^2) (the proof is in `quadratic`).
+No request calls `build_T1`, `build_T2` or `build_T3`: `prepare` never walks
+the preperiodic block.  They stay as references for the tests, and the
+benchmark's tracer binds them; T3 is D * T1^T * D^-1, D = diag(1, -ak^2).
 """
 
 from __future__ import annotations

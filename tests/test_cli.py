@@ -120,6 +120,11 @@ def test_eval_rejects_lower_half_plane(tmp_path, capsys):
     assert main(["eval", "--input", path, "--points", "1,-2"]) == 2
     assert main(["eval", "--input", path, "--points=nan,1"]) == 2
     assert main(["eval", "--input", path, "--points=0,inf"]) == 2
+    capsys.readouterr()
+    # an explicitly empty list is no list, not a request for the seeded points
+    for points in ("--points=", "--points=;"):
+        assert main(["eval", "--input", path, points, "--json"]) == 2, points
+        assert capsys.readouterr() == ("", "input error: no evaluation points given\n")
 
 
 def test_non_finite_tolerance_is_an_input_error(tmp_path, capsys):
@@ -335,6 +340,8 @@ def test_pinned_output(name, case, capsys, monkeypatch):
     argv = [name.split("_", 1)[0], "--input", str(DATA / f"{name}.json"), *case["args"]]
     assert main(argv) == case["exit_code"]
     assert capsys.readouterr() == (case["stdout"], "")
+    if "--json" in case["args"]:
+        assert json.loads(case["stdout"])["exit_status"] == case["exit_code"]
     # what `python -m palinfrac` runs: __main__.py and console_main's sys.exit
     monkeypatch.setattr(sys, "argv", ["palinfrac", *argv])
     with pytest.raises(SystemExit) as exit_info:
@@ -455,20 +462,39 @@ def test_verify_survives_an_unavailable_second_solution(capsys, monkeypatch):
     import palinfrac.cli as cli
     from palinfrac import DivisionByZero
 
-    # when Mtilde(z0) cannot be formed, every ell keeps its exact verdict and
-    # reports its cross-check as unavailable
+    # one rule for an Mtilde that cannot be formed, in verify and eval alike:
+    # whether it raises or is not finite, every ell keeps its exact verdict,
+    # every point keeps M, m and the truncation gap, and Mtilde and the
+    # residuals are unavailable
+    def overflowing(*args):
+        raise OverflowError("int too large to convert to float")
+
     def vanishing(*args):
         raise DivisionByZero("second solution undefined: alpha(z)*m = 0")
 
-    monkeypatch.setattr(cli, "second_solution_value", vanishing)
+    def infinite(*args):
+        return complex(math.inf, 0)
+
     path = str(DATA / "verify_p24.json")
-    code = main(["verify", "--input", path, "--all", "--json"])
-    report = strict_json(capsys.readouterr().out)
-    assert code == 1 and report["holds_set"] == [9]
-    assert [v["ell"] for v in report["verdicts"]] == list(range(1, 23))
-    for verdict in report["verdicts"]:
-        assert verdict["numeric_residual"] is None
-        assert verdict["numeric_ok"] is (False if verdict["holds"] else None)
+    for behaviour in (overflowing, vanishing, infinite):
+        monkeypatch.setattr(cli, "second_solution_value", behaviour)
+        code = main(["verify", "--input", path, "--all", "--json"])
+        report = strict_json(capsys.readouterr().out)
+        assert code == 1 and report["exit_status"] == 1, behaviour
+        assert report["holds_set"] == [9]
+        assert [v["ell"] for v in report["verdicts"]] == list(range(1, 23))
+        for verdict in report["verdicts"]:
+            assert verdict["numeric_residual"] is None
+            assert verdict["numeric_ok"] is (False if verdict["holds"] else None)
+        code = main(["eval", "--input", path, "--points", "0.3,1.5;-1,0.5", "--json"])
+        captured = capsys.readouterr()
+        report = strict_json(captured.out)
+        assert code == 0 and report["exit_status"] == 0 and captured.err == "", behaviour
+        assert report["ell"] is not None and len(report["points"]) == 2
+        for row in report["points"]:
+            assert row["M"] and row["m"] and row["truncation_gap"] is not None
+            assert row["Mtilde"] is None and row["identity_residual"] is None
+            assert row["within_tolerance"] is False
 
 
 def test_verify_forms_no_polynomial_product(capsys, monkeypatch):
@@ -642,7 +668,9 @@ def test_eval_solves_the_tail_once_per_point(tmp_path, capsys, monkeypatch):
 def test_cross_check_folds_no_level_below_the_lowest_ell(tmp_path, capsys, monkeypatch):
     import palinfrac.cli as cli
 
-    # verify --ell N and eval read one stripped tail; the fold stops at it
+    # verify --ell N and eval read one stripped tail; the fold stops at it.
+    # Each request checks only the ells it reports, folds R once per point,
+    # and eval on a period with no split folds and checks nothing
     calls = []
     original = cli.stripped_tails
 
@@ -651,15 +679,43 @@ def test_cross_check_folds_no_level_below_the_lowest_ell(tmp_path, capsys, monke
         calls.append((seq.p, lowest, len(values)))
         return values
 
+    counts = {"numeric_identity_check": 0, "reversed_fold": 0}
+
+    def counted(name):
+        wrapped = getattr(cli, name)
+
+        def count(*args):
+            counts[name] += 1
+            return wrapped(*args)
+
+        return count
+
     monkeypatch.setattr(cli, "stripped_tails", counting)
-    assert main(["verify", "--ell", "9", "--input", str(DATA / "verify_p24.json")]) == 0
+    for name in counts:
+        monkeypatch.setattr(cli, name, counted(name))
+
+    def run(argv, code):
+        calls.clear()
+        counts.update(dict.fromkeys(counts, 0))
+        assert main(argv) == code
+        return capsys.readouterr().out
+
+    p24 = str(DATA / "verify_p24.json")
+    run(["verify", "--ell", "9", "--input", p24], 0)
     assert calls == [(24, 9, 14)]
-    calls.clear()
-    capsys.readouterr()
+    assert counts == {"numeric_identity_check": 1, "reversed_fold": 1}
+    run(["verify", "--all", "--input", p24], 1)
+    assert calls == [(24, 1, 22)]
+    assert counts == {"numeric_identity_check": 24 - 2, "reversed_fold": 1}
     path = write_input(tmp_path, paper_example_periodic())
-    assert main(["eval", "--input", path, "--points", "0.3,1.5;-1,0.5", "--json"]) == 0
-    ell, p = json.loads(capsys.readouterr().out)["ell"], len(paper_example_periodic())
+    out = run(["eval", "--input", path, "--points", "0.3,1.5;-1,0.5", "--json"], 0)
+    ell, p = json.loads(out)["ell"], len(paper_example_periodic())
     assert ell > 1 and calls == [(p, ell, p - 1 - ell)] * 2
+    assert counts == {"numeric_identity_check": 2, "reversed_fold": 2}
+    no_split = str(DATA / "analyze_reveals.json")
+    out = run(["eval", "--input", no_split, "--points", "0.3,1.5;-1,0.5", "--json"], 0)
+    assert json.loads(out)["ell"] is None
+    assert calls == [] and counts == {"numeric_identity_check": 0, "reversed_fold": 0}
 
 
 def test_eval_converts_each_pair_to_float_once_per_request(tmp_path, capsys, monkeypatch):
