@@ -27,7 +27,7 @@ every coefficient stays below 2^(w-2) in absolute value, which the walks'
 choice of w guarantees.  `poly_gcd` is the heuristic gcd of Char, Geddes
 and Gonnet on any number of integer numerator lists at a point 2^w: it
 packs every list, reads a candidate off one integer gcd with `unpack`,
-and certifies it by exact pseudo-division.
+and certifies it by exact division.
 
 Everything in this module is immutable and every operation is a pure
 function, so values can be shared freely between threads.
@@ -58,14 +58,12 @@ RationalLike = Union[Fraction, int, str]
 
 
 def _canonical(num: list[int], den: int) -> "Poly":
-    """The polynomial num/den in canonical form; `num` may be modified."""
+    """The polynomial num/den in canonical form, for den > 0; `num` may be modified."""
     while num and num[-1] == 0:
         num.pop()
     if not num:
         return Poly((), 1)
     g = gcd(den, *num)
-    if den < 0:
-        g = -g
     if g != 1:
         num = [n // g for n in num]
         den //= g
@@ -121,18 +119,10 @@ class Poly:
         return self.coeffs[-1]
 
     def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign*other over the least common denominator."""
+        """self + sign*other over the product of the denominators."""
         da, db = self.den, other.den
-        if da == db:
-            ma, mb = 1, sign
-        else:
-            g = gcd(da, db)
-            ma, mb = db // g, sign * (da // g)
-            da *= ma
-        return _canonical(
-            [x * ma + y * mb for x, y in zip_longest(self.num, other.num, fillvalue=0)],
-            da,
-        )
+        num = [x * db + sign * y * da for x, y in zip_longest(self.num, other.num, fillvalue=0)]
+        return _canonical(num, da * db)
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._combine(other, 1)
@@ -223,33 +213,24 @@ def _offset(n: int, w: int) -> int:
     return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * n, "little")
 
 
-def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
-    """Integer pseudo-division: (mult, quot, rem) with mult*a = quot*b + rem.
+def _divide(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """The integer polynomial a/b, or None if b does not divide a over the integers.
 
-    deg rem < deg b.  Before each step the running remainder is multiplied
-    by lc(b)/gcd(lc(b), leading term) only, so that the step divides
-    exactly; when b divides a over the integers, mult stays 1.
+    Long division from the top: each step divides the running leading
+    coefficient by lc(b) and fails on a remainder, and the remainder left
+    below deg b must be zero.
     """
     n = len(b) - 1
-    lc = b[-1]
     rem = list(a)
     quot = [0] * max(len(a) - n, 0)
-    mult = 1
     for shift in range(len(a) - 1 - n, -1, -1):
-        top = rem[shift + n]
-        if top == 0:
-            continue
-        s = lc // gcd(top, lc)
-        if s != 1:
-            rem = [r * s for r in rem[: shift + n + 1]]
-            quot = [q * s for q in quot]
-            mult *= s
-            top *= s
-        f = top // lc
+        f, r = divmod(rem[shift + n], b[-1])
+        if r:
+            return None
         quot[shift] = f
         for i, bi in enumerate(b):
             rem[shift + i] -= f * bi
-    return mult, quot, rem[:n]
+    return None if any(rem[:n]) else quot
 
 
 def _primitive_part(num: Sequence[int]) -> list[int]:
@@ -276,7 +257,7 @@ def poly_gcd(*nums: Sequence[int]) -> list[int]:
     `unpack`.  h only shrinks as values fold in, so the fold stops at the
     constant candidate 1 once 2h <= xi.  Any other candidate's primitive
     part G is the gcd exactly when it divides every A_i, which exact
-    pseudo-division certifies.  An h whose balanced digits need one digit
+    division (`_divide`) certifies.  An h whose balanced digits need one digit
     more than its bit length shows makes `unpack` raise OverflowError; that
     candidate is rejected too, and a rejected candidate retries at w + 8.
 
@@ -299,7 +280,7 @@ def poly_gcd(*nums: Sequence[int]) -> list[int]:
         except OverflowError:
             pass
         else:
-            if not any(any(_pseudo_divmod(x, g)[2]) for x in parts):
+            if all(_divide(x, g) is not None for x in parts):
                 return g
         w += 8
 

@@ -137,7 +137,7 @@ from typing import Iterator, Sequence
 
 from ._value import frozen
 from .errors import DegenerateRelation, DivisionByZero, IndexOutOfRange
-from .exactalg import Poly, _canonical, _pseudo_divmod, decode, pack, packed_degree, poly_gcd, unpack
+from .exactalg import Poly, _canonical, _divide, decode, pack, packed_degree, poly_gcd, unpack
 from .jacobi import JacobiPair, JacobiSequence, int_pairs, require_kp_normalized
 from .orthopoly import packed_walk, packed_width
 
@@ -157,11 +157,12 @@ class QuadraticRelation:
 
 def canonical_relation(nums: list[list[int]]) -> QuadraticRelation:
     """The canonical relation of integer numerators (alpha, beta, gamma):
-    divided by their `poly_gcd`, exactly over the integers (Gauss's lemma),
-    then by their positive content.  Signs are never flipped."""
+    divided by their `poly_gcd` with `_divide`, which is exact over the
+    integers because the gcd is primitive (Gauss's lemma), then by their
+    positive content.  Signs are never flipped."""
     g = poly_gcd(*nums)
     if len(g) > 1:
-        nums = [_pseudo_divmod(num, g)[1] for num in nums]
+        nums = [_divide(num, g) for num in nums]
     content = math.gcd(*(n for num in nums for n in num))
     return QuadraticRelation(*(Poly(tuple([n // content for n in num]), 1) for num in nums))
 

@@ -9,9 +9,12 @@ that agreement between the two is meaningful.
 from __future__ import annotations
 
 import random
+import sys
+import types
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, lcm
+from pathlib import Path
 
 from palinfrac import (
     IndexOutOfRange,
@@ -30,6 +33,20 @@ from palinfrac import (
 )
 from palinfrac.orthopoly import conj_transfer, packed_width
 from palinfrac.quadratic import canonical_relation
+
+
+def perfbench_module(name: str) -> types.ModuleType:
+    """perfbench/<name>.py, compiled from its source text: nothing is written
+    under perfbench/.  The module is in sys.modules while it runs, where
+    `dataclass` looks up the module of each class it decorates."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"_perfbench_{name}")
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
 
 
 def brute_splits(periodic) -> list[int]:

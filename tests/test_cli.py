@@ -125,6 +125,13 @@ def test_eval_rejects_lower_half_plane(tmp_path, capsys):
     for points in ("--points=", "--points=;"):
         assert main(["eval", "--input", path, points, "--json"]) == 2, points
         assert capsys.readouterr() == ("", "input error: no evaluation points given\n")
+    for points, error in (
+        ("1", "bad point '1': expected re,im"),
+        ("1,2,3", "bad point '1,2,3': expected re,im"),
+        ("x,1", "bad point 'x,1': could not convert string to float: 'x'"),
+    ):
+        assert main(["eval", "--input", path, f"--points={points}", "--json"]) == 2, points
+        assert capsys.readouterr() == ("", f"input error: {error}\n")
 
 
 def test_non_finite_tolerance_is_an_input_error(tmp_path, capsys):
@@ -442,12 +449,20 @@ def test_verify_survives_a_vanishing_moebius_denominator(capsys):
     assert math.isfinite(report["verdicts"][5]["numeric_residual"])
 
 
-def test_verify_survives_a_failing_cross_check(capsys):
+def test_verify_survives_a_failing_cross_check(capsys, monkeypatch):
+    import palinfrac.cli as cli
+    from palinfrac import BranchAmbiguity, DivisionByZero
+
     # both identities hold exactly at ell = 1, and M(z0) is finite, but the
-    # float coefficients of M's relation overflow on both inputs (a = 1e-200
-    # makes them hold 1e400), and T1's on the second; the exact verdicts
-    # alone decide the report and the exit code
-    for name in ("verify_branch_failure.json", "verify_float_overflow.json"):
+    # float coefficients of M's relation overflow on the first two inputs
+    # (a = 1e-200 makes them hold 1e400), and T1's on the second; on the
+    # third, a^2 = 1e310 has no float, so m(z0) overflows; the exact
+    # verdicts alone decide the report and the exit code
+    for name in (
+        "verify_branch_failure.json",
+        "verify_float_overflow.json",
+        "verify_tail_overflow.json",
+    ):
         path = str(DATA / name)
         code = main(["verify", "--input", path, "--all", "--json"])
         report = strict_json(capsys.readouterr().out)
@@ -456,6 +471,37 @@ def test_verify_survives_a_failing_cross_check(capsys):
         assert report["verdicts"][0]["numeric_ok"] is False
         assert main(["verify", "--input", path, "--ell", "1"]) == 0
         assert "= unavailable)" in capsys.readouterr().out
+    # eval has no exact verdict to report without the tail's value
+    assert main(["eval", "--input", str(DATA / "verify_tail_overflow.json")]) == 1
+    error = "computation failed: integer division result too large for a float\n"
+    assert capsys.readouterr() == ("", error)
+
+    # whatever the cross-check raises, the verdicts and the exit code are
+    # the unpatched run's, and every residual is null
+    def verify_p24():
+        code = main(["verify", "--input", str(DATA / "verify_p24.json"), "--all", "--json"])
+        report = strict_json(capsys.readouterr().out)
+        verdicts = report["verdicts"]
+        fields = ("ell", "holds", "residual_P_degree", "residual_Q_degree")
+        exact = [tuple(v[f] for f in fields) for v in verdicts]
+        return (code, report["holds_set"], exact), [v["numeric_residual"] for v in verdicts]
+
+    def raising(error):
+        def patched(*args):
+            raise error("raised by the test")
+
+        return patched
+
+    expected, residuals = verify_p24()
+    assert expected[:2] == (1, [9]) and None not in residuals
+    for name, error in (
+        ("eval_periodic_m", BranchAmbiguity),
+        ("eval_periodic_m", DivisionByZero),
+        ("reversed_fold", ZeroDivisionError),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, raising(error))
+            assert verify_p24() == (expected, [None] * 22), (name, error)
 
 
 def test_verify_survives_an_unavailable_second_solution(capsys, monkeypatch):
@@ -811,6 +857,8 @@ def test_verify_rejects_ell_with_all(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "input error: verify takes --ell N or --all, not both\n"
+    assert main(["verify", "--input", path, "--json"]) == 2
+    assert capsys.readouterr() == ("", "input error: verify needs --ell N or --all\n")
 
 
 # One request in a fresh interpreter: its stdout, exit code, which OpenSSL

@@ -193,12 +193,12 @@ def test_poly_gcd_contains_common_factor():
 
 def test_poly_gcd_runs_every_exit(monkeypatch):
     # each input takes the exits that its comment names: the constant
-    # candidate, a candidate that fails pseudo-division and then one that
+    # candidate, a candidate that fails exact division and then one that
     # passes, a value gcd whose balanced digits `unpack` cannot read (h =
     # 2^15 - 1 needs three digits at 2^8, its bit length shows two), and a
     # closed-gap tail, whose gcd is z, certified through `prepare`
     events, results = [], []
-    unpack, pseudo_divmod, canonical_gcd = exactalg.unpack, exactalg._pseudo_divmod, poly_gcd
+    unpack, divide, canonical_gcd = exactalg.unpack, exactalg._divide, poly_gcd
 
     def counting_unpack(v, w):
         try:
@@ -209,9 +209,9 @@ def test_poly_gcd_runs_every_exit(monkeypatch):
         events.append(f"candidate at {w}")
         return digits
 
-    def counting_divmod(a, b):
-        result = pseudo_divmod(a, b)
-        if any(result[2]):
+    def counting_divide(a, b):
+        result = divide(a, b)
+        if result is None:
             events.append("rejected")
         return result
 
@@ -220,7 +220,7 @@ def test_poly_gcd_runs_every_exit(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(exactalg, "unpack", counting_unpack)
-    monkeypatch.setattr(exactalg, "_pseudo_divmod", counting_divmod)
+    monkeypatch.setattr(exactalg, "_divide", counting_divide)
     monkeypatch.setattr(quadratic, "poly_gcd", recording_gcd)
     cases = [
         # the constant candidate, from the first value gcd
@@ -464,6 +464,26 @@ def test_kernel_matches_the_fraction_reference(xs, ys, ws, factor):
         same = Poly.from_coeffs(list(expected) + [0])
         assert poly == same and hash(poly) == hash(same)
     assert (p == q) == (rp == rq)
+
+
+_INTS = st.lists(st.integers(-30, 30), max_size=5).map(trim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INTS.filter(bool), _INTS, _INTS)
+# 3z + 1 over 2z + 1: the one step is not exact, the low remainder is zero;
+# z + 1 over z: the step is exact, the low remainder is not
+@example((1, 2), (1,), (0, 1))
+@example((0, 1), (1,), (1,))
+def test_divide_is_exact_integer_division(b, q, r):
+    # a = b*q + r for a primitive b: the quotient as ints where the Fraction
+    # reference leaves no remainder (an integer one, by Gauss's lemma), else
+    # None
+    b = [x // gcd(*b) for x in b]
+    a = [int(c) for c in _ref_combine(_ref_mul(b, q), r, 1)]
+    quot, rem = ref_divmod(tuple(map(Fraction, a)), tuple(map(Fraction, b)))
+    assert rem or all(c.denominator == 1 for c in quot)
+    assert exactalg._divide(a, b) == (None if rem else [int(c) for c in quot])
 
 
 def _packed_case(w: int):

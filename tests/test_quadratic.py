@@ -401,8 +401,9 @@ def assert_integral_and_primitive(relation):
 
 def test_every_data_input_has_an_integral_primitive_relation():
     data = Path(__file__).parent / "data"
-    paths = sorted(p for p in data.glob("*.json") if not p.name.endswith(".golden.json"))
-    assert len(paths) == 13
+    outputs = (".golden.json", ".manifest.json")
+    paths = sorted(p for p in data.glob("*.json") if not p.name.endswith(outputs))
+    assert len(paths) == 14
     for path in paths:
         assert_integral_and_primitive(prepare(normalize_kp(load_sequence(path.read_bytes()))).relation)
 

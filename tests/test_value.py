@@ -29,6 +29,7 @@ from palinfrac import (
     pullback_quadratic,
     sequence,
 )
+from conftest import perfbench_module
 
 _SEQ = sequence([(1, 0)], [(2, 1), (1, 0)])
 _PREP = prepare(_SEQ)
@@ -163,19 +164,11 @@ def test_public_surface_is_pinned():
         assert not hasattr(owner, name), name
 
 
-def _load_tracer() -> types.ModuleType:
-    """perfbench/tracer.py, compiled from its source text: nothing is written."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    module = types.ModuleType("tracer")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
-
-
 def test_every_traced_name_resolves():
     # each span binds what `Tracer.install` looks up: a module attribute,
     # or a method in the class's own __dict__; a traced name that leaves
     # the program fails here, not only in the benchmark
-    tracer = _load_tracer()
+    tracer = perfbench_module("tracer")
     for _, module_name, attr in tracer.SPANS:
         module = importlib.import_module(module_name)
         if "." in attr:
