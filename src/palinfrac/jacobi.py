@@ -22,7 +22,6 @@ import json
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, cycle, islice
 from typing import Sequence
 
 from ._value import frozen
@@ -101,10 +100,6 @@ class JacobiSequence:
         if type(z) in (float, complex):
             return self.float_pairs[self.k :] if periodic else self.float_preperiodic
         return tuple((q.b, q.a * q.a) for q in (self.periodic if periodic else self.preperiodic))
-
-    def pairs(self, n: int) -> list[JacobiPair]:
-        """Unroll the first n pairs of the stream."""
-        return list(islice(chain(self.preperiodic, cycle(self.periodic)), n))
 
     def is_kp_normalized(self) -> bool:
         """True when the preperiodic block is nonempty and ends with the last periodic pair."""

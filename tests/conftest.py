@@ -250,14 +250,14 @@ def strip_identity_check(seq: JacobiSequence, count: int, z) -> float:
     """
     if count < 1:
         raise InsufficientOrder(f"strip count must be at least 1, got {count}")
-    removed = seq.pairs(count)
+    removed = [JacobiPair(a, b) for a, b in unrolled(seq, count)]
     direct = eval_m(strip(seq, count), z)
     image = mobius_apply(conj_transfer(removed, count), eval_m(seq, z), z)
     return abs(direct - image)
 
 
 def unrolled(seq: JacobiSequence, n: int) -> list[tuple[Fraction, Fraction]]:
-    """Stream oracle: unroll by hand rather than via JacobiSequence.pairs."""
+    """Stream oracle: the first n (a, b) of the stream, unrolled by hand."""
     flat = [(q.a, q.b) for q in seq.preperiodic]
     period = [(q.a, q.b) for q in seq.periodic]
     while len(flat) < n:

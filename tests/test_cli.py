@@ -58,6 +58,12 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"periodic": []}')
     assert main(["analyze", "--input", str(path)]) == 2
+    capsys.readouterr()
+    path.write_text("[]")
+    assert main(["analyze", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: top-level JSON value must be an object\n"
 
 
 def test_verify_out_of_range_ell_exit_2(tmp_path, capsys):
@@ -221,6 +227,42 @@ def test_recover_constant_stream(tmp_path, capsys):
     code, report = run_json(capsys, ["recover", "--input", path, "--json"])
     assert code == 0
     assert all(rec["a_sq"] == "1" and rec["b"] == "0" for rec in report["pairs_recovered"])
+
+
+def test_recover_reports_a_round_trip_mismatch(capsys, monkeypatch):
+    import palinfrac.cli as cli
+    from fractions import Fraction
+
+    from palinfrac.mfun import RecoveredPair
+
+    # recover_coefficients patched to return the true pairs with one change:
+    # the check must see it, and report it in --json and in text
+    path = str(DATA / "recover_p8.json")
+    assert main(["recover", "--input", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "round trip matches the periodic stream"
+    true = cli.recover_coefficients
+
+    def first_changed(pairs, a_sq, b):
+        return [RecoveredPair(a_sq, b, pairs[0].a, pairs[0].a_exact), *pairs[1:]]
+
+    changes = {
+        # a^2 = 1/4 read as 1/5
+        "a^2 over another denominator": lambda pairs: first_changed(
+            pairs, Fraction(pairs[0].a_sq.numerator, pairs[0].a_sq.denominator + 1), pairs[0].b
+        ),
+        # b = -1/3 read as 1/3
+        "b negated": lambda pairs: first_changed(pairs, pairs[0].a_sq, -pairs[0].b),
+        "rotated by one place": lambda pairs: pairs[1:] + pairs[:1],
+    }
+    for name, change in changes.items():
+        monkeypatch.setattr(
+            cli, "recover_coefficients", lambda relation, count: change(true(relation, count))
+        )
+        code, report = run_json(capsys, ["recover", "--input", path, "--json"])
+        assert (code, report["roundtrip_matches"], report["exit_status"]) == (1, False, 1), name
+        assert main(["recover", "--input", path]) == 1, name
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "ROUND TRIP MISMATCH (implementation bug)", name
 
 
 def test_recover_insufficient_order_exit_2(tmp_path, capsys):

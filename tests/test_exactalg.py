@@ -138,6 +138,7 @@ def test_horner_matches_naive_summation():
 
 def test_eval_trivials():
     assert Poly.zero()(2.3 + 1j) == 0
+    assert Poly((), 1).leading == 0 and type(Poly((), 1).leading) is Fraction
     assert Poly.from_coeffs([-1, 0, 1])(2) == 3
 
 

@@ -85,6 +85,13 @@ def test_load_rejects_malformed_documents():
     # interpreter's int-string limit
     with pytest.raises(ParseError):
         load_sequence('{"periodic": [[' + "9" * 5000 + ", 0]]}")
+    with pytest.raises(ParseError, match=r"^top-level JSON value must be an object$"):
+        load_sequence("[]")
+    with pytest.raises(ParseError, match=r'^"periodic" must be a list of \[a, b\] pairs$'):
+        load_sequence('{"periodic": 5}')
+    # the constructor, not only the loader, refuses an empty period
+    with pytest.raises(ParseError, match=r"^periodic part must be nonempty$"):
+        JacobiSequence((), ())
 
 
 def test_load_accepts_integers_and_dump_roundtrips():

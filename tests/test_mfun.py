@@ -44,6 +44,7 @@ from conftest import (
     random_periodic,
     reversed_periodic,
     strip_identity_check,
+    unrolled,
 )
 
 CHEBYSHEV = [pair(1, 0)]
@@ -68,6 +69,17 @@ def test_periodic_m_decays_like_inverse_z():
         periodic = random_periodic(rng, rng.randint(1, 4), max_mag=5)
         value = eval_periodic_m(purely_periodic(periodic), 1e4j)
         assert abs(1e4j * value + 1) < 1e-3
+
+
+def test_periodic_m_degenerates_where_the_quadratic_does():
+    # for a = (1, 1), b = (1, 0) the one-period transfer matrix at z = 0 has
+    # B = 0 and D = A, so beta = gamma = 0 and both roots are 0/0.  This
+    # needs B = 0 or C = 0, and both have real zeros only (a^2 > 0), so no
+    # point with Im z > 0, the only points the CLI takes, reaches it
+    seq = purely_periodic([pair(1, 1), pair(1, 0)])
+    for z in (0.0, 0j, 0):
+        with pytest.raises(DivisionByZero, match="^quadratic degenerates at evaluation point$"):
+            eval_periodic_m(seq, z)
 
 
 def test_periodic_m_branch_fallback_off_spectrum():
@@ -303,6 +315,8 @@ def test_laurent_catalan_series():
     assert series == tuple(
         Fraction(c) for c in (1, 0, 1, 0, 2, 0, 5, 0, 14)
     )
+    with pytest.raises(InsufficientOrder, match="^order must be at least 1, got 0$"):
+        laurent_of_quadratic(periodic_quadratic(CHEBYSHEV), 0)
 
 
 def test_laurent_leading_coefficient_is_one():
@@ -358,11 +372,11 @@ def test_recover_roundtrip_two_periods():
         periodic = random_periodic(rng, p, max_mag=5)
         count = (min(4 * p + 1, MAX_ORDER) - 1) // 2
         recovered = recover_coefficients(periodic_quadratic(periodic), count)
-        expected = purely_periodic(periodic).pairs(count)
+        expected = unrolled(purely_periodic(periodic), count)
         assert len(recovered) == count
-        for rec, exp in zip(recovered, expected):
-            assert rec.a_sq == exp.a * exp.a
-            assert rec.b == exp.b
+        for rec, (a, b) in zip(recovered, expected):
+            assert rec.a_sq == a * a
+            assert rec.b == b
 
 
 def _relation(alpha, beta, gamma):
@@ -406,8 +420,8 @@ def test_recovered_pair_exactness_flag():
 
 def _exact_pair_truncation(seq, z, depth):
     value = 0 * z
-    for q in reversed(seq.pairs(depth)):
-        value = 1 / (q.b - z - q.a * q.a * value)
+    for a, b in reversed(unrolled(seq, depth)):
+        value = 1 / (b - z - a * a * value)
     return value
 
 
@@ -721,7 +735,7 @@ def test_recover_reads_a_preperiodic_pair_back():
     assert relation.alpha.degree == relation.beta.degree
     recovered = recover_coefficients(relation, 5)
     assert [(r.a_sq, r.b) for r in recovered] == [
-        (q.a * q.a, q.b) for q in _K1_READS_BACK.pairs(5)
+        (a * a, b) for a, b in unrolled(_K1_READS_BACK, 5)
     ]
 
 

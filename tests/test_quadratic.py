@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palinfrac import (
+    DegenerateRelation,
+    DivisionByZero,
     IndexOutOfRange,
     JacobiSequence,
     Mat2,
@@ -173,6 +175,15 @@ def test_second_solution_vieta():
     assert abs(residual(relation, second, z)) < 1e-10
     alpha_z, beta_z = relation.alpha(z), relation.beta(z)
     assert abs((m + second) - (-beta_z / alpha_z)) < 1e-10
+    with pytest.raises(DivisionByZero, match=r"^second solution undefined: alpha\(z\)\*m = 0$"):
+        second_solution_value(relation, 0, z)
+
+
+def test_relations_reject_empty_input():
+    with pytest.raises(DegenerateRelation, match="^all three relation polynomials are zero$"):
+        QuadraticRelation(Poly.zero(), Poly.zero(), Poly.zero())
+    with pytest.raises(IndexOutOfRange, match="^period must be nonempty$"):
+        periodic_quadratic([])
 
 
 def test_verify_holds_at_valid_split():
