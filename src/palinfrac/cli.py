@@ -483,10 +483,3 @@ def main(argv: list[str] | None = None) -> int:
         print(*text(report), sep="\n")
     return report["exit_status"]
 
-
-def console_main() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

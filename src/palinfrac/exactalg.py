@@ -11,10 +11,9 @@ polynomial is ((), 1).  `_canonical` brings integer numerators over a
 denominator to that form by one gcd reduction; sums and products work on
 the integer numerators and end in it, instead of one Fraction per
 coefficient, and so does the pullback in `quadratic`, which runs on
-integer lists over one shared denominator.  A scaling reads its common
-factor off two small gcds and needs no reduction at all.  Degrees stay
-small here (bounded by the coefficient block lengths), so the dense
-representation is the simplest thing that works.
+integer lists over one shared denominator.  Degrees stay small here
+(bounded by the coefficient block lengths), so the dense representation
+is the simplest thing that works.
 
 The exact transfer walks (`orthopoly.packed_walk`) and `poly_gcd` use a
 second form, Kronecker substitution
@@ -134,7 +133,7 @@ class Poly:
         return Poly(tuple(-n for n in self.num), self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """The product of two polynomials; a scalar multiplies through `scale`."""
+        """The product of two polynomials; a scalar c multiplies as `Poly.const(c)`."""
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.num, other.num
@@ -143,22 +142,6 @@ class Poly:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
         return _canonical(out, self.den * other.den)
-
-    def scale(self, factor: int | Fraction) -> "Poly":
-        """Multiply every coefficient by an exact rational factor.
-
-        With factor = fn/fd in lowest terms and self canonical, the common
-        factor of fn*num over den*fd is exactly gcd(fn, den) * gcd(fd, *num),
-        so the result needs no gcd sweep over the product numerators.
-        """
-        fn, fd = factor.numerator, factor.denominator
-        if fn == 0 or not self.num:
-            return Poly((), 1)
-        g_den = gcd(fn, self.den)
-        g_num = gcd(fd, *self.num)
-        num = self.num if g_num == 1 else [n // g_num for n in self.num]
-        fn //= g_den
-        return Poly(tuple([n * fn for n in num]), (self.den // g_den) * (fd // g_num))
 
     @cached_property
     def _float_coeffs(self) -> tuple[float, ...]:

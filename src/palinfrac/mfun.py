@@ -128,10 +128,11 @@ def eval_truncated(seq: JacobiSequence, z, depth: int):
 
     Runs in double precision: the levels read `seq.float_pairs`, the k + p
     distinct pairs converted to (float(b), float(a^2)) once per sequence,
-    and are folded in float/complex arithmetic.  For a builtin float or
-    complex z this is bit-for-bit what the same loop over the exact pairs
-    gives, because Fraction's mixed-type arithmetic converts to float as
-    well.
+    or `seq.float_preperiodic` where depth <= k, so that a period the fold
+    never reaches is never converted, and are folded in float/complex
+    arithmetic.  For a builtin float or complex z this is bit-for-bit what
+    the same loop over the exact pairs gives, because Fraction's mixed-type
+    arithmetic converts to float as well.
 
     The fold stops at its cycle.  Levels at and above k repeat their pair
     with period p, so once the value at a periodic level j has the same
@@ -142,7 +143,7 @@ def eval_truncated(seq: JacobiSequence, z, depth: int):
     """
     if depth < 1:
         raise InsufficientOrder(f"depth must be at least 1, got {depth}")
-    table = seq.float_pairs
+    table = seq.float_preperiodic if depth <= seq.k else seq.float_pairs
     k, p = seq.k, seq.p
     value = 0 * z
     below = [None] * p  # by (level - k) mod p: the value p levels further down

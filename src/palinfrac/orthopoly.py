@@ -44,7 +44,7 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import IndexOutOfRange
-from .exactalg import Mat2, decode
+from .exactalg import Mat2, Poly, decode
 from .jacobi import JacobiPair, JacobiSequence, int_pairs, require_kp_normalized
 
 
@@ -134,4 +134,4 @@ def build_T3(seq: JacobiSequence) -> Mat2:
     D = diag(1, -alpha_k^2) (the proof is in `quadratic`).
     """
     t1, ak2 = build_T1(seq), seq.preperiodic[-1].a ** 2
-    return Mat2(t1.a11, t1.a21.scale(-1 / ak2), t1.a12.scale(-ak2), t1.a22)
+    return Mat2(t1.a11, Poly.const(-1 / ak2) * t1.a21, Poly.const(-ak2) * t1.a12, t1.a22)

@@ -54,8 +54,9 @@ W_Q = [[0, gamma], [ak^2*gamma, 0]].  L_Q^T is W_Q itself: W_Q * D =
 ak^2*gamma * K for K = [[0, -1], [1, 0]], and T1 * K * T1^T = det(T1) * K = K,
 so Q(ell) = gamma * (T2(ell)_21 + ak^2 * T2(ell)_12).  And W_P * D =
 -ak^2 * (adj(Q_M) + (beta/2) * K) for M's form Q_M, with T1 * adj(Q_M) * T1^T
-= adj(Q') for the tail form Q' = (alpha', beta', gamma') that pulls back to
-Q_M exactly, so
+= adj(Q') for the tail form Q' = (alpha', beta', gamma'), the canonical
+tail times the one rational factor f that makes it pull back to Q_M
+exactly, so
 
     L_P^T = [[-ak^2*gamma', -(beta' + beta)/2], [-ak^2*(beta - beta')/2, alpha']].
 
@@ -258,9 +259,10 @@ class Prepared:
     `cofactor_degrees[ell - 1]` is the degree (-1 for zero) of the Q
     cofactor T2(ell)_21 + ak2 * T2(ell)_12, ell = 1 .. p-2, for the
     transfer T2(ell) over ell+1 periodic pairs.  `relation` is the canonical
-    relation for M, `scaled_tail` the canonical tail scaled so that it
-    pulls back to `relation` exactly (through the whole block, trailing
-    periods included), `ak2` the squared a-entry of the pair before the
+    relation for M and `tail` the canonical tail, both integral with content
+    1, and `scale` the factor f such that f times `tail` pulls back to
+    `relation` exactly (through the whole block, trailing periods
+    included), `ak2` the squared a-entry of the pair before the
     tail (the last periodic pair when there is no preperiodic block), and
     `width` the packed width of the period walk.
     """
@@ -268,7 +270,8 @@ class Prepared:
     seq: JacobiSequence
     cofactor_degrees: tuple[int, ...]
     relation: QuadraticRelation
-    scaled_tail: QuadraticRelation
+    tail: QuadraticRelation
+    scale: Fraction
     ak2: Fraction
     width: int
 
@@ -293,8 +296,8 @@ def prepare(seq: JacobiSequence) -> Prepared:
     kn/kd), keeping only their degrees, and only T_q's tail relation is
     unpacked, for the smallest q the period repeats with (see the module
     docstring).  The block is never walked; nothing forms a polynomial product.
-    M's relation is the pullback times f = lcm(denominators)/gcd(numerators),
-    one over its rational content, and `scaled_tail` the canonical tail times f.
+    M's relation is the pullback's numerators over their lcm d, divided by
+    their content g: the pullback times f = d/g, which `scale` keeps.
     """
     block, periodic, p = seq.preperiodic, seq.periodic, seq.p
     ak2 = (block or periodic)[-1].a ** 2
@@ -314,39 +317,39 @@ def prepare(seq: JacobiSequence) -> Prepared:
         block = block[:-p]
     back = pullback_quadratic(tail, block)
     polys = (back.alpha, back.beta, back.gamma)
-    f = Fraction(math.lcm(*(t.den for t in polys)), math.gcd(*(n for t in polys for n in t.num)))
-    relation = QuadraticRelation(*(t.scale(f) for t in polys))
-    scaled_tail = QuadraticRelation(*(t.scale(f) for t in (tail.alpha, tail.beta, tail.gamma)))
-    return Prepared(seq, tuple(cofactor_degrees), relation, scaled_tail, ak2, w)
+    den = math.lcm(*(t.den for t in polys))
+    nums = [[n * (den // t.den) for n in t.num] for t in polys]
+    g = math.gcd(*(n for num in nums for n in num))
+    relation = QuadraticRelation(*(Poly(tuple([n // g for n in num]), 1) for num in nums))
+    return Prepared(seq, tuple(cofactor_degrees), relation, tail, Fraction(den, g), ak2, w)
 
 
 def _sweep(prep: Prepared) -> Iterator[VerificationReport]:
     """The reports for ell = 1, 2, ..., p-2, one packed step per ell.
 
     N_P = T2(ell)*L_P^T starts at L_P^T = T1*W_P*T3, from M's beta and the
-    scaled tail (alpha', beta', gamma'): over 2*kd*d, d the lcm of their
-    denominators, [[-2kn*ga, -kd*(bt + be)], [-kn*(be - bt), 2kd*al]] for
-    their numerators times d over theirs, packed straight from them, with
-    rows at most (kn + kd)*h for h twice the largest of those.  It steps
-    over the periodic pairs before the last at `prep.width` plus
-    8*ceil(bits(h)/8) (see the module docstring), and P(ell) is its trace
-    after ell+1 of them, read only for its degree.  The degree of Q(ell) is
-    deg gamma + deg s(ell) for the Q cofactor s(ell), read off
-    `prep.cofactor_degrees`, or -1 where s(ell) vanishes.
+    tail times f = fn/fd = `prep.scale`: both are integral, so over 2*kd*fd
+    it is [[-2kn*ga, -kd*(bt + be)], [-kn*(be - bt), 2kd*al]] for the
+    tail's numerators (al, bt, ga) times fn and M's be times fd, packed
+    straight from them, with rows at most (kn + kd)*h for h twice the
+    largest of those.  It steps over the periodic pairs before the last at
+    `prep.width` plus 8*ceil(bits(h)/8) (see the module docstring), and
+    P(ell) is its trace after ell+1 of them, read only for its degree.  The
+    degree of Q(ell) is deg gamma + deg s(ell) for the Q cofactor s(ell),
+    read off `prep.cofactor_degrees`, or -1 where s(ell) vanishes.
 
     Raises:
         NotNormalized: the sequence is not in canonical form.
     """
     require_kp_normalized(prep.seq)
     kn, kd = prep.ak2.numerator, prep.ak2.denominator
-    tail = prep.scaled_tail
-    polys = (tail.alpha, tail.beta, tail.gamma, prep.relation.beta)
-    d = math.lcm(*(t.den for t in polys))
-    h = 2 * max(max(map(abs, t.num), default=0) * (d // t.den) for t in polys)
+    tail, fn, fd = prep.tail, prep.scale.numerator, prep.scale.denominator
+    polys = ((tail.alpha, fn), (tail.beta, fn), (tail.gamma, fn), (prep.relation.beta, fd))
+    h = 2 * max(max(map(abs, t.num), default=0) * c for t, c in polys)
     pairs = prep.seq.int_periodic[:-1]
     w = prep.width + (h.bit_length() + 7) // 8 * 8
-    al, bt, ga, be = (pack(t.num, w) * (d // t.den) for t in polys)
-    first = (-2 * kn * ga, -kd * (bt + be), -kn * (be - bt), 2 * kd * al, 2 * kd * d)
+    al, bt, ga, be = (pack(t.num, w) * c for t, c in polys)
+    first = (-2 * kn * ga, -kd * (bt + be), -kn * (be - bt), 2 * kd * al, 2 * kd * fd)
     gamma_degree = prep.relation.gamma.degree
     reads = zip(islice(packed_walk(pairs, w, first), 2, None), prep.cofactor_degrees)
     for ell, ((x11, _, _, x22, _), q_degree) in enumerate(reads, start=1):

@@ -157,7 +157,8 @@ def whole_period_prepared(seq: JacobiSequence) -> Prepared:
 
     The tail is the whole period's relation, canonicalised by Fraction
     Euclid, and it is pulled back through the whole block, trailing periods
-    included; each Q cofactor comes from its own prefix of `composed_step`s.
+    included; the scale is one over that pullback's rational content, and
+    each Q cofactor comes from its own prefix of `composed_step`s.
     The width, which only a sweep reads, is `packed_width`'s from the
     cofactor bound kn + kd on both start rows.
     """
@@ -166,14 +167,16 @@ def whole_period_prepared(seq: JacobiSequence) -> Prepared:
     content = ref_content([t.coeffs for t in (relation.alpha, relation.beta, relation.gamma)])
     ak2 = (seq.preperiodic or seq.periodic)[-1].a ** 2
     prefixes = accumulate(seq.periodic, composed_step, initial=IDENTITY)
-    degrees = tuple((t.a21 + t.a12.scale(ak2)).degree for t in islice(prefixes, 2, seq.p))
-    relation, tail = (
-        QuadraticRelation(*(t.scale(1 / content) for t in (r.alpha, r.beta, r.gamma)))
-        for r in (relation, tail)
-    )
+    degrees = tuple((t.a21 + Poly.const(ak2) * t.a12).degree for t in islice(prefixes, 2, seq.p))
     kn, kd = ak2.numerator, ak2.denominator
     width = packed_width(seq.int_periodic, kn + kd)
-    return Prepared(seq, degrees, relation, tail, ak2, width)
+    return Prepared(seq, degrees, scaled(relation, 1 / content), tail, 1 / content, ak2, width)
+
+
+def scaled(relation: QuadraticRelation, factor) -> QuadraticRelation:
+    """The relation with each polynomial times the rational `factor`."""
+    polys = (relation.alpha, relation.beta, relation.gamma)
+    return QuadraticRelation(*(Poly.const(factor) * t for t in polys))
 
 
 def reversed_periodic(periodic) -> list[JacobiPair]:

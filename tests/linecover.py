@@ -40,15 +40,6 @@ ALLOWED = [
         "each Python takes one of the three SHA-256 imports: 3.12+ the first, "
         "3.10 and 3.11 the second, and the third is for interpreters without either",
     ),
-    (
-        "cli.py",
-        """
-        if __name__ == "__main__":
-            console_main()
-        """,
-        "the module run as a script; the suite runs `python -m palinfrac` in "
-        "subprocesses, which the tracer does not follow",
-    ),
 ]
 
 

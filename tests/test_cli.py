@@ -391,7 +391,7 @@ def test_pinned_output(name, case, capsys, monkeypatch):
     assert capsys.readouterr() == (case["stdout"], "")
     if "--json" in case["args"]:
         assert json.loads(case["stdout"])["exit_status"] == case["exit_code"]
-    # what `python -m palinfrac` runs: __main__.py and console_main's sys.exit
+    # what `python -m palinfrac` runs: __main__.py, which exits with main's return value
     monkeypatch.setattr(sys, "argv", ["palinfrac", *argv])
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_module("palinfrac", run_name="__main__")
@@ -417,6 +417,8 @@ def test_pinned_requests_call_no_reference_code(capsys):
             exactalg._poly_sqrt,
             exactalg.Poly.__mul__,
             exactalg.Poly._combine,
+            exactalg.Poly.const,
+            exactalg.Poly.from_coeffs,
             mfun.laurent_of_quadratic,
             mfun.eval_m,
         )

@@ -61,11 +61,6 @@ def test_additive_identity():
     assert p + Poly.zero() == p
 
 
-def test_scale_inverse():
-    two_z = Poly.from_coeffs([0, 2])
-    assert two_z.scale(Fraction(1, 2)) == Poly((0, 1), 1)
-
-
 def test_degree_additivity_under_product():
     rng = random.Random(101)
     for _ in range(50):
@@ -289,8 +284,8 @@ def test_poly_is_square_on_squares_and_near_squares(s, c, index, delta):
     square = s * s
     assert poly_is_square(square)
     assert poly_is_square(square * vanishing * vanishing)
-    assert not poly_is_square(square.scale(c))
-    assert not poly_is_square(square.scale(c) * vanishing * vanishing)
+    assert not poly_is_square(Poly.const(c) * square)
+    assert not poly_is_square(Poly.const(c) * square * vanishing * vanishing)
     assert not poly_is_square(square * vanishing)
     assert not poly_is_square(square * vanishing * (z - Poly.const(delta)))
     perturbed = list(square.coeffs)
@@ -444,7 +439,7 @@ def test_kernel_matches_the_fraction_reference(xs, ys, ws, factor):
         (p - q, _ref_combine(rp, rq, -1)),
         (-p, _ref_combine((), rp, -1)),
         (p * q, _ref_mul(rp, rq)),
-        (p.scale(factor), tuple(trim(c * factor for c in rp))),
+        (Poly.const(factor) * p, tuple(trim(c * factor for c in rp))),
         (monic_gcd(p, q), ref_gcd(rp, rq)),
         (monic_gcd(p * w, q * w), ref_gcd(_ref_mul(rp, rw), _ref_mul(rq, rw))),
         # three arguments, one pass: w times the gcd of p, q and p + w

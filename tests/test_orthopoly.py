@@ -223,10 +223,10 @@ def test_transfer_step_matches_the_composed_step(entries, a, b):
     t = Mat2(*entries)
     shift = Poly.from_coeffs([-b, 1])
     expected = Mat2(
-        (shift * t.a11 + t.a21).scale(1 / a),
-        (shift * t.a12 + t.a22).scale(1 / a),
-        t.a11.scale(-a),
-        t.a12.scale(-a),
+        Poly.const(1 / a) * (shift * t.a11 + t.a21),
+        Poly.const(1 / a) * (shift * t.a12 + t.a22),
+        Poly.const(-a) * t.a11,
+        Poly.const(-a) * t.a12,
     )
     # the start over the lcm of its denominators, packed at the width that
     # one bound on the coefficients of both its rows gives

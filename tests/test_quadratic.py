@@ -8,7 +8,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from palinfrac import (
     DegenerateRelation,
@@ -52,6 +52,7 @@ from conftest import (
     ref_canonical,
     ref_gcd,
     reversed_periodic,
+    scaled,
     whole_period_prepared,
 )
 from test_jacobi import paper_example_periodic
@@ -105,9 +106,10 @@ def substitution_pullback(relation: QuadraticRelation, t: Mat2) -> QuadraticRela
     polynomial products; nothing is canonicalized."""
     a, b, c, d = t.entries()
     al, be, ga = relation.alpha, relation.beta, relation.gamma
+    two = Poly.const(2)
     return QuadraticRelation(
         al * (a * a) + be * (a * c) + ga * (c * c),
-        (al * (a * b)).scale(2) + be * (a * d + b * c) + (ga * (c * d)).scale(2),
+        two * al * (a * b) + be * (a * d + b * c) + two * ga * (c * d),
         al * (b * b) + be * (b * d) + ga * (d * d),
     )
 
@@ -126,9 +128,9 @@ def test_pullback_one_pair_closed_form():
     u, a2 = z - Poly.const(q.b), q.a * q.a
     back = pullback_quadratic(QuadraticRelation(al, be, ga), [q])
     assert back == QuadraticRelation(
-        (al * u * u).scale(1 / a2) - be * u + ga.scale(a2),
-        (al * u).scale(2 / a2) - be,
-        al.scale(1 / a2),
+        Poly.const(1 / a2) * al * u * u - be * u + Poly.const(a2) * ga,
+        Poly.const(2 / a2) * al * u - be,
+        Poly.const(1 / a2) * al,
     )
 
 
@@ -269,6 +271,7 @@ def product_route_reports(prep) -> dict:
     """
     require_kp_normalized(prep.seq)
     al, be, ga = prep.relation.alpha, prep.relation.beta, prep.relation.gamma
+    ak2 = Poly.const(prep.ak2)
     pre = prep.seq.preperiodic
     t1 = reduce(composed_step, pre, IDENTITY)
     t3 = reduce(composed_step, reversed_periodic(pre), IDENTITY)
@@ -277,8 +280,8 @@ def product_route_reports(prep) -> dict:
     reports = {}
     for ell, t21 in enumerate(islice(steps, 2, None), start=1):
         a_mat, b_mat, c_mat, d_mat = (t3 @ t21).entries()
-        residual_p = al * d_mat - be * c_mat - (ga * a_mat).scale(prep.ak2)
-        residual_q = ga * (c_mat + b_mat.scale(prep.ak2))
+        residual_p = al * d_mat - be * c_mat - ak2 * ga * a_mat
+        residual_q = ga * (c_mat + ak2 * b_mat)
         reports[ell] = (residual_p, residual_q, residual_p.is_zero() and residual_q.is_zero())
     return reports
 
@@ -312,7 +315,7 @@ def test_stepwise_pullback_matches_the_substitution_reference(
     assert pullback_quadratic(tail, preperiodic) == reference
     prep = prepare(JacobiSequence(tuple(preperiodic), tuple(periodic)))
     assert prep.relation == ref_canonical(reference)
-    assert pullback_quadratic(prep.scaled_tail, preperiodic) == prep.relation
+    assert scaled(pullback_quadratic(prep.tail, preperiodic), prep.scale) == prep.relation
 
 
 @settings(max_examples=200, deadline=None)
@@ -340,13 +343,13 @@ def test_m_is_never_rational(seed, p, k, repeated, copies, normalized):
     prep = prepare(seq)
 
     def disc(relation):
-        return relation.beta * relation.beta - (relation.alpha * relation.gamma).scale(4)
+        return relation.beta * relation.beta - Poly.const(4) * relation.alpha * relation.gamma
 
     t_p = conj_transfer(periodic, p)
     trace = t_p.a11 + t_p.a22
     tail = periodic_quadratic(periodic)
     assert disc(tail) == trace * trace - Poly.const(4)
-    assert disc(prep.relation) == disc(prep.scaled_tail)
+    assert disc(prep.relation) == disc(scaled(prep.tail, prep.scale))
     assert not poly_is_square(disc(prep.relation))
     assert not prep.relation.alpha.is_zero() and not prep.relation.gamma.is_zero()
     assert not tail.gamma.is_zero()
@@ -367,7 +370,7 @@ def test_t3_is_t1_under_the_diagonal_similarity(seed, k, p):
     assert t3 == conj_transfer(reversed_periodic(preperiodic), k)
     prep = prepare(seq)
     ga, zero = prep.relation.gamma, Poly.zero()
-    w_q = Mat2(zero, ga, ga.scale(prep.ak2), zero)
+    w_q = Mat2(zero, ga, Poly.const(prep.ak2) * ga, zero)
     assert t1 @ w_q @ t3 == w_q
 
 
@@ -395,10 +398,10 @@ def test_build_T1_is_the_transfer_over_the_block(seed, k, p, block):
         preperiodic += periodic[-1:]
     seq = JacobiSequence(preperiodic, periodic)
     prep = prepare(seq)
-    assert ref_canonical(prep.scaled_tail) == ref_canonical(periodic_quadratic(periodic))
+    assert prep.tail == ref_canonical(periodic_quadratic(periodic))
     assert build_T1(seq) == reduce(composed_step, preperiodic, IDENTITY)
     prefixes = [conj_transfer(periodic, ell + 1) for ell in range(1, p - 1)]
-    cofactors = [t.a21 + t.a12.scale(prep.ak2) for t in prefixes]
+    cofactors = [t.a21 + Poly.const(prep.ak2) * t.a12 for t in prefixes]
     assert prep.cofactor_degrees == tuple(s.degree for s in cofactors)
 
 
@@ -410,13 +413,91 @@ def assert_integral_and_primitive(relation):
     assert gcd(*(n for t in polys for n in t.num)) == 1
 
 
-def test_every_data_input_has_an_integral_primitive_relation():
+def data_sequences() -> list[JacobiSequence]:
+    """Every input under tests/data, normalized."""
     data = Path(__file__).parent / "data"
     outputs = (".golden.json", ".manifest.json")
     paths = sorted(p for p in data.glob("*.json") if not p.name.endswith(outputs))
     assert len(paths) == 14
-    for path in paths:
-        assert_integral_and_primitive(prepare(normalize_kp(load_sequence(path.read_bytes()))).relation)
+    return [normalize_kp(load_sequence(path.read_bytes())) for path in paths]
+
+
+def assert_tail_scales_to_the_relation(prep):
+    """M's relation and the canonical tail are integral with content 1, and
+    the tail times `scale` pulls back to M's relation exactly through the
+    block without its trailing whole periods, which `prepare` strips."""
+    assert_integral_and_primitive(prep.relation)
+    assert_integral_and_primitive(prep.tail)
+    seq, block = prep.seq, prep.seq.preperiodic
+    while block[-seq.p :] == seq.periodic:
+        block = block[: -seq.p]
+    assert scaled(pullback_quadratic(prep.tail, block), prep.scale) == prep.relation
+
+
+def test_every_data_input_has_an_integral_primitive_relation():
+    for seq in data_sequences():
+        assert_tail_scales_to_the_relation(prepare(seq))
+
+
+def lcm_route_start(prep) -> tuple[int, int, tuple]:
+    """(d, w, start): the sweep's width and packed start built from the
+    tail times `scale` and M's beta over d, the lcm of their denominators."""
+    tail = scaled(prep.tail, prep.scale)
+    polys = (tail.alpha, tail.beta, tail.gamma, prep.relation.beta)
+    d = lcm(*(t.den for t in polys))
+    nums = [[n * (d // t.den) for n in t.num] for t in polys]
+    h = 2 * max(abs(n) for num in nums for n in num)
+    w = prep.width + (h.bit_length() + 7) // 8 * 8
+    al, bt, ga, be = (_at(num, w) for num in nums)
+    kn, kd = prep.ak2.numerator, prep.ak2.denominator
+    return d, w, (-2 * kn * ga, -kd * (bt + be), -kn * (be - bt), 2 * kd * al, 2 * kd * d)
+
+
+def test_sweep_starts_where_the_lcm_route_starts(monkeypatch):
+    # f = fn/fd is in lowest terms and the canonical tail has content 1, so
+    # the tail times f has the lcm denominator fd, and M's beta has
+    # denominator 1: the sweep, which packs the tail times fn and beta
+    # times fd over 2*kd*fd, walks from the width and start of the lcm route
+    import palinfrac.quadratic as quadratic
+
+    walks, scales = [], []
+    walk = quadratic.packed_walk
+
+    def recording(pairs, w, first=(1, 0, 0, 1, 1)):
+        walks.append((w, first))
+        return walk(pairs, w, first)
+
+    monkeypatch.setattr(quadratic, "packed_walk", recording)
+
+    def check(seq):
+        prep = prepare(seq)
+        assert_tail_scales_to_the_relation(prep)
+        walks.clear()
+        verify_splits(prep)
+        d, w, first = lcm_route_start(prep)
+        assert d == prep.scale.denominator
+        assert walks == [(w, first)]
+        scales.append(prep.scale)
+
+    for seq in data_sequences():
+        check(seq)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 8), st.integers(0, 3))
+    # f = 1 after an empty block, 3136 and 18/5 after one of two and one pairs
+    @example(7, 5, 0)
+    @example(7, 5, 2)
+    @example(16, 3, 1)
+    def draw(seed, p, k):
+        rng = random.Random(seed)
+        periodic = tuple(random_periodic(rng, p, max_mag=5))
+        block = tuple(random_periodic(rng, k, max_mag=5))
+        check(normalize_kp(JacobiSequence(block, periodic)))
+
+    draw()
+    # neither packing factor is idle, and the content g that `prepare`
+    # divides out is not 1: some f = d/g has fn > 1 and fd > 1
+    assert any(f.numerator > 1 and f.denominator > 1 for f in scales)
 
 
 def test_prepare_reads_the_tail_off_the_primitive_root():
@@ -453,7 +534,7 @@ def test_prepare_reads_the_tail_off_the_primitive_root():
         prep, reference = prepare(seq), whole_period_prepared(seq)
         assert_integral_and_primitive(prep.relation)
         assert prep.relation == reference.relation
-        assert prep.scaled_tail == reference.scaled_tail
+        assert prep.tail == reference.tail and prep.scale == reference.scale
         assert prep.cofactor_degrees == reference.cofactor_degrees
         degrees = {
             ell: (report.residual_P_degree, report.residual_Q_degree)
@@ -664,7 +745,7 @@ def test_walks_decode_at_the_widths_that_prepare_and_the_sweep_take(monkeypatch)
         for j, (x11, x12, x21, x22) in enumerate(_list_walk(([1], [], [], [1]), table)):
             assert [_at(x, w) for x in (x11, x12, x21, x22)] == list(packed[j][:4])
             assert below(w, x11, x12, x21, x22, _add(x11, x22), _add(x21, x12, kd, kn)), j
-        tail = prep.scaled_tail
+        tail = scaled(prep.tail, prep.scale)
         polys = (tail.alpha, tail.beta, tail.gamma, prep.relation.beta)
         d = lcm(*(t.den for t in polys))
         al, bt, ga, be = ([n * (d // t.den) for n in t.num] for t in polys)
@@ -931,7 +1012,7 @@ def test_prepare_treats_an_empty_block_as_one_period(periodic):
     # normalization of its own
     seq = JacobiSequence((), periodic)
     got, want = prepare(seq), prepare(normalize_kp(seq))
-    for name in ("relation", "scaled_tail", "ak2", "cofactor_degrees"):
+    for name in ("relation", "tail", "scale", "ak2", "cofactor_degrees"):
         assert getattr(got, name) == getattr(want, name), name
     assert reverse_asymptotics(seq) == reverse_asymptotics(normalize_kp(seq))
 

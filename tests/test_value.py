@@ -47,7 +47,7 @@ CASES = [
         Prepared,
         {
             name: getattr(_PREP, name)
-            for name in ("seq", "cofactor_degrees", "relation", "scaled_tail", "ak2", "width")
+            for name in ("seq", "cofactor_degrees", "relation", "tail", "scale", "ak2", "width")
         },
     ),
     (RecoveredPair, {"a_sq": Fraction(4), "b": Fraction(1), "a": Fraction(2), "a_exact": True}),
