@@ -94,6 +94,11 @@ _Z0 = complex(0.37, 1.31)
 # 2-vCPU x86 container, Python 3.11).
 MAX_DEPTH = 100_000
 MAX_ORDER = 64
+# Largest k + p of an input, checked as it is read.  `verify --all` on two
+# random pairs over a doubly palindromic period of small rationals takes
+# 0.51, 1.6, 2.4, 5.2 and 24 s of process time at k + p = 256, 384, 400,
+# 512 and 768 (best of 3, one run at 768; 2-vCPU x86, Python 3.11).
+MAX_PAIRS = 400
 
 _INPUT_ERRORS = (
     ParseError,
@@ -112,6 +117,7 @@ def _read_input(args: argparse.Namespace) -> tuple[JacobiSequence, dict]:
     with open(args.input, "rb") as handle:
         raw = handle.read()
     seq = load_sequence(raw)
+    _check_limit("k + p", seq.k + seq.p, MAX_PAIRS)
     return seq, {"schema": 1, "command": args.command, "input_digest": sha256(raw).hexdigest()}
 
 
@@ -156,14 +162,16 @@ def _parse_points(text: str) -> list[complex]:
     return points
 
 
-def _at_point(seq: JacobiSequence, relation, m_tail, z, lowest: int | None) -> tuple:
-    """M(z), Mtilde(z) and the identity's two level folds at z, from m_tail = m(z).
+def _at_point(seq: JacobiSequence, relation, z, lowest: int | None) -> tuple:
+    """m(z), M(z), Mtilde(z) and the identity's two level folds at z.
 
-    Mtilde is None where alpha(z)*M vanishes or its Horner value overflows
-    or is not finite (huge rationals, extreme heights).  With `lowest` None
-    nothing is folded; else the folds are fold_R(1/(ak^2 * Mtilde)), None
-    with Mtilde or where a level vanishes, and m_{ell+1}, ell = lowest .. p-2.
+    m(z) raises as `eval_periodic_m` does.  Mtilde is None where alpha(z)*M
+    vanishes or its Horner value overflows or is not finite (huge rationals,
+    extreme heights).  With `lowest` None nothing is folded; else the folds
+    are fold_R(1/(ak^2 * Mtilde)), None with Mtilde or where a level
+    vanishes, and m_{ell+1}, ell = lowest .. p-2.
     """
+    m_tail = eval_periodic_m(seq, z)
     m_full = fold_preperiodic(seq, m_tail, z)
     try:
         second = second_solution_value(relation, m_full, z)
@@ -171,12 +179,12 @@ def _at_point(seq: JacobiSequence, relation, m_tail, z, lowest: int | None) -> t
     except (DivisionByZero, OverflowError):
         second = None
     if lowest is None:
-        return m_full, second, None, None
+        return m_tail, m_full, second, None, None
     try:
         folded = None if second is None else reversed_fold(seq, second, z)
     except ZeroDivisionError:
         folded = None
-    return m_full, second, folded, stripped_tails(seq, m_tail, z, lowest)
+    return m_tail, m_full, second, folded, stripped_tails(seq, m_tail, z, lowest)
 
 
 def cmd_analyze(args: argparse.Namespace) -> tuple[dict, Formatter]:
@@ -234,8 +242,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, Formatter]:
     # the stripped tails from the lowest requested ell up, no level below it
     lowest = 1 if args.all else args.ell
     try:
-        m0 = eval_periodic_m(normalized, _Z0)
-        _, _, folded, stripped = _at_point(normalized, prep.relation, m0, _Z0, lowest)
+        *_, folded, stripped = _at_point(normalized, prep.relation, _Z0, lowest)
     except (BranchAmbiguity, ZeroDivisionError, OverflowError):
         # the cross-check only annotates: every ell reports it unavailable
         folded, stripped = None, [None] * (p - 1 - lowest)
@@ -307,8 +314,7 @@ def cmd_eval(args: argparse.Namespace) -> tuple[dict, Formatter]:
     prep = prepare(normalized)
     rows = []
     for z in points:
-        m_tail = eval_periodic_m(normalized, z)
-        m_full, second, folded, stripped = _at_point(normalized, prep.relation, m_tail, z, ell)
+        m_tail, m_full, second, folded, stripped = _at_point(normalized, prep.relation, z, ell)
         truncation_gap = abs(m_full - eval_truncated(normalized, z, args.depth))
         if not math.isfinite(truncation_gap):
             # the float fold overflows at subnormal heights; nan is not JSON

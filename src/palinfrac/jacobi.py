@@ -190,8 +190,6 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
         return tuple(out)
 
     periodic = parse_block("periodic", doc["periodic"])
-    if not periodic:
-        raise ParseError("periodic part must be nonempty")
     preperiodic = parse_block("preperiodic", doc.get("preperiodic", []))
     return JacobiSequence(preperiodic, periodic)
 

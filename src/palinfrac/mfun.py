@@ -13,10 +13,10 @@ m(z) = -c_1/z - c_2/z^2 - ... at infinity, with exact rational c_j.
 `laurent_of_quadratic` finds the c_j by one forward pass over the
 triangular coefficient system.  `recover_coefficients` peels the
 continued-fraction pairs off the relation one level at a time, without
-the c_j.  Both are exact and fraction-free in the way `Poly` is (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, ch. 6): integer lists over
-one denominator, reduced once per c_n or per pair.  The only approximation
-is the float square root of an a^2 that is not a rational square.
+the c_j.  Both are exact: the expansion solves over Fractions, and the
+peel steps three integer lists, reduced once per pair.  The only
+approximation is the float square root of an a^2 that is not a rational
+square.
 """
 
 from __future__ import annotations
@@ -246,21 +246,8 @@ def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> tuple[Fract
 
     where (c^2)_m = sum_(i<m) c_i c_(m-i) needs only c_1..c_(m-1).  The
     system is triangular: one forward pass over n = 1..order solves it for
-    c_n, keeping the coefficients of c^2 in a running list, in O(order^2)
-    operations.
-
-    The pass runs on integers.  The relation is cleared to integer A, B, G
-    over the lcm of its three denominators.  With D the lcm of the
-    denominators of c_1..c_(n-1), the running lists hold X_j = c_j*D and
-    Y_m = (c^2)_m*D^2, so step n forms one integer
-
-        T = G_(d-n)*D^2 - D*sum B_(d-n+j) X_j + sum A_(d-n+m) Y_m
-
-    and c_n = T/(lc(B)*D^2) is the step's only gcd reduction.  When c_n
-    brings a new factor f into D, the lists are rescaled by f and f^2.
-    D is the denominator the reduced coefficients need, so the integers
-    stay near the size of the c_j themselves; scaling by a fixed power of
-    lc(B) instead would let them grow with lc(B)^(2n).
+    c_n in Fractions, on the relation cleared to integers, keeping the
+    coefficients of c^2 in a running list, in O(order^2) operations.
 
     Raises:
         InsufficientOrder: order < 1.
@@ -269,26 +256,16 @@ def laurent_of_quadratic(relation: QuadraticRelation, order: int) -> tuple[Fract
     if order < 1:
         raise InsufficientOrder(f"order must be at least 1, got {order}")
     d, A, B, G = _decaying_relation(relation)
-    D = 1  # lcm of the denominators of c_1 .. c_(n-1)
-    X = [0]  # X[j] = c_j * D; index 0 pads the 1-based numbering
-    Y = [0]  # Y[m] = (c^2)_m * D^2
-    c: list[Fraction] = []
+    c = [Fraction(0)]  # index 0 pads the 1-based numbering
+    sq = [Fraction(0)]  # sq[m] = (c^2)_m
     for n in range(1, order + 1):
-        Y.append(sum(X[i] * X[n - i] for i in range(1, n)))
+        sq.append(sum(c[i] * c[n - i] for i in range(1, n)))
         low = max(1, n - d)  # B[d-n+j] and A[d-n+m] vanish below
-        total = G[d - n] * D * D if n <= d else 0
-        total -= D * sum(B[d - n + j] * X[j] for j in range(low, n))
-        total += sum(A[d - n + m] * Y[m] for m in range(max(2, low), n + 1))
-        cn = Fraction(total, B[d] * D * D)
-        c.append(cn)
-        grow = cn.denominator // math.gcd(D, cn.denominator)
-        if grow != 1:
-            D *= grow
-            X = [x * grow for x in X]
-            grow *= grow
-            Y = [y * grow for y in Y]
-        X.append(cn.numerator * (D // cn.denominator))
-    return tuple(c)
+        total = G[d - n] if n <= d else 0
+        total -= sum(B[d - n + j] * c[j] for j in range(low, n))
+        total += sum(A[d - n + m] * sq[m] for m in range(max(2, low), n + 1))
+        c.append(Fraction(total, B[d]))
+    return tuple(c[1:])
 
 
 @frozen

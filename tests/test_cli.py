@@ -880,6 +880,30 @@ def test_depth_and_order_are_capped(tmp_path, capsys, monkeypatch):
             assert err.startswith("input error:") and argv[-2] in err
 
 
+def test_k_plus_p_is_capped_before_any_walk(tmp_path, capsys, monkeypatch):
+    import palinfrac.cli as cli
+    from palinfrac import pair
+
+    # the bound counts the input's pairs, preperiodic ones included
+    period = doubly_palindromic_period(random.Random(3), cli.MAX_PAIRS - 1, 5)
+    over = write_input(tmp_path, period + [pair(1, 0)], [pair(2, 1)], "over.json")
+    at = write_input(tmp_path, period, [pair(2, 1)], "at.json")
+
+    def walked(*args):
+        pytest.fail("an input over the bound reached a walk")
+
+    with monkeypatch.context() as patch:
+        for name in ("normalize_kp", "prepare", "periodic_quadratic"):
+            patch.setattr(cli, name, walked)
+        for command in (["analyze"], ["verify", "--all"], ["eval"], ["recover"]):
+            assert main([*command, "--input", over]) == 2
+            assert capsys.readouterr().err == (
+                f"input error: k + p must be at most {cli.MAX_PAIRS}, got {cli.MAX_PAIRS + 1}\n"
+            )
+    code, report = run_json(capsys, ["analyze", "--input", at, "--json"])
+    assert code == 0 and report["p"] == cli.MAX_PAIRS - 1 and 5 in report["splits"]
+
+
 def test_depth_below_one_is_an_input_error_at_any_point(tmp_path, capsys):
     # --depth is checked before any point is evaluated, so the exit code
     # does not depend on whether the tail can be solved at the point: at

@@ -89,9 +89,14 @@ def test_load_rejects_malformed_documents():
         load_sequence("[]")
     with pytest.raises(ParseError, match=r'^"periodic" must be a list of \[a, b\] pairs$'):
         load_sequence('{"periodic": 5}')
-    # the constructor, not only the loader, refuses an empty period
+    # the constructor refuses an empty period, for the loader too, after
+    # the preperiodic block has parsed
     with pytest.raises(ParseError, match=r"^periodic part must be nonempty$"):
         JacobiSequence((), ())
+    with pytest.raises(ParseError, match=r"^periodic part must be nonempty$"):
+        load_sequence('{"periodic": [], "preperiodic": [[1, 0]]}')
+    with pytest.raises(ParseError, match=r'^"preperiodic"\[0\] must be a two-element list$'):
+        load_sequence('{"periodic": [], "preperiodic": [[1]]}')
 
 
 def test_load_accepts_integers_and_dump_roundtrips():
