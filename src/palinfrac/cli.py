@@ -94,11 +94,6 @@ _Z0 = complex(0.37, 1.31)
 # 2-vCPU x86 container, Python 3.11).
 MAX_DEPTH = 100_000
 MAX_ORDER = 64
-# Largest k + p of an input, checked as it is read.  `verify --all` on two
-# random pairs over a doubly palindromic period of small rationals takes
-# 0.51, 1.6, 2.4, 5.2 and 24 s of process time at k + p = 256, 384, 400,
-# 512 and 768 (best of 3, one run at 768; 2-vCPU x86, Python 3.11).
-MAX_PAIRS = 400
 
 _INPUT_ERRORS = (
     ParseError,
@@ -117,7 +112,6 @@ def _read_input(args: argparse.Namespace) -> tuple[JacobiSequence, dict]:
     with open(args.input, "rb") as handle:
         raw = handle.read()
     seq = load_sequence(raw)
-    _check_limit("k + p", seq.k + seq.p, MAX_PAIRS)
     return seq, {"schema": 1, "command": args.command, "input_digest": sha256(raw).hexdigest()}
 
 
@@ -298,8 +292,6 @@ def cmd_eval(args: argparse.Namespace) -> tuple[dict, Formatter]:
     if args.depth < 1:
         raise ParseError(f"depth must be at least 1, got {args.depth}")
     _check_tolerance(args.tolerance)
-    seq, report = _read_input(args)
-    normalized = normalize_kp(seq)
     if args.points is not None:
         points = _parse_points(args.points)
     else:
@@ -309,6 +301,8 @@ def cmd_eval(args: argparse.Namespace) -> tuple[dict, Formatter]:
         points = [
             complex(rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)) for _ in range(5)
         ]
+    seq, report = _read_input(args)
+    normalized = normalize_kp(seq)
 
     ell = next(iter(find_palindrome_splits(normalized.periodic)), None)
     prep = prepare(normalized)

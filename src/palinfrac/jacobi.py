@@ -33,6 +33,11 @@ from .exactalg import RationalLike
 # integer with a billion digits before any later check could see it.
 MAX_ENTRY_DIGITS = 256
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+# Largest k + p, counted before any pair is built.  `verify --all` on two
+# random pairs over a doubly palindromic period of small rationals takes
+# 0.51, 1.6, 2.4, 5.2 and 24 s of process time at k + p = 256, 384, 400,
+# 512 and 768 (best of 3, one run at 768; 2-vCPU x86, Python 3.11).
+MAX_PAIRS = 400
 
 
 @frozen
@@ -76,15 +81,14 @@ class JacobiSequence:
     @cached_property
     def float_preperiodic(self) -> tuple[tuple[float, float], ...]:
         """(float(b), float(a^2)) per preperiodic pair, once per sequence."""
-        return _float_pairs(self.preperiodic)
+        return _float_rows(self.preperiodic)
 
     @cached_property
-    def float_pairs(self) -> tuple[tuple[float, float], ...]:
-        """`float_preperiodic`, then the periodic pairs: lent by a block that
-        ends with the period (as `normalize_kp` leaves one), else converted."""
-        block, p = self.float_preperiodic, self.p
-        lent = self.preperiodic[-p:] == self.periodic
-        return block + (block[-p:] if lent else _float_pairs(self.periodic))
+    def float_periodic(self) -> tuple[tuple[float, float], ...]:
+        """(float(b), float(a^2)) per periodic pair: the block's last p rows
+        when it ends with the period (as `normalize_kp` leaves one), else converted."""
+        lent = self.preperiodic[-self.p :] == self.periodic
+        return self.float_preperiodic[-self.p :] if lent else _float_rows(self.periodic)
 
     @cached_property
     def int_periodic(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -94,11 +98,11 @@ class JacobiSequence:
     def levels(self, z, periodic: bool) -> tuple:
         """(b, a^2) of the period's or the block's pairs, in the arithmetic of z.
 
-        A builtin float or complex point reads the float tables, which have
+        A builtin float or complex point gets the float table itself, with
         the bits and OverflowErrors of the exact pairs; others, the exact pairs.
         """
         if type(z) in (float, complex):
-            return self.float_pairs[self.k :] if periodic else self.float_preperiodic
+            return self.float_periodic if periodic else self.float_preperiodic
         return tuple((q.b, q.a * q.a) for q in (self.periodic if periodic else self.preperiodic))
 
     def is_kp_normalized(self) -> bool:
@@ -106,7 +110,7 @@ class JacobiSequence:
         return self.k >= 1 and self.preperiodic[-1] == self.periodic[-1]
 
 
-def _float_pairs(pairs: Sequence[JacobiPair]) -> tuple[tuple[float, float], ...]:
+def _float_rows(pairs: Sequence[JacobiPair]) -> tuple[tuple[float, float], ...]:
     # int true division, as in Fraction.__float__: its bits and OverflowErrors, no a*a
     return tuple(
         (q.b.numerator / q.b.denominator, q.a.numerator**2 / q.a.denominator**2) for q in pairs
@@ -138,9 +142,9 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
     exact arithmetic needs exact inputs.
 
     Raises:
-        ParseError: malformed JSON, malformed rationals, entries longer than
-            MAX_ENTRY_DIGITS characters or with a decimal exponent above it,
-            nonpositive a entries, or an empty periodic part.
+        ParseError: malformed JSON, over MAX_PAIRS pairs, malformed rationals,
+            entries longer than MAX_ENTRY_DIGITS characters or with a decimal
+            exponent above it, nonpositive a entries, or an empty period.
     """
     try:
         doc = json.loads(text)
@@ -156,11 +160,17 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
     if "periodic" not in doc:
         raise ParseError('missing required key "periodic"')
 
-    def parse_block(name: str, raw) -> tuple[JacobiPair, ...]:
+    blocks = {"periodic": doc["periodic"], "preperiodic": doc.get("preperiodic", [])}
+    for name, raw in blocks.items():
         if not isinstance(raw, list):
             raise ParseError(f'"{name}" must be a list of [a, b] pairs')
+    count = len(blocks["preperiodic"]) + len(blocks["periodic"])
+    if count > MAX_PAIRS:
+        raise ParseError(f"k + p must be at most {MAX_PAIRS}, got {count}")
+
+    def parse_block(name: str) -> tuple[JacobiPair, ...]:
         out = []
-        for i, item in enumerate(raw):
+        for i, item in enumerate(blocks[name]):
             if not isinstance(item, list) or len(item) != 2:
                 raise ParseError(f'"{name}"[{i}] must be a two-element list')
             values = []
@@ -189,9 +199,8 @@ def load_sequence(text: str | bytes) -> JacobiSequence:
             out.append(JacobiPair(values[0], values[1]))
         return tuple(out)
 
-    periodic = parse_block("periodic", doc["periodic"])
-    preperiodic = parse_block("preperiodic", doc.get("preperiodic", []))
-    return JacobiSequence(preperiodic, periodic)
+    periodic = parse_block("periodic")
+    return JacobiSequence(parse_block("preperiodic"), periodic)
 
 
 def normalize_kp(seq: JacobiSequence) -> JacobiSequence:

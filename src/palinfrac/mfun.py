@@ -126,38 +126,31 @@ def fold_preperiodic(seq: JacobiSequence, value, z):
 def eval_truncated(seq: JacobiSequence, z, depth: int):
     """Finite truncation of the continued fraction with tail value 0.
 
-    Runs in double precision: the levels read `seq.float_pairs`, the k + p
-    distinct pairs converted to (float(b), float(a^2)) once per sequence,
-    or `seq.float_preperiodic` where depth <= k, so that a period the fold
-    never reaches is never converted, and are folded in float/complex
-    arithmetic.  For a builtin float or complex z this is bit-for-bit what
-    the same loop over the exact pairs gives, because Fraction's mixed-type
-    arithmetic converts to float as well.
+    Runs in double precision on `seq.float_periodic`, which a fold no
+    deeper than k never reads (nor converts), and `seq.float_preperiodic`.
+    For a builtin float or complex z this is bit-for-bit what the same loop
+    over the exact pairs gives: Fraction's mixed-type arithmetic converts
+    to float as well.
 
-    The fold stops at its cycle.  Levels at and above k repeat their pair
-    with period p, so once the value at a periodic level j has the same
-    bits as the value at level j + p, every shallower periodic level repeats
-    too, and the value at level k + ((j - k) mod p) is the value at j.  The
-    fold jumps there and finishes the remaining levels; the result is the
-    bits the full `depth` levels give.
+    Levels at and above k repeat the period.  The fold takes the top
+    (depth - k) mod p of them, then whole periods, and stops at its cycle:
+    once a period returns the value it started from with the same bits,
+    every further period does too, and that value is level k's.
     """
     if depth < 1:
         raise InsufficientOrder(f"depth must be at least 1, got {depth}")
-    table = seq.float_preperiodic if depth <= seq.k else seq.float_pairs
-    k, p = seq.k, seq.p
     value = 0 * z
-    below = [None] * p  # by (level - k) mod p: the value p levels further down
-    level = depth  # levels level-1 .. 0 are still to be folded
-    while level > k:
-        level -= 1
-        phase = (level - k) % p
-        b, a2 = table[k + phase]
-        value = 1 / (b - z - a2 * value)
-        if value == below[phase] and _bits(value) == _bits(below[phase]):
-            level = k + phase
-            break
-        below[phase] = value
-    for b, a2 in reversed(table[:level]):
+    if depth > seq.k:
+        whole, part = divmod(depth - seq.k, seq.p)
+        for b, a2 in reversed(seq.float_periodic[:part]):
+            value = 1 / (b - z - a2 * value)
+        for _ in range(whole):
+            last = value
+            for b, a2 in reversed(seq.float_periodic):
+                value = 1 / (b - z - a2 * value)
+            if value == last and _bits(value) == _bits(last):
+                break
+    for b, a2 in reversed(seq.float_preperiodic[:depth]):
         value = 1 / (b - z - a2 * value)
     return value
 

@@ -138,6 +138,12 @@ def test_eval_rejects_lower_half_plane(tmp_path, capsys):
     ):
         assert main(["eval", "--input", path, f"--points={points}", "--json"]) == 2, points
         assert capsys.readouterr() == ("", f"input error: {error}\n")
+    # the points are read before the input, so a request bad in both ways
+    # reports its points without parsing the sequence
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    assert main(["eval", "--input", str(broken), "--points=1"]) == 2
+    assert capsys.readouterr() == ("", "input error: bad point '1': expected re,im\n")
 
 
 def test_non_finite_tolerance_is_an_input_error(tmp_path, capsys):
@@ -817,7 +823,7 @@ def test_eval_converts_each_pair_to_float_once_per_request(tmp_path, capsys, mon
     # purely periodic input into a block of one period, which lends its
     # float pairs to the period: 2p conversions, a pair's b and a^2 each
     calls = []
-    convert = jacobi._float_pairs
+    convert = jacobi._float_rows
 
     def counting(pairs):
         table = convert(pairs)
@@ -826,7 +832,7 @@ def test_eval_converts_each_pair_to_float_once_per_request(tmp_path, capsys, mon
 
     periodic = load_sequence((DATA / "verify_p24.json").read_text(encoding="utf-8")).periodic
     lone_period = write_input(tmp_path, periodic)
-    monkeypatch.setattr(jacobi, "_float_pairs", counting)
+    monkeypatch.setattr(jacobi, "_float_rows", counting)
     rng = random.Random(14)
     for path in (str(DATA / "verify_p24.json"), lone_period):
         counts = []
@@ -882,26 +888,30 @@ def test_depth_and_order_are_capped(tmp_path, capsys, monkeypatch):
 
 def test_k_plus_p_is_capped_before_any_walk(tmp_path, capsys, monkeypatch):
     import palinfrac.cli as cli
+    import palinfrac.jacobi as jacobi
     from palinfrac import pair
 
-    # the bound counts the input's pairs, preperiodic ones included
-    period = doubly_palindromic_period(random.Random(3), cli.MAX_PAIRS - 1, 5)
+    # the bound counts the input's pairs, preperiodic ones included, before
+    # any pair is built
+    limit = jacobi.MAX_PAIRS
+    period = doubly_palindromic_period(random.Random(3), limit - 1, 5)
     over = write_input(tmp_path, period + [pair(1, 0)], [pair(2, 1)], "over.json")
     at = write_input(tmp_path, period, [pair(2, 1)], "at.json")
 
     def walked(*args):
-        pytest.fail("an input over the bound reached a walk")
+        pytest.fail("an input over the bound built a pair or reached a walk")
 
     with monkeypatch.context() as patch:
+        patch.setattr(jacobi, "JacobiPair", walked)
         for name in ("normalize_kp", "prepare", "periodic_quadratic"):
             patch.setattr(cli, name, walked)
         for command in (["analyze"], ["verify", "--all"], ["eval"], ["recover"]):
             assert main([*command, "--input", over]) == 2
             assert capsys.readouterr().err == (
-                f"input error: k + p must be at most {cli.MAX_PAIRS}, got {cli.MAX_PAIRS + 1}\n"
+                f"input error: k + p must be at most {limit}, got {limit + 1}\n"
             )
     code, report = run_json(capsys, ["analyze", "--input", at, "--json"])
-    assert code == 0 and report["p"] == cli.MAX_PAIRS - 1 and 5 in report["splits"]
+    assert code == 0 and report["p"] == limit - 1 and 5 in report["splits"]
 
 
 def test_depth_below_one_is_an_input_error_at_any_point(tmp_path, capsys):

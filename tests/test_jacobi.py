@@ -29,7 +29,7 @@ from conftest import (
     unrolled,
 )
 import palinfrac.jacobi as jacobi
-from palinfrac.jacobi import _float_pairs
+from palinfrac.jacobi import _float_rows
 
 
 # the period-doubling example shape: a = (a1 a2 a2 a1 t1) repeated, b = (b1 b2 b3 b2 b1) repeated
@@ -123,6 +123,9 @@ def test_normalize_appends_exactly_one_period():
     assert norm.k == 3
     assert norm.preperiodic == (pair(2, 1), pair(1, 0), pair(3, 5))
     assert norm.preperiodic[-1] == norm.periodic[-1]
+    # the block now ends with the period and lends it its last p float rows;
+    # a builtin point's levels are the cached table itself
+    assert norm.levels(0.5j, True) is norm.float_periodic == norm.float_preperiodic[-2:]
 
 
 def test_normalize_noop_when_already_normalized():
@@ -370,9 +373,9 @@ _FLOAT_CASES = st.lists(
 @example([pair(10**155, 0)])  # a^2 = 1e310, beyond the double range
 @example([pair(3, Fraction(-1, 7)), pair(Fraction(1, 10**200), Fraction(-1, 10**256))])
 @example([pair(10**154, 10**255), pair(Fraction(10**256 - 1, 7), 1)])
-def test_float_pairs_have_the_bits_and_errors_of_the_fractions(pairs):
+def test_float_rows_have_the_bits_and_errors_of_the_fractions(pairs):
     # each level's (b, a^2) comes from integer true division, without the
     # Fraction a*a; it must be float() of the Fractions, overflow included
-    assert _floats_or_error(lambda: _float_pairs(pairs)) == _floats_or_error(
+    assert _floats_or_error(lambda: _float_rows(pairs)) == _floats_or_error(
         lambda: tuple((float(q.b), float(q.a * q.a)) for q in pairs)
     )

@@ -440,15 +440,25 @@ _UPPER_POINTS = st.one_of(
 )
 
 
+_PERIOD = (pair(1, 0), pair(2, 1), pair(1, 1))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_SEQUENCES, _UPPER_POINTS)
 # a^2 has no float in the period, which depth 1 does not reach and every
 # deeper depth does: both raise there, with one text
 @example(JacobiSequence((pair(1, 0),), (pair(10**200, 0), pair(1, 0))), 0.5j)
+# a block that ends with the period lends it its float rows, and one that
+# ends with its last pair only does not; at 1e2j the folds of depth k + 3p,
+# k + 3p + 1 and 2000 stop at their cycle, and at 0.3 + 0.5i no fold does
+@example(JacobiSequence(_PERIOD, _PERIOD), 1e2j)
+@example(JacobiSequence(_PERIOD, _PERIOD), complex(0.3, 0.5))
+@example(JacobiSequence(_PERIOD[-1:], _PERIOD), 1e2j)
+@example(JacobiSequence(_PERIOD[-1:], _PERIOD), complex(0.3, 0.5))
 def test_truncation_is_bit_identical_to_exact_pair_loop(seq, z):
-    # every depth from 1 to a few periods, so depth < k and depth = k occur;
-    # at the probe heights also the default depth 2000, where the fold
-    # reaches its cycle and jumps
+    # every depth from 1 to a few periods: those below k (if k > 1), k,
+    # k + 1, k + p - 1, k + p and k + p + 1 all occur; at the probe heights
+    # also the default depth 2000, where the fold reaches its cycle and stops
     depths = list(range(1, seq.k + 3 * seq.p + 2))
     if z in PROBE_POINTS:
         depths.append(2000)

@@ -93,9 +93,9 @@ def test_poly_repr_is_the_dataclass_format():
     "obj, name, expected",
     [
         (Poly((1, 2), 3), "coeffs", (Fraction(1, 3), Fraction(2, 3))),
-        (_SEQ, "float_pairs", ((0.0, 1.0), (1.0, 4.0), (0.0, 1.0))),
+        (_SEQ, "float_periodic", ((1.0, 4.0), (0.0, 1.0))),
     ],
-    ids=["Poly.coeffs", "JacobiSequence.float_pairs"],
+    ids=["Poly.coeffs", "JacobiSequence.float_periodic"],
 )
 def test_cached_property_fills_on_a_frozen_instance(obj, name, expected):
     fresh = type(obj)(*(getattr(obj, field) for field in type(obj).__match_args__))
